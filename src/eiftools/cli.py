@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .data import Dataset, LongDataset
 from .estimators import DegenerateOutcomeError
 from .glm import GlmError
-from .nuisance import DEFAULT_TRUNCATION, LearnerSpec, NuisanceError
+from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, NuisanceError,
+                       check_fold_count)
 from .simulation import (DgpConfig, DgpValidationError, EstimationPlan,
                          LONG_ESTIMATORS, POINT_ESTIMATORS, AnalyticTruthError,
                          fit_plan_nuisance, fit_plan_nuisance_long, generate,
@@ -299,6 +300,11 @@ def cmd_estimate(args) -> int:
                               y_bounds=plan.y_bounds)
     else:
         data = read_long_csv(args.data, y_bounds=plan.y_bounds)
+    if plan.n_folds is not None:
+        try:
+            check_fold_count(plan.n_folds, data.n_obs)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     names = _parse_estimators(args.estimators, args.design)
     fold_seed = args.seed if args.seed is not None else 0
 

@@ -33,7 +33,8 @@ from .estimators import (EstimateResult, FluctuationFit, DegenerateOutcomeError,
                          wald_inference)
 from .glm import DesignSpec, GlmError, Link, fit_glm
 from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
-                       InsufficientDataError, LearnerSpec, fit_outcome,
+                       InsufficientDataError, LearnerSpec, _outcome_model,
+                       _propensity_model, _validate_truncation, fit_outcome,
                        fit_propensity, fold_partition)
 
 __all__ = [
@@ -159,9 +160,10 @@ def fit_sequential_nuisances(
     stage1 = _first_stage_dataset(data, data.outcome)
     stage2 = _history_dataset(data)
     stage2_rows = data.a0 == 0.0
+    mu_rows = stage2_rows & (data.a1 == 0.0)
     g1_degenerate = not np.any(data.a1[stage2_rows] == 1.0)
 
-    lo, hi = float(truncation[0]), float(truncation[1])
+    lo, hi = _validate_truncation(truncation)
 
     def clip_count(raw: np.ndarray) -> Tuple[np.ndarray, int]:
         return np.clip(raw, lo, hi), int(np.sum((raw < lo) | (raw > hi)))
@@ -174,14 +176,12 @@ def fit_sequential_nuisances(
         if g1_degenerate:
             g1 = np.ones(n)
         else:
-            g1_fit = fit_propensity(stage2.subset(stage2_rows), g1_learner,
-                                    (lo, hi))
-            g1, hits = clip_count(
-                g1_fit._predictor.predict(stage2.covariates))
+            g1_model = _propensity_model(stage2.subset(stage2_rows),
+                                         g1_learner)
+            g1, hits = clip_count(g1_model.predict(stage2.covariates))
             n_trunc += hits
-        mu_fit = fit_outcome(
-            stage2.subset(stage2_rows & (data.a1 == 0.0)), mu_learner)
-        mu_hat = mu_fit.predict(stage2.covariates)
+        mu_model = _outcome_model(stage2.subset(mu_rows), mu_learner)
+        mu_hat = mu_model.predict(stage2.covariates)
     else:
         assignment = fold_partition(n, n_folds, 0 if seed is None else seed)
         _check_folds(data, assignment, n_folds)
@@ -193,29 +193,26 @@ def fit_sequential_nuisances(
             held = assignment == fold
             train = ~held
             try:
-                g0_fit = fit_propensity(stage1.subset(train), g0_learner,
-                                        (lo, hi))
+                g0_model = _propensity_model(stage1.subset(train), g0_learner)
                 if not g1_degenerate:
-                    g1_fit = fit_propensity(
-                        stage2.subset(train & stage2_rows), g1_learner,
-                        (lo, hi))
-                mu_fit = fit_outcome(
-                    stage2.subset(train & stage2_rows & (data.a1 == 0.0)),
-                    mu_learner)
+                    g1_model = _propensity_model(
+                        stage2.subset(train & stage2_rows), g1_learner)
+                mu_model = _outcome_model(stage2.subset(train & mu_rows),
+                                          mu_learner)
             except InsufficientDataError as exc:
                 raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
             g0[held], hits0 = clip_count(
-                g0_fit._predictor.predict(stage1.covariates[held]))
+                g0_model.predict(stage1.covariates[held]))
             n_trunc += hits0
             if not g1_degenerate:
                 g1[held], hits1 = clip_count(
-                    g1_fit._predictor.predict(stage2.covariates[held]))
+                    g1_model.predict(stage2.covariates[held]))
                 n_trunc += hits1
-            mu_hat[held] = mu_fit.predict(stage2.covariates[held])
+            mu_hat[held] = mu_model.predict(stage2.covariates[held])
 
     return SequentialNuisances(
         g0=g0, g1=g1, mu_hat=mu_hat,
-        truncation_bounds=(float(truncation[0]), float(truncation[1])),
+        truncation_bounds=(lo, hi),
         fold_assignment=assignment,
         n_truncated=int(n_trunc),
         g1_degenerate=g1_degenerate,
@@ -300,10 +297,10 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
     for fold in range(int(assignment.max()) + 1):
         held = assignment == fold
         try:
-            fit = fit_outcome(ds.subset(~held), learner)
+            model = _outcome_model(ds.subset(~held), learner)
         except InsufficientDataError as exc:
             raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
-        out[held] = fit.predict(ds.covariates[held])
+        out[held] = model.predict(ds.covariates[held])
     return out
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "fit_propensity",
     "fit_nuisance",
     "crossfit",
+    "check_fold_count",
     "DEFAULT_TRUNCATION",
 ]
 
@@ -168,23 +169,61 @@ class _GlmPredictor:
     """GLM fit plus the recipe to rebuild its design on new covariates."""
 
     def __init__(self, learner: LearnerSpec, covariate_names: Tuple[str, ...],
-                 fit: GlmFit, link: Link):
+                 fit: GlmFit):
         self.learner = learner
         self.covariate_names = covariate_names
         self.fit = fit
-        self.link = link
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         design = self.learner.design_for(self.covariate_names, matrix)
         return predict(self.fit, design)
 
 
+# Query rows are searched in blocks of about this many float64 entries
+# (256 KB), so working memory does not grow with the query size.
+_KNN_BLOCK_ENTRIES = 1 << 15
+
+# numpy's float64 sum over a row adds fewer than this many terms left to
+# right and groups more in pairwise blocks. Narrower rows are summed one
+# column at a time, which rounds the same way and avoids a reduction over
+# a short last axis, several times slower on a few covariates.
+_SEQUENTIAL_SUM_TERMS = 8
+
+
+def _squared_distances(train_x: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """(query, train) squared distances, rounded as a per-row ``np.sum``."""
+    if train_x.shape[1] >= _SEQUENTIAL_SUM_TERMS:
+        return np.sum((train_x[None] - xb[:, None]) ** 2, axis=2)
+    d2 = np.zeros((xb.shape[0], train_x.shape[0]))
+    for j in range(train_x.shape[1]):
+        d2 += (train_x[None, :, j] - xb[:, j, None]) ** 2
+    return d2
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k smallest entries ordered by (distance, column index)."""
+    chosen = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    chosen.sort(axis=1)
+    dist = np.take_along_axis(d2, chosen, axis=1)
+    chosen = np.take_along_axis(
+        chosen, np.argsort(dist, axis=1, kind="stable"), axis=1)
+    # A row with more than k entries at or below its k-th distance has a
+    # tie that argpartition may have broken the wrong way.
+    tied = np.count_nonzero(d2 <= dist.max(axis=1)[:, None], axis=1) > k
+    if tied.any():
+        chosen[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return chosen
+
+
 class _KnnPredictor:
-    """k-nearest-neighbor mean with deterministic tie handling.
+    """Exact k-nearest-neighbor mean by brute force, with deterministic ties.
 
     Distances are Euclidean on per-column standardized covariates
-    (training mean/scale; constant columns get scale 1). Ties are broken
-    by lowest training-row index via a stable argsort.
+    (training mean/scale; constant columns get scale 1). Neighbors are
+    ranked by (distance, training-row index), so ties go to the lowest
+    training index. Every query row is compared with every training row,
+    so time is O(n_train * n_query); query rows are processed in blocks
+    of about ``_KNN_BLOCK_ENTRIES`` entries, which bounds memory.
     """
 
     def __init__(self, k: int, train_x: np.ndarray, train_z: np.ndarray):
@@ -197,11 +236,15 @@ class _KnnPredictor:
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         x = (matrix - self.center) / self.scale
-        out = np.empty(matrix.shape[0])
-        for i in range(matrix.shape[0]):
-            d2 = np.sum((self.train_x - x[i]) ** 2, axis=1)
-            nearest = np.argsort(d2, kind="stable")[: self.k]
-            out[i] = float(np.mean(self.train_z[nearest]))
+        m, d = self.train_x.shape
+        # The pairwise-sum path holds every (query, train, column) term.
+        per_row = m * d if d >= _SEQUENTIAL_SUM_TERMS else m
+        step = max(1, _KNN_BLOCK_ENTRIES // per_row)
+        out = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], step):
+            d2 = _squared_distances(self.train_x, x[start:start + step])
+            out[start:start + step] = np.mean(
+                self.train_z[_nearest(d2, self.k)], axis=1)
         return out
 
 
@@ -215,7 +258,12 @@ class _ConstantPredictor:
 
 @dataclass
 class OutcomeFit:
-    """Fitted outcome regression Ê(Y | A=0, W) with full-sample predictions."""
+    """Fitted outcome regression Ê(Y | A=0, W).
+
+    ``predictions`` holds the full-sample predictions from
+    ``fit_outcome``; it is empty for fits made only to predict held-out
+    rows through ``predict``.
+    """
 
     learner: LearnerSpec
     predictions: np.ndarray
@@ -306,28 +354,13 @@ def _restrict(data: Dataset, covariates: Optional[Sequence[str]]) -> Dataset:
     return data.select_covariates(covariates)
 
 
-def fit_outcome(data: Dataset, learner: LearnerSpec,
-                covariates: Optional[Sequence[str]] = None) -> OutcomeFit:
-    """Fit Ê(Y | A=0, W) on the untreated subset; predict for every row.
+def _outcome_model(data: Dataset, learner: LearnerSpec) -> OutcomeFit:
+    """Fit Ê(Y | A=0, W) on ``data``'s untreated rows without predicting.
 
-    Parameters
-    ----------
-    data : Dataset
-    learner : LearnerSpec
-        GLM learners regress Y on the expanded design; with
-        ``link=logit`` the response is first rescaled into [0, 1] using
-        the dataset's outcome bounds and predictions are mapped back.
-        kNN averages the outcomes of the k nearest untreated neighbors.
-    covariates : sequence of str, optional
-        Restrict the model to these columns (used to force deliberate
-        misspecification in simulations). Predictions still cover all rows.
-
-    Raises
-    ------
-    InsufficientDataError
-        Fewer than 2 untreated observations.
+    ``data`` is already restricted to the model's covariates. The
+    returned fit's ``predictions`` is empty; call its ``predict`` on the
+    rows whose predictions are kept.
     """
-    data = _restrict(data, covariates)
     untreated = data.treatment == 0.0
     if int(untreated.sum()) < 2:
         raise InsufficientDataError(
@@ -354,19 +387,66 @@ def fit_outcome(data: Dataset, learner: LearnerSpec,
             z = (y_fit - lo) / (hi - lo)
             design = learner.design_for(data.covariate_names, x_fit)
             fit = fit_glm(design, z, Link.LOGIT)
-            predictor = _GlmPredictor(learner, data.covariate_names, fit, Link.LOGIT)
+            predictor = _GlmPredictor(learner, data.covariate_names, fit)
             bounds = (lo, hi)
     else:
         design = learner.design_for(data.covariate_names, x_fit)
         fit = fit_glm(design, y_fit, Link.IDENTITY)
-        predictor = _GlmPredictor(learner, data.covariate_names, fit, Link.IDENTITY)
+        predictor = _GlmPredictor(learner, data.covariate_names, fit)
         bounds = None
 
-    out = OutcomeFit(learner=learner, predictions=np.empty(0),
-                     n_fit=int(untreated.sum()), _predictor=predictor,
-                     _bounds=bounds)
+    return OutcomeFit(learner=learner, predictions=np.empty(0),
+                      n_fit=int(untreated.sum()), _predictor=predictor,
+                      _bounds=bounds)
+
+
+def fit_outcome(data: Dataset, learner: LearnerSpec,
+                covariates: Optional[Sequence[str]] = None) -> OutcomeFit:
+    """Fit Ê(Y | A=0, W) on the untreated subset; predict for every row.
+
+    Parameters
+    ----------
+    data : Dataset
+    learner : LearnerSpec
+        GLM learners regress Y on the expanded design; with
+        ``link=logit`` the response is first rescaled into [0, 1] using
+        the dataset's outcome bounds and predictions are mapped back.
+        kNN averages the outcomes of the k nearest untreated neighbors.
+    covariates : sequence of str, optional
+        Restrict the model to these columns (used to force deliberate
+        misspecification in simulations). Predictions still cover all rows.
+
+    Raises
+    ------
+    InsufficientDataError
+        Fewer than 2 untreated observations.
+    """
+    data = _restrict(data, covariates)
+    out = _outcome_model(data, learner)
     out.predictions = out.predict(data.covariates)
     return out
+
+
+def _propensity_model(data: Dataset, learner: LearnerSpec) -> object:
+    """Fit the untruncated P̂(A = 0 | W) on every row without predicting.
+
+    ``data`` is already restricted to the model's covariates; the
+    returned predictor's ``predict`` gives raw, unclipped probabilities.
+    """
+    if len(np.unique(data.treatment)) < 2:
+        raise InsufficientDataError(
+            "both treatment levels are required to fit a propensity model"
+        )
+    z = (data.treatment == 0.0).astype(float)
+    if learner.kind == "k_nearest_neighbors":
+        if learner.k > data.n_obs:
+            raise InsufficientDataError(
+                f"k={learner.k} exceeds the {data.n_obs} observations"
+            )
+        return _KnnPredictor(learner.k, data.covariates, z)
+    design = learner.design_for(data.covariate_names, data.covariates)
+    return _GlmPredictor(learner, data.covariate_names,
+                         fit_glm(design, z, Link.LOGIT))
 
 
 def fit_propensity(data: Dataset, learner: LearnerSpec,
@@ -386,22 +466,7 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
     """
     lo, hi = _validate_truncation(truncation)
     data = _restrict(data, covariates)
-    z = (data.treatment == 0.0).astype(float)
-    if len(np.unique(data.treatment)) < 2:
-        raise InsufficientDataError(
-            "both treatment levels are required to fit a propensity model"
-        )
-    if learner.kind == "k_nearest_neighbors":
-        if learner.k > data.n_obs:
-            raise InsufficientDataError(
-                f"k={learner.k} exceeds the {data.n_obs} observations"
-            )
-        predictor: object = _KnnPredictor(learner.k, data.covariates, z)
-    else:
-        design = learner.design_for(data.covariate_names, data.covariates)
-        fit = fit_glm(design, z, Link.LOGIT)
-        predictor = _GlmPredictor(learner, data.covariate_names, fit, Link.LOGIT)
-
+    predictor = _propensity_model(data, learner)
     raw = predictor.predict(data.covariates)
     n_trunc = int(np.sum((raw < lo) | (raw > hi)))
     return PropensityFit(learner=learner,
@@ -432,10 +497,15 @@ def fit_nuisance(data: Dataset, outcome_learner: LearnerSpec,
     )
 
 
-def fold_partition(n_obs: int, n_folds: int, seed: int) -> np.ndarray:
-    """Seeded near-equal fold assignment; returns fold index per row."""
+def check_fold_count(n_folds: int, n_obs: int) -> None:
+    """Raise ValueError unless ``n_folds`` lies in [2, ``n_obs``]."""
     if not (2 <= n_folds <= n_obs):
         raise ValueError(f"fold count {n_folds} must be in [2, {n_obs}]")
+
+
+def fold_partition(n_obs: int, n_folds: int, seed: int) -> np.ndarray:
+    """Seeded near-equal fold assignment; returns fold index per row."""
+    check_fold_count(n_folds, n_obs)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_obs)
     assignment = np.empty(n_obs, dtype=int)
@@ -464,6 +534,8 @@ def crossfit(data: Dataset, outcome_learner: LearnerSpec,
     """
     lo, hi = _validate_truncation(truncation)
     assignment = fold_partition(data.n_obs, n_folds, seed)
+    x_out = _restrict(data, outcome_covariates).covariates
+    x_prop = _restrict(data, propensity_covariates).covariates
     outcome_pred = np.empty(data.n_obs)
     propensity_pred = np.empty(data.n_obs)
     n_truncated = 0
@@ -479,16 +551,14 @@ def crossfit(data: Dataset, outcome_learner: LearnerSpec,
                 f"fold {fold}: training complement has fewer than 2 untreated rows"
             )
         try:
-            out = fit_outcome(train, outcome_learner,
-                              covariates=outcome_covariates)
-            prop = fit_propensity(train, propensity_learner, (lo, hi),
-                                  covariates=propensity_covariates)
+            out = _outcome_model(_restrict(train, outcome_covariates),
+                                 outcome_learner)
+            prop = _propensity_model(_restrict(train, propensity_covariates),
+                                     propensity_learner)
         except InsufficientDataError as exc:
             raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
-        x_out = _restrict(data, outcome_covariates).covariates[held_out]
-        x_prop = _restrict(data, propensity_covariates).covariates[held_out]
-        outcome_pred[held_out] = out.predict(x_out)
-        raw = prop._predictor.predict(x_prop)
+        outcome_pred[held_out] = out.predict(x_out[held_out])
+        raw = prop.predict(x_prop[held_out])
         n_truncated += int(np.sum((raw < lo) | (raw > hi)))
         propensity_pred[held_out] = np.clip(raw, lo, hi)
     return NuisanceEstimates(

@@ -31,7 +31,7 @@ from . import estimators as est
 from . import longitudinal as long_est
 from .longitudinal import SequentialNuisances
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, NuisanceError,
-                       crossfit, fit_nuisance)
+                       check_fold_count, crossfit, fit_nuisance)
 from .glm import GlmError
 
 __all__ = [
@@ -988,6 +988,8 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     dgp.check()
     if replications < 2:
         raise ValueError("replications must be at least 2")
+    if plan.n_folds is not None:
+        check_fold_count(plan.n_folds, n)
     valid = POINT_ESTIMATORS if dgp.design == "point" else LONG_ESTIMATORS
     unknown = set(estimator_names) - set(valid)
     if unknown:

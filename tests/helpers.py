@@ -1,7 +1,10 @@
 """Random-problem builders shared across test modules."""
 
+from collections import Counter
+
 import numpy as np
 
+from eiftools import nuisance
 from eiftools.data import Dataset, LongDataset
 
 
@@ -72,3 +75,18 @@ def saturated_long_dataset(rng, n):
                     ok = False
         if ok:
             return data
+
+
+def count_predicted_rows(monkeypatch):
+    """Counter of rows each learner class is asked to predict, by class name.
+
+    Wraps ``predict`` of the kNN and GLM predictors for the rest of the
+    test; the predictions themselves are unchanged.
+    """
+    rows = Counter()
+    for cls in (nuisance._KnnPredictor, nuisance._GlmPredictor):
+        def counted(self, matrix, _predict=cls.predict, _name=cls.__name__):
+            rows[_name] += matrix.shape[0]
+            return _predict(self, matrix)
+        monkeypatch.setattr(cls, "predict", counted)
+    return rows

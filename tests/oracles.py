@@ -111,6 +111,31 @@ def stratum_long_value(w0, a0, w1, a1, outcome):
     return total
 
 
+def knn_mean_brute_force(train_x, train_z, query_x, k):
+    """k-nearest-neighbor means, one query row at a time.
+
+    Covariates are standardized by the training mean and standard
+    deviation (scale 1 for constant columns). For each query row every
+    training row is ranked by a full stable sort of its squared distance,
+    so ties go to the lowest training index, and the first k responses
+    are averaged.
+    """
+    train_x = np.asarray(train_x, float)
+    query_x = np.asarray(query_x, float)
+    center = train_x.mean(axis=0)
+    scale = train_x.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    train = (train_x - center) / scale
+    query = (query_x - center) / scale
+    train_z = np.asarray(train_z, float)
+    out = np.empty(query.shape[0])
+    for i in range(query.shape[0]):
+        d2 = np.sum((train - query[i]) ** 2, axis=1)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        out[i] = float(np.mean(train_z[nearest]))
+    return out
+
+
 def two_pass_variance(values):
     """Textbook two-pass sample variance with the n-1 divisor."""
     x = [float(v) for v in values]

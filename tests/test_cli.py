@@ -154,6 +154,12 @@ def test_estimate_usage_errors_exit_2(tmp_path):
                        args=["--truncate", "0.5"])
     assert "LO,HI" in err["message"] or "truncate" in err["message"].lower()
 
+    for folds in ("1", "0", "4"):
+        err = expect_usage("w,a,y\n0.0,0.0,1.0\n0.0,1.0,2.0\n1.0,0.0,1.5\n",
+                           args=["--folds", folds])
+        assert err["type"] == "UsageError"
+        assert f"fold count {folds} must be in [2, 3]" in err["message"]
+
 
 def test_estimate_missing_file_exit_2(tmp_path):
     code = run_cli(["estimate", "--data", tmp_path / "absent.csv"])
@@ -242,6 +248,15 @@ def test_simulate_config_errors_exit_2(tmp_path):
     err = read_json(out)["error"]
     assert err["type"] == "DgpValidationError"
     assert err["violations"]
+
+    # fold counts outside [2, n] are usage errors, not failed replicates
+    for folds in ("1", "101"):
+        code = run_cli(["simulate", "--config", FIXTURES / "dgp_binary.json",
+                        "--n", "100", "--replications", "2", "--seed", "1",
+                        "--folds", folds, "--out", out])
+        assert code == 2
+        assert (f"fold count {folds} must be in [2, 100]"
+                in read_json(out)["error"]["message"])
 
 
 def test_emit_data_round_trips_into_estimate(tmp_path):

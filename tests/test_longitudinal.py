@@ -22,7 +22,8 @@ from eiftools.longitudinal import (
     tmle_long,
     tmle_long_weighted_logistic,
 )
-from helpers import random_long_dataset, saturated_long_dataset
+from helpers import (count_predicted_rows, random_long_dataset,
+                     saturated_long_dataset)
 from oracles import stratum_long_value
 
 SATURATED_STAGE2 = LearnerSpec("glm_with_basis", degree=1, interactions=True)
@@ -199,6 +200,26 @@ def test_crossfit_uses_one_shared_partition():
     assert fit.psi_hat == again.psi_hat
     other_seed = tmle_long(data, variant="weighted_linear", n_folds=3, seed=10)
     assert fit.psi_hat != other_seed.psi_hat
+
+
+@pytest.mark.parametrize("n_folds", [None, 2])
+def test_each_model_predicts_each_row_once(monkeypatch, n_folds):
+    rows = count_predicted_rows(monkeypatch)
+    data = random_long_dataset(np.random.default_rng(8), n=120)
+    knn = LearnerSpec("k_nearest_neighbors", k=3)
+    glm = LearnerSpec("glm_main_terms")
+    nuis = fit_sequential_nuisances(data, glm, glm, knn, n_folds=n_folds,
+                                    seed=4)
+    assert not nuis.g1_degenerate
+    # g0 and g1 are GLMs, mu is kNN
+    assert rows == {"_GlmPredictor": 240, "_KnnPredictor": 120}
+
+    rows.clear()
+    assignment = fold_partition(data.n_obs, 2, seed=4)
+    for learner in (knn, glm):
+        lng._fit_emu(data, nuis.mu_hat, learner, "weighted_linear", None,
+                     assignment)
+    assert rows == {"_GlmPredictor": 120, "_KnnPredictor": 120}
 
 
 def test_crossfit_degenerate_fold_is_named():

@@ -6,6 +6,8 @@ import pytest
 from eiftools.data import Dataset
 from eiftools.glm import Link
 from eiftools.nuisance import (
+    _KNN_BLOCK_ENTRIES,
+    _KnnPredictor,
     DEFAULT_TRUNCATION,
     FoldDegeneracyError,
     InsufficientDataError,
@@ -17,7 +19,8 @@ from eiftools.nuisance import (
     fit_propensity,
     fold_partition,
 )
-from helpers import random_point_dataset
+from helpers import count_predicted_rows, random_point_dataset
+from oracles import knn_mean_brute_force
 
 
 def test_learner_spec_round_trips():
@@ -111,6 +114,36 @@ def test_knn_outcome_mean_and_tie_break():
     # the lowest training-row index, whose outcome is 5.
     k1 = fit_outcome(data, LearnerSpec("k_nearest_neighbors", k=1))
     np.testing.assert_allclose(k1.predictions[:2], [5.0, 5.0])
+
+
+@pytest.mark.parametrize("kind, n_cov, n_train, n_query, k", [
+    ("binary", 3, 60, 40, 7),          # tie-heavy
+    ("rounded", 2, 80, 50, 10),
+    ("continuous", 3, 90, 30, 25),
+    ("continuous", 4, 30, 20, 30),     # k == n_train
+    ("binary", 0, 25, 10, 5),          # no covariate columns
+    ("continuous", 3, 200, 2 * (_KNN_BLOCK_ENTRIES // 200) + 3, 5),
+    ("three_level", 9, 50, 200, 12),   # 8+ terms: numpy sums pairwise
+    ("three_level", 10, 30, 200, 5),
+])
+def test_knn_matches_brute_force_oracle(kind, n_cov, n_train, n_query, k):
+    rng = np.random.default_rng(n_train * 1000 + n_query)
+
+    def draw(rows):
+        if kind == "binary":
+            return (rng.random((rows, n_cov)) < 0.5).astype(float)
+        if kind == "rounded":
+            return np.round(rng.normal(size=(rows, n_cov)), 1)
+        if kind == "three_level":
+            return rng.integers(-1, 2, size=(rows, n_cov)).astype(float)
+        return rng.normal(size=(rows, n_cov))
+
+    train_x, query_x = draw(n_train), draw(n_query)
+    for train_z in ((rng.random(n_train) < 0.4).astype(float),
+                    rng.normal(scale=3.0, size=n_train)):
+        got = _KnnPredictor(k, train_x, train_z).predict(query_x)
+        np.testing.assert_array_equal(
+            got, knn_mean_brute_force(train_x, train_z, query_x, k))
 
 
 def test_knn_k_larger_than_untreated_pool():
@@ -266,3 +299,11 @@ def test_crossfit_leave_pairs_out_runs():
                    LearnerSpec("glm_main_terms"), n_folds=12, seed=2)
     assert fit.n_obs == 24
     assert np.bincount(fit.fold_assignment).tolist() == [2] * 12
+
+
+def test_crossfit_predicts_each_row_once_per_model(monkeypatch):
+    rows = count_predicted_rows(monkeypatch)
+    data = random_point_dataset(np.random.default_rng(5), n=90)
+    crossfit(data, LearnerSpec("k_nearest_neighbors", k=5),
+             LearnerSpec("glm_main_terms"), n_folds=4, seed=1)
+    assert rows == {"_KnnPredictor": 90, "_GlmPredictor": 90}
