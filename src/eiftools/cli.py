@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .data import Dataset, LongDataset
 from .estimators import DegenerateOutcomeError
@@ -105,53 +108,91 @@ def write_dataset_csv(data: Union[Dataset, LongDataset], path: str):
     write_csv(path, header, rows)
 
 
-def _read_csv_columns(path: str) -> Dict[str, List[float]]:
+def _read_csv_columns(path: str) -> Dict[str, np.ndarray]:
+    """Float columns of a CSV file, keyed by header name.
+
+    A plain file (ASCII, no quote characters, no carriage returns) is
+    parsed by one ``np.loadtxt`` call. Any other file, and any plain file
+    that ``loadtxt`` rejects or parses to another shape than one row per
+    body line, is read again by :func:`_read_csv_columns_per_cell`, which
+    words every error. ``loadtxt`` skips blank lines, so the shape check
+    is what keeps them an error.
+    """
     try:
-        f = open(path, encoding="utf-8", newline="")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    with f:
-        reader = csv.reader(f)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+    header_line, _, body = text.partition("\n")
+    header = header_line.split(",")
+    # An all-blank body would make loadtxt warn; float() rejects the
+    # ASCII separators \x1c-\x1f that loadtxt strips.
+    plain = (text.isascii() and header_line
+             and len(set(header)) == len(header)
+             and body and not body.isspace()
+             and not any(c in text for c in '"\r\x1c\x1d\x1e\x1f'))
+    if plain:
+        n_lines = body.count("\n") + (not body.endswith("\n"))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise UsageError(f"{path}: empty file, expected a header row")
-        if len(set(header)) != len(header):
-            raise UsageError(f"{path}: duplicate column names in header")
-        columns: Dict[str, List[float]] = {name: [] for name in header}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+            table = np.loadtxt(io.StringIO(body), delimiter=",",
+                               comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if table.shape == (n_lines, len(header)):
+                return dict(zip(header, np.ascontiguousarray(table.T)))
+    return _read_csv_columns_per_cell(text, path)
+
+
+def _read_csv_columns_per_cell(text: str, path: str
+                               ) -> Dict[str, np.ndarray]:
+    """Columns read by one csv.reader pass and one float() per cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise UsageError(f"{path}: empty file, expected a header row")
+    if len(set(header)) != len(header):
+        raise UsageError(f"{path}: duplicate column names in header")
+    columns: Dict[str, List[float]] = {name: [] for name in header}
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise UsageError(
+                f"{path}:{lineno}: expected {len(header)} fields, "
+                f"got {len(row)}")
+        for name, cell in zip(header, row):
+            if cell.strip() == "":
                 raise UsageError(
-                    f"{path}:{lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}")
-            for name, cell in zip(header, row):
-                if cell.strip() == "":
-                    raise UsageError(
-                        f"{path}:{lineno}: missing value in column {name!r}")
-                try:
-                    columns[name].append(float(cell))
-                except ValueError:
-                    raise UsageError(
-                        f"{path}:{lineno}: non-numeric value {cell!r} in "
-                        f"column {name!r}") from None
+                    f"{path}:{lineno}: missing value in column {name!r}")
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{lineno}: non-numeric value {cell!r} in "
+                    f"column {name!r}") from None
     if not columns or not next(iter(columns.values())):
         raise UsageError(f"{path}: no data rows")
-    return columns
+    return {name: np.array(values, dtype=float)
+            for name, values in columns.items()}
 
 
-def _require_column(columns: Dict[str, List[float]], name: str,
-                    path: str) -> List[float]:
+def _require_column(columns: Dict[str, np.ndarray], name: str,
+                    path: str) -> np.ndarray:
     if name not in columns:
         raise UsageError(f"{path}: missing required column {name!r}")
     return columns.pop(name)
 
 
-def _check_binary(values: Sequence[float], name: str, path: str):
-    for v in values:
-        if v not in (0.0, 1.0):
-            raise UsageError(
-                f"{path}: treatment column {name!r} must be coded 0/1, "
-                f"found {v!r}")
+def _check_binary(values: np.ndarray, name: str, path: str):
+    bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+    if bad.size:
+        raise UsageError(
+            f"{path}: treatment column {name!r} must be coded 0/1, "
+            f"found {float(values[bad[0]])!r}")
 
 
 def read_point_csv(path: str, treatment_col: str = "a",
@@ -300,11 +341,13 @@ def cmd_estimate(args) -> int:
                               y_bounds=plan.y_bounds)
     else:
         data = read_long_csv(args.data, y_bounds=plan.y_bounds)
-    if plan.n_folds is not None:
-        try:
+    try:
+        if plan.n_folds is not None:
             check_fold_count(plan.n_folds, data.n_obs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        plan.check_covariates(args.design, data.covariate_names
+                              if args.design == "point" else ())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     names = _parse_estimators(args.estimators, args.design)
     fold_seed = args.seed if args.seed is not None else 0
 
@@ -375,7 +418,7 @@ def cmd_truth(args) -> int:
     try:
         truth = true_value(dgp, method=args.method, mc_draws=args.mc_draws,
                            mc_seed=args.seed if args.seed is not None else 0)
-    except AnalyticTruthError as exc:
+    except (AnalyticTruthError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     out = {
         "schema_version": SCHEMA_VERSION,

@@ -224,11 +224,3 @@ class LongDataset:
         if self.y_bounds is not None:
             return self.y_bounds
         return float(np.min(self.outcome)), float(np.max(self.outcome))
-
-    def history_columns(self) -> "dict[str, np.ndarray]":
-        """W0, A0 and W1 columns, the conditioning set for the second stage."""
-        cols = {name: self.w0[:, j] for j, name in enumerate(self.w0_names)}
-        cols["a0"] = self.a0
-        for j, name in enumerate(self.w1_names):
-            cols[name] = self.w1[:, j]
-        return cols

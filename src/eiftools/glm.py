@@ -231,19 +231,12 @@ def _score(X: np.ndarray, z: np.ndarray, mu: np.ndarray,
 
 
 def _bernoulli_loglik(eta: np.ndarray, z: np.ndarray, wt: np.ndarray) -> float:
-    # log(mu) = -log(1 + exp(-eta)), log(1 - mu) = -log(1 + exp(eta));
-    # evaluated only where wt > 0 so saturated zero-weight rows cannot
-    # produce 0 * inf.
-    active = wt > 0
-    e = eta[active]
-    zz = z[active]
-    ww = wt[active]
-    log_mu = -np.logaddexp(0.0, -e)
-    log_1m = -np.logaddexp(0.0, e)
-    return float(np.sum(ww * (zz * log_mu + (1.0 - zz) * log_1m)))
+    # z*log(mu) + (1-z)*log(1-mu) with mu = expit(eta) equals
+    # z*eta - log(1 + exp(eta)), which needs a single logaddexp.
+    return float(np.sum(wt * (z * eta - np.logaddexp(0.0, eta))))
 
 
-def _fit_identity(X, z, b, wt, tol_abs, max_iterations):
+def _fit_identity(X, z, b, wt, tol_abs):
     n, p = X.shape
     sw = np.sqrt(wt)
     Xw = X * sw[:, None]
@@ -274,14 +267,18 @@ def _fit_identity(X, z, b, wt, tol_abs, max_iterations):
 
 def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
     n, p = X.shape
+    # The likelihood leaves out zero-weight rows, so saturated rows there
+    # cannot produce 0 * inf; with every weight positive it takes all rows.
+    active = slice(None) if np.all(wt > 0) else wt > 0
+    z_active, wt_active = z[active], wt[active]
     beta = np.zeros(p)
     eta = b + X @ beta
-    loglik = _bernoulli_loglik(eta, z, wt)
-    score = _score(X, z, expit(eta), wt)
+    loglik = _bernoulli_loglik(eta[active], z_active, wt_active)
+    mu = expit(eta)
+    score = _score(X, z, mu, wt)
     for iteration in range(max_iterations):
         if np.max(np.abs(score)) <= tol_abs:
             return beta, score, iteration
-        mu = expit(eta)
         info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
         try:
             delta = cho_solve(cho_factor(info), score)
@@ -299,7 +296,8 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
         for _ in range(40):
             cand = beta + step * delta
             eta_cand = b + X @ cand
-            loglik_cand = _bernoulli_loglik(eta_cand, z, wt)
+            loglik_cand = _bernoulli_loglik(eta_cand[active], z_active,
+                                            wt_active)
             if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
                 break
             step *= 0.5
@@ -309,7 +307,8 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
                 "logit coefficients diverged beyond "
                 f"{SEPARATION_NORM:g}; data look separated"
             )
-        score = _score(X, z, expit(eta), wt)
+        mu = expit(eta)
+        score = _score(X, z, mu, wt)
     if np.max(np.abs(score)) <= tol_abs:
         return beta, score, max_iterations
     raise NonConvergenceError(
@@ -362,8 +361,7 @@ def fit_glm(design: DesignSpec, response, link: Link,
     X = design.expanded()
     tol_abs = score_tolerance * (1.0 + float(np.sum(wt)))
     if link is Link.IDENTITY:
-        beta, score, iterations = _fit_identity(
-            X, z, b, wt, tol_abs, max_iterations)
+        beta, score, iterations = _fit_identity(X, z, b, wt, tol_abs)
     else:
         beta, score, iterations = _fit_logit(
             X, z, b, wt, tol_abs, max_iterations)

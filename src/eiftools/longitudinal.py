@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .data import Dataset, LongDataset
-from .estimators import (EstimateResult, FluctuationFit, DegenerateOutcomeError,
-                         wald_inference)
+from .estimators import (_SCALED_PRED_CLIP, EstimateResult, FluctuationFit,
+                         DegenerateOutcomeError, wald_inference)
 from .glm import DesignSpec, GlmError, Link, fit_glm
 from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
                        InsufficientDataError, LearnerSpec, _outcome_model,
@@ -49,8 +49,6 @@ __all__ = [
 ]
 
 LONG_VARIANTS = ("weighted_linear", "covariate_linear", "weighted_logistic")
-
-_SCALED_PRED_CLIP = 1e-6
 
 _DEFAULT_LEARNER = LearnerSpec("glm_main_terms")
 

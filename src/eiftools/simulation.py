@@ -31,7 +31,8 @@ from . import estimators as est
 from . import longitudinal as long_est
 from .longitudinal import SequentialNuisances
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, NuisanceError,
-                       check_fold_count, crossfit, fit_nuisance)
+                       _validate_truncation, check_fold_count, crossfit,
+                       fit_nuisance)
 from .glm import GlmError
 
 __all__ = [
@@ -763,6 +764,27 @@ class EstimationPlan:
     propensity_covariates: Optional[Tuple[str, ...]] = None
     y_bounds: Optional[Tuple[float, float]] = None
 
+    def __post_init__(self):
+        _validate_truncation(self.truncation)
+
+    def check_covariates(self, design: str, names: Sequence[str]):
+        """Raise ValueError unless the covariate restrictions name
+        covariates of the data (``names``); the longitudinal design
+        supports none."""
+        restrictions = (("outcome", self.outcome_covariates),
+                        ("propensity", self.propensity_covariates))
+        for role, cols in restrictions:
+            if cols is None:
+                continue
+            if design != "point":
+                raise ValueError("covariate restrictions are not supported "
+                                 "for the longitudinal design")
+            unknown = [c for c in cols if c not in names]
+            if unknown:
+                raise ValueError(
+                    f"unknown {role} covariates {unknown}; the data have "
+                    f"{list(names)}")
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "outcome_learner": self.outcome_learner.describe(),
@@ -917,10 +939,7 @@ def fit_plan_nuisance(data: Dataset, plan: EstimationPlan, fold_seed: int = 0):
 def fit_plan_nuisance_long(data: LongDataset, plan: EstimationPlan,
                            fold_seed: int = 0) -> SequentialNuisances:
     """Longitudinal nuisance estimates under the plan."""
-    if plan.outcome_covariates is not None or \
-            plan.propensity_covariates is not None:
-        raise ValueError("covariate restrictions are not supported for "
-                         "longitudinal experiments")
+    plan.check_covariates("longitudinal", ())
     return long_est.fit_sequential_nuisances(
         data, g0_learner=plan.propensity_learner,
         g1_learner=plan.propensity_learner,
@@ -988,8 +1007,11 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     dgp.check()
     if replications < 2:
         raise ValueError("replications must be at least 2")
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if plan.n_folds is not None:
         check_fold_count(plan.n_folds, n)
+    plan.check_covariates(dgp.design, dgp.w0_names)
     valid = POINT_ESTIMATORS if dgp.design == "point" else LONG_ESTIMATORS
     unknown = set(estimator_names) - set(valid)
     if unknown:

@@ -6,7 +6,11 @@ instead of model fits, two-pass arithmetic instead of vectorized
 shortcuts. Tests compare the library against these.
 """
 
+import csv
+import io
+
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit
 
 SCALED_CLIP = 1e-6
@@ -148,3 +152,86 @@ def eif_by_hand(w_row_treated, y, mu, g, psi):
     """Single-observation influence function, spelled out."""
     indicator = 0.0 if w_row_treated else 1.0
     return indicator / g * (y - mu) + mu - psi
+
+
+def read_csv_columns_per_cell(path):
+    """Float columns of a CSV file, read by one csv.reader pass and one
+    float() per cell.
+
+    This is the reference for every accepted input and every error
+    message of the CLI reader; errors are raised as ValueError carrying
+    the message the CLI reports.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header")
+    columns = {name: [] for name in header}
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+        for name, cell in zip(header, row):
+            if cell.strip() == "":
+                raise ValueError(
+                    f"{path}:{lineno}: missing value in column {name!r}")
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: non-numeric value {cell!r} in "
+                    f"column {name!r}") from None
+    if not columns or not next(iter(columns.values())):
+        raise ValueError(f"{path}: no data rows")
+    return {name: np.array(values, dtype=float)
+            for name, values in columns.items()}
+
+
+def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
+    """Weighted logistic Newton iteration with step-halving, evaluating
+    the log-likelihood as z*log(mu) + (1-z)*log(1-mu) with two logaddexp
+    passes over the positive-weight rows.
+
+    Returns (coefficients, iterations); raises RuntimeError when the
+    score sums do not reach ``tol_abs``.
+    """
+    def loglik(eta):
+        active = wt > 0
+        e, zz, ww = eta[active], z[active], wt[active]
+        log_mu = -np.logaddexp(0.0, -e)
+        log_1m = -np.logaddexp(0.0, e)
+        return float(np.sum(ww * (zz * log_mu + (1.0 - zz) * log_1m)))
+
+    beta = np.zeros(X.shape[1])
+    eta = b + X @ beta
+    ll = loglik(eta)
+    score = X.T @ (wt * (z - expit(eta)))
+    for iteration in range(max_iterations):
+        if np.max(np.abs(score)) <= tol_abs:
+            return beta, iteration
+        mu = expit(eta)
+        info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
+        delta = cho_solve(cho_factor(info), score)
+        step = 1.0
+        for _ in range(40):
+            cand = beta + step * delta
+            eta_cand = b + X @ cand
+            ll_cand = loglik(eta_cand)
+            if ll_cand >= ll - 1e-12 * (1.0 + abs(ll)):
+                break
+            step *= 0.5
+        beta, eta, ll = cand, eta_cand, ll_cand
+        score = X.T @ (wt * (z - expit(eta)))
+    if np.max(np.abs(score)) <= tol_abs:
+        return beta, max_iterations
+    raise RuntimeError("no convergence")

@@ -120,7 +120,10 @@ def test_estimate_custom_columns_and_restrictions(tmp_path):
 def test_estimate_usage_errors_exit_2(tmp_path):
     def expect_usage(text, args=(), name="bad.csv"):
         path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
         out = tmp_path / "err.json"
         code = run_cli(["estimate", "--data", path, "--out", out, *args])
         assert code == 2
@@ -159,6 +162,28 @@ def test_estimate_usage_errors_exit_2(tmp_path):
                            args=["--folds", folds])
         assert err["type"] == "UsageError"
         assert f"fold count {folds} must be in [2, 3]" in err["message"]
+
+    good = "w,a,y\n0.0,0.0,1.0\n0.0,1.0,2.0\n1.0,0.0,1.5\n"
+    err = expect_usage(good, args=["--truncate", "0.5,0.2"])
+    assert err["type"] == "UsageError"
+    assert "0 < lo < hi < 1" in err["message"]
+
+    for flag in ("--outcome-covariates", "--propensity-covariates"):
+        err = expect_usage(good, args=[flag, "w,nope"])
+        assert err["type"] == "UsageError"
+        assert "['nope']" in err["message"]
+
+    err = expect_usage("w0_w,a0,w1_z,a1,y\n0.0,0.0,1.0,0.0,1.0\n"
+                       "1.0,0.0,0.0,0.0,2.0\n0.0,1.0,1.0,1.0,1.5\n",
+                       args=["--design", "longitudinal",
+                             "--outcome-covariates", "w"],
+                       name="long.csv")
+    assert err["type"] == "UsageError"
+    assert "longitudinal design" in err["message"]
+
+    err = expect_usage(b"w,a,y\n0.0,0.0,1.0\n0.\xff,1.0,2.0\n")
+    assert err["type"] == "UsageError"
+    assert "not UTF-8" in err["message"]
 
 
 def test_estimate_missing_file_exit_2(tmp_path):
@@ -258,6 +283,27 @@ def test_simulate_config_errors_exit_2(tmp_path):
         assert (f"fold count {folds} must be in [2, 100]"
                 in read_json(out)["error"]["message"])
 
+    # plan and size errors exit 2 before any replicate runs
+    for args, message in (
+            (["--truncate", "0.5,0.2"], "0 < lo < hi < 1"),
+            (["--outcome-covariates", "nope"], "['nope']"),
+            (["--propensity-covariates", "w,nope"], "['nope']"),
+            (["--n", "1"], "n must be at least 2"),
+            (["--truth-method", "monte_carlo", "--mc-draws", "1"],
+             "mc_draws must be at least 2")):
+        argv = ["simulate", "--config", FIXTURES / "dgp_binary.json",
+                "--n", "50", "--replications", "2", "--seed", "1",
+                "--out", out, *args]
+        assert run_cli(argv) == 2
+        err = read_json(out)["error"]
+        assert err["type"] == "UsageError"
+        assert message in err["message"]
+    code = run_cli(["simulate", "--config", FIXTURES / "dgp_long.json",
+                    "--n", "50", "--replications", "2", "--seed", "1",
+                    "--outcome-covariates", "w0", "--out", out])
+    assert code == 2
+    assert "longitudinal" in read_json(out)["error"]["message"]
+
 
 def test_emit_data_round_trips_into_estimate(tmp_path):
     data_csv = tmp_path / "draw.csv"
@@ -321,6 +367,17 @@ def test_truth_monte_carlo_agrees(tmp_path):
     assert payload["mc_draws"] == 200000
     analytic = 0.5133570479666243
     assert abs(payload["value"] - analytic) <= 4 * payload["mc_se"]
+
+
+def test_truth_usage_errors_exit_2(tmp_path):
+    out = tmp_path / "err.json"
+    code = run_cli(["truth", "--config", FIXTURES / "dgp_binary.json",
+                    "--method", "monte_carlo", "--mc-draws", "1",
+                    "--out", out])
+    assert code == 2
+    err = read_json(out)["error"]
+    assert err["type"] == "UsageError"
+    assert "mc_draws must be at least 2" in err["message"]
 
 
 def test_truth_determinism(tmp_path):

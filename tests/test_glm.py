@@ -15,7 +15,7 @@ from eiftools.glm import (
     predict,
     score_residuals,
 )
-from oracles import bisect_root
+from oracles import bisect_root, fit_logit_two_logaddexp
 
 # Root of 2*(1 - expit(0.2 + c)) - expit(-0.1 + c) = 0, computed once by
 # bisection to machine precision and frozen here.
@@ -261,3 +261,44 @@ def test_predict_rejects_mismatched_design():
         predict(fit, other)
     with pytest.raises(ValueError, match="link"):
         score_residuals(fit, design, np.array([0.0, 1.0, 1.0]), Link.LOGIT)
+
+
+def _logit_oracle_problems(rng, case, count=25):
+    """Random logit problems for one weighting case. Two in three
+    offsets are shifted by 6 away from the data, which makes the first
+    Newton steps overshoot, so step-halving is exercised."""
+    for _ in range(count):
+        n = int(rng.integers(20, 400))
+        p = int(rng.integers(1, 4))
+        design = DesignSpec.from_columns(
+            {f"x{j}": rng.normal(size=n) for j in range(p)})
+        eta = rng.normal() + design.matrix @ rng.uniform(-3.0, 3.0, size=p)
+        b = rng.normal(scale=2.0, size=n)
+        if case == "continuous":
+            z = rng.uniform(0.0, 1.0, size=n)
+        else:
+            z = (rng.random(n) < expit(eta + b)).astype(float)
+        b = b + rng.choice([-6.0, 0.0, 6.0])
+        wt = rng.uniform(0.1, 3.0, size=n)
+        if case == "zero_weights":
+            wt[rng.random(n) < 0.3] = 0.0
+            wt[0] = 1.0
+        yield design, z, b, wt
+
+
+@pytest.mark.parametrize("case", ["positive", "zero_weights", "continuous"])
+def test_logit_iterates_match_two_logaddexp_oracle(case):
+    # The log-likelihood only decides which Newton steps are accepted, so
+    # the one-logaddexp form must give the two-logaddexp iterates exactly.
+    rng = np.random.default_rng({"positive": 43, "zero_weights": 47,
+                                 "continuous": 53}[case])
+    for design, z, b, wt in _logit_oracle_problems(rng, case):
+        try:
+            fit = fit_glm(design, z, Link.LOGIT, offset=b, weights=wt)
+        except SeparationError:
+            continue
+        tol_abs = 1e-8 * (1.0 + wt.sum())
+        beta, iterations = fit_logit_two_logaddexp(
+            design.expanded(), z, b, wt, tol_abs)
+        assert np.array_equal(fit.coefficients, beta)
+        assert fit.iterations == iterations
