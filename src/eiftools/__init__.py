@@ -2,10 +2,10 @@
 
 Implements the plug-in (g-computation), one-step/AIPW, and targeted
 maximum likelihood estimators of E(Y^0) for a binary point treatment,
-the two-time-point sequential TMLE of E(Y^{0,0}), the offset/weight GLM
-machinery their targeting steps need, pluggable nuisance learners with
-optional cross-fitting, and a simulation harness with known-truth
-oracles.
+the two-time-point sequential TMLE of E(Y^{0,0}), one direct solver for
+their one-parameter targeting steps, offset/weight GLMs for the nuisance
+learners, pluggable nuisance learners with optional cross-fitting, and a
+simulation harness with known-truth oracles.
 """
 
 from .data import Dataset, LongDataset
@@ -17,12 +17,11 @@ from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
                        NuisanceEstimates, crossfit, fit_nuisance, fit_outcome,
                        fit_propensity)
 from .estimators import (TMLE_VARIANTS, Z975, DegenerateOutcomeError,
-                         EstimateResult, FluctuationFit, eif_values, gcomp,
-                         one_step, tmle, wald_inference)
+                         EstimateResult, FluctuationFit, eif_values,
+                         fluctuate, gcomp, one_step, tmle, wald_inference)
 from .longitudinal import (LONG_VARIANTS, LongEstimateResult,
                            SequentialNuisances, eif_long,
-                           fit_sequential_nuisances, one_step_long, tmle_long,
-                           tmle_long_weighted_logistic)
+                           fit_sequential_nuisances, one_step_long, tmle_long)
 from .simulation import (DgpConfig, DgpValidationError, EstimationPlan,
                          ExperimentReport, TruthResult, generate,
                          run_experiment, true_value)
@@ -58,6 +57,7 @@ __all__ = [
     "EstimateResult",
     "FluctuationFit",
     "eif_values",
+    "fluctuate",
     "gcomp",
     "one_step",
     "tmle",
@@ -69,7 +69,6 @@ __all__ = [
     "fit_sequential_nuisances",
     "one_step_long",
     "tmle_long",
-    "tmle_long_weighted_logistic",
     "DgpConfig",
     "DgpValidationError",
     "EstimationPlan",

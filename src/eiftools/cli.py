@@ -123,10 +123,12 @@ def _read_csv_columns(path: str) -> Dict[str, np.ndarray]:
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
+        # utf-8-sig counts offsets from after the mark; report the file's.
+        bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0
         raise UsageError(f"{path}: not UTF-8 text: {exc.reason} at byte "
-                         f"{exc.start}") from None
+                         f"{exc.start + bom}") from None
     header_line, _, body = text.partition("\n")
     header = header_line.split(",")
     # An all-blank body would make loadtxt warn; float() rejects the

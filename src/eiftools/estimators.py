@@ -24,7 +24,9 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .data import Dataset
-from .glm import DesignSpec, GlmError, Link, fit_glm
+from .glm import (DEFAULT_MAX_ITERATIONS, DEFAULT_SCORE_TOLERANCE,
+                  SEPARATION_NORM, GlmError, NonConvergenceError,
+                  SeparationError, SingularDesignError, _bernoulli_loglik)
 from .nuisance import NuisanceEstimates
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "DegenerateOutcomeError",
     "eif_values",
     "wald_inference",
+    "fluctuate",
     "gcomp",
     "one_step",
     "tmle",
@@ -177,62 +180,136 @@ def one_step(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     return _result("one_step", data, mu, nuisance, psi)
 
 
-def _fluctuate(data: Dataset, nuisance: NuisanceEstimates, variant: str,
-               y_bounds: Optional[Tuple[float, float]]) -> FluctuationFit:
-    h = _clever_covariate(data, nuisance)
-    mu = nuisance.outcome_pred
-    y = data.outcome
-    n = data.n_obs
+def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
+                    ) -> Optional[Tuple[float, float]]:
+    """Bounds of ``weighted_logistic`` targeting: ``y_bounds``, else the
+    data's outcome range. None for the other variants."""
+    if variant != "weighted_logistic":
+        return None
+    lo, hi = y_bounds if y_bounds is not None else data.outcome_bounds()
+    if not hi > lo:
+        raise DegenerateOutcomeError(
+            f"outcome bounds ({lo}, {hi}) have zero width; logistic "
+            "targeting needs y_min < y_max")
+    return float(lo), float(hi)
 
-    if variant == "covariate_linear":
-        # No-intercept linear model of Y on H with offset mu: the score of
-        # the single slope is sum(H (Y - mu - delta H)) = 0. Treated rows
-        # are inert in the fit (H = 0), but the targeted prediction must
-        # evaluate the fluctuation under the untreated regime, where the
-        # clever covariate is 1/g for every row; using H there instead
-        # shrinks the correction and forfeits double robustness.
-        design = DesignSpec.from_columns({"clever_covariate": h},
-                                         include_intercept=False)
-        fit = fit_glm(design, y, Link.IDENTITY, offset=mu)
-        delta = float(fit.coefficients[0])
-        mu_star = mu + delta / nuisance.propensity_pred
-        resid = float(np.sum(h * (y - mu_star)))
-        return FluctuationFit(variant, delta, mu_star, resid)
 
-    if variant == "weighted_linear":
-        # Intercept-only linear model, offset mu, weights H: the intercept
-        # score is sum(H (Y - mu - gamma)) = 0.
-        design = DesignSpec.intercept_only(n)
-        fit = fit_glm(design, y, Link.IDENTITY, offset=mu, weights=h)
-        gamma = float(fit.coefficients[0])
-        mu_star = mu + gamma
-        resid = float(np.sum(h * (y - mu_star)))
-        return FluctuationFit(variant, gamma, mu_star, resid)
+def _solve_linear(z, b, w, x, tol: float) -> float:
+    """Root c of sum(w (z - b - c x)) = 0 in closed form, with up to
+    three refinement rounds if rounding leaves the score above ``tol``."""
+    wx = float(np.sum(w * x))
+    c, score = 0.0, float(np.sum(w * (z - b)))
+    for _ in range(4):
+        c += score / wx
+        score = float(np.sum(w * (z - (b + c * x))))
+        if abs(score) <= tol:
+            return c
+    raise NonConvergenceError(
+        "weighted least squares did not reach the score tolerance",
+        np.array([c]), np.array([score]), 4)
 
+
+def _solve_logistic(z, b, w, tol: float) -> float:
+    """Weighted logistic intercept with offset ``b``, by the Newton
+    iteration of :func:`eiftools.glm.fit_glm` for one parameter: start
+    at 0, take the step score/information, halve it until the weighted
+    Bernoulli log-likelihood of the positive-weight rows does not drop."""
+    active = slice(None) if np.all(w > 0) else w > 0
+    z_active, w_active = z[active], w[active]
+    coef, eta = 0.0, b
+    loglik = _bernoulli_loglik(b[active], z_active, w_active)
+    for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
+        mu = expit(eta)
+        score = float(np.sum(w * (z - mu)))
+        if abs(score) <= tol:
+            return coef
+        if iteration == DEFAULT_MAX_ITERATIONS:
+            raise NonConvergenceError(
+                f"logit fit did not converge in {iteration} iterations",
+                np.array([coef]), np.array([score]), iteration)
+        info = float(np.sum(w * mu * (1.0 - mu)))
+        if not info > 0.0:
+            raise SingularDesignError(
+                "logit-link information matrix is singular")
+        delta = score / info
+        if not np.isfinite(delta):
+            raise SingularDesignError("logit-link Newton step is not finite")
+        step = 1.0
+        for _ in range(40):
+            cand = coef + step * delta
+            eta = b + cand
+            loglik_cand = _bernoulli_loglik(eta[active], z_active, w_active)
+            if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
+                break
+            step *= 0.5
+        coef, loglik = cand, loglik_cand
+        if abs(coef) > SEPARATION_NORM:
+            raise SeparationError(
+                "logit coefficients diverged beyond "
+                f"{SEPARATION_NORM:g}; data look separated")
+
+
+def fluctuate(response, offset, weights, regime_covariate, variant: str,
+              bounds: Optional[Tuple[float, float]]) -> FluctuationFit:
+    """Solve one targeting fluctuation directly.
+
+    Each variant zeroes sum(weights * (response - targeted)). ``weights``
+    carry the regime indicator, so off-regime rows are inert;
+    ``regime_covariate`` is the same inverse probability without it.
+    ``weighted_linear``: targeted = offset + gamma (a weighted mean).
+    ``covariate_linear``: targeted = offset + delta * regime_covariate,
+    delta the no-intercept least-squares slope on ``weights``; every row
+    is predicted under the regime, since predicting with ``weights``
+    would shrink the correction and forfeit double robustness.
+    ``weighted_logistic``: a logit-scale intercept on the response
+    rescaled by ``bounds = (lo, hi)`` (None for the other variants),
+    offset logit(rescaled offset clipped into (1e-6, 1 - 1e-6));
+    targeted stays in [lo, hi]; the residual is on the rescaled response.
+
+    The score is certified to ``1e-8 * (1 + sum(weights))``
+    (``1e-8 * (1 + n)`` for ``covariate_linear``). Raises ValueError on
+    bad inputs and the :mod:`eiftools.glm` errors on solver failure.
+    """
+    z, b, w = (np.asarray(v, dtype=float) for v in (response, offset, weights))
+    if not (all(np.all(np.isfinite(v)) for v in (z, b, w))
+            and np.all(w >= 0.0) and np.any(w > 0.0)):
+        raise ValueError("fluctuation inputs must be finite, with weights "
+                         "nonnegative and not all zero")
+    tol = DEFAULT_SCORE_TOLERANCE * (1.0 + float(np.sum(w)))
     if variant == "weighted_logistic":
-        lo, hi = y_bounds if y_bounds is not None else data.outcome_bounds()
-        if not hi > lo:
-            raise DegenerateOutcomeError(
-                f"outcome bounds ({lo}, {hi}) have zero width; logistic "
-                "targeting needs y_min < y_max"
-            )
-        if np.any(y < lo) or np.any(y > hi):
-            raise ValueError("outcome values fall outside the scaling bounds")
+        lo, hi = bounds
+        if np.any(z < lo) or np.any(z > hi):
+            raise ValueError("response values fall outside the scaling "
+                             "bounds")
         span = hi - lo
-        y_sc = (y - lo) / span
-        mu_sc = np.clip((mu - lo) / span, _SCALED_PRED_CLIP,
-                        1.0 - _SCALED_PRED_CLIP)
-        offset = logit(mu_sc)
-        design = DesignSpec.intercept_only(n)
-        fit = fit_glm(design, y_sc, Link.LOGIT, offset=offset, weights=h)
-        gamma = float(fit.coefficients[0])
-        targeted_sc = expit(offset + gamma)
-        mu_star = lo + span * targeted_sc
-        resid = float(np.sum(h * (y_sc - targeted_sc)))
-        return FluctuationFit(variant, gamma, mu_star, resid)
+        z_sc = (z - lo) / span
+        b_sc = logit(np.clip((b - lo) / span, _SCALED_PRED_CLIP,
+                             1.0 - _SCALED_PRED_CLIP))
+        coef = _solve_logistic(z_sc, b_sc, w, tol)
+        targeted_sc = expit(b_sc + coef)
+        return FluctuationFit(variant, coef, lo + span * targeted_sc,
+                              float(np.sum(w * (z_sc - targeted_sc))))
+    if variant == "weighted_linear":
+        coef = _solve_linear(z, b, w, 1.0, tol)
+        targeted = b + coef
+    elif variant == "covariate_linear":
+        coef = _solve_linear(z, b, w, w,
+                             DEFAULT_SCORE_TOLERANCE * (1.0 + z.shape[0]))
+        targeted = b + coef * np.asarray(regime_covariate, dtype=float)
+    else:
+        raise ValueError(f"unknown TMLE variant {variant!r}; "
+                         f"expected one of {TMLE_VARIANTS}")
+    return FluctuationFit(variant, coef, targeted,
+                          float(np.sum(w * (z - targeted))))
 
-    raise ValueError(f"unknown TMLE variant {variant!r}; "
-                     f"expected one of {TMLE_VARIANTS}")
+
+def _labelled_fluctuation(label: str, *args) -> FluctuationFit:
+    """:func:`fluctuate`, with ``label`` prefixed to a failure's message."""
+    try:
+        return fluctuate(*args)
+    except (GlmError, ValueError) as exc:
+        exc.args = (f"{label}: {exc.args[0]}",) + exc.args[1:]
+        raise
 
 
 def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
@@ -266,18 +343,15 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
     ------
     DegenerateOutcomeError
         ``weighted_logistic`` with y_min = y_max.
-    GlmError
+    GlmError, ValueError
         Targeting-model failure, annotated with the variant.
     """
-    if nuisance.n_obs != data.n_obs:
-        raise ValueError("nuisance estimates do not match the dataset size")
-    try:
-        fluct = _fluctuate(data, nuisance, variant, y_bounds)
-    except GlmError as exc:
-        exc.args = (f"targeting step ({variant}): {exc.args[0]}",) + exc.args[1:]
-        raise
-    psi = float(np.mean(fluct.targeted_pred))
     h = _clever_covariate(data, nuisance)
+    fluct = _labelled_fluctuation(
+        f"targeting step ({variant})", data.outcome, nuisance.outcome_pred,
+        h, 1.0 / nuisance.propensity_pred, variant,
+        _scaling_bounds(variant, data, y_bounds))
+    psi = float(np.mean(fluct.targeted_pred))
     return _result(
         f"tmle_{variant}", data, fluct.targeted_pred, nuisance, psi,
         extra={

@@ -6,10 +6,10 @@ per-parameter score sums
 
     sum_i wt_i * f_j(X_i) * (Z_i - Zhat_i)
 
-to zero, which is what the targeting models in :mod:`eiftools.estimators`
-and :mod:`eiftools.longitudinal` rely on. Convergence is certified on the
-score scale: a fit is converged when every score sum is within
-``score_tolerance * (1 + sum(weights))`` of zero.
+to zero; the GLM nuisance learners fit through it. Convergence is certified
+on the score scale: a fit is converged when every score sum is within
+``score_tolerance * (1 + sum(weights))`` of zero. (The TMLE targeting steps
+are solved directly by :func:`eiftools.estimators.fluctuate`.)
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 __all__ = [
@@ -280,12 +280,14 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
         if np.max(np.abs(score)) <= tol_abs:
             return beta, score, iteration
         info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
-        try:
-            delta = cho_solve(cho_factor(info), score)
-        except np.linalg.LinAlgError as exc:
+        # LAPACK's Cholesky, as cho_factor/cho_solve call it, unwrapped.
+        if not np.all(np.isfinite(info)):
+            raise ValueError("logit-link information matrix is not finite")
+        factor, status = dpotrf(info, lower=False, clean=False)
+        if status > 0:
             raise SingularDesignError(
-                "logit-link information matrix is singular"
-            ) from exc
+                "logit-link information matrix is singular")
+        delta, _ = dpotrs(factor, score, lower=False)
         if not np.all(np.isfinite(delta)):
             raise SingularDesignError(
                 "logit-link Newton step is not finite"

@@ -15,23 +15,22 @@ g0 = P(A0=0 | W0), g1 = P(A1=0 | W0, A0=0, W1).
 Estimation runs in six steps: fit g0 and g1; fit mu; fluctuate mu so the
 R-weighted score over Y is zero (giving mu*); regress mu* on W0 among the
 A0=0 rows (giving e); fluctuate e so the H-weighted score over mu* is
-zero (giving e*); report theta_hat = mean(e*). Both fluctuations reuse
-the point-treatment targeting shapes (weighted intercept, clever
-covariate, or weighted logistic on the rescaled outcome).
+zero (giving e*); report theta_hat = mean(e*). Both fluctuations go
+through :func:`eiftools.estimators.fluctuate`, the point design's
+targeting kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .data import Dataset, LongDataset
-from .estimators import (_SCALED_PRED_CLIP, EstimateResult, FluctuationFit,
-                         DegenerateOutcomeError, wald_inference)
-from .glm import DesignSpec, GlmError, Link, fit_glm
+from .estimators import (EstimateResult, _labelled_fluctuation,
+                         _scaling_bounds, wald_inference)
+from .glm import Link
 from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
                        InsufficientDataError, LearnerSpec, _outcome_model,
                        _propensity_model, _validate_truncation, fit_outcome,
@@ -45,7 +44,6 @@ __all__ = [
     "fit_sequential_nuisances",
     "one_step_long",
     "tmle_long",
-    "tmle_long_weighted_logistic",
 ]
 
 LONG_VARIANTS = ("weighted_linear", "covariate_linear", "weighted_logistic")
@@ -217,61 +215,6 @@ def fit_sequential_nuisances(
     )
 
 
-def _fluctuate_step(response: np.ndarray, offset_pred: np.ndarray,
-                    weights: np.ndarray, regime_covariate: np.ndarray,
-                    variant: str, bounds: Optional[Tuple[float, float]],
-                    step_label: str) -> FluctuationFit:
-    """One targeting fluctuation shared by steps 3 and 5.
-
-    Solves sum(weights * (response - targeted)) = 0 where ``targeted``
-    shifts ``offset_pred`` by the fluctuation parameter (on the link
-    scale for the logistic variant, which works on the rescaled
-    response). ``weights`` carry the regime indicator, so off-regime rows
-    are inert in the fit; ``regime_covariate`` is the same inverse
-    probability without the indicator, which is what the covariate-shape
-    fluctuation must use when predicting under the regime for every row.
-    """
-    n = response.shape[0]
-    try:
-        if variant == "weighted_linear":
-            fit = fit_glm(DesignSpec.intercept_only(n), response,
-                          Link.IDENTITY, offset=offset_pred, weights=weights)
-            coef = float(fit.coefficients[0])
-            targeted = offset_pred + coef
-            resid = float(np.sum(weights * (response - targeted)))
-        elif variant == "covariate_linear":
-            design = DesignSpec.from_columns({"clever_covariate": weights},
-                                             include_intercept=False)
-            fit = fit_glm(design, response, Link.IDENTITY, offset=offset_pred)
-            coef = float(fit.coefficients[0])
-            targeted = offset_pred + coef * regime_covariate
-            resid = float(np.sum(weights * (response - targeted)))
-        elif variant == "weighted_logistic":
-            lo, hi = bounds
-            span = hi - lo
-            resp_sc = (response - lo) / span
-            if np.any(resp_sc < 0.0) or np.any(resp_sc > 1.0):
-                raise ValueError(
-                    f"{step_label}: response values fall outside the scaling "
-                    "bounds")
-            off_sc = np.clip((offset_pred - lo) / span, _SCALED_PRED_CLIP,
-                             1.0 - _SCALED_PRED_CLIP)
-            off = logit(off_sc)
-            fit = fit_glm(DesignSpec.intercept_only(n), resp_sc, Link.LOGIT,
-                          offset=off, weights=weights)
-            coef = float(fit.coefficients[0])
-            targeted_sc = expit(off + coef)
-            targeted = lo + span * targeted_sc
-            resid = float(np.sum(weights * (resp_sc - targeted_sc)))
-        else:
-            raise ValueError(f"unknown variant {variant!r}; expected one of "
-                             f"{LONG_VARIANTS}")
-    except GlmError as exc:
-        exc.args = (f"{step_label}: {exc.args[0]}",) + exc.args[1:]
-        raise
-    return FluctuationFit(variant, coef, targeted, resid)
-
-
 def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
              variant: str, bounds: Optional[Tuple[float, float]],
              assignment: Optional[np.ndarray]) -> np.ndarray:
@@ -282,15 +225,10 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
     already inside the bounds.
     """
     if variant == "weighted_logistic":
-        learner = LearnerSpec(kind=learner.kind, link=Link.LOGIT,
-                              degree=learner.degree,
-                              interactions=learner.interactions, k=learner.k)
-        ds = _first_stage_dataset(data, response, y_bounds=bounds)
-    else:
-        ds = _first_stage_dataset(data, response)
+        learner = replace(learner, link=Link.LOGIT)
+    ds = _first_stage_dataset(data, response, y_bounds=bounds)
     if assignment is None:
-        fit = fit_outcome(ds, learner)
-        return fit.predictions
+        return fit_outcome(ds, learner).predictions
     out = np.empty(data.n_obs)
     for fold in range(int(assignment.max()) + 1):
         held = assignment == fold
@@ -318,18 +256,10 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
     point-treatment one-step, the estimate is not constrained to the
     outcome bounds.
     """
-    work = SequentialNuisances(
-        g0=nuisances.g0, g1=nuisances.g1, mu_hat=nuisances.mu_hat,
-        truncation_bounds=nuisances.truncation_bounds,
-        fold_assignment=nuisances.fold_assignment,
-        n_truncated=nuisances.n_truncated,
-        g1_degenerate=nuisances.g1_degenerate,
-    )
-    emu = _fit_emu(data, work.mu_hat, emu_learner, "weighted_linear", None,
-                   work.fold_assignment)
-    work.emu_hat = emu
-    work.mu_star = work.mu_hat
-    work.emu_star = emu
+    emu = _fit_emu(data, nuisances.mu_hat, emu_learner, "weighted_linear",
+                   None, nuisances.fold_assignment)
+    work = replace(nuisances, mu_star=nuisances.mu_hat, emu_hat=emu,
+                   emu_star=emu)
     r, h = _weights(data, work)
     plug_in = float(np.mean(emu))
     theta = plug_in + float(np.mean(
@@ -393,53 +323,37 @@ def tmle_long(data: LongDataset,
         Too little data in a required stratum (fold named when
         cross-fitting).
     GlmError
-        Model failure, annotated with the step that raised it.
+        Model failure, annotated with the step that raised it (as is a
+        ``ValueError`` from a targeting step).
     """
     if variant not in LONG_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of "
                          f"{LONG_VARIANTS}")
-    bounds: Optional[Tuple[float, float]] = None
-    if variant == "weighted_logistic":
-        lo, hi = y_bounds if y_bounds is not None else data.outcome_bounds()
-        if not hi > lo:
-            raise DegenerateOutcomeError(
-                f"outcome bounds ({lo}, {hi}) have zero width; logistic "
-                "targeting needs y_min < y_max")
-        bounds = (float(lo), float(hi))
+    bounds = _scaling_bounds(variant, data, y_bounds)
 
     if nuisances is None:
         nuisances = fit_sequential_nuisances(
             data, g0_learner, g1_learner, mu_learner, truncation,
             n_folds=n_folds, seed=seed)
-    work = SequentialNuisances(
-        g0=nuisances.g0, g1=nuisances.g1, mu_hat=nuisances.mu_hat,
-        truncation_bounds=nuisances.truncation_bounds,
-        fold_assignment=nuisances.fold_assignment,
-        n_truncated=nuisances.n_truncated,
-        g1_degenerate=nuisances.g1_degenerate,
-    )
-    r, h = _weights(data, work)
+    r, h = _weights(data, nuisances)
 
-    step3 = _fluctuate_step(data.outcome, work.mu_hat, r,
-                            1.0 / (work.g0 * work.g1), variant, bounds,
-                            "step 3 (fluctuate mu)")
-    work.mu_star = step3.targeted_pred
-
+    step3 = _labelled_fluctuation(
+        "step 3 (fluctuate mu)", data.outcome, nuisances.mu_hat, r,
+        1.0 / (nuisances.g0 * nuisances.g1), variant, bounds)
+    work = replace(nuisances, mu_star=step3.targeted_pred)
     work.emu_hat = _fit_emu(data, work.mu_star, emu_learner, variant, bounds,
                             work.fold_assignment)
-
-    step5 = _fluctuate_step(work.mu_star, work.emu_hat, h, 1.0 / work.g0,
-                            variant, bounds,
-                            "step 5 (fluctuate the W0 regression)")
+    step5 = _labelled_fluctuation(
+        "step 5 (fluctuate the W0 regression)", work.mu_star, work.emu_hat,
+        h, 1.0 / work.g0, variant, bounds)
     work.emu_star = step5.targeted_pred
 
     theta = float(np.mean(work.emu_star))
     phi = eif_long(data, work, theta)
     se, ci = wald_inference(phi, theta)
-    tag = "tmle_long_weighted_logistic" if variant == "weighted_logistic" \
-        else f"tmle_long_{variant}"
     return LongEstimateResult(
-        estimator=tag, psi_hat=theta, se=se, ci95=ci, eif=phi,
+        estimator=f"tmle_long_{variant}", psi_hat=theta, se=se, ci95=ci,
+        eif=phi,
         diagnostics={
             "variant": variant,
             "mean_eif": float(np.mean(phi)),
@@ -462,21 +376,3 @@ def tmle_long(data: LongDataset,
         nuisances=work,
     )
 
-
-def tmle_long_weighted_logistic(
-        data: LongDataset,
-        g0_learner: LearnerSpec = _DEFAULT_LEARNER,
-        g1_learner: LearnerSpec = _DEFAULT_LEARNER,
-        mu_learner: LearnerSpec = _DEFAULT_LEARNER,
-        emu_learner: LearnerSpec = _DEFAULT_LEARNER,
-        truncation: Tuple[float, float] = DEFAULT_TRUNCATION,
-        y_bounds: Optional[Tuple[float, float]] = None,
-        n_folds: Optional[int] = None,
-        seed: Optional[int] = None,
-        nuisances: Optional[SequentialNuisances] = None
-        ) -> LongEstimateResult:
-    """Bound-respecting variant: both fluctuations are weighted logistic."""
-    return tmle_long(data, g0_learner, g1_learner, mu_learner, emu_learner,
-                     truncation, variant="weighted_logistic",
-                     y_bounds=y_bounds, n_folds=n_folds, seed=seed,
-                     nuisances=nuisances)

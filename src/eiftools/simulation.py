@@ -20,6 +20,7 @@ failures (never silently dropped).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -81,6 +82,26 @@ class AnalyticTruthError(Exception):
     """Exact truth requested for a DGP without finite covariate support."""
 
 
+_JSON_TYPES = {"an object": Mapping, "a list": (list, tuple),
+               "a number": numbers.Real}
+
+
+def _typed(value, kind: str, where: str):
+    """``value`` if it has the JSON type ``kind``, else a config error
+    (not a TypeError or ValueError deep inside validation)."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise DgpValidationError([f"{where}: expected {kind}, got {value!r}"])
+    return value
+
+
+def _object(d, allowed: Sequence[str], where: str) -> Mapping[str, object]:
+    """``d`` if it is a config object with no keys outside ``allowed``."""
+    extra = set(_typed(d, "an object", where)) - set(allowed)
+    if extra:
+        raise DgpValidationError([f"{where}: unknown keys {sorted(extra)}"])
+    return d
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Linear predictor: intercept + sum of coef * term value."""
@@ -117,12 +138,12 @@ class LinearModel:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "LinearModel":
-        extra = set(d) - {"intercept", "coefs"}
-        if extra:
-            raise DgpValidationError(
-                [f"{where}: unknown keys {sorted(extra)}"])
-        return cls(intercept=d.get("intercept", 0.0),
-                   coefs=d.get("coefs", {}))
+        d = _object(d, ("intercept", "coefs"), where)
+        coefs = _typed(d.get("coefs", {}), "an object", f"{where}.coefs")
+        return cls(intercept=_typed(d.get("intercept", 0.0), "a number",
+                                    f"{where}.intercept"),
+                   coefs={k: _typed(v, "a number", f"{where}.coefs.{k}")
+                          for k, v in coefs.items()})
 
 
 @dataclass(frozen=True)
@@ -203,17 +224,16 @@ class CovariateSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "CovariateSpec":
-        allowed = {"name", "dist", "p", "low", "high", "mean", "sd", "model"}
-        extra = set(d) - allowed
-        if extra:
-            raise DgpValidationError([f"{where}: unknown keys {sorted(extra)}"])
+        d = _object(d, ("name", "dist", "p", "low", "high", "mean", "sd",
+                        "model"), where)
         if "name" not in d or "dist" not in d:
             raise DgpValidationError([f"{where}: need name and dist"])
+        values = {key: _typed(d[key], "a number", f"{where}.{key}")
+                  for key in ("p", "low", "high", "mean", "sd")
+                  if d.get(key) is not None}
         model = d.get("model")
         return cls(
-            name=str(d["name"]), dist=str(d["dist"]),
-            p=d.get("p"), low=d.get("low"), high=d.get("high"),
-            mean=d.get("mean"), sd=d.get("sd"),
+            name=str(d["name"]), dist=str(d["dist"]), **values,
             model=LinearModel.from_dict(model, f"{where}.model")
             if model is not None else None,
         )
@@ -263,12 +283,11 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "NoiseSpec":
-        extra = set(d) - {"kind", "sd", "half_width"}
-        if extra:
-            raise DgpValidationError([f"{where}: unknown keys {sorted(extra)}"])
+        d = _object(d, ("kind", "sd", "half_width"), where)
         return cls(kind=str(d.get("kind", "none")),
-                   sd=float(d.get("sd", 0.0)),
-                   half_width=float(d.get("half_width", 0.0)))
+                   sd=_typed(d.get("sd", 0.0), "a number", f"{where}.sd"),
+                   half_width=_typed(d.get("half_width", 0.0), "a number",
+                                     f"{where}.half_width"))
 
 
 @dataclass(frozen=True)
@@ -308,15 +327,14 @@ class OutcomeSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "OutcomeSpec":
-        allowed = {"scale", "kind", "intercept", "coefs", "noise"}
-        extra = set(d) - allowed
-        if extra:
-            raise DgpValidationError([f"{where}: unknown keys {sorted(extra)}"])
+        d = _object(d, ("scale", "kind", "intercept", "coefs", "noise"),
+                    where)
         return cls(
             scale=str(d.get("scale", "identity")),
             kind=str(d.get("kind", "continuous")),
-            mean_model=LinearModel(intercept=d.get("intercept", 0.0),
-                                   coefs=d.get("coefs", {})),
+            mean_model=LinearModel.from_dict(
+                {key: d[key] for key in ("intercept", "coefs") if key in d},
+                where),
             noise=NoiseSpec.from_dict(d.get("noise", {"kind": "none"}),
                                       f"{where}.noise"),
         )
@@ -549,7 +567,7 @@ class DgpConfig:
     def from_dict(cls, d: Mapping[str, object]) -> "DgpConfig":
         allowed = {"design", "covariates", "treatment", "outcome",
                    "w1_covariates", "a1", "y_bounds", "positivity_floor"}
-        extra = set(d) - allowed
+        extra = set(_typed(d, "an object", "config")) - allowed
         if extra:
             raise DgpValidationError([f"unknown config keys {sorted(extra)}"])
         missing = {"design", "covariates", "treatment", "outcome"} - set(d)
@@ -557,20 +575,28 @@ class DgpConfig:
             raise DgpValidationError(
                 [f"missing config keys {sorted(missing)}"])
         y_bounds = d.get("y_bounds")
+        if y_bounds is not None:
+            if len(_typed(y_bounds, "a list", "y_bounds")) != 2:
+                raise DgpValidationError(
+                    [f"y_bounds: expected [lo, hi], got {y_bounds!r}"])
+            y_bounds = tuple(_typed(v, "a number", "y_bounds")
+                             for v in y_bounds)
+
+        def specs(key):
+            items = _typed(d.get(key, ()), "a list", key)
+            return tuple(CovariateSpec.from_dict(c, f"{key}[{i}]")
+                         for i, c in enumerate(items))
         return cls(
             design=str(d["design"]),
-            covariates=tuple(
-                CovariateSpec.from_dict(c, f"covariates[{i}]")
-                for i, c in enumerate(d["covariates"])),
+            covariates=specs("covariates"),
             treatment=LinearModel.from_dict(d["treatment"], "treatment"),
             outcome=OutcomeSpec.from_dict(d["outcome"], "outcome"),
-            w1_covariates=tuple(
-                CovariateSpec.from_dict(c, f"w1_covariates[{i}]")
-                for i, c in enumerate(d.get("w1_covariates", ()))),
+            w1_covariates=specs("w1_covariates"),
             a1_model=LinearModel.from_dict(d["a1"], "a1")
             if d.get("a1") is not None else None,
-            y_bounds=tuple(y_bounds) if y_bounds is not None else None,
-            positivity_floor=float(d.get("positivity_floor", 0.01)),
+            y_bounds=y_bounds,
+            positivity_floor=float(_typed(d.get("positivity_floor", 0.01),
+                                          "a number", "positivity_floor")),
         )
 
 

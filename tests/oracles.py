@@ -6,12 +6,15 @@ instead of model fits, two-pass arithmetic instead of vectorized
 shortcuts. Tests compare the library against these.
 """
 
+import codecs
 import csv
 import io
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit
+
+from eiftools.glm import DesignSpec, Link, fit_glm
 
 SCALED_CLIP = 1e-6
 
@@ -164,11 +167,13 @@ def read_csv_columns_per_cell(path):
     """
     with open(path, "rb") as f:
         raw = f.read()
+    # A leading byte-order mark is dropped; error offsets are the file's.
+    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte "
-                         f"{exc.start}") from None
+                         f"{exc.start + bom}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -235,3 +240,76 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
     if np.max(np.abs(score)) <= tol_abs:
         return beta, max_iterations
     raise RuntimeError("no convergence")
+
+
+def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
+    """The point design's targeting fluctuation as a general GLM fit
+    (``DesignSpec`` -> ``fit_glm``), the way ``tmle`` solved it before it
+    had a direct one-parameter solver.
+
+    ``h = I(A=0)/g`` enters as the weights (or, for ``covariate_linear``,
+    as the regressor); ``bounds`` are the logistic scaling bounds.
+    Returns (coefficient, targeted predictions, score residual).
+    """
+    h = (treatment == 0.0).astype(float) / g
+    n = y.shape[0]
+    if variant == "covariate_linear":
+        design = DesignSpec.from_columns({"clever_covariate": h},
+                                         include_intercept=False)
+        fit = fit_glm(design, y, Link.IDENTITY, offset=mu)
+        delta = float(fit.coefficients[0])
+        mu_star = mu + delta / g
+        return delta, mu_star, float(np.sum(h * (y - mu_star)))
+    if variant == "weighted_linear":
+        fit = fit_glm(DesignSpec.intercept_only(n), y, Link.IDENTITY,
+                      offset=mu, weights=h)
+        gamma = float(fit.coefficients[0])
+        mu_star = mu + gamma
+        return gamma, mu_star, float(np.sum(h * (y - mu_star)))
+    lo, hi = bounds
+    if np.any(y < lo) or np.any(y > hi):
+        raise ValueError("outcome values fall outside the scaling bounds")
+    span = hi - lo
+    y_sc = (y - lo) / span
+    offset = logit(np.clip((mu - lo) / span, SCALED_CLIP, 1.0 - SCALED_CLIP))
+    fit = fit_glm(DesignSpec.intercept_only(n), y_sc, Link.LOGIT,
+                  offset=offset, weights=h)
+    gamma = float(fit.coefficients[0])
+    targeted_sc = expit(offset + gamma)
+    return (gamma, lo + span * targeted_sc,
+            float(np.sum(h * (y_sc - targeted_sc))))
+
+
+def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
+                           variant, bounds=None):
+    """The longitudinal design's targeting fluctuation (steps 3 and 5) as
+    a general GLM fit, the way ``tmle_long`` solved it before it had a
+    direct one-parameter solver. Returns (coefficient, targeted
+    predictions, score residual)."""
+    n = response.shape[0]
+    if variant == "weighted_linear":
+        fit = fit_glm(DesignSpec.intercept_only(n), response, Link.IDENTITY,
+                      offset=offset_pred, weights=weights)
+        coef = float(fit.coefficients[0])
+        targeted = offset_pred + coef
+        return coef, targeted, float(np.sum(weights * (response - targeted)))
+    if variant == "covariate_linear":
+        design = DesignSpec.from_columns({"clever_covariate": weights},
+                                         include_intercept=False)
+        fit = fit_glm(design, response, Link.IDENTITY, offset=offset_pred)
+        coef = float(fit.coefficients[0])
+        targeted = offset_pred + coef * regime_covariate
+        return coef, targeted, float(np.sum(weights * (response - targeted)))
+    lo, hi = bounds
+    span = hi - lo
+    resp_sc = (response - lo) / span
+    if np.any(resp_sc < 0.0) or np.any(resp_sc > 1.0):
+        raise ValueError("response values fall outside the scaling bounds")
+    off = logit(np.clip((offset_pred - lo) / span, SCALED_CLIP,
+                        1.0 - SCALED_CLIP))
+    fit = fit_glm(DesignSpec.intercept_only(n), resp_sc, Link.LOGIT,
+                  offset=off, weights=weights)
+    coef = float(fit.coefficients[0])
+    targeted_sc = expit(off + coef)
+    return (coef, lo + span * targeted_sc,
+            float(np.sum(weights * (resp_sc - targeted_sc))))

@@ -274,6 +274,27 @@ def test_simulate_config_errors_exit_2(tmp_path):
     assert err["type"] == "DgpValidationError"
     assert err["violations"]
 
+    # mistyped values are config errors, not tracebacks
+    base = json.loads((FIXTURES / "dgp_binary.json").read_text("utf-8"))
+    for path, value, message in (
+            (("covariates",), 5, "covariates: expected a list"),
+            (("covariates", 0, "p"), "abc", "covariates[0].p: expected a "
+                                            "number"),
+            (("outcome", "coefs"), [1.0], "outcome.coefs: expected an "
+                                          "object")):
+        config = json.loads(json.dumps(base))
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        invalid.write_text(json.dumps(config), encoding="utf-8")
+        code = run_cli(["simulate", "--config", invalid, "--n", "50",
+                        "--replications", "2", "--seed", "1", "--out", out])
+        assert code == 2
+        err = read_json(out)["error"]
+        assert err["type"] == "DgpValidationError"
+        assert message in err["message"]
+
     # fold counts outside [2, n] are usage errors, not failed replicates
     for folds in ("1", "101"):
         code = run_cli(["simulate", "--config", FIXTURES / "dgp_binary.json",

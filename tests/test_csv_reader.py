@@ -134,3 +134,26 @@ def test_reader_edge_cases(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     _assert_same(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"\xef\xbb\xbfw,a,y\n0.5,0,1\n", None),
+    (b"\xef\xbb\xbfw,a,y\r\n\"0.5\",0,1\r\n", None),  # cell by cell
+    (b"\xef\xbb\xbfw,a,y\n0.5,\xff,1\n", "invalid start byte at byte 13"),
+    (b"w,a,y\n0.5,\xff,1\n", "invalid start byte at byte 10"),
+    (b"\xef\xbbw,a,y\n0.5,0,1\n", "at byte 0"),            # a cut-off mark
+])
+def test_reader_drops_byte_order_mark(tmp_path, raw, message):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark; it is
+    # not part of the first column name, and error offsets stay those of
+    # the file.
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    _assert_same(path)
+    if message is None:
+        columns = _read_csv_columns(str(path))
+        assert list(columns) == ["w", "a", "y"]
+        assert columns["w"].tolist() == [0.5]
+    else:
+        with pytest.raises(UsageError, match=message):
+            _read_csv_columns(str(path))

@@ -283,7 +283,7 @@ def test_targeting_glm_failure_is_annotated(monkeypatch):
     def boom(*args, **kwargs):
         raise GlmError("solver failed")
 
-    monkeypatch.setattr(est, "fit_glm", boom)
+    monkeypatch.setattr(est, "_solve_linear", boom)
     nuis = NuisanceEstimates(np.zeros(4), np.full(4, 0.5))
     with pytest.raises(GlmError,
                        match=r"targeting step \(weighted_linear\)"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import eiftools.estimators as est
 import eiftools.longitudinal as lng
 from eiftools.data import Dataset, LongDataset
 from eiftools.estimators import DegenerateOutcomeError, tmle
@@ -20,7 +21,6 @@ from eiftools.longitudinal import (
     fit_sequential_nuisances,
     one_step_long,
     tmle_long,
-    tmle_long_weighted_logistic,
 )
 from helpers import (count_predicted_rows, random_long_dataset,
                      saturated_long_dataset)
@@ -164,7 +164,8 @@ def test_logistic_variant_keeps_everything_in_bounds():
     rng = np.random.default_rng(86)
     for _ in range(15):
         data = random_long_dataset(rng)
-        fit = tmle_long_weighted_logistic(data, y_bounds=(0.0, 1.0))
+        fit = tmle_long(data, variant="weighted_logistic",
+                        y_bounds=(0.0, 1.0))
         d = fit.diagnostics
         assert 0.0 <= fit.psi_hat <= 1.0
         assert d["mu_star_min"] >= 0.0 and d["mu_star_max"] <= 1.0
@@ -259,7 +260,7 @@ def test_step_label_annotates_glm_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise GlmError("solver failed")
 
-    monkeypatch.setattr(lng, "fit_glm", boom)
+    monkeypatch.setattr(est, "_solve_linear", boom)
     with pytest.raises(GlmError, match=r"step 3 \(fluctuate mu\)"):
         tmle_long(data, variant="weighted_linear", nuisances=nuis)
 
@@ -273,6 +274,6 @@ def test_degenerate_outcome_and_unknown_variant():
         [2.0, 2.0, 2.0, 2.0],
     )
     with pytest.raises(DegenerateOutcomeError):
-        tmle_long_weighted_logistic(data)
+        tmle_long(data, variant="weighted_logistic")
     with pytest.raises(ValueError, match="unknown variant"):
         tmle_long(data, variant="cubic")
