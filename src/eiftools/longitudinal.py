@@ -31,10 +31,9 @@ from .data import Dataset, LongDataset
 from .estimators import (EstimateResult, _labelled_fluctuation,
                          _scaling_bounds, wald_inference)
 from .glm import Link
-from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
-                       InsufficientDataError, LearnerSpec, _outcome_model,
-                       _propensity_model, _validate_truncation, fit_outcome,
-                       fit_propensity, fold_partition)
+from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, _held_out_predictions,
+                       _outcome_model, _propensity_model,
+                       _validate_truncation, fold_partition)
 
 __all__ = [
     "LONG_VARIANTS",
@@ -105,7 +104,7 @@ def eif_long(data: LongDataset, nuisances: SequentialNuisances, theta: float,
 def _history_dataset(data: LongDataset) -> Dataset:
     """Rows recast as (covariates = W0 + W1, treatment = A1) for g1 and mu.
 
-    The conditioning on A0 = 0 happens by subsetting before fitting; A0 is
+    The conditioning on A0 = 0 happens through each fit's row mask; A0 is
     constant there so it is not a covariate.
     """
     cols = {name: data.w0[:, j] for j, name in enumerate(data.w0_names)}
@@ -122,20 +121,6 @@ def _first_stage_dataset(data: LongDataset, response: np.ndarray,
     return Dataset.from_columns(cols, data.a0, response, y_bounds=y_bounds)
 
 
-def _check_folds(data: LongDataset, assignment: np.ndarray, n_folds: int):
-    for fold in range(n_folds):
-        train = assignment != fold
-        a0, a1 = data.a0[train], data.a1[train]
-        if len(np.unique(a0)) < 2:
-            raise FoldDegeneracyError(
-                f"fold {fold}: training complement has a single A0 level")
-        stage2 = a0 == 0.0
-        if int(np.sum(stage2 & (a1 == 0.0))) < 2:
-            raise FoldDegeneracyError(
-                f"fold {fold}: training complement has fewer than 2 rows "
-                "with A0 = A1 = 0")
-
-
 def fit_sequential_nuisances(
         data: LongDataset,
         g0_learner: LearnerSpec = _DEFAULT_LEARNER,
@@ -150,67 +135,38 @@ def fit_sequential_nuisances(
     (W0, W1); when those rows contain no A1 = 1 at all, g1 is the constant
     1 (exact, untruncated), which collapses the estimand to the
     point-treatment one. mu is fit on the A0 = A1 = 0 rows from (W0, W1).
-    Predictions are produced for every observation.
+    Predictions are produced for every observation; with ``n_folds``,
+    each from models fit without its fold.
     """
-    n = data.n_obs
+    lo, hi = _validate_truncation(truncation)
+    assignment = None if n_folds is None else fold_partition(
+        data.n_obs, n_folds, 0 if seed is None else seed)
     stage1 = _first_stage_dataset(data, data.outcome)
     stage2 = _history_dataset(data)
     stage2_rows = data.a0 == 0.0
     mu_rows = stage2_rows & (data.a1 == 0.0)
     g1_degenerate = not np.any(data.a1[stage2_rows] == 1.0)
 
-    lo, hi = _validate_truncation(truncation)
+    def held_out(model, stage: Dataset, learner: LearnerSpec,
+                 stratum: Optional[np.ndarray] = None) -> np.ndarray:
+        def fit(rows):
+            if stratum is not None:
+                rows = stratum if rows is None else stratum & rows
+            return model(stage, learner, rows)
+        return _held_out_predictions(fit, stage.covariates, assignment)
 
-    def clip_count(raw: np.ndarray) -> Tuple[np.ndarray, int]:
-        return np.clip(raw, lo, hi), int(np.sum((raw < lo) | (raw > hi)))
-
-    if n_folds is None:
-        assignment = None
-        g0_fit = fit_propensity(stage1, g0_learner, (lo, hi))
-        g0 = g0_fit.predictions
-        n_trunc = g0_fit.n_truncated
-        if g1_degenerate:
-            g1 = np.ones(n)
-        else:
-            g1_model = _propensity_model(stage2.subset(stage2_rows),
-                                         g1_learner)
-            g1, hits = clip_count(g1_model.predict(stage2.covariates))
-            n_trunc += hits
-        mu_model = _outcome_model(stage2.subset(mu_rows), mu_learner)
-        mu_hat = mu_model.predict(stage2.covariates)
-    else:
-        assignment = fold_partition(n, n_folds, 0 if seed is None else seed)
-        _check_folds(data, assignment, n_folds)
-        g0 = np.empty(n)
-        g1 = np.ones(n)
-        mu_hat = np.empty(n)
-        n_trunc = 0
-        for fold in range(n_folds):
-            held = assignment == fold
-            train = ~held
-            try:
-                g0_model = _propensity_model(stage1.subset(train), g0_learner)
-                if not g1_degenerate:
-                    g1_model = _propensity_model(
-                        stage2.subset(train & stage2_rows), g1_learner)
-                mu_model = _outcome_model(stage2.subset(train & mu_rows),
-                                          mu_learner)
-            except InsufficientDataError as exc:
-                raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
-            g0[held], hits0 = clip_count(
-                g0_model.predict(stage1.covariates[held]))
-            n_trunc += hits0
-            if not g1_degenerate:
-                g1[held], hits1 = clip_count(
-                    g1_model.predict(stage2.covariates[held]))
-                n_trunc += hits1
-            mu_hat[held] = mu_model.predict(stage2.covariates[held])
-
+    raw = [held_out(_propensity_model, stage1, g0_learner)]
+    if not g1_degenerate:
+        raw.append(held_out(_propensity_model, stage2, g1_learner,
+                            stage2_rows))
+    mu_hat = held_out(_outcome_model, stage2, mu_learner, mu_rows)
+    g0 = np.clip(raw[0], lo, hi)
+    g1 = np.ones(data.n_obs) if g1_degenerate else np.clip(raw[1], lo, hi)
     return SequentialNuisances(
         g0=g0, g1=g1, mu_hat=mu_hat,
         truncation_bounds=(lo, hi),
         fold_assignment=assignment,
-        n_truncated=int(n_trunc),
+        n_truncated=sum(int(np.sum((r < lo) | (r > hi))) for r in raw),
         g1_degenerate=g1_degenerate,
     )
 
@@ -227,17 +183,9 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
     if variant == "weighted_logistic":
         learner = replace(learner, link=Link.LOGIT)
     ds = _first_stage_dataset(data, response, y_bounds=bounds)
-    if assignment is None:
-        return fit_outcome(ds, learner).predictions
-    out = np.empty(data.n_obs)
-    for fold in range(int(assignment.max()) + 1):
-        held = assignment == fold
-        try:
-            model = _outcome_model(ds.subset(~held), learner)
-        except InsufficientDataError as exc:
-            raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
-        out[held] = model.predict(ds.covariates[held])
-    return out
+    return _held_out_predictions(
+        lambda rows: _outcome_model(ds, learner, rows), ds.covariates,
+        assignment)
 
 
 @dataclass

@@ -14,7 +14,7 @@ observation predictions from models that never saw its fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,12 @@ OUTCOME_PROB_CLIP = 1e-6
 
 GLM_KINDS = ("glm_main_terms", "glm_with_basis")
 LEARNER_KINDS = GLM_KINDS + ("k_nearest_neighbors",)
+
+# The learner kinds that each option of ``LearnerSpec.parse`` applies to.
+_OPTION_KINDS = {"degree": ("glm_with_basis",),
+                 "interactions": ("glm_with_basis",),
+                 "k": ("k_nearest_neighbors",),
+                 "link": GLM_KINDS}
 
 
 class NuisanceError(Exception):
@@ -106,7 +112,10 @@ class LearnerSpec:
 
         Examples: ``glm_main_terms``, ``glm_main_terms:link=logit``,
         ``glm_with_basis:degree=2,interactions=true``,
-        ``k_nearest_neighbors:k=25``.
+        ``k_nearest_neighbors:k=25``. An option is accepted only for the
+        kinds that use it (``k`` for kNN, ``degree`` and ``interactions``
+        for ``glm_with_basis``, ``link`` for the GLMs), so every accepted
+        string round-trips through ``describe``.
         """
         head, _, tail = text.strip().partition(":")
         kwargs: Dict[str, object] = {}
@@ -128,7 +137,11 @@ class LearnerSpec:
                     kwargs[key] = Link(value)
                 else:
                     raise ValueError(f"unknown learner option {key!r}")
-        return cls(kind=head, **kwargs)
+        spec = cls(kind=head, **kwargs)
+        for key in kwargs:
+            if spec.kind not in _OPTION_KINDS[key]:
+                raise ValueError(f"{spec.kind} takes no {key!r} option")
+        return spec
 
     def describe(self) -> str:
         """Canonical string form; ``parse(describe())`` round-trips."""
@@ -354,30 +367,36 @@ def _restrict(data: Dataset, covariates: Optional[Sequence[str]]) -> Dataset:
     return data.select_covariates(covariates)
 
 
-def _outcome_model(data: Dataset, learner: LearnerSpec) -> OutcomeFit:
-    """Fit Ê(Y | A=0, W) on ``data``'s untreated rows without predicting.
+def _outcome_model(data: Dataset, learner: LearnerSpec,
+                   rows: Optional[np.ndarray] = None) -> OutcomeFit:
+    """Fit Ê(Y | A=0, W) on the untreated rows of mask ``rows`` (None: all).
 
-    ``data`` is already restricted to the model's covariates. The
-    returned fit's ``predictions`` is empty; call its ``predict`` on the
-    rows whose predictions are kept.
+    ``data`` is already restricted to the model's covariates; undeclared
+    logit scaling bounds are the outcome range of ``rows``. The returned
+    fit's ``predictions`` is empty; call its ``predict`` on the rows whose
+    predictions are kept.
     """
     untreated = data.treatment == 0.0
-    if int(untreated.sum()) < 2:
+    if rows is not None:
+        untreated &= rows
+    n_fit = int(untreated.sum())
+    if n_fit < 2:
         raise InsufficientDataError(
-            f"need at least 2 untreated observations, found {int(untreated.sum())}"
+            f"need at least 2 untreated observations, found {n_fit}"
         )
     x_fit = data.covariates[untreated]
     y_fit = data.outcome[untreated]
 
     if learner.kind == "k_nearest_neighbors":
-        if learner.k > x_fit.shape[0]:
+        if learner.k > n_fit:
             raise InsufficientDataError(
-                f"k={learner.k} exceeds the {x_fit.shape[0]} untreated observations"
+                f"k={learner.k} exceeds the {n_fit} untreated observations"
             )
         predictor: object = _KnnPredictor(learner.k, x_fit, y_fit)
         bounds = None
     elif learner.link is Link.LOGIT:
-        lo, hi = data.outcome_bounds()
+        seen = data.outcome if rows is None else data.outcome[rows]
+        lo, hi = data.y_bounds or (float(np.min(seen)), float(np.max(seen)))
         if hi <= lo:
             # Constant outcome: the scaled response is undefined, but the
             # regression it stands in for is the constant itself.
@@ -396,8 +415,7 @@ def _outcome_model(data: Dataset, learner: LearnerSpec) -> OutcomeFit:
         bounds = None
 
     return OutcomeFit(learner=learner, predictions=np.empty(0),
-                      n_fit=int(untreated.sum()), _predictor=predictor,
-                      _bounds=bounds)
+                      n_fit=n_fit, _predictor=predictor, _bounds=bounds)
 
 
 def fit_outcome(data: Dataset, learner: LearnerSpec,
@@ -427,24 +445,28 @@ def fit_outcome(data: Dataset, learner: LearnerSpec,
     return out
 
 
-def _propensity_model(data: Dataset, learner: LearnerSpec) -> object:
-    """Fit the untruncated P̂(A = 0 | W) on every row without predicting.
+def _propensity_model(data: Dataset, learner: LearnerSpec,
+                      rows: Optional[np.ndarray] = None) -> object:
+    """Fit the untruncated P̂(A = 0 | W) on mask ``rows`` (None: all).
 
     ``data`` is already restricted to the model's covariates; the
     returned predictor's ``predict`` gives raw, unclipped probabilities.
     """
-    if len(np.unique(data.treatment)) < 2:
+    a, x = data.treatment, data.covariates
+    if rows is not None:
+        a, x = a[rows], x[rows]
+    if len(np.unique(a)) < 2:
         raise InsufficientDataError(
             "both treatment levels are required to fit a propensity model"
         )
-    z = (data.treatment == 0.0).astype(float)
+    z = (a == 0.0).astype(float)
     if learner.kind == "k_nearest_neighbors":
-        if learner.k > data.n_obs:
+        if learner.k > a.shape[0]:
             raise InsufficientDataError(
-                f"k={learner.k} exceeds the {data.n_obs} observations"
+                f"k={learner.k} exceeds the {a.shape[0]} observations"
             )
-        return _KnnPredictor(learner.k, data.covariates, z)
-    design = learner.design_for(data.covariate_names, data.covariates)
+        return _KnnPredictor(learner.k, x, z)
+    design = learner.design_for(data.covariate_names, x)
     return _GlmPredictor(learner, data.covariate_names,
                          fit_glm(design, z, Link.LOGIT))
 
@@ -476,6 +498,57 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
                          _predictor=predictor)
 
 
+def _held_out_predictions(fit: Callable[[Optional[np.ndarray]], object],
+                          x: np.ndarray,
+                          assignment: Optional[np.ndarray]) -> np.ndarray:
+    """Predict every row of ``x`` from a model fit without that row's fold.
+
+    ``fit(rows)`` returns a model with ``predict``, fit on the boolean
+    row mask ``rows`` (None: all rows). Without an ``assignment``, no
+    cross-fitting is the single split whose training and held-out rows
+    are both the whole sample. A fold's ``InsufficientDataError`` becomes
+    a ``FoldDegeneracyError`` naming the fold.
+    """
+    if assignment is None:
+        return fit(None).predict(x)
+    out = np.empty(x.shape[0])
+    for fold in range(int(assignment.max()) + 1):
+        held = assignment == fold
+        try:
+            model = fit(~held)
+        except InsufficientDataError as exc:
+            raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
+        out[held] = model.predict(x[held])
+    return out
+
+
+def _point_nuisances(data: Dataset, outcome_learner: LearnerSpec,
+                     propensity_learner: LearnerSpec,
+                     truncation: Tuple[float, float],
+                     outcome_covariates: Optional[Sequence[str]],
+                     propensity_covariates: Optional[Sequence[str]],
+                     assignment: Optional[np.ndarray]) -> NuisanceEstimates:
+    """Both point nuisances, predicted on held-out rows of ``assignment``."""
+    lo, hi = _validate_truncation(truncation)
+    out_data = _restrict(data, outcome_covariates)
+    prop_data = _restrict(data, propensity_covariates)
+    outcome_pred = _held_out_predictions(
+        lambda rows: _outcome_model(out_data, outcome_learner, rows),
+        out_data.covariates, assignment)
+    raw = _held_out_predictions(
+        lambda rows: _propensity_model(prop_data, propensity_learner, rows),
+        prop_data.covariates, assignment)
+    return NuisanceEstimates(
+        outcome_pred=outcome_pred,
+        propensity_pred=np.clip(raw, lo, hi),
+        truncation_bounds=(lo, hi),
+        fold_assignment=assignment,
+        n_truncated=int(np.sum((raw < lo) | (raw > hi))),
+        outcome_learner=outcome_learner.describe(),
+        propensity_learner=propensity_learner.describe(),
+    )
+
+
 def fit_nuisance(data: Dataset, outcome_learner: LearnerSpec,
                  propensity_learner: LearnerSpec,
                  truncation: Tuple[float, float] = DEFAULT_TRUNCATION,
@@ -483,18 +556,9 @@ def fit_nuisance(data: Dataset, outcome_learner: LearnerSpec,
                  propensity_covariates: Optional[Sequence[str]] = None,
                  ) -> NuisanceEstimates:
     """Fit both nuisances on the full sample (no cross-fitting)."""
-    out = fit_outcome(data, outcome_learner, covariates=outcome_covariates)
-    prop = fit_propensity(data, propensity_learner, truncation,
-                          covariates=propensity_covariates)
-    return NuisanceEstimates(
-        outcome_pred=out.predictions,
-        propensity_pred=prop.predictions,
-        truncation_bounds=prop.truncation,
-        fold_assignment=None,
-        n_truncated=prop.n_truncated,
-        outcome_learner=outcome_learner.describe(),
-        propensity_learner=propensity_learner.describe(),
-    )
+    return _point_nuisances(data, outcome_learner, propensity_learner,
+                            truncation, outcome_covariates,
+                            propensity_covariates, None)
 
 
 def check_fold_count(n_folds: int, n_obs: int) -> None:
@@ -530,43 +594,9 @@ def crossfit(data: Dataset, outcome_learner: LearnerSpec,
     ------
     FoldDegeneracyError
         Some fold's training complement lacks a treatment level or has
-        fewer than 2 untreated rows; the message names the fold.
+        too few untreated rows for the learner; the message names the fold.
     """
-    lo, hi = _validate_truncation(truncation)
-    assignment = fold_partition(data.n_obs, n_folds, seed)
-    x_out = _restrict(data, outcome_covariates).covariates
-    x_prop = _restrict(data, propensity_covariates).covariates
-    outcome_pred = np.empty(data.n_obs)
-    propensity_pred = np.empty(data.n_obs)
-    n_truncated = 0
-    for fold in range(n_folds):
-        held_out = assignment == fold
-        train = data.subset(~held_out)
-        if len(np.unique(train.treatment)) < 2:
-            raise FoldDegeneracyError(
-                f"fold {fold}: training complement has a single treatment level"
-            )
-        if int(np.sum(train.treatment == 0.0)) < 2:
-            raise FoldDegeneracyError(
-                f"fold {fold}: training complement has fewer than 2 untreated rows"
-            )
-        try:
-            out = _outcome_model(_restrict(train, outcome_covariates),
-                                 outcome_learner)
-            prop = _propensity_model(_restrict(train, propensity_covariates),
-                                     propensity_learner)
-        except InsufficientDataError as exc:
-            raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
-        outcome_pred[held_out] = out.predict(x_out[held_out])
-        raw = prop.predict(x_prop[held_out])
-        n_truncated += int(np.sum((raw < lo) | (raw > hi)))
-        propensity_pred[held_out] = np.clip(raw, lo, hi)
-    return NuisanceEstimates(
-        outcome_pred=outcome_pred,
-        propensity_pred=propensity_pred,
-        truncation_bounds=(lo, hi),
-        fold_assignment=assignment,
-        n_truncated=n_truncated,
-        outcome_learner=outcome_learner.describe(),
-        propensity_learner=propensity_learner.describe(),
-    )
+    return _point_nuisances(data, outcome_learner, propensity_learner,
+                            truncation, outcome_covariates,
+                            propensity_covariates,
+                            fold_partition(data.n_obs, n_folds, seed))

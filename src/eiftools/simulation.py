@@ -1002,20 +1002,14 @@ def long_estimate(name: str, data: LongDataset, nuis: SequentialNuisances,
     raise ValueError(f"unknown longitudinal estimator {name!r}")
 
 
-def _point_estimates(data: Dataset, plan: EstimationPlan,
-                     estimator_names: Sequence[str],
-                     fold_seed: int) -> Dict[str, est.EstimateResult]:
-    nuis = fit_plan_nuisance(data, plan, fold_seed)
-    return {name: point_estimate(name, data, nuis, plan)
-            for name in estimator_names}
+# Failures of one replicate's draw, nuisance fit or estimator; each is
+# recorded on the replicate instead of ending the experiment.
+_REPLICATE_FAILURES = (GlmError, NuisanceError, est.DegenerateOutcomeError,
+                       ValueError)
 
 
-def _long_estimates(data: LongDataset, plan: EstimationPlan,
-                    estimator_names: Sequence[str],
-                    fold_seed: int) -> Dict[str, est.EstimateResult]:
-    nuis = fit_plan_nuisance_long(data, plan, fold_seed)
-    return {name: long_estimate(name, data, nuis, plan)
-            for name in estimator_names}
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_experiment(dgp: DgpConfig, n: int, replications: int,
@@ -1028,7 +1022,9 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     from (seed, r), fits nuisances per the plan, and runs every
     requested estimator. Failures (separation, degenerate folds, ...)
     are recorded on the replicate and excluded from the aggregates; they
-    are never silently dropped.
+    are never silently dropped. A failed draw or nuisance fit fails every
+    estimator of the replicate; an estimator's own failure fails only
+    that estimator's record.
     """
     dgp.check()
     if replications < 2:
@@ -1049,6 +1045,9 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     bounds = plan.y_bounds if plan.y_bounds is not None \
         else dgp.implied_y_bounds()
 
+    fit_nuisances, estimate = (
+        (fit_plan_nuisance, point_estimate) if dgp.design == "point"
+        else (fit_plan_nuisance_long, long_estimate))
     records: List[ReplicateRecord] = []
     for r in range(replications):
         ss = replicate_seed(seed, r)
@@ -1058,18 +1057,19 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
             # a draw can be too degenerate to estimate from (e.g. fewer
             # than 2 rows on the regime of interest); record, don't crash
             data = generate(dgp, n, ss)
-            results = (_point_estimates if dgp.design == "point"
-                       else _long_estimates)(data, plan, estimator_names,
-                                             fold_seed)
-        except (GlmError, NuisanceError, est.DegenerateOutcomeError,
-                ValueError) as exc:
-            msg = f"{type(exc).__name__}: {exc}"
+            nuis = fit_nuisances(data, plan, fold_seed)
+        except _REPLICATE_FAILURES as exc:
             for name in estimator_names:
                 records.append(ReplicateRecord(replicate=r, estimator=name,
-                                               error=msg))
+                                               error=_failure(exc)))
             continue
         for name in estimator_names:
-            res = results[name]
+            try:
+                res = estimate(name, data, nuis, plan)
+            except _REPLICATE_FAILURES as exc:
+                records.append(ReplicateRecord(replicate=r, estimator=name,
+                                               error=_failure(exc)))
+                continue
             rec = ReplicateRecord(
                 replicate=r, estimator=name,
                 psi_hat=res.psi_hat, se=res.se,

@@ -14,7 +14,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit
 
+from eiftools import nuisance as nu
 from eiftools.glm import DesignSpec, Link, fit_glm
+from eiftools.longitudinal import _first_stage_dataset, _history_dataset
 
 SCALED_CLIP = 1e-6
 
@@ -313,3 +315,180 @@ def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
     targeted_sc = expit(off + coef)
     return (coef, lo + span * targeted_sc,
             float(np.sum(weights * (resp_sc - targeted_sc))))
+
+
+# The nuisance fits as they were written before the fit-on-train /
+# predict-on-held driver: every fit receives a ``Dataset.subset`` copy of
+# its training rows, and each caller keeps its own fold loop and its own
+# degeneracy checks. The learners themselves are the library's.
+
+def outcome_model_on_subset(data, learner):
+    """Ê(Y | A=0, W) fit on ``data``'s untreated rows; logit scaling uses
+    ``data``'s own outcome range."""
+    untreated = data.treatment == 0.0
+    if int(untreated.sum()) < 2:
+        raise nu.InsufficientDataError(
+            f"need at least 2 untreated observations, found "
+            f"{int(untreated.sum())}")
+    x_fit = data.covariates[untreated]
+    y_fit = data.outcome[untreated]
+    bounds = None
+    if learner.kind == "k_nearest_neighbors":
+        if learner.k > x_fit.shape[0]:
+            raise nu.InsufficientDataError(f"k={learner.k} exceeds the pool")
+        predictor = nu._KnnPredictor(learner.k, x_fit, y_fit)
+    elif learner.link is Link.LOGIT:
+        lo, hi = data.outcome_bounds()
+        if hi <= lo:
+            predictor = nu._ConstantPredictor(lo)
+        else:
+            design = learner.design_for(data.covariate_names, x_fit)
+            fit = fit_glm(design, (y_fit - lo) / (hi - lo), Link.LOGIT)
+            predictor = nu._GlmPredictor(learner, data.covariate_names, fit)
+            bounds = (lo, hi)
+    else:
+        design = learner.design_for(data.covariate_names, x_fit)
+        predictor = nu._GlmPredictor(learner, data.covariate_names,
+                                     fit_glm(design, y_fit, Link.IDENTITY))
+    return nu.OutcomeFit(learner=learner, predictions=np.empty(0),
+                         n_fit=int(untreated.sum()), _predictor=predictor,
+                         _bounds=bounds)
+
+
+def propensity_model_on_subset(data, learner):
+    """Raw P̂(A = 0 | W) fit on every row of ``data``."""
+    if len(np.unique(data.treatment)) < 2:
+        raise nu.InsufficientDataError("both treatment levels are required")
+    z = (data.treatment == 0.0).astype(float)
+    if learner.kind == "k_nearest_neighbors":
+        if learner.k > data.n_obs:
+            raise nu.InsufficientDataError(f"k={learner.k} exceeds the pool")
+        return nu._KnnPredictor(learner.k, data.covariates, z)
+    design = learner.design_for(data.covariate_names, data.covariates)
+    return nu._GlmPredictor(learner, data.covariate_names,
+                            fit_glm(design, z, Link.LOGIT))
+
+
+def _restricted(data, covariates):
+    return data if covariates is None else data.select_covariates(covariates)
+
+
+def point_nuisances_by_subsets(data, outcome_learner, propensity_learner,
+                               truncation, outcome_covariates,
+                               propensity_covariates, n_folds, seed):
+    """Point nuisances without folds (``n_folds`` None) or cross-fitted.
+
+    Returns (outcome predictions, truncated propensities, truncation
+    count, fold assignment)."""
+    lo, hi = truncation
+    if n_folds is None:
+        out_data = _restricted(data, outcome_covariates)
+        outcome = outcome_model_on_subset(out_data, outcome_learner)
+        prop_data = _restricted(data, propensity_covariates)
+        raw = propensity_model_on_subset(prop_data, propensity_learner
+                                         ).predict(prop_data.covariates)
+        return (outcome.predict(out_data.covariates), np.clip(raw, lo, hi),
+                int(np.sum((raw < lo) | (raw > hi))), None)
+    assignment = nu.fold_partition(data.n_obs, n_folds, seed)
+    x_out = _restricted(data, outcome_covariates).covariates
+    x_prop = _restricted(data, propensity_covariates).covariates
+    outcome_pred = np.empty(data.n_obs)
+    propensity_pred = np.empty(data.n_obs)
+    n_truncated = 0
+    for fold in range(n_folds):
+        held_out = assignment == fold
+        train = data.subset(~held_out)
+        if len(np.unique(train.treatment)) < 2:
+            raise nu.FoldDegeneracyError(f"fold {fold}: single level")
+        if int(np.sum(train.treatment == 0.0)) < 2:
+            raise nu.FoldDegeneracyError(f"fold {fold}: < 2 untreated")
+        try:
+            out = outcome_model_on_subset(
+                _restricted(train, outcome_covariates), outcome_learner)
+            prop = propensity_model_on_subset(
+                _restricted(train, propensity_covariates), propensity_learner)
+        except nu.InsufficientDataError as exc:
+            raise nu.FoldDegeneracyError(f"fold {fold}: {exc}") from exc
+        outcome_pred[held_out] = out.predict(x_out[held_out])
+        raw = prop.predict(x_prop[held_out])
+        n_truncated += int(np.sum((raw < lo) | (raw > hi)))
+        propensity_pred[held_out] = np.clip(raw, lo, hi)
+    return outcome_pred, propensity_pred, n_truncated, assignment
+
+
+def sequential_nuisances_by_subsets(data, g0_learner, g1_learner, mu_learner,
+                                    truncation, n_folds, seed):
+    """g0, g1 and mu of the two-period design without folds or cross-fitted
+    on one partition. Returns (g0, g1, mu_hat, truncation count,
+    g1_degenerate, fold assignment)."""
+    lo, hi = truncation
+    n = data.n_obs
+    stage1 = _first_stage_dataset(data, data.outcome)
+    stage2 = _history_dataset(data)
+    stage2_rows = data.a0 == 0.0
+    mu_rows = stage2_rows & (data.a1 == 0.0)
+    g1_degenerate = not np.any(data.a1[stage2_rows] == 1.0)
+
+    def clip_count(raw):
+        return np.clip(raw, lo, hi), int(np.sum((raw < lo) | (raw > hi)))
+
+    if n_folds is None:
+        g0, n_trunc = clip_count(propensity_model_on_subset(
+            stage1, g0_learner).predict(stage1.covariates))
+        g1 = np.ones(n)
+        if not g1_degenerate:
+            g1, hits = clip_count(propensity_model_on_subset(
+                stage2.subset(stage2_rows), g1_learner
+            ).predict(stage2.covariates))
+            n_trunc += hits
+        mu_hat = outcome_model_on_subset(stage2.subset(mu_rows), mu_learner
+                                         ).predict(stage2.covariates)
+        return g0, g1, mu_hat, n_trunc, g1_degenerate, None
+    assignment = nu.fold_partition(n, n_folds, seed)
+    for fold in range(n_folds):
+        train = assignment != fold
+        if len(np.unique(data.a0[train])) < 2:
+            raise nu.FoldDegeneracyError(f"fold {fold}: single A0 level")
+        if int(np.sum(train & mu_rows)) < 2:
+            raise nu.FoldDegeneracyError(f"fold {fold}: < 2 A0 = A1 = 0")
+    g0, g1, mu_hat = np.empty(n), np.ones(n), np.empty(n)
+    n_trunc = 0
+    for fold in range(n_folds):
+        held = assignment == fold
+        train = ~held
+        try:
+            g0_model = propensity_model_on_subset(stage1.subset(train),
+                                                  g0_learner)
+            if not g1_degenerate:
+                g1_model = propensity_model_on_subset(
+                    stage2.subset(train & stage2_rows), g1_learner)
+            mu_model = outcome_model_on_subset(
+                stage2.subset(train & mu_rows), mu_learner)
+        except nu.InsufficientDataError as exc:
+            raise nu.FoldDegeneracyError(f"fold {fold}: {exc}") from exc
+        g0[held], hits = clip_count(g0_model.predict(stage1.covariates[held]))
+        n_trunc += hits
+        if not g1_degenerate:
+            g1[held], hits = clip_count(
+                g1_model.predict(stage2.covariates[held]))
+            n_trunc += hits
+        mu_hat[held] = mu_model.predict(stage2.covariates[held])
+    return g0, g1, mu_hat, n_trunc, g1_degenerate, assignment
+
+
+def emu_by_subsets(data, response, learner, bounds, assignment):
+    """Regression of ``response`` on W0 among the A0 = 0 rows, fit on all
+    rows or on each fold's complement; ``bounds`` are the declared
+    scaling bounds of a logit learner."""
+    ds = _first_stage_dataset(data, response, y_bounds=bounds)
+    if assignment is None:
+        return outcome_model_on_subset(ds, learner).predict(ds.covariates)
+    out = np.empty(data.n_obs)
+    for fold in range(int(assignment.max()) + 1):
+        held = assignment == fold
+        try:
+            model = outcome_model_on_subset(ds.subset(~held), learner)
+        except nu.InsufficientDataError as exc:
+            raise nu.FoldDegeneracyError(f"fold {fold}: {exc}") from exc
+        out[held] = model.predict(ds.covariates[held])
+    return out

@@ -81,6 +81,20 @@ def test_estimate_separation_exits_3(tmp_path):
     assert payload["error"]["message"]
 
 
+@pytest.mark.parametrize("seed", ["0", "2"])
+def test_estimate_degenerate_fold_exits_3(tmp_path, seed):
+    # one untreated row: under seed 0 a fold complement has none at all
+    path = tmp_path / "data.csv"
+    path.write_text("w,a,y\n0,0,1\n1,1,2\n2,1,3\n3,1,4\n", encoding="utf-8")
+    out = tmp_path / "est.json"
+    code = run_cli(["estimate", "--data", path, "--folds", "2", "--seed",
+                    seed, "--out", out])
+    assert code == 3
+    error = read_json(out)["error"]
+    assert error["type"] == "FoldDegeneracyError"
+    assert error["message"].startswith("fold 0: need at least 2 untreated")
+
+
 def test_estimate_determinism(tmp_path):
     rng = np.random.default_rng(31)
     n = 60
@@ -180,6 +194,10 @@ def test_estimate_usage_errors_exit_2(tmp_path):
                        name="long.csv")
     assert err["type"] == "UsageError"
     assert "longitudinal design" in err["message"]
+
+    err = expect_usage(good, args=["--outcome-learner", "glm_main_terms:k=3"])
+    assert err["type"] == "UsageError"
+    assert "'k'" in err["message"]
 
     err = expect_usage(b"w,a,y\n0.0,0.0,1.0\n0.\xff,1.0,2.0\n")
     assert err["type"] == "UsageError"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eiftools.data import Dataset
 from eiftools.glm import Link
@@ -46,9 +48,73 @@ def test_learner_spec_rejects_malformed_text():
         "glm_with_basis:degree=0",
         "k_nearest_neighbors",
         "k_nearest_neighbors:k=0",
+        "glm_main_terms:k=3",
+        "glm_main_terms:degree=2",
+        "k_nearest_neighbors:k=3,link=logit",
+        "k_nearest_neighbors:k=3,degree=4,link=logit",
     ):
         with pytest.raises(ValueError):
             LearnerSpec.parse(bad)
+
+
+_OPTION_VALUES = {"k": ("1", "3", "0", "-2", "x"),
+                  "degree": ("1", "2", "0", "2.5"),
+                  "interactions": ("true", "FALSE", "maybe"),
+                  "link": ("identity", "logit", "probit"),
+                  "foo": ("1",)}
+
+
+def _accepts(kind, options):
+    """Whether ``parse`` should accept these (key, value) options."""
+    if kind not in ("glm_main_terms", "glm_with_basis",
+                    "k_nearest_neighbors"):
+        return False
+    uses = {"k": kind == "k_nearest_neighbors",
+            "degree": kind == "glm_with_basis",
+            "interactions": kind == "glm_with_basis",
+            "link": kind != "k_nearest_neighbors"}
+    valid = {"k": lambda v: v.lstrip("-").isdigit(),
+             "degree": lambda v: v.lstrip("-").isdigit(),
+             "interactions": lambda v: v.lower() in ("true", "false"),
+             "link": lambda v: v in ("identity", "logit")}
+    chosen = {}
+    for key, value in options:
+        if not uses.get(key, False) or not valid[key](value):
+            return False
+        chosen[key] = value
+    if kind == "k_nearest_neighbors":
+        return int(chosen.get("k", "0")) >= 1
+    return int(chosen.get("degree", "1")) >= 1
+
+
+@st.composite
+def learner_texts(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(alphabet="gk_:=,lmnt13 ", max_size=20)), None
+    kind = draw(st.sampled_from(["glm_main_terms", "glm_with_basis",
+                                 "k_nearest_neighbors", "glm"]))
+    keys = draw(st.lists(st.sampled_from(sorted(_OPTION_VALUES)),
+                         max_size=3))
+    options = [(key, draw(st.sampled_from(_OPTION_VALUES[key])))
+               for key in keys]
+    text = kind + (":" + ",".join(f"{k}={v}" for k, v in options)
+                   if options else "")
+    return text, _accepts(kind, options)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=learner_texts())
+def test_learner_spec_parse_accepts_exactly_what_round_trips(case):
+    text, accepted = case
+    try:
+        spec = LearnerSpec.parse(text)
+    except ValueError:
+        assert not accepted
+        return
+    assert accepted is not False
+    canonical = spec.describe()
+    assert LearnerSpec.parse(canonical) == spec
+    assert LearnerSpec.parse(canonical).describe() == canonical
 
 
 def test_basis_design_column_names():
@@ -282,14 +348,17 @@ def test_crossfit_deterministic_and_distinct_from_full_sample():
 
 
 def test_crossfit_degenerate_fold_names_the_fold():
-    data = Dataset.from_columns(
-        {"w": [0.0, 1.0, 2.0, 3.0]},
-        [0.0, 0.0, 0.0, 1.0],
-        [1.0, 2.0, 3.0, 4.0],
-    )
-    with pytest.raises(FoldDegeneracyError, match="fold \\d"):
-        crossfit(data, LearnerSpec("glm_main_terms"),
-                 LearnerSpec("glm_main_terms"), n_folds=2, seed=0)
+    for treatment, seed in (
+            ([0.0, 0.0, 0.0, 1.0], 0),
+            # one untreated row: a fold complement has none at all (seed 0)
+            # or just one (seed 2)
+            ([0.0, 1.0, 1.0, 1.0], 0),
+            ([0.0, 1.0, 1.0, 1.0], 2)):
+        data = Dataset.from_columns(
+            {"w": [0.0, 1.0, 2.0, 3.0]}, treatment, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(FoldDegeneracyError, match="^fold \\d: "):
+            crossfit(data, LearnerSpec("glm_main_terms"),
+                     LearnerSpec("glm_main_terms"), n_folds=2, seed=seed)
 
 
 def test_crossfit_leave_pairs_out_runs():

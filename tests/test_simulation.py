@@ -288,6 +288,58 @@ def test_failures_are_recorded_not_dropped():
     assert all("Error" in r.error for r in error_rows)
 
 
+def test_one_estimator_failing_keeps_the_others(monkeypatch):
+    from eiftools import estimators, longitudinal, simulation
+    from eiftools.glm import SeparationError
+    from eiftools.nuisance import NuisanceError
+
+    real_tmle, real_tmle_long = estimators.tmle, longitudinal.tmle_long
+    real_fit = simulation.fit_plan_nuisance
+    fits = []
+
+    def tmle(data, nuis, variant, **kwargs):
+        if variant == "weighted_logistic":
+            raise SeparationError("targeting failed")
+        return real_tmle(data, nuis, variant, **kwargs)
+
+    def tmle_long(data, **kwargs):
+        if kwargs["variant"] == "covariate_linear":
+            raise ValueError("step 3 failed")
+        return real_tmle_long(data, **kwargs)
+
+    def fit_plan_nuisance(*args):
+        fits.append(args)
+        if len(fits) == 1:
+            raise NuisanceError("first replicate's nuisances fail")
+        return real_fit(*args)
+
+    monkeypatch.setattr(estimators, "tmle", tmle)
+    monkeypatch.setattr(longitudinal, "tmle_long", tmle_long)
+    monkeypatch.setattr(simulation, "fit_plan_nuisance", fit_plan_nuisance)
+
+    report = run_experiment(load_fixture("dgp_binary.json"), n=150,
+                            replications=4, estimator_names=POINT_ESTIMATORS,
+                            plan=EstimationPlan(), seed=3)
+    for rec in report.replicates:
+        if rec.replicate == 0:
+            assert rec.error == ("NuisanceError: first replicate's "
+                                 "nuisances fail")
+        elif rec.estimator == "tmle_weighted_logistic":
+            assert rec.error == "SeparationError: targeting failed"
+            assert rec.psi_hat is None
+        else:
+            assert rec.error is None and rec.psi_hat is not None
+    assert report.summary_for("gcomp").n_success == 3
+    assert report.summary_for("tmle_weighted_logistic").n_failed == 4
+
+    report = run_experiment(load_fixture("dgp_long.json"), n=200,
+                            replications=3, estimator_names=LONG_ESTIMATORS,
+                            plan=EstimationPlan(), seed=5)
+    for name in LONG_ESTIMATORS:
+        failed = name == "tmle_long_covariate_linear"
+        assert report.summary_for(name).n_failed == (3 if failed else 0)
+
+
 def test_covariate_omission_biases_gcomp_but_not_tmle():
     dgp = load_fixture("dgp_binary.json")
     plan = EstimationPlan(outcome_covariates=())
