@@ -1,0 +1,38 @@
+"""The three numeric primitives the estimators need, in numpy alone.
+
+``expit`` and ``logit`` are the logistic function and its inverse;
+``spd_solve`` is the symmetric positive-definite solve of one Newton step.
+"""
+
+import numpy as np
+
+
+def expit(x):
+    """``1 / (1 + exp(-x))`` in one fresh float64 array (``x`` is not written).
+
+    Below about -709.8, ``exp(-x)`` overflows to inf and the result is
+    exactly 0. A 0-d input gives a numpy scalar.
+    """
+    out = np.negative(x, out=np.empty(np.shape(x)), dtype=float)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out if out.ndim else out[()]
+
+
+def logit(p):
+    """``log(p / (1 - p))``; callers keep ``p`` inside (0, 1)."""
+    return np.log(p / (1.0 - p))
+
+
+def spd_solve(a, b):
+    """Solve ``a @ x = b`` for a symmetric positive-definite ``a``.
+
+    The Cholesky factorisation is the positive-definiteness check: it raises
+    ``numpy.linalg.LinAlgError`` when ``a`` is not numerically positive
+    definite. One LU solve then gives ``x``, which costs less per call than
+    two triangular solves with the factor at the small sizes of a GLM.
+    """
+    np.linalg.cholesky(a)
+    return np.linalg.solve(a, b)

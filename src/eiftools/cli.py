@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input or configuration error, 3 estimation
 failure. Failures write a machine-readable error object to the output
-target. All output is byte-deterministic given the same inputs and
-seed: JSON is dumped with sorted keys, and CSV floats use ``repr``.
+target (stdout if it cannot be written). All output is byte-deterministic
+given the same inputs and seed: JSON is dumped with sorted keys, and CSV
+floats use ``repr``.
 
 CSV conventions (header required, comma-separated, '.' decimals, no
 missing values): the point design expects a treatment column ``a``
@@ -16,9 +17,11 @@ design expects ``a0``, ``a1``, ``y``, first-period covariates prefixed
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -47,6 +50,10 @@ class UsageError(Exception):
     """Bad input data or flags; maps to exit code 2."""
 
 
+class OutputError(UsageError):
+    """An output path cannot be written; its error payload goes to stdout."""
+
+
 # ---------------------------------------------------------------------------
 # Deterministic serialization
 
@@ -55,11 +62,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from None
+
+
 def _write_text(text: str, path: Optional[str]):
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with _writing(path):
+            Path(path).write_text(text, encoding="utf-8")
 
 
 def _csv_cell(value) -> str:
@@ -74,7 +90,7 @@ def _csv_cell(value) -> str:
 
 def write_csv(path: str, header: Sequence[str],
               rows: Sequence[Sequence[object]]):
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -390,6 +406,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    csv_path = args.out and os.path.splitext(args.out)[0] + ".csv"
+    outputs = [p for p in (args.out, csv_path, args.emit_data) if p]
+    if len({Path(p).resolve() for p in outputs}) < len(outputs):
+        raise OutputError(
+            f"output files must differ: --out {args.out} (per-replicate "
+            f"CSV {csv_path}), --emit-data {args.emit_data}")
     dgp = _load_dgp(args.config)
     plan = _plan_from_args(args)
     names = _parse_estimators(args.estimators, dgp.design)
@@ -403,8 +425,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
 
     _write_text(_json_text(report.to_json_dict()), args.out)
-    if args.out is not None:
-        csv_path = str(Path(args.out).with_suffix(".csv"))
+    if csv_path:
         header = ["replicate", "estimator", "psi_hat", "se", "ci_lo",
                   "ci_hi", "covered", "out_of_bounds", "error"]
         rows = [[row[h] for h in header] for row in report.replicate_rows()]
@@ -505,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mc-draws", type=int, default=1_000_000)
     p_sim.add_argument("--out", default=None,
                        help="report JSON path; per-replicate CSV is written "
-                            "next to it with a .csv suffix")
+                            "next to it with a .csv suffix, so PATH must not "
+                            "end in .csv")
     p_sim.add_argument("--emit-data", default=None, metavar="PATH",
                        help="also write replicate 0's dataset as CSV")
     p_sim.set_defaults(func=cmd_simulate)
@@ -537,16 +559,27 @@ def _error_payload(exc: Exception) -> Dict[str, object]:
     return payload
 
 
+def _report_error(exc: Exception, path: Optional[str]):
+    text = _json_text(_error_payload(exc))
+    try:
+        _write_text(text, path)
+    except OutputError:
+        _write_text(text, None)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as exc:
+        _report_error(exc, None)
+        return EXIT_INPUT
     except (UsageError, DgpValidationError) as exc:
-        _write_text(_json_text(_error_payload(exc)), args.out)
+        _report_error(exc, args.out)
         return EXIT_INPUT
     except EstimationFailure as exc:
-        _write_text(_json_text(_error_payload(exc.cause)), args.out)
+        _report_error(exc.cause, args.out)
         return EXIT_ESTIMATION
 
 

@@ -19,8 +19,8 @@ from enum import Enum
 from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit
+
+from ._numeric import expit, spd_solve
 
 __all__ = [
     "Link",
@@ -247,8 +247,8 @@ def _fit_identity(X, z, b, wt, tol_abs):
             f"identity-link design is rank deficient (rank {rank} < {p})"
         )
     iterations = 1
-    # One round of iterative refinement if rounding left the score sums
-    # above tolerance (can happen with badly scaled covariates).
+    # Up to three rounds of iterative refinement if rounding left the score
+    # sums above tolerance (can happen with badly scaled covariates).
     for _ in range(3):
         score = _score(X, z, b + X @ beta, wt)
         if np.max(np.abs(score)) <= tol_abs:
@@ -280,14 +280,13 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
         if np.max(np.abs(score)) <= tol_abs:
             return beta, score, iteration
         info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
-        # LAPACK's Cholesky, as cho_factor/cho_solve call it, unwrapped.
         if not np.all(np.isfinite(info)):
             raise ValueError("logit-link information matrix is not finite")
-        factor, status = dpotrf(info, lower=False, clean=False)
-        if status > 0:
+        try:
+            delta = spd_solve(info, score)
+        except np.linalg.LinAlgError:
             raise SingularDesignError(
-                "logit-link information matrix is singular")
-        delta, _ = dpotrs(factor, score, lower=False)
+                "logit-link information matrix is singular") from None
         if not np.all(np.isfinite(delta)):
             raise SingularDesignError(
                 "logit-link Newton step is not finite"

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import expit
 
+from ._numeric import expit
 from .data import Dataset, LongDataset
 from . import estimators as est
 from . import longitudinal as long_est

@@ -11,9 +11,9 @@ import csv
 import io
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit
 
+from eiftools import _numeric
 from eiftools import nuisance as nu
 from eiftools.glm import DesignSpec, Link, fit_glm
 from eiftools.longitudinal import _first_stage_dataset, _history_dataset
@@ -209,6 +209,11 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
     the log-likelihood as z*log(mu) + (1-z)*log(1-mu) with two logaddexp
     passes over the positive-weight rows.
 
+    It takes ``expit`` and the positive-definite solve from
+    ``eiftools._numeric``, as the library does, so that equal iterates pin
+    the iteration itself; ``tests/test_numeric.py`` pins those primitives
+    against scipy.
+
     Returns (coefficients, iterations); raises RuntimeError when the
     score sums do not reach ``tol_abs``.
     """
@@ -222,13 +227,13 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
     beta = np.zeros(X.shape[1])
     eta = b + X @ beta
     ll = loglik(eta)
-    score = X.T @ (wt * (z - expit(eta)))
+    score = X.T @ (wt * (z - _numeric.expit(eta)))
     for iteration in range(max_iterations):
         if np.max(np.abs(score)) <= tol_abs:
             return beta, iteration
-        mu = expit(eta)
+        mu = _numeric.expit(eta)
         info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
-        delta = cho_solve(cho_factor(info), score)
+        delta = _numeric.spd_solve(info, score)
         step = 1.0
         for _ in range(40):
             cand = beta + step * delta
@@ -238,7 +243,7 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
                 break
             step *= 0.5
         beta, eta, ll = cand, eta_cand, ll_cand
-        score = X.T @ (wt * (z - expit(eta)))
+        score = X.T @ (wt * (z - _numeric.expit(eta)))
     if np.max(np.abs(score)) <= tol_abs:
         return beta, max_iterations
     raise RuntimeError("no convergence")

@@ -209,6 +209,28 @@ def test_estimate_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--data", FIXTURES / "saturated_4row.csv"],
+    ["estimate", "--data", FIXTURES / "absent.csv"],
+    ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "50",
+     "--replications", "2", "--seed", "1"],
+    ["truth", "--config", FIXTURES / "dgp_binary.json"],
+])
+def test_unwritable_out_exits_2_with_payload_on_stdout(tmp_path, capsys,
+                                                       command):
+    out = tmp_path / "no_such_dir" / "out.json"
+    code = run_cli(command + ["--out", out])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    if command[2] == FIXTURES / "absent.csv":
+        # The input error is the one reported, not the failed write.
+        assert err["type"] == "UsageError"
+        assert "cannot read" in err["message"]
+    else:
+        assert err["type"] == "OutputError"
+        assert f"cannot write {out}" in err["message"]
+
+
 def test_estimate_long_stray_column_exit_2(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("w0_w,a0,w1_z,a1,y,extra\n"
@@ -243,6 +265,37 @@ def test_simulate_report_and_csv(tmp_path):
     assert lines[0] == ("replicate,estimator,psi_hat,se,ci_lo,ci_hi,"
                         "covered,out_of_bounds,error")
     assert len(lines) == 1 + 3 * len(POINT_NAMES)
+
+
+def test_simulate_output_collisions_exit_2_before_running(tmp_path, capsys):
+    # --out X.csv would have its per-replicate CSV overwrite the report,
+    # and --emit-data may not reuse either file.
+    base = ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "50",
+            "--replications", "2", "--seed", "1"]
+    for flags in (["--out", tmp_path / "rep.csv"],
+                  ["--out", tmp_path / "rep.json",
+                   "--emit-data", tmp_path / "rep.csv"],
+                  ["--out", tmp_path / "rep.json",
+                   "--emit-data", tmp_path / "rep.json"]):
+        assert run_cli(base + flags) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "OutputError"
+        assert "output files must differ" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_unwritable_outputs_exit_2(tmp_path, capsys):
+    base = ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "50",
+            "--replications", "2", "--seed", "1"]
+    missing = tmp_path / "no_such_dir" / "data.csv"
+    # "/" has no file name to give a .csv suffix to.
+    for flags, path in ((["--out", tmp_path / "rep.json",
+                          "--emit-data", missing], missing),
+                        (["--out", "/"], "/")):
+        assert run_cli(base + flags) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "OutputError"
+        assert f"cannot write {path}" in err["message"]
 
 
 def test_simulate_determinism(tmp_path):

@@ -162,7 +162,8 @@ def test_duplicate_column_is_singular():
     z = np.array([0.1, 0.9, 2.2, 2.8])
     with pytest.raises(SingularDesignError):
         fit_glm(design, z, Link.IDENTITY)
-    with pytest.raises(SingularDesignError):
+    with pytest.raises(SingularDesignError,
+                       match="information matrix is singular"):
         fit_glm(design, np.array([0.0, 1.0, 0.0, 1.0]), Link.LOGIT)
 
 
