@@ -3,15 +3,15 @@
 Implements the plug-in (g-computation), one-step/AIPW, and targeted
 maximum likelihood estimators of E(Y^0) for a binary point treatment,
 the two-time-point sequential TMLE of E(Y^{0,0}), one direct solver for
-their one-parameter targeting steps, offset/weight GLMs for the nuisance
-learners, pluggable nuisance learners with optional cross-fitting, and a
+their one-parameter targeting steps, GLMs fit on plain model matrices,
+pluggable nuisance learners that build each model matrix once per call and
+fit and predict on row subsets of it (with optional cross-fitting), and a
 simulation harness with known-truth oracles.
 """
 
 from .data import Dataset, LongDataset
-from .glm import (DesignSpec, GlmError, GlmFit, Link, NonConvergenceError,
-                  SeparationError, SingularDesignError, fit_glm, predict,
-                  score_residuals)
+from .glm import (GlmError, GlmFit, Link, NonConvergenceError,
+                  SeparationError, SingularDesignError, fit_glm, predict)
 from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
                        InsufficientDataError, LearnerSpec, NuisanceError,
                        NuisanceEstimates, crossfit, fit_nuisance, fit_outcome,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "LongDataset",
-    "DesignSpec",
     "GlmError",
     "GlmFit",
     "Link",
@@ -40,7 +39,6 @@ __all__ = [
     "SingularDesignError",
     "fit_glm",
     "predict",
-    "score_residuals",
     "DEFAULT_TRUNCATION",
     "FoldDegeneracyError",
     "InsufficientDataError",

@@ -412,6 +412,12 @@ def cmd_simulate(args) -> int:
         raise OutputError(
             f"output files must differ: --out {args.out} (per-replicate "
             f"CSV {csv_path}), --emit-data {args.emit_data}")
+    for path in outputs:  # checked before any replicate runs
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (os.path.isdir(folder)
+                                       and os.access(folder, os.W_OK)):
+            raise OutputError(f"cannot write {path}: not a file in an "
+                              "existing, writable directory")
     dgp = _load_dgp(args.config)
     plan = _plan_from_args(args)
     names = _parse_estimators(args.estimators, dgp.design)

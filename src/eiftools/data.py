@@ -138,16 +138,6 @@ class Dataset:
         return Dataset.from_columns(cols, self.treatment, self.outcome,
                                     y_bounds=self.y_bounds)
 
-    def subset(self, index) -> "Dataset":
-        idx = np.asarray(index)
-        return Dataset(
-            covariate_names=self.covariate_names,
-            covariates=self.covariates[idx],
-            treatment=self.treatment[idx],
-            outcome=self.outcome[idx],
-            y_bounds=self.y_bounds,
-        )
-
 
 @dataclass(frozen=True)
 class LongDataset:

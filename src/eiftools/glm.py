@@ -1,10 +1,13 @@
-"""Maximum-likelihood fitting of canonical-link GLMs with offsets and weights.
+"""Maximum-likelihood fitting of canonical-link GLMs on a model matrix.
 
-Two links are supported: identity (weighted least squares, solved in closed
-form) and logit (Newton iteration with step-halving). Both solvers drive the
-per-parameter score sums
+A fit takes the model matrix ``X`` as it is, one row per observation and
+one column per parameter; the caller includes any intercept column.
+Offsets and weights are optional. Two links are supported: identity
+(weighted least squares, solved in closed form) and logit (Newton
+iteration with step-halving). Both solvers drive the per-parameter score
+sums
 
-    sum_i wt_i * f_j(X_i) * (Z_i - Zhat_i)
+    sum_i wt_i * X_ij * (Z_i - Zhat_i)
 
 to zero; the GLM nuisance learners fit through it. Convergence is certified
 on the score scale: a fit is converged when every score sum is within
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from ._numeric import expit, spd_solve
 
 __all__ = [
     "Link",
-    "DesignSpec",
     "GlmFit",
     "GlmError",
     "SingularDesignError",
@@ -32,7 +33,6 @@ __all__ = [
     "NonConvergenceError",
     "fit_glm",
     "predict",
-    "score_residuals",
 ]
 
 # Coefficient norm (logit scale) beyond which the logit solver declares
@@ -76,92 +76,6 @@ class NonConvergenceError(GlmError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """Named covariate columns plus an optional intercept.
-
-    Parameters
-    ----------
-    names : tuple of str
-        One name per covariate column.
-    matrix : ndarray, shape (n, len(names))
-        Covariate values; may have zero columns for an intercept-only model.
-    include_intercept : bool
-        Prepend a constant-one column when expanding to the model matrix.
-    """
-
-    names: Tuple[str, ...]
-    matrix: np.ndarray
-    include_intercept: bool = True
-
-    def __post_init__(self):
-        names = tuple(str(v) for v in self.names)
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim == 1:
-            mat = mat[:, None]
-        if mat.ndim != 2:
-            raise ValueError("design matrix must be 2-dimensional")
-        if mat.shape[1] != len(names):
-            raise ValueError(
-                f"{len(names)} column names for {mat.shape[1]} columns"
-            )
-        if len(set(names)) != len(names):
-            raise ValueError("design column names must be unique")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("design matrix contains non-finite values")
-        if not self.include_intercept:
-            # Without an intercept the model needs at least one column that
-            # is not identically zero, otherwise there is nothing to fit.
-            if mat.shape[1] == 0 or not np.any(mat != 0.0):
-                raise ValueError(
-                    "design has no effective parameters: no intercept and "
-                    "no nonzero column"
-                )
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_columns(cls, columns: Union[Mapping[str, Sequence[float]],
-                                         Sequence[Tuple[str, Sequence[float]]]],
-                     include_intercept: bool = True) -> "DesignSpec":
-        """Build a design from named 1-D columns (insertion order kept)."""
-        if isinstance(columns, Mapping):
-            items = list(columns.items())
-        else:
-            items = list(columns)
-        if not items:
-            raise ValueError("from_columns needs at least one column; "
-                             "use intercept_only() for an empty design")
-        names = tuple(name for name, _ in items)
-        matrix = np.column_stack([np.asarray(v, dtype=float) for _, v in items])
-        return cls(names=names, matrix=matrix, include_intercept=include_intercept)
-
-    @classmethod
-    def intercept_only(cls, n_obs: int) -> "DesignSpec":
-        """Design holding only the intercept for ``n_obs`` observations."""
-        return cls(names=(), matrix=np.empty((n_obs, 0)), include_intercept=True)
-
-    @property
-    def n_obs(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.matrix.shape[1] + (1 if self.include_intercept else 0)
-
-    @property
-    def param_names(self) -> Tuple[str, ...]:
-        if self.include_intercept:
-            return ("(intercept)",) + self.names
-        return self.names
-
-    def expanded(self) -> np.ndarray:
-        """Model matrix with the intercept column prepended when requested."""
-        if self.include_intercept:
-            return np.column_stack([np.ones(self.n_obs), self.matrix])
-        return self.matrix
-
-
 @dataclass
 class GlmFit:
     """A solved (or attempted) maximum-likelihood fit.
@@ -176,30 +90,27 @@ class GlmFit:
     iterations: int
     score_residuals: np.ndarray
     link: Link
-    design_names: Tuple[str, ...] = ()
-    include_intercept: bool = True
-
-    @property
-    def param_names(self) -> Tuple[str, ...]:
-        if self.include_intercept:
-            return ("(intercept)",) + self.design_names
-        return self.design_names
 
 
-def _validate_vectors(design: DesignSpec, response, offset, weights,
-                      link: Link):
-    n = design.n_obs
-    if n < 1:
-        raise ValueError("need at least one observation")
+def _offset(offset, n: int) -> np.ndarray:
+    if offset is None:
+        return np.zeros(n)
+    b = np.asarray(offset, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"offset has shape {b.shape}, expected ({n},)")
+    return b
+
+
+def _validate(X, response, offset, weights, link: Link):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or min(X.shape) < 1:
+        raise ValueError(f"model matrix has shape {X.shape}; expected 2 "
+                         "dimensions, at least one row and one column")
+    n = X.shape[0]
     z = np.asarray(response, dtype=float)
     if z.shape != (n,):
         raise ValueError(f"response has shape {z.shape}, expected ({n},)")
-    if offset is None:
-        b = np.zeros(n)
-    else:
-        b = np.asarray(offset, dtype=float)
-        if b.shape != (n,):
-            raise ValueError(f"offset has shape {b.shape}, expected ({n},)")
+    b = _offset(offset, n)
     if weights is None:
         wt = np.ones(n)
     else:
@@ -210,19 +121,14 @@ def _validate_vectors(design: DesignSpec, response, offset, weights,
             raise ValueError("weights must be nonnegative")
         if not np.any(wt > 0):
             raise ValueError("at least one weight must be strictly positive")
-    for name, v in (("response", z), ("offset", b), ("weights", wt)):
+    for name, v in (("model matrix", X), ("response", z), ("offset", b),
+                    ("weights", wt)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} contains non-finite values")
     if link is Link.LOGIT:
         if np.any((z < 0) | (z > 1)):
             raise ValueError("logit link requires response values in [0, 1]")
-    return z, b, wt
-
-
-def _inverse_link(eta: np.ndarray, link: Link) -> np.ndarray:
-    if link is Link.IDENTITY:
-        return eta
-    return expit(eta)
+    return X, z, b, wt
 
 
 def _score(X: np.ndarray, z: np.ndarray, mu: np.ndarray,
@@ -281,7 +187,8 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
             return beta, score, iteration
         info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
         if not np.all(np.isfinite(info)):
-            raise ValueError("logit-link information matrix is not finite")
+            raise SingularDesignError(
+                "logit-link information matrix is not finite")
         try:
             delta = spd_solve(info, score)
         except np.linalg.LinAlgError:
@@ -318,7 +225,7 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
     )
 
 
-def fit_glm(design: DesignSpec, response, link: Link,
+def fit_glm(X, response, link: Link,
             offset=None, weights=None, *,
             score_tolerance: float = DEFAULT_SCORE_TOLERANCE,
             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> GlmFit:
@@ -326,8 +233,9 @@ def fit_glm(design: DesignSpec, response, link: Link,
 
     Parameters
     ----------
-    design : DesignSpec
-        Covariate columns and intercept flag.
+    X : array-like, shape (n, p)
+        Model matrix, with the intercept column (if any) included by the
+        caller; at least one column, every entry finite.
     response : array-like, shape (n,)
         Outcome ``Z``; must lie in [0, 1] for the logit link.
     link : Link
@@ -351,15 +259,15 @@ def fit_glm(design: DesignSpec, response, link: Link,
     Raises
     ------
     SingularDesignError
-        Rank-deficient design (or singular information matrix).
+        Rank-deficient design (or a singular or non-finite information
+        matrix).
     SeparationError
         Logit coefficients diverged (complete separation).
     NonConvergenceError
         Iteration cap reached; carries the last iterate and its score sums.
     """
     link = Link(link)
-    z, b, wt = _validate_vectors(design, response, offset, weights, link)
-    X = design.expanded()
+    X, z, b, wt = _validate(X, response, offset, weights, link)
     tol_abs = score_tolerance * (1.0 + float(np.sum(wt)))
     if link is Link.IDENTITY:
         beta, score, iterations = _fit_identity(X, z, b, wt, tol_abs)
@@ -372,53 +280,21 @@ def fit_glm(design: DesignSpec, response, link: Link,
         iterations=iterations,
         score_residuals=score,
         link=link,
-        design_names=design.names,
-        include_intercept=design.include_intercept,
     )
 
 
-def _check_design_matches(fit: GlmFit, design: DesignSpec):
-    if design.names != fit.design_names:
-        raise ValueError(
-            f"design columns {design.names} do not match the fitted columns "
-            f"{fit.design_names}"
-        )
-    if design.include_intercept != fit.include_intercept:
-        raise ValueError("intercept flag does not match the fitted model")
-
-
-def predict(fit: GlmFit, design: DesignSpec, offset=None) -> np.ndarray:
+def predict(fit: GlmFit, X, offset=None) -> np.ndarray:
     """Response-scale predictions ``g^{-1}(offset + X @ coefficients)``.
 
-    Logit-link outputs are clipped to stay strictly inside (0, 1).
+    ``X`` has the columns of the matrix ``fit`` was fit on. Logit-link
+    outputs are clipped to stay strictly inside (0, 1).
     """
-    _check_design_matches(fit, design)
-    n = design.n_obs
-    if offset is None:
-        b = np.zeros(n)
-    else:
-        b = np.asarray(offset, dtype=float)
-        if b.shape != (n,):
-            raise ValueError(f"offset has shape {b.shape}, expected ({n},)")
-    eta = b + design.expanded() @ fit.coefficients
+    X = np.asarray(X, dtype=float)
+    p = fit.coefficients.shape[0]
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ValueError(f"model matrix has shape {X.shape}, expected "
+                         f"(n, {p}) as in the fit")
+    eta = _offset(offset, X.shape[0]) + X @ fit.coefficients
     if fit.link is Link.IDENTITY:
         return eta
     return np.clip(expit(eta), _PROB_EPS, 1.0 - _PROB_EPS)
-
-
-def score_residuals(fit: GlmFit, design: DesignSpec, response, link: Link,
-                    offset=None, weights=None) -> np.ndarray:
-    """Per-parameter score sums evaluated at ``fit.coefficients``.
-
-    Callers use this to certify that an estimating equation is solved; a
-    converged fit evaluates to (numerically) zero, while deliberately
-    perturbed coefficients expose the residual.
-    """
-    link = Link(link)
-    if link is not fit.link:
-        raise ValueError(f"fit used link {fit.link.value!r}, got {link.value!r}")
-    _check_design_matches(fit, design)
-    z, b, wt = _validate_vectors(design, response, offset, weights, link)
-    X = design.expanded()
-    mu = _inverse_link(b + X @ fit.coefficients, link)
-    return _score(X, z, mu, wt)

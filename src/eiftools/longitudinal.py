@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .data import Dataset, LongDataset
+from .data import LongDataset
 from .estimators import (EstimateResult, _labelled_fluctuation,
                          _scaling_bounds, wald_inference)
 from .glm import Link
@@ -101,26 +101,6 @@ def eif_long(data: LongDataset, nuisances: SequentialNuisances, theta: float,
     return (r * (data.outcome - mu) + h * (mu - emu) + emu - float(theta))
 
 
-def _history_dataset(data: LongDataset) -> Dataset:
-    """Rows recast as (covariates = W0 + W1, treatment = A1) for g1 and mu.
-
-    The conditioning on A0 = 0 happens through each fit's row mask; A0 is
-    constant there so it is not a covariate.
-    """
-    cols = {name: data.w0[:, j] for j, name in enumerate(data.w0_names)}
-    for j, name in enumerate(data.w1_names):
-        cols[name] = data.w1[:, j]
-    return Dataset.from_columns(cols, data.a1, data.outcome,
-                                y_bounds=data.y_bounds)
-
-
-def _first_stage_dataset(data: LongDataset, response: np.ndarray,
-                         y_bounds=None) -> Dataset:
-    """Rows recast as (covariates = W0, treatment = A0, outcome = response)."""
-    cols = {name: data.w0[:, j] for j, name in enumerate(data.w0_names)}
-    return Dataset.from_columns(cols, data.a0, response, y_bounds=y_bounds)
-
-
 def fit_sequential_nuisances(
         data: LongDataset,
         g0_learner: LearnerSpec = _DEFAULT_LEARNER,
@@ -136,30 +116,33 @@ def fit_sequential_nuisances(
     1 (exact, untruncated), which collapses the estimand to the
     point-treatment one. mu is fit on the A0 = A1 = 0 rows from (W0, W1).
     Predictions are produced for every observation; with ``n_folds``,
-    each from models fit without its fold.
+    each from models fit without its fold. A0 is constant on the rows of
+    g1 and mu, so it is not one of their covariates.
     """
     lo, hi = _validate_truncation(truncation)
     assignment = None if n_folds is None else fold_partition(
         data.n_obs, n_folds, 0 if seed is None else seed)
-    stage1 = _first_stage_dataset(data, data.outcome)
-    stage2 = _history_dataset(data)
+    history = np.hstack([data.w0, data.w1])
     stage2_rows = data.a0 == 0.0
     mu_rows = stage2_rows & (data.a1 == 0.0)
     g1_degenerate = not np.any(data.a1[stage2_rows] == 1.0)
 
-    def held_out(model, stage: Dataset, learner: LearnerSpec,
-                 stratum: Optional[np.ndarray] = None) -> np.ndarray:
+    def held_out(model, learner: LearnerSpec, covariates: np.ndarray,
+                 stratum: Optional[np.ndarray], *args) -> np.ndarray:
+        x = learner.design_for(covariates)
+
         def fit(rows):
             if stratum is not None:
                 rows = stratum if rows is None else stratum & rows
-            return model(stage, learner, rows)
-        return _held_out_predictions(fit, stage.covariates, assignment)
+            return model(learner, x, *args, rows)
+        return _held_out_predictions(fit, x, assignment)
 
-    raw = [held_out(_propensity_model, stage1, g0_learner)]
+    raw = [held_out(_propensity_model, g0_learner, data.w0, None, data.a0)]
     if not g1_degenerate:
-        raw.append(held_out(_propensity_model, stage2, g1_learner,
-                            stage2_rows))
-    mu_hat = held_out(_outcome_model, stage2, mu_learner, mu_rows)
+        raw.append(held_out(_propensity_model, g1_learner, history,
+                            stage2_rows, data.a1))
+    mu_hat = held_out(_outcome_model, mu_learner, history, mu_rows, data.a1,
+                      data.outcome, data.y_bounds)
     g0 = np.clip(raw[0], lo, hi)
     g1 = np.ones(data.n_obs) if g1_degenerate else np.clip(raw[1], lo, hi)
     return SequentialNuisances(
@@ -182,10 +165,11 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
     """
     if variant == "weighted_logistic":
         learner = replace(learner, link=Link.LOGIT)
-    ds = _first_stage_dataset(data, response, y_bounds=bounds)
+    x = learner.design_for(data.w0)
     return _held_out_predictions(
-        lambda rows: _outcome_model(ds, learner, rows), ds.covariates,
-        assignment)
+        lambda rows: _outcome_model(learner, x, data.a0, response, bounds,
+                                    rows),
+        x, assignment)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import Dataset
-from .glm import (DesignSpec, GlmFit, Link, fit_glm, predict)
+from .glm import GlmFit, Link, fit_glm, predict
 
 __all__ = [
     "LearnerSpec",
@@ -157,39 +157,46 @@ class LearnerSpec:
             return f"{self.kind}:{','.join(parts)}"
         return self.kind
 
-    def design_for(self, names: Sequence[str], matrix: np.ndarray) -> DesignSpec:
-        """Expand raw covariates into this learner's GLM design."""
-        if self.kind not in GLM_KINDS:
-            raise ValueError(f"{self.kind} has no GLM design")
-        cols = []
-        names = tuple(names)
-        for j, name in enumerate(names):
-            cols.append((name, matrix[:, j]))
-            if self.kind == "glm_with_basis":
-                for d in range(2, self.degree + 1):
-                    cols.append((f"{name}^{d}", matrix[:, j] ** d))
-        if self.kind == "glm_with_basis" and self.interactions:
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    cols.append((f"{names[i]}:{names[j]}",
-                                 matrix[:, i] * matrix[:, j]))
-        if not cols:
-            return DesignSpec.intercept_only(matrix.shape[0])
-        return DesignSpec.from_columns(cols, include_intercept=True)
+    def design_for(self, matrix: np.ndarray) -> np.ndarray:
+        """This learner's model matrix on the raw covariates ``matrix``.
+
+        GLMs: an intercept column, then each covariate and its powers up
+        to ``degree``, then pairwise products if ``interactions``. kNN:
+        ``matrix`` itself. Each row depends on its own covariates only, so
+        callers build it once and fit and predict on row subsets. Raises
+        NuisanceError if an entry is not finite (an overflowing power).
+        """
+        if self.kind == "k_nearest_neighbors":
+            x = matrix
+        else:
+            basis = self.kind == "glm_with_basis"
+            cols = [np.ones(matrix.shape[0])]
+            with np.errstate(over="ignore"):  # reported below
+                for j in range(matrix.shape[1]):
+                    cols.append(matrix[:, j])
+                    if basis:
+                        cols += [matrix[:, j] ** d
+                                 for d in range(2, self.degree + 1)]
+                if basis and self.interactions:
+                    cols += [matrix[:, i] * matrix[:, j]
+                             for i in range(matrix.shape[1])
+                             for j in range(i + 1, matrix.shape[1])]
+            x = np.column_stack(cols)
+        if not np.all(np.isfinite(x)):
+            raise NuisanceError(
+                f"{self.describe()}: model matrix contains non-finite "
+                "values (a covariate overflows the learner's basis)")
+        return x
 
 
 class _GlmPredictor:
-    """GLM fit plus the recipe to rebuild its design on new covariates."""
+    """GLM fit that predicts on rows of its learner's ``design_for`` matrix."""
 
-    def __init__(self, learner: LearnerSpec, covariate_names: Tuple[str, ...],
-                 fit: GlmFit):
-        self.learner = learner
-        self.covariate_names = covariate_names
+    def __init__(self, fit: GlmFit):
         self.fit = fit
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        design = self.learner.design_for(self.covariate_names, matrix)
-        return predict(self.fit, design)
+        return predict(self.fit, matrix)
 
 
 # Query rows are searched in blocks of about this many float64 entries
@@ -285,6 +292,7 @@ class OutcomeFit:
     _bounds: Optional[Tuple[float, float]]
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
+        """Predictions on rows of ``learner.design_for(covariates)``."""
         raw = self._predictor.predict(np.asarray(matrix, dtype=float))
         if self._bounds is None:
             return raw
@@ -304,6 +312,7 @@ class PropensityFit:
     _predictor: object
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
+        """Predictions on rows of ``learner.design_for(covariates)``."""
         raw = self._predictor.predict(np.asarray(matrix, dtype=float))
         return np.clip(raw, self.truncation[0], self.truncation[1])
 
@@ -367,16 +376,18 @@ def _restrict(data: Dataset, covariates: Optional[Sequence[str]]) -> Dataset:
     return data.select_covariates(covariates)
 
 
-def _outcome_model(data: Dataset, learner: LearnerSpec,
+def _outcome_model(learner: LearnerSpec, x: np.ndarray,
+                   treatment: np.ndarray, outcome: np.ndarray,
+                   y_bounds: Optional[Tuple[float, float]],
                    rows: Optional[np.ndarray] = None) -> OutcomeFit:
     """Fit Ê(Y | A=0, W) on the untreated rows of mask ``rows`` (None: all).
 
-    ``data`` is already restricted to the model's covariates; undeclared
-    logit scaling bounds are the outcome range of ``rows``. The returned
-    fit's ``predictions`` is empty; call its ``predict`` on the rows whose
-    predictions are kept.
+    ``x`` is ``learner.design_for`` of the model's covariates on all rows.
+    Without declared ``y_bounds``, logit scaling bounds are the outcome
+    range of ``rows``. The returned fit's ``predictions`` is empty; call
+    its ``predict`` on the rows of ``x`` whose predictions are kept.
     """
-    untreated = data.treatment == 0.0
+    untreated = treatment == 0.0
     if rows is not None:
         untreated &= rows
     n_fit = int(untreated.sum())
@@ -384,8 +395,8 @@ def _outcome_model(data: Dataset, learner: LearnerSpec,
         raise InsufficientDataError(
             f"need at least 2 untreated observations, found {n_fit}"
         )
-    x_fit = data.covariates[untreated]
-    y_fit = data.outcome[untreated]
+    x_fit = x[untreated]
+    y_fit = outcome[untreated]
 
     if learner.kind == "k_nearest_neighbors":
         if learner.k > n_fit:
@@ -395,8 +406,8 @@ def _outcome_model(data: Dataset, learner: LearnerSpec,
         predictor: object = _KnnPredictor(learner.k, x_fit, y_fit)
         bounds = None
     elif learner.link is Link.LOGIT:
-        seen = data.outcome if rows is None else data.outcome[rows]
-        lo, hi = data.y_bounds or (float(np.min(seen)), float(np.max(seen)))
+        seen = outcome if rows is None else outcome[rows]
+        lo, hi = y_bounds or (float(np.min(seen)), float(np.max(seen)))
         if hi <= lo:
             # Constant outcome: the scaled response is undefined, but the
             # regression it stands in for is the constant itself.
@@ -404,14 +415,10 @@ def _outcome_model(data: Dataset, learner: LearnerSpec,
             bounds = None
         else:
             z = (y_fit - lo) / (hi - lo)
-            design = learner.design_for(data.covariate_names, x_fit)
-            fit = fit_glm(design, z, Link.LOGIT)
-            predictor = _GlmPredictor(learner, data.covariate_names, fit)
+            predictor = _GlmPredictor(fit_glm(x_fit, z, Link.LOGIT))
             bounds = (lo, hi)
     else:
-        design = learner.design_for(data.covariate_names, x_fit)
-        fit = fit_glm(design, y_fit, Link.IDENTITY)
-        predictor = _GlmPredictor(learner, data.covariate_names, fit)
+        predictor = _GlmPredictor(fit_glm(x_fit, y_fit, Link.IDENTITY))
         bounds = None
 
     return OutcomeFit(learner=learner, predictions=np.empty(0),
@@ -440,19 +447,23 @@ def fit_outcome(data: Dataset, learner: LearnerSpec,
         Fewer than 2 untreated observations.
     """
     data = _restrict(data, covariates)
-    out = _outcome_model(data, learner)
-    out.predictions = out.predict(data.covariates)
+    x = learner.design_for(data.covariates)
+    out = _outcome_model(learner, x, data.treatment, data.outcome,
+                         data.y_bounds)
+    out.predictions = out.predict(x)
     return out
 
 
-def _propensity_model(data: Dataset, learner: LearnerSpec,
+def _propensity_model(learner: LearnerSpec, x: np.ndarray,
+                      treatment: np.ndarray,
                       rows: Optional[np.ndarray] = None) -> object:
     """Fit the untruncated P̂(A = 0 | W) on mask ``rows`` (None: all).
 
-    ``data`` is already restricted to the model's covariates; the
-    returned predictor's ``predict`` gives raw, unclipped probabilities.
+    ``x`` is ``learner.design_for`` of the model's covariates on all rows;
+    the returned predictor's ``predict`` gives raw, unclipped
+    probabilities on rows of ``x``.
     """
-    a, x = data.treatment, data.covariates
+    a = treatment
     if rows is not None:
         a, x = a[rows], x[rows]
     if len(np.unique(a)) < 2:
@@ -466,9 +477,7 @@ def _propensity_model(data: Dataset, learner: LearnerSpec,
                 f"k={learner.k} exceeds the {a.shape[0]} observations"
             )
         return _KnnPredictor(learner.k, x, z)
-    design = learner.design_for(data.covariate_names, x)
-    return _GlmPredictor(learner, data.covariate_names,
-                         fit_glm(design, z, Link.LOGIT))
+    return _GlmPredictor(fit_glm(x, z, Link.LOGIT))
 
 
 def fit_propensity(data: Dataset, learner: LearnerSpec,
@@ -488,8 +497,9 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
     """
     lo, hi = _validate_truncation(truncation)
     data = _restrict(data, covariates)
-    predictor = _propensity_model(data, learner)
-    raw = predictor.predict(data.covariates)
+    x = learner.design_for(data.covariates)
+    predictor = _propensity_model(learner, x, data.treatment)
+    raw = predictor.predict(x)
     n_trunc = int(np.sum((raw < lo) | (raw > hi)))
     return PropensityFit(learner=learner,
                          predictions=np.clip(raw, lo, hi),
@@ -530,14 +540,18 @@ def _point_nuisances(data: Dataset, outcome_learner: LearnerSpec,
                      assignment: Optional[np.ndarray]) -> NuisanceEstimates:
     """Both point nuisances, predicted on held-out rows of ``assignment``."""
     lo, hi = _validate_truncation(truncation)
-    out_data = _restrict(data, outcome_covariates)
-    prop_data = _restrict(data, propensity_covariates)
+    a = data.treatment
+    x_out = outcome_learner.design_for(
+        _restrict(data, outcome_covariates).covariates)
     outcome_pred = _held_out_predictions(
-        lambda rows: _outcome_model(out_data, outcome_learner, rows),
-        out_data.covariates, assignment)
+        lambda rows: _outcome_model(outcome_learner, x_out, a, data.outcome,
+                                    data.y_bounds, rows),
+        x_out, assignment)
+    x_prop = propensity_learner.design_for(
+        _restrict(data, propensity_covariates).covariates)
     raw = _held_out_predictions(
-        lambda rows: _propensity_model(prop_data, propensity_learner, rows),
-        prop_data.covariates, assignment)
+        lambda rows: _propensity_model(propensity_learner, x_prop, a, rows),
+        x_prop, assignment)
     return NuisanceEstimates(
         outcome_pred=outcome_pred,
         propensity_pred=np.clip(raw, lo, hi),

@@ -15,8 +15,8 @@ from scipy.special import expit, logit
 
 from eiftools import _numeric
 from eiftools import nuisance as nu
-from eiftools.glm import DesignSpec, Link, fit_glm
-from eiftools.longitudinal import _first_stage_dataset, _history_dataset
+from eiftools.data import Dataset
+from eiftools.glm import Link, fit_glm
 
 SCALED_CLIP = 1e-6
 
@@ -249,9 +249,19 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
     raise RuntimeError("no convergence")
 
 
+def _clever_covariate_matrix(h):
+    """``h`` as the one column of a model without intercept. A column
+    with no nonzero entry leaves no parameter to fit, which is a
+    ValueError, as it is for the direct solver."""
+    if not np.any(h != 0.0):
+        raise ValueError("design has no effective parameters: no intercept "
+                         "and no nonzero column")
+    return h[:, None]
+
+
 def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
     """The point design's targeting fluctuation as a general GLM fit
-    (``DesignSpec`` -> ``fit_glm``), the way ``tmle`` solved it before it
+    (a model matrix -> ``fit_glm``), the way ``tmle`` solved it before it
     had a direct one-parameter solver.
 
     ``h = I(A=0)/g`` enters as the weights (or, for ``covariate_linear``,
@@ -261,14 +271,13 @@ def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
     h = (treatment == 0.0).astype(float) / g
     n = y.shape[0]
     if variant == "covariate_linear":
-        design = DesignSpec.from_columns({"clever_covariate": h},
-                                         include_intercept=False)
-        fit = fit_glm(design, y, Link.IDENTITY, offset=mu)
+        fit = fit_glm(_clever_covariate_matrix(h), y, Link.IDENTITY,
+                      offset=mu)
         delta = float(fit.coefficients[0])
         mu_star = mu + delta / g
         return delta, mu_star, float(np.sum(h * (y - mu_star)))
     if variant == "weighted_linear":
-        fit = fit_glm(DesignSpec.intercept_only(n), y, Link.IDENTITY,
+        fit = fit_glm(np.ones((n, 1)), y, Link.IDENTITY,
                       offset=mu, weights=h)
         gamma = float(fit.coefficients[0])
         mu_star = mu + gamma
@@ -279,7 +288,7 @@ def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
     span = hi - lo
     y_sc = (y - lo) / span
     offset = logit(np.clip((mu - lo) / span, SCALED_CLIP, 1.0 - SCALED_CLIP))
-    fit = fit_glm(DesignSpec.intercept_only(n), y_sc, Link.LOGIT,
+    fit = fit_glm(np.ones((n, 1)), y_sc, Link.LOGIT,
                   offset=offset, weights=h)
     gamma = float(fit.coefficients[0])
     targeted_sc = expit(offset + gamma)
@@ -295,15 +304,14 @@ def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
     predictions, score residual)."""
     n = response.shape[0]
     if variant == "weighted_linear":
-        fit = fit_glm(DesignSpec.intercept_only(n), response, Link.IDENTITY,
+        fit = fit_glm(np.ones((n, 1)), response, Link.IDENTITY,
                       offset=offset_pred, weights=weights)
         coef = float(fit.coefficients[0])
         targeted = offset_pred + coef
         return coef, targeted, float(np.sum(weights * (response - targeted)))
     if variant == "covariate_linear":
-        design = DesignSpec.from_columns({"clever_covariate": weights},
-                                         include_intercept=False)
-        fit = fit_glm(design, response, Link.IDENTITY, offset=offset_pred)
+        fit = fit_glm(_clever_covariate_matrix(weights), response,
+                      Link.IDENTITY, offset=offset_pred)
         coef = float(fit.coefficients[0])
         targeted = offset_pred + coef * regime_covariate
         return coef, targeted, float(np.sum(weights * (response - targeted)))
@@ -314,7 +322,7 @@ def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
         raise ValueError("response values fall outside the scaling bounds")
     off = logit(np.clip((offset_pred - lo) / span, SCALED_CLIP,
                         1.0 - SCALED_CLIP))
-    fit = fit_glm(DesignSpec.intercept_only(n), resp_sc, Link.LOGIT,
+    fit = fit_glm(np.ones((n, 1)), resp_sc, Link.LOGIT,
                   offset=off, weights=weights)
     coef = float(fit.coefficients[0])
     targeted_sc = expit(off + coef)
@@ -323,9 +331,46 @@ def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
 
 
 # The nuisance fits as they were written before the fit-on-train /
-# predict-on-held driver: every fit receives a ``Dataset.subset`` copy of
-# its training rows, and each caller keeps its own fold loop and its own
-# degeneracy checks. The learners themselves are the library's.
+# predict-on-held driver: every fit receives a ``Dataset`` copy of its
+# training rows, each caller keeps its own fold loop and its own
+# degeneracy checks, and each fit and each prediction builds its learner's
+# model matrix on just the rows it is given. The two-period stages are
+# ``Dataset``s rebuilt from the ``LongDataset``. The learners themselves
+# are the library's.
+
+def subset(data, index):
+    """``data`` restricted to rows ``index``, validated as a new Dataset."""
+    return Dataset(covariate_names=data.covariate_names,
+                   covariates=data.covariates[index],
+                   treatment=data.treatment[index],
+                   outcome=data.outcome[index], y_bounds=data.y_bounds)
+
+
+def first_stage_dataset(data, response, y_bounds=None):
+    """Rows recast as (covariates = W0, treatment = A0, outcome = response)."""
+    cols = {name: data.w0[:, j] for j, name in enumerate(data.w0_names)}
+    return Dataset.from_columns(cols, data.a0, response, y_bounds=y_bounds)
+
+
+def history_dataset(data):
+    """Rows recast as (covariates = W0 + W1, treatment = A1) for g1 and mu."""
+    cols = {name: data.w0[:, j] for j, name in enumerate(data.w0_names)}
+    for j, name in enumerate(data.w1_names):
+        cols[name] = data.w1[:, j]
+    return Dataset.from_columns(cols, data.a1, data.outcome,
+                                y_bounds=data.y_bounds)
+
+
+class _OnCovariates:
+    """A fitted library model that predicts on raw covariates, building
+    its learner's model matrix on exactly the rows it is asked for."""
+
+    def __init__(self, model, learner):
+        self.model, self.learner = model, learner
+
+    def predict(self, covariates):
+        return self.model.predict(self.learner.design_for(covariates))
+
 
 def outcome_model_on_subset(data, learner):
     """Ê(Y | A=0, W) fit on ``data``'s untreated rows; logit scaling uses
@@ -347,17 +392,17 @@ def outcome_model_on_subset(data, learner):
         if hi <= lo:
             predictor = nu._ConstantPredictor(lo)
         else:
-            design = learner.design_for(data.covariate_names, x_fit)
-            fit = fit_glm(design, (y_fit - lo) / (hi - lo), Link.LOGIT)
-            predictor = nu._GlmPredictor(learner, data.covariate_names, fit)
+            fit = fit_glm(learner.design_for(x_fit), (y_fit - lo) / (hi - lo),
+                          Link.LOGIT)
+            predictor = nu._GlmPredictor(fit)
             bounds = (lo, hi)
     else:
-        design = learner.design_for(data.covariate_names, x_fit)
-        predictor = nu._GlmPredictor(learner, data.covariate_names,
-                                     fit_glm(design, y_fit, Link.IDENTITY))
-    return nu.OutcomeFit(learner=learner, predictions=np.empty(0),
-                         n_fit=int(untreated.sum()), _predictor=predictor,
-                         _bounds=bounds)
+        predictor = nu._GlmPredictor(
+            fit_glm(learner.design_for(x_fit), y_fit, Link.IDENTITY))
+    return _OnCovariates(
+        nu.OutcomeFit(learner=learner, predictions=np.empty(0),
+                      n_fit=int(untreated.sum()), _predictor=predictor,
+                      _bounds=bounds), learner)
 
 
 def propensity_model_on_subset(data, learner):
@@ -369,9 +414,8 @@ def propensity_model_on_subset(data, learner):
         if learner.k > data.n_obs:
             raise nu.InsufficientDataError(f"k={learner.k} exceeds the pool")
         return nu._KnnPredictor(learner.k, data.covariates, z)
-    design = learner.design_for(data.covariate_names, data.covariates)
-    return nu._GlmPredictor(learner, data.covariate_names,
-                            fit_glm(design, z, Link.LOGIT))
+    return _OnCovariates(nu._GlmPredictor(
+        fit_glm(learner.design_for(data.covariates), z, Link.LOGIT)), learner)
 
 
 def _restricted(data, covariates):
@@ -402,7 +446,7 @@ def point_nuisances_by_subsets(data, outcome_learner, propensity_learner,
     n_truncated = 0
     for fold in range(n_folds):
         held_out = assignment == fold
-        train = data.subset(~held_out)
+        train = subset(data, ~held_out)
         if len(np.unique(train.treatment)) < 2:
             raise nu.FoldDegeneracyError(f"fold {fold}: single level")
         if int(np.sum(train.treatment == 0.0)) < 2:
@@ -428,8 +472,8 @@ def sequential_nuisances_by_subsets(data, g0_learner, g1_learner, mu_learner,
     g1_degenerate, fold assignment)."""
     lo, hi = truncation
     n = data.n_obs
-    stage1 = _first_stage_dataset(data, data.outcome)
-    stage2 = _history_dataset(data)
+    stage1 = first_stage_dataset(data, data.outcome)
+    stage2 = history_dataset(data)
     stage2_rows = data.a0 == 0.0
     mu_rows = stage2_rows & (data.a1 == 0.0)
     g1_degenerate = not np.any(data.a1[stage2_rows] == 1.0)
@@ -443,10 +487,10 @@ def sequential_nuisances_by_subsets(data, g0_learner, g1_learner, mu_learner,
         g1 = np.ones(n)
         if not g1_degenerate:
             g1, hits = clip_count(propensity_model_on_subset(
-                stage2.subset(stage2_rows), g1_learner
+                subset(stage2, stage2_rows), g1_learner
             ).predict(stage2.covariates))
             n_trunc += hits
-        mu_hat = outcome_model_on_subset(stage2.subset(mu_rows), mu_learner
+        mu_hat = outcome_model_on_subset(subset(stage2, mu_rows), mu_learner
                                          ).predict(stage2.covariates)
         return g0, g1, mu_hat, n_trunc, g1_degenerate, None
     assignment = nu.fold_partition(n, n_folds, seed)
@@ -462,13 +506,13 @@ def sequential_nuisances_by_subsets(data, g0_learner, g1_learner, mu_learner,
         held = assignment == fold
         train = ~held
         try:
-            g0_model = propensity_model_on_subset(stage1.subset(train),
+            g0_model = propensity_model_on_subset(subset(stage1, train),
                                                   g0_learner)
             if not g1_degenerate:
                 g1_model = propensity_model_on_subset(
-                    stage2.subset(train & stage2_rows), g1_learner)
+                    subset(stage2, train & stage2_rows), g1_learner)
             mu_model = outcome_model_on_subset(
-                stage2.subset(train & mu_rows), mu_learner)
+                subset(stage2, train & mu_rows), mu_learner)
         except nu.InsufficientDataError as exc:
             raise nu.FoldDegeneracyError(f"fold {fold}: {exc}") from exc
         g0[held], hits = clip_count(g0_model.predict(stage1.covariates[held]))
@@ -485,14 +529,14 @@ def emu_by_subsets(data, response, learner, bounds, assignment):
     """Regression of ``response`` on W0 among the A0 = 0 rows, fit on all
     rows or on each fold's complement; ``bounds`` are the declared
     scaling bounds of a logit learner."""
-    ds = _first_stage_dataset(data, response, y_bounds=bounds)
+    ds = first_stage_dataset(data, response, y_bounds=bounds)
     if assignment is None:
         return outcome_model_on_subset(ds, learner).predict(ds.covariates)
     out = np.empty(data.n_obs)
     for fold in range(int(assignment.max()) + 1):
         held = assignment == fold
         try:
-            model = outcome_model_on_subset(ds.subset(~held), learner)
+            model = outcome_model_on_subset(subset(ds, ~held), learner)
         except nu.InsufficientDataError as exc:
             raise nu.FoldDegeneracyError(f"fold {fold}: {exc}") from exc
         out[held] = model.predict(ds.covariates[held])

@@ -95,6 +95,33 @@ def test_estimate_degenerate_fold_exits_3(tmp_path, seed):
     assert error["message"].startswith("fold 0: need at least 2 untreated")
 
 
+@pytest.mark.parametrize("learner, error", [
+    ("glm_with_basis:degree=2", "NuisanceError"),
+    ("glm_main_terms", "SingularDesignError"),
+])
+def test_estimate_overflowing_covariate_exits_3(tmp_path, learner, error):
+    # w = 1e200 on a treated row: its square overflows the outcome model's
+    # basis, which the model matrix check sees on all rows although the
+    # outcome fit never uses that row; with main terms the propensity
+    # fit's information matrix overflows instead.
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=40)
+    a = (np.arange(40) % 3 == 0).astype(float)
+    w[3] = 1e200
+    path = tmp_path / "data.csv"
+    path.write_text("w,a,y\n" + "".join(
+        f"{float(wi)!r},{float(ai)!r},{float(yi)!r}\n"
+        for wi, ai, yi in zip(w, a, rng.normal(size=40))), encoding="utf-8")
+    out = tmp_path / "est.json"
+    code = run_cli(["estimate", "--data", path, "--outcome-learner", learner,
+                    "--out", out])
+    assert code == 3
+    payload = read_json(out)["error"]
+    assert payload["type"] == error
+    if error == "NuisanceError":
+        assert payload["message"].startswith(learner)
+
+
 def test_estimate_determinism(tmp_path):
     rng = np.random.default_rng(31)
     n = 60
@@ -296,6 +323,20 @@ def test_simulate_unwritable_outputs_exit_2(tmp_path, capsys):
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "OutputError"
         assert f"cannot write {path}" in err["message"]
+
+
+def test_simulate_unwritable_output_writes_nothing(tmp_path, capsys):
+    # Every output is checked before the first replicate runs, so a bad
+    # --emit-data leaves no report or per-replicate CSV behind.
+    base = ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "50",
+            "--replications", "2", "--seed", "1", "--out", tmp_path / "r.json"]
+    (tmp_path / "taken").mkdir()
+    for bad in (tmp_path / "no_such_dir" / "d.csv", tmp_path / "taken"):
+        assert run_cli(base + ["--emit-data", bad]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "OutputError"
+        assert f"cannot write {bad}" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_simulate_determinism(tmp_path):

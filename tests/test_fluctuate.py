@@ -3,7 +3,7 @@
 ``estimators.fluctuate`` solves each one-parameter fluctuation in closed
 form (linear variants) or by a scalar Newton iteration (logistic). The
 oracles in ``tests/oracles.py`` solve the same fluctuations the way both
-designs did before, through ``DesignSpec`` and ``fit_glm``. On random
+designs did before, as ``fit_glm`` on a one-column model matrix. On random
 problems the two must give the same coefficient and targeted predictions
 to 1e-12 (relative above 1) and the same score residual to 1e-12 of the
 score scale 1 + sum(weights), or raise the same exception type.

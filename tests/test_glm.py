@@ -1,4 +1,8 @@
-"""GLM solver tests: closed-form oracles, frozen values, failure modes."""
+"""GLM solver tests: closed-form oracles, frozen values, failure modes.
+
+``fit_glm`` and ``predict`` take the model matrix as it is; the tests
+build it with the intercept column first, as the nuisance learners do.
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +10,12 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from eiftools.glm import (
-    DesignSpec,
     Link,
     NonConvergenceError,
     SeparationError,
     SingularDesignError,
     fit_glm,
     predict,
-    score_residuals,
 )
 from oracles import bisect_root, fit_logit_two_logaddexp
 
@@ -23,9 +25,13 @@ FROZEN_LOGIT_GAMMA = 0.5963687987672498
 FROZEN_LOGIT_PROBS = (0.6891971966294974, 0.6216056067410052)
 
 
+def _with_intercept(*columns):
+    """Model matrix: a column of ones, then ``columns``."""
+    return np.column_stack([np.ones(len(columns[0])), *columns])
+
+
 def _random_identity_problem(rng, n=40, p=3):
-    design = DesignSpec.from_columns(
-        {f"x{j}": rng.normal(size=n) for j in range(p)})
+    design = _with_intercept(*(rng.normal(size=n) for _ in range(p)))
     z = rng.normal(size=n)
     b = rng.normal(size=n) * 0.5
     wt = rng.uniform(0.1, 3.0, size=n)
@@ -33,9 +39,8 @@ def _random_identity_problem(rng, n=40, p=3):
 
 
 def _random_logit_problem(rng, n=80, p=2):
-    design = DesignSpec.from_columns(
-        {f"x{j}": rng.normal(size=n) for j in range(p)})
-    eta = 0.3 + design.matrix @ rng.uniform(-0.8, 0.8, size=p)
+    design = _with_intercept(*(rng.normal(size=n) for _ in range(p)))
+    eta = 0.3 + design[:, 1:] @ rng.uniform(-0.8, 0.8, size=p)
     z = (rng.random(n) < expit(eta)).astype(float)
     b = rng.normal(size=n) * 0.3
     wt = rng.uniform(0.2, 2.0, size=n)
@@ -47,7 +52,7 @@ def test_identity_matches_normal_equations():
     for _ in range(20):
         design, z, b, wt = _random_identity_problem(rng)
         fit = fit_glm(design, z, Link.IDENTITY, offset=b, weights=wt)
-        X = design.expanded()
+        X = design
         beta_oracle = np.linalg.solve(
             X.T @ (X * wt[:, None]), X.T @ (wt * (z - b)))
         np.testing.assert_allclose(fit.coefficients, beta_oracle,
@@ -57,7 +62,7 @@ def test_identity_matches_normal_equations():
 
 
 def test_identity_intercept_only_is_weighted_mean():
-    design = DesignSpec.intercept_only(4)
+    design = np.ones((4, 1))
     z = np.array([1.0, 2.0, 3.0, 10.0])
     b = np.array([0.5, 0.0, 1.0, 0.0])
     wt = np.array([1.0, 2.0, 1.0, 0.0])
@@ -76,7 +81,7 @@ def test_identity_offset_shifts_response():
 
 
 def test_logit_frozen_two_point_example():
-    design = DesignSpec.intercept_only(2)
+    design = np.ones((2, 1))
     z = np.array([1.0, 0.0])
     b = np.array([0.2, -0.1])
     wt = np.array([2.0, 1.0])
@@ -105,7 +110,7 @@ def test_logit_matches_scipy_minimize():
     for _ in range(10):
         design, z, b, wt = _random_logit_problem(rng)
         fit = fit_glm(design, z, Link.LOGIT, offset=b, weights=wt)
-        X = design.expanded()
+        X = design
 
         def nll(beta):
             eta = b + X @ beta
@@ -121,28 +126,21 @@ def test_logit_matches_scipy_minimize():
                                    rtol=0, atol=1e-6)
 
 
-def _perturbed_copy(fit):
-    return type(fit)(
-        coefficients=fit.coefficients + 0.25,
-        converged=False,
-        iterations=fit.iterations,
-        score_residuals=fit.score_residuals,
-        link=fit.link,
-        design_names=fit.design_names,
-        include_intercept=fit.include_intercept,
-    )
-
-
 def test_score_residuals_zero_at_fit_nonzero_off_fit():
+    # GlmFit.score_residuals are the score sums at the returned
+    # coefficients, evaluated here by hand; perturbed coefficients expose
+    # a residual.
     rng = np.random.default_rng(7)
     design, z, b, wt = _random_logit_problem(rng)
     fit = fit_glm(design, z, Link.LOGIT, offset=b, weights=wt)
-    at_fit = score_residuals(fit, design, z, Link.LOGIT, offset=b, weights=wt)
+
+    def score(beta):
+        return design.T @ (wt * (z - expit(b + design @ beta)))
+
+    at_fit = score(fit.coefficients)
     np.testing.assert_allclose(at_fit, fit.score_residuals, rtol=0, atol=1e-12)
     assert np.max(np.abs(at_fit)) <= 1e-8 * (1 + wt.sum())
-
-    off_fit = score_residuals(_perturbed_copy(fit), design, z, Link.LOGIT,
-                              offset=b, weights=wt)
+    off_fit = score(fit.coefficients + 0.25)
     assert np.max(np.abs(off_fit)) > 1e-3
 
 
@@ -151,14 +149,14 @@ def test_separation_raises():
     # coefficient norm guard trips.
     x = np.array([-0.02, -0.01, 0.01, 0.02])
     z = (x > 0).astype(float)
-    design = DesignSpec.from_columns({"x": x})
+    design = _with_intercept(x)
     with pytest.raises(SeparationError):
         fit_glm(design, z, Link.LOGIT)
 
 
 def test_duplicate_column_is_singular():
     x = np.array([0.0, 1.0, 2.0, 3.0])
-    design = DesignSpec.from_columns({"x": x, "x_copy": x})
+    design = _with_intercept(x, x)
     z = np.array([0.1, 0.9, 2.2, 2.8])
     with pytest.raises(SingularDesignError):
         fit_glm(design, z, Link.IDENTITY)
@@ -168,7 +166,7 @@ def test_duplicate_column_is_singular():
 
 
 def test_nonconvergence_carries_last_iterate():
-    design = DesignSpec.intercept_only(2)
+    design = np.ones((2, 1))
     z = np.array([1.0, 0.0])
     b = np.array([0.2, -0.1])
     wt = np.array([2.0, 1.0])
@@ -182,7 +180,7 @@ def test_nonconvergence_carries_last_iterate():
 
 
 def test_predict_clips_extreme_probabilities():
-    design = DesignSpec.intercept_only(2)
+    design = np.ones((2, 1))
     z = np.array([1.0, 0.0])
     fit = fit_glm(design, z, Link.LOGIT)
     wild = np.array([2000.0, -2000.0])
@@ -196,11 +194,7 @@ def test_zero_weight_rows_are_inert():
     design, z, b, wt = _random_logit_problem(rng, n=50)
     full = fit_glm(design, z, Link.LOGIT, offset=b, weights=wt)
 
-    extra = DesignSpec(
-        names=design.names,
-        matrix=np.vstack([design.matrix, rng.normal(size=(5, 2))]),
-        include_intercept=True,
-    )
+    extra = np.vstack([design, _with_intercept(*rng.normal(size=(5, 2)).T)])
     z2 = np.concatenate([z, np.array([1.0, 0.0, 1.0, 1.0, 0.0])])
     b2 = np.concatenate([b, np.full(5, 3.0)])
     wt2 = np.concatenate([wt, np.zeros(5)])
@@ -219,7 +213,7 @@ def test_fit_is_deterministic():
 
 
 def test_input_validation():
-    design = DesignSpec.from_columns({"x": [0.0, 1.0, 2.0]})
+    design = _with_intercept([0.0, 1.0, 2.0])
     z = np.array([0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="response"):
         fit_glm(design, np.array([1.0, 2.0]), Link.IDENTITY)
@@ -238,30 +232,29 @@ def test_input_validation():
 
 
 def test_design_validation():
-    with pytest.raises(ValueError, match="unique"):
-        DesignSpec(names=("x", "x"), matrix=np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="non-finite"):
-        DesignSpec(names=("x",), matrix=np.array([[np.inf], [0.0]]))
-    with pytest.raises(ValueError, match="column names"):
-        DesignSpec(names=("x",), matrix=np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="no effective parameters"):
-        DesignSpec(names=(), matrix=np.empty((3, 0)), include_intercept=False)
-    spec = DesignSpec.from_columns({"b": [1.0, 2.0], "a": [3.0, 4.0]})
-    assert spec.param_names == ("(intercept)", "b", "a")
-    assert spec.expanded().shape == (2, 3)
-    only = DesignSpec.intercept_only(5)
-    assert only.n_params == 1
-    assert only.expanded().shape == (5, 1)
+    # The model matrix must be 2-D with at least one column, all finite.
+    z = np.array([0.0, 1.0, 0.0])
+    for bad, message in ((np.ones(3), "shape"),
+                         (np.empty((3, 0)), "shape"),
+                         (np.array([[1.0], [np.inf], [1.0]]), "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            fit_glm(bad, z, Link.IDENTITY)
+    only = fit_glm(np.ones((5, 1)), np.arange(5.0), Link.IDENTITY)
+    assert only.coefficients.shape == (1,)
+    wide = fit_glm(_with_intercept([1.0, 2.0, 0.0], [3.0, 4.0, 4.0]),
+                   z, Link.IDENTITY)
+    assert wide.coefficients.shape == (3,)
 
 
 def test_predict_rejects_mismatched_design():
-    design = DesignSpec.from_columns({"x": [0.0, 1.0, 2.0]})
+    design = _with_intercept([0.0, 1.0, 2.0])
     fit = fit_glm(design, np.array([0.0, 1.0, 2.0]), Link.IDENTITY)
-    other = DesignSpec.from_columns({"y": [0.0, 1.0, 2.0]})
-    with pytest.raises(ValueError, match="do not match"):
-        predict(fit, other)
-    with pytest.raises(ValueError, match="link"):
-        score_residuals(fit, design, np.array([0.0, 1.0, 1.0]), Link.LOGIT)
+    np.testing.assert_allclose(predict(fit, design[1:]), [1.0, 2.0],
+                               rtol=0, atol=1e-12)
+    for other in (np.ones((3, 1)), _with_intercept([0.0], [1.0]),
+                  np.ones(2)):
+        with pytest.raises(ValueError, match="as in the fit"):
+            predict(fit, other)
 
 
 def _logit_oracle_problems(rng, case, count=25):
@@ -271,9 +264,8 @@ def _logit_oracle_problems(rng, case, count=25):
     for _ in range(count):
         n = int(rng.integers(20, 400))
         p = int(rng.integers(1, 4))
-        design = DesignSpec.from_columns(
-            {f"x{j}": rng.normal(size=n) for j in range(p)})
-        eta = rng.normal() + design.matrix @ rng.uniform(-3.0, 3.0, size=p)
+        design = _with_intercept(*(rng.normal(size=n) for _ in range(p)))
+        eta = rng.normal() + design[:, 1:] @ rng.uniform(-3.0, 3.0, size=p)
         b = rng.normal(scale=2.0, size=n)
         if case == "continuous":
             z = rng.uniform(0.0, 1.0, size=n)
@@ -300,6 +292,6 @@ def test_logit_iterates_match_two_logaddexp_oracle(case):
             continue
         tol_abs = 1e-8 * (1.0 + wt.sum())
         beta, iterations = fit_logit_two_logaddexp(
-            design.expanded(), z, b, wt, tol_abs)
+            design, z, b, wt, tol_abs)
         assert np.array_equal(fit.coefficients, beta)
         assert fit.iterations == iterations

@@ -1,13 +1,14 @@
 """The fit-on-train/predict-on-held driver against the fold loops it replaced.
 
 ``nuisance._held_out_predictions`` fits every nuisance model on a row mask
-of one ``Dataset``; no cross-fitting is its single split where training
-and held-out rows are both the whole sample. The oracles in
-``tests/oracles.py`` are the loops written before it: each fit received a
-``Dataset.subset`` copy of its training rows, and each caller kept its own
-degeneracy checks. On random problems both must give bit-identical
-prediction vectors and truncation counts, or raise the same exception
-type.
+of one model matrix, built once per model by ``LearnerSpec.design_for``;
+no cross-fitting is its single split where training and held-out rows are
+both the whole sample. The oracles in ``tests/oracles.py`` are the loops
+written before it: each fit received a ``Dataset`` copy of its training
+rows and built its model matrix on those rows alone, and each caller kept
+its own degeneracy checks. On random problems both must give
+bit-identical prediction vectors and truncation counts, or raise the same
+exception type.
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ def _same_failure(oracle, library, folded):
     """Run both; when the oracle raises, the library raises the same type.
 
     Two exceptions when ``folded``, both failures of the same input: the
-    oracle's ``Dataset.subset`` rejected a fold complement without
+    oracle's ``subset`` rejected a fold complement without
     untreated rows as a bare ValueError, where the driver names the fold;
     and where one call meets two faults, each side reports the first it
     meets. The oracle checked every fold for degeneracy up front and then

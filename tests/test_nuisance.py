@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eiftools import longitudinal as lng
 from eiftools.data import Dataset
 from eiftools.glm import Link
 from eiftools.nuisance import (
@@ -14,6 +15,7 @@ from eiftools.nuisance import (
     FoldDegeneracyError,
     InsufficientDataError,
     LearnerSpec,
+    NuisanceError,
     NuisanceEstimates,
     crossfit,
     fit_nuisance,
@@ -21,7 +23,8 @@ from eiftools.nuisance import (
     fit_propensity,
     fold_partition,
 )
-from helpers import count_predicted_rows, random_point_dataset
+from helpers import (count_predicted_rows, random_long_dataset,
+                     random_point_dataset)
 from oracles import knn_mean_brute_force
 
 
@@ -118,13 +121,81 @@ def test_learner_spec_parse_accepts_exactly_what_round_trips(case):
 
 
 def test_basis_design_column_names():
+    # Columns in order: intercept, u, u^2, u^3, v, v^2, v^3, u:v.
     spec = LearnerSpec("glm_with_basis", degree=3, interactions=True)
     matrix = np.arange(8.0).reshape(4, 2)
-    design = spec.design_for(("u", "v"), matrix)
-    assert design.names == ("u", "u^2", "u^3", "v", "v^2", "v^3", "u:v")
-    np.testing.assert_array_equal(design.matrix[:, 1], matrix[:, 0] ** 2)
-    np.testing.assert_array_equal(design.matrix[:, 6],
-                                  matrix[:, 0] * matrix[:, 1])
+    u, v = matrix.T
+    expected = np.column_stack([np.ones(4), u, u ** 2, u ** 3,
+                                v, v ** 2, v ** 3, u * v])
+    np.testing.assert_array_equal(spec.design_for(matrix), expected)
+    np.testing.assert_array_equal(
+        LearnerSpec("glm_main_terms").design_for(matrix),
+        np.column_stack([np.ones(4), u, v]))
+    knn = LearnerSpec("k_nearest_neighbors", k=2).design_for(matrix)
+    np.testing.assert_array_equal(knn, matrix)
+
+
+@st.composite
+def learners_and_rows(draw):
+    kind = draw(st.sampled_from(["glm_main_terms", "glm_with_basis",
+                                 "k_nearest_neighbors"]))
+    if kind == "glm_with_basis":
+        spec = LearnerSpec(kind, degree=draw(st.integers(1, 4)),
+                           interactions=draw(st.booleans()))
+    else:
+        spec = LearnerSpec(kind,
+                           k=3 if kind == "k_nearest_neighbors" else None)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 30)), draw(st.integers(0, 4))
+    x = rng.normal(scale=draw(st.sampled_from([1.0, 1e3])), size=(n, d))
+    rows = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    return spec, x, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=learners_and_rows())
+def test_design_rows_equal_design_of_rows(case):
+    # Fold fits and predicts take rows of one model matrix, so the matrix
+    # of a row subset must be that subset of the matrix, bit for bit.
+    spec, x, rows = case
+    assert np.array_equal(spec.design_for(x)[rows], spec.design_for(x[rows]))
+
+
+def test_design_with_overflow_names_the_learner():
+    x = np.array([[1.0], [1e200], [2.0]])
+    spec = LearnerSpec("glm_with_basis", degree=2)
+    with pytest.raises(NuisanceError, match="glm_with_basis:degree=2"):
+        spec.design_for(x)
+    # Main terms hold 1e200 itself, which is finite.
+    LearnerSpec("glm_main_terms").design_for(x)
+
+
+def test_each_model_matrix_is_built_once_per_call(monkeypatch):
+    calls = []
+    design_for = LearnerSpec.design_for
+
+    def counted(self, matrix):
+        calls.append(self.describe())
+        return design_for(self, matrix)
+    monkeypatch.setattr(LearnerSpec, "design_for", counted)
+    glm, basis, logit = (LearnerSpec("glm_main_terms"),
+                         LearnerSpec("glm_with_basis", degree=2),
+                         LearnerSpec("glm_main_terms", link=Link.LOGIT))
+    crossfit(random_point_dataset(np.random.default_rng(3), n=60), basis,
+             glm, n_folds=5, seed=1)
+    assert calls == [basis.describe(), glm.describe()]
+
+    calls.clear()
+    data = random_long_dataset(np.random.default_rng(8), n=120)
+    nuis = lng.fit_sequential_nuisances(data, glm, glm, logit, n_folds=4,
+                                        seed=2)
+    assert not nuis.g1_degenerate
+    assert calls == [glm.describe(), glm.describe(), logit.describe()]
+
+    calls.clear()
+    lng._fit_emu(data, nuis.mu_hat, glm, "weighted_logistic", (0.0, 1.0),
+                 nuis.fold_assignment)
+    assert calls == [logit.describe()]
 
 
 def test_outcome_fit_matches_stratum_means_on_saturated_data():
