@@ -31,8 +31,7 @@ import numpy as np
 from .data import Dataset, LongDataset
 from .estimators import DegenerateOutcomeError
 from .glm import GlmError
-from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, NuisanceError,
-                       check_fold_count)
+from .nuisance import DEFAULT_TRUNCATION, LearnerSpec, NuisanceError
 from .simulation import (DgpConfig, DgpValidationError, EstimationPlan,
                          LONG_ESTIMATORS, POINT_ESTIMATORS, AnalyticTruthError,
                          fit_plan_nuisance, fit_plan_nuisance_long, generate,
@@ -205,21 +204,12 @@ def _require_column(columns: Dict[str, np.ndarray], name: str,
     return columns.pop(name)
 
 
-def _check_binary(values: np.ndarray, name: str, path: str):
-    bad = np.flatnonzero((values != 0.0) & (values != 1.0))
-    if bad.size:
-        raise UsageError(
-            f"{path}: treatment column {name!r} must be coded 0/1, "
-            f"found {float(values[bad[0]])!r}")
-
-
 def read_point_csv(path: str, treatment_col: str = "a",
                    outcome_col: str = "y",
                    y_bounds: Optional[Tuple[float, float]] = None) -> Dataset:
     columns = _read_csv_columns(path)
     a = _require_column(columns, treatment_col, path)
     y = _require_column(columns, outcome_col, path)
-    _check_binary(a, treatment_col, path)
     try:
         return Dataset.from_columns(columns, a, y, y_bounds=y_bounds)
     except ValueError as exc:
@@ -233,8 +223,6 @@ def read_long_csv(path: str,
     a0 = _require_column(columns, "a0", path)
     a1 = _require_column(columns, "a1", path)
     y = _require_column(columns, "y", path)
-    _check_binary(a0, "a0", path)
-    _check_binary(a1, "a1", path)
     w0 = {name[len("w0_"):]: vals for name, vals in columns.items()
           if name.startswith("w0_")}
     w1 = {name[len("w1_"):]: vals for name, vals in columns.items()
@@ -325,11 +313,7 @@ def _load_dgp(path: str) -> DgpConfig:
         d = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
-    dgp = DgpConfig.from_dict(d)
-    problems = dgp.validate()
-    if problems:
-        raise DgpValidationError(problems)
-    return dgp
+    return DgpConfig.from_dict(d).check()
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +344,8 @@ def cmd_estimate(args) -> int:
     else:
         data = read_long_csv(args.data, y_bounds=plan.y_bounds)
     try:
-        if plan.n_folds is not None:
-            check_fold_count(plan.n_folds, data.n_obs)
-        plan.check_covariates(args.design, data.covariate_names
-                              if args.design == "point" else ())
+        plan.check_data(args.design, data.n_obs, data.covariate_names
+                        if args.design == "point" else ())
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     names = _parse_estimators(args.estimators, args.design)

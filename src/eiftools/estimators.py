@@ -122,9 +122,13 @@ def wald_inference(eif: np.ndarray, psi_hat: float
     return se, (psi_hat - Z975 * se, psi_hat + Z975 * se)
 
 
-def _clever_covariate(data: Dataset, nuisance: NuisanceEstimates) -> np.ndarray:
+def _check_sizes(data: Dataset, nuisance: NuisanceEstimates) -> None:
     if nuisance.n_obs != data.n_obs:
         raise ValueError("nuisance estimates do not match the dataset size")
+
+
+def _clever_covariate(data: Dataset, nuisance: NuisanceEstimates) -> np.ndarray:
+    _check_sizes(data, nuisance)
     return (data.treatment == 0.0).astype(float) / nuisance.propensity_pred
 
 
@@ -156,8 +160,7 @@ def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     has no general validity guarantee; the caveat is flagged in
     diagnostics.
     """
-    if nuisance.n_obs != data.n_obs:
-        raise ValueError("nuisance estimates do not match the dataset size")
+    _check_sizes(data, nuisance)
     psi = float(np.mean(nuisance.outcome_pred))
     return _result(
         "gcomp", data, nuisance.outcome_pred, nuisance, psi,

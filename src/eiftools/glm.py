@@ -185,7 +185,8 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
     for iteration in range(max_iterations):
         if np.max(np.abs(score)) <= tol_abs:
             return beta, score, iteration
-        info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
+        with np.errstate(over="ignore"):  # reported below
+            info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
         if not np.all(np.isfinite(info)):
             raise SingularDesignError(
                 "logit-link information matrix is not finite")

@@ -343,10 +343,7 @@ class NuisanceEstimates:
                              "1-d arrays of equal length")
         if not np.all(np.isfinite(mu)):
             raise ValueError("outcome predictions contain non-finite values")
-        lo, hi = self.truncation_bounds
-        if not (0.0 < lo < hi < 1.0):
-            raise ValueError(f"truncation bounds ({lo}, {hi}) must satisfy "
-                             "0 < lo < hi < 1")
+        lo, hi = _validate_truncation(self.truncation_bounds)
         if np.any(g < lo) or np.any(g > hi):
             raise ValueError("propensity predictions violate the truncation bounds")
         fa = self.fold_assignment
@@ -368,12 +365,6 @@ def _validate_truncation(truncation) -> Tuple[float, float]:
     if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"truncation bounds ({lo}, {hi}) must satisfy 0 < lo < hi < 1")
     return lo, hi
-
-
-def _restrict(data: Dataset, covariates: Optional[Sequence[str]]) -> Dataset:
-    if covariates is None:
-        return data
-    return data.select_covariates(covariates)
 
 
 def _outcome_model(learner: LearnerSpec, x: np.ndarray,
@@ -446,8 +437,7 @@ def fit_outcome(data: Dataset, learner: LearnerSpec,
     InsufficientDataError
         Fewer than 2 untreated observations.
     """
-    data = _restrict(data, covariates)
-    x = learner.design_for(data.covariates)
+    x = learner.design_for(data.covariate_matrix(covariates))
     out = _outcome_model(learner, x, data.treatment, data.outcome,
                          data.y_bounds)
     out.predictions = out.predict(x)
@@ -496,8 +486,7 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
         Only one treatment level present.
     """
     lo, hi = _validate_truncation(truncation)
-    data = _restrict(data, covariates)
-    x = learner.design_for(data.covariates)
+    x = learner.design_for(data.covariate_matrix(covariates))
     predictor = _propensity_model(learner, x, data.treatment)
     raw = predictor.predict(x)
     n_trunc = int(np.sum((raw < lo) | (raw > hi)))
@@ -542,13 +531,13 @@ def _point_nuisances(data: Dataset, outcome_learner: LearnerSpec,
     lo, hi = _validate_truncation(truncation)
     a = data.treatment
     x_out = outcome_learner.design_for(
-        _restrict(data, outcome_covariates).covariates)
+        data.covariate_matrix(outcome_covariates))
     outcome_pred = _held_out_predictions(
         lambda rows: _outcome_model(outcome_learner, x_out, a, data.outcome,
                                     data.y_bounds, rows),
         x_out, assignment)
     x_prop = propensity_learner.design_for(
-        _restrict(data, propensity_covariates).covariates)
+        data.covariate_matrix(propensity_covariates))
     raw = _held_out_predictions(
         lambda rows: _propensity_model(propensity_learner, x_prop, a, rows),
         x_prop, assignment)

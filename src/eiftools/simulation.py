@@ -793,10 +793,13 @@ class EstimationPlan:
     def __post_init__(self):
         _validate_truncation(self.truncation)
 
-    def check_covariates(self, design: str, names: Sequence[str]):
-        """Raise ValueError unless the covariate restrictions name
-        covariates of the data (``names``); the longitudinal design
-        supports none."""
+    def check_data(self, design: str, n_obs: int, names: Sequence[str]):
+        """Raise ValueError unless the plan fits data of ``design`` with
+        ``n_obs`` rows and covariates ``names``: the fold count lies in
+        [2, ``n_obs``], and the covariate restrictions name covariates of
+        the data (the longitudinal design supports none)."""
+        if self.n_folds is not None:
+            check_fold_count(self.n_folds, n_obs)
         restrictions = (("outcome", self.outcome_covariates),
                         ("propensity", self.propensity_covariates))
         for role, cols in restrictions:
@@ -965,7 +968,7 @@ def fit_plan_nuisance(data: Dataset, plan: EstimationPlan, fold_seed: int = 0):
 def fit_plan_nuisance_long(data: LongDataset, plan: EstimationPlan,
                            fold_seed: int = 0) -> SequentialNuisances:
     """Longitudinal nuisance estimates under the plan."""
-    plan.check_covariates("longitudinal", ())
+    plan.check_data("longitudinal", data.n_obs, ())
     return long_est.fit_sequential_nuisances(
         data, g0_learner=plan.propensity_learner,
         g1_learner=plan.propensity_learner,
@@ -1031,9 +1034,7 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
         raise ValueError("replications must be at least 2")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if plan.n_folds is not None:
-        check_fold_count(plan.n_folds, n)
-    plan.check_covariates(dgp.design, dgp.w0_names)
+    plan.check_data(dgp.design, n, dgp.w0_names)
     valid = POINT_ESTIMATORS if dgp.design == "point" else LONG_ESTIMATORS
     unknown = set(estimator_names) - set(valid)
     if unknown:

@@ -418,8 +418,13 @@ def propensity_model_on_subset(data, learner):
         fit_glm(learner.design_for(data.covariates), z, Link.LOGIT)), learner)
 
 
-def _restricted(data, covariates):
-    return data if covariates is None else data.select_covariates(covariates)
+def restricted(data, covariates):
+    """``data`` on the named covariate columns, rebuilt as a new Dataset."""
+    if covariates is None:
+        return data
+    cols = {name: data.covariate_column(name) for name in covariates}
+    return Dataset.from_columns(cols, data.treatment, data.outcome,
+                                y_bounds=data.y_bounds)
 
 
 def point_nuisances_by_subsets(data, outcome_learner, propensity_learner,
@@ -431,16 +436,16 @@ def point_nuisances_by_subsets(data, outcome_learner, propensity_learner,
     count, fold assignment)."""
     lo, hi = truncation
     if n_folds is None:
-        out_data = _restricted(data, outcome_covariates)
+        out_data = restricted(data, outcome_covariates)
         outcome = outcome_model_on_subset(out_data, outcome_learner)
-        prop_data = _restricted(data, propensity_covariates)
+        prop_data = restricted(data, propensity_covariates)
         raw = propensity_model_on_subset(prop_data, propensity_learner
                                          ).predict(prop_data.covariates)
         return (outcome.predict(out_data.covariates), np.clip(raw, lo, hi),
                 int(np.sum((raw < lo) | (raw > hi))), None)
     assignment = nu.fold_partition(data.n_obs, n_folds, seed)
-    x_out = _restricted(data, outcome_covariates).covariates
-    x_prop = _restricted(data, propensity_covariates).covariates
+    x_out = restricted(data, outcome_covariates).covariates
+    x_prop = restricted(data, propensity_covariates).covariates
     outcome_pred = np.empty(data.n_obs)
     propensity_pred = np.empty(data.n_obs)
     n_truncated = 0
@@ -453,9 +458,9 @@ def point_nuisances_by_subsets(data, outcome_learner, propensity_learner,
             raise nu.FoldDegeneracyError(f"fold {fold}: < 2 untreated")
         try:
             out = outcome_model_on_subset(
-                _restricted(train, outcome_covariates), outcome_learner)
+                restricted(train, outcome_covariates), outcome_learner)
             prop = propensity_model_on_subset(
-                _restricted(train, propensity_covariates), propensity_learner)
+                restricted(train, propensity_covariates), propensity_learner)
         except nu.InsufficientDataError as exc:
             raise nu.FoldDegeneracyError(f"fold {fold}: {exc}") from exc
         outcome_pred[held_out] = out.predict(x_out[held_out])

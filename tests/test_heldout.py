@@ -20,9 +20,11 @@ from eiftools import longitudinal as lng
 from eiftools.data import Dataset, LongDataset
 from eiftools.glm import GlmError, Link
 from eiftools.nuisance import (FoldDegeneracyError, LearnerSpec,
-                               NuisanceError, crossfit, fit_nuisance)
-from oracles import (emu_by_subsets, point_nuisances_by_subsets,
-                     sequential_nuisances_by_subsets)
+                               NuisanceError, crossfit, fit_nuisance,
+                               fit_outcome, fit_propensity)
+from oracles import (emu_by_subsets, outcome_model_on_subset,
+                     point_nuisances_by_subsets, propensity_model_on_subset,
+                     restricted, sequential_nuisances_by_subsets)
 
 OUTCOME_LEARNERS = ("glm_main_terms", "glm_main_terms:link=logit",
                     "glm_with_basis:degree=2,interactions=true",
@@ -99,8 +101,9 @@ def point_problems(draw):
     y = _outcome(rng, draw, 0.8 * first - 0.5 * a)
     data = Dataset.from_columns(dict(zip(names, w.T)), a, y,
                                 y_bounds=_declared_bounds(draw, y))
-    restrict = draw(st.sampled_from([None, "none", "first"]))
-    restrictions = {None: None, "none": (), "first": names[:1]}
+    restrict = draw(st.sampled_from([None, "none", "first", "reversed"]))
+    restrictions = {None: None, "none": (), "first": names[:1],
+                    "reversed": names[::-1]}
     return dict(
         data=data,
         outcome_learner=LearnerSpec.parse(
@@ -110,7 +113,7 @@ def point_problems(draw):
         truncation=draw(st.sampled_from(TRUNCATIONS)),
         outcome_covariates=restrictions[restrict],
         propensity_covariates=restrictions[
-            draw(st.sampled_from([None, "none", "first"]))],
+            draw(st.sampled_from([None, "none", "first", "reversed"]))],
     ), draw(st.sampled_from([None, 2, 5])), draw(st.integers(0, 99))
 
 
@@ -139,6 +142,46 @@ def test_point_nuisances_match_subset_fold_loop(problem):
         assert got.fold_assignment is None
     else:
         assert np.array_equal(got.fold_assignment, assignment)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60),
+       order=st.permutations(range(4)), width=st.integers(2, 4))
+def test_reordered_restriction_gives_knn_the_oracles_layout(seed, n, order,
+                                                           width):
+    # kNN standardizes with a column mean and scale, whose rounding
+    # depends on the memory layout of the restricted matrix; the oracle
+    # rebuilds a Dataset on the named columns, which stores them
+    # C-contiguous.
+    rng = np.random.default_rng(seed)
+    names = ("w0", "w1", "w2", "w3")
+    w = rng.normal(size=(n, 4)) * rng.uniform(0.1, 100.0, size=4)
+    a = (rng.random(n) < 0.5).astype(float)
+    a[:3], a[3] = 0.0, 1.0
+    y = rng.normal(size=n)
+    data = Dataset.from_columns(dict(zip(names, w.T)), a, y)
+    chosen = tuple(names[j] for j in order[:width])
+    if chosen == tuple(sorted(chosen)):
+        chosen = chosen[::-1]
+    rebuilt = restricted(data, chosen)
+    learner = LearnerSpec.parse("k_nearest_neighbors:k=2")
+
+    outcome = fit_outcome(data, learner, covariates=chosen)
+    want = outcome_model_on_subset(rebuilt, learner)
+    assert np.array_equal(outcome._predictor.center,
+                          want.model._predictor.center)
+    assert np.array_equal(outcome._predictor.scale,
+                          want.model._predictor.scale)
+    assert np.array_equal(outcome.predictions,
+                          want.predict(rebuilt.covariates))
+
+    propensity = fit_propensity(data, learner, covariates=chosen)
+    want = propensity_model_on_subset(rebuilt, learner)
+    assert np.array_equal(propensity._predictor.center, want.center)
+    assert np.array_equal(propensity._predictor.scale, want.scale)
+    assert np.array_equal(propensity.predictions,
+                          np.clip(want.predict(rebuilt.covariates),
+                                  *propensity.truncation))
 
 
 @st.composite
