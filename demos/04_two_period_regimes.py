@@ -30,7 +30,7 @@ dgp = DgpConfig.from_dict(json.loads(config_path.read_text()))
 data = generate(dgp, 800, replicate_seed(3, 0))
 
 nuis = fit_sequential_nuisances(data)
-fit = tmle_long(data, variant="weighted_logistic", nuisances=nuis)
+fit = tmle_long(data, nuis, variant="weighted_logistic")
 d = fit.diagnostics
 print(f"theta_hat = {fit.psi_hat:.4f}  (se {fit.se:.4f})")
 print(f"step 3 residual: {d['step3_score_residual']:.2e} on weight sum "
@@ -55,7 +55,8 @@ as_long = LongDataset.from_columns({"w": w}, a, {}, np.zeros(n), y)
 learner = LearnerSpec.parse("glm_main_terms")
 point_fit = tmle(point, fit_nuisance(point, learner, learner),
                  "weighted_linear")
-long_fit = tmle_long(as_long, variant="weighted_linear")
+long_fit = tmle_long(as_long, fit_sequential_nuisances(as_long),
+                     variant="weighted_linear")
 
 print(f"\none-period  psi_hat: {point_fit.psi_hat:.12f}  se {point_fit.se:.12f}")
 print(f"two-period  psi_hat: {long_fit.psi_hat:.12f}  se {long_fit.se:.12f}")

@@ -7,6 +7,12 @@ their one-parameter targeting steps, GLMs fit on plain model matrices,
 pluggable nuisance learners that build each model matrix once per call and
 fit and predict on row subsets of it (with optional cross-fitting), and a
 simulation harness with known-truth oracles.
+
+Estimation runs in two stages. ``fit_nuisance``/``crossfit`` (point) and
+``fit_sequential_nuisances`` (two periods) fit the initial nuisances, each
+model through ``fit_outcome`` or ``fit_propensity``; every estimator
+(``gcomp``, ``one_step``, ``tmle``, ``one_step_long``, ``tmle_long``) then
+takes the data and those fitted nuisances.
 """
 
 from .data import Dataset, LongDataset

@@ -52,7 +52,9 @@ def _as_matrix(name: str, names: Sequence[str], values, n: int
     names = tuple(str(v) for v in names)
     if len(set(names)) != len(names):
         raise ValueError(f"{name} column names must be unique")
-    mat = np.asarray(values, dtype=float)
+    # C order, so that column statistics (kNN's standardization) round the
+    # same whatever layout the caller passed.
+    mat = np.ascontiguousarray(values, dtype=float)
     if mat.size == 0 and not names:
         mat = np.empty((n, 0))
     if mat.ndim == 1:

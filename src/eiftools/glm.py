@@ -78,15 +78,14 @@ class NonConvergenceError(GlmError):
 
 @dataclass
 class GlmFit:
-    """A solved (or attempted) maximum-likelihood fit.
+    """A converged maximum-likelihood fit (``fit_glm`` raises otherwise).
 
     ``score_residuals`` holds the per-parameter score sums at
-    ``coefficients``; when ``converged`` their largest magnitude is at most
+    ``coefficients``; their largest magnitude is at most
     ``score_tolerance * (1 + sum(weights))``.
     """
 
     coefficients: np.ndarray
-    converged: bool
     iterations: int
     score_residuals: np.ndarray
     link: Link
@@ -277,7 +276,6 @@ def fit_glm(X, response, link: Link,
             X, z, b, wt, tol_abs, max_iterations)
     return GlmFit(
         coefficients=beta,
-        converged=True,
         iterations=iterations,
         score_residuals=score,
         link=link,

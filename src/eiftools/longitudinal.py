@@ -12,12 +12,13 @@ and the influence function is
 with mu = E(Y | W0, A0=0, W1, A1=0), e = E(mu | W0, A0=0),
 g0 = P(A0=0 | W0), g1 = P(A1=0 | W0, A0=0, W1).
 
-Estimation runs in six steps: fit g0 and g1; fit mu; fluctuate mu so the
-R-weighted score over Y is zero (giving mu*); regress mu* on W0 among the
-A0=0 rows (giving e); fluctuate e so the H-weighted score over mu* is
-zero (giving e*); report theta_hat = mean(e*). Both fluctuations go
-through :func:`eiftools.estimators.fluctuate`, the point design's
-targeting kernel.
+Estimation runs in six steps. :func:`fit_sequential_nuisances` fits g0
+and g1, then mu. :func:`tmle_long` takes those fits, fluctuates mu so
+the R-weighted score over Y is zero (giving mu*), regresses mu* on W0
+among the A0=0 rows (giving e), fluctuates e so the H-weighted score
+over mu* is zero (giving e*) and reports theta_hat = mean(e*). Both
+fluctuations go through :func:`eiftools.estimators.fluctuate`, the point
+design's targeting kernel.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .data import LongDataset
-from .estimators import (EstimateResult, _labelled_fluctuation,
+from .estimators import (EstimateResult, _check_sizes, _labelled_fluctuation,
                          _scaling_bounds, wald_inference)
 from .glm import Link
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, _held_out_predictions,
-                       _outcome_model, _propensity_model,
-                       _validate_truncation, fold_partition)
+                       _validate_truncation, fit_outcome, fit_propensity,
+                       fold_partition)
 
 __all__ = [
     "LONG_VARIANTS",
@@ -79,7 +80,11 @@ class SequentialNuisances:
 
 def _weights(data: LongDataset, nuis: SequentialNuisances
              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Clever weights (R, H) for the two targeting steps."""
+    """Clever weights (R, H) for the two targeting steps.
+
+    Raises ValueError if ``nuis`` was fit on a dataset of another size.
+    """
+    _check_sizes(data, nuis)
     both = ((data.a0 == 0.0) & (data.a1 == 0.0)).astype(float)
     first = (data.a0 == 0.0).astype(float)
     return both / (nuis.g0 * nuis.g1), first / nuis.g0
@@ -137,11 +142,11 @@ def fit_sequential_nuisances(
             return model(learner, x, *args, rows)
         return _held_out_predictions(fit, x, assignment)
 
-    raw = [held_out(_propensity_model, g0_learner, data.w0, None, data.a0)]
+    raw = [held_out(fit_propensity, g0_learner, data.w0, None, data.a0)]
     if not g1_degenerate:
-        raw.append(held_out(_propensity_model, g1_learner, history,
+        raw.append(held_out(fit_propensity, g1_learner, history,
                             stage2_rows, data.a1))
-    mu_hat = held_out(_outcome_model, mu_learner, history, mu_rows, data.a1,
+    mu_hat = held_out(fit_outcome, mu_learner, history, mu_rows, data.a1,
                       data.outcome, data.y_bounds)
     g0 = np.clip(raw[0], lo, hi)
     g1 = np.ones(data.n_obs) if g1_degenerate else np.clip(raw[1], lo, hi)
@@ -167,8 +172,8 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
         learner = replace(learner, link=Link.LOGIT)
     x = learner.design_for(data.w0)
     return _held_out_predictions(
-        lambda rows: _outcome_model(learner, x, data.a0, response, bounds,
-                                    rows),
+        lambda rows: fit_outcome(learner, x, data.a0, response, bounds,
+                                 rows),
         x, assignment)
 
 
@@ -188,11 +193,11 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
     point-treatment one-step, the estimate is not constrained to the
     outcome bounds.
     """
+    r, h = _weights(data, nuisances)
     emu = _fit_emu(data, nuisances.mu_hat, emu_learner, "weighted_linear",
                    None, nuisances.fold_assignment)
     work = replace(nuisances, mu_star=nuisances.mu_hat, emu_hat=emu,
                    emu_star=emu)
-    r, h = _weights(data, work)
     plug_in = float(np.mean(emu))
     theta = plug_in + float(np.mean(
         r * (data.outcome - work.mu_hat) + h * (work.mu_hat - emu)))
@@ -211,26 +216,22 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
     )
 
 
-def tmle_long(data: LongDataset,
-              g0_learner: LearnerSpec = _DEFAULT_LEARNER,
-              g1_learner: LearnerSpec = _DEFAULT_LEARNER,
-              mu_learner: LearnerSpec = _DEFAULT_LEARNER,
-              emu_learner: LearnerSpec = _DEFAULT_LEARNER,
-              truncation: Tuple[float, float] = DEFAULT_TRUNCATION,
+def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
               variant: str = "weighted_linear",
-              y_bounds: Optional[Tuple[float, float]] = None,
-              n_folds: Optional[int] = None,
-              seed: Optional[int] = None,
-              nuisances: Optional[SequentialNuisances] = None
+              emu_learner: LearnerSpec = _DEFAULT_LEARNER,
+              y_bounds: Optional[Tuple[float, float]] = None
               ) -> LongEstimateResult:
-    """Two-time-point TMLE of theta = E(Y^{0,0}).
+    """Two-time-point TMLE of theta = E(Y^{0,0}) from fitted nuisances.
 
-    Steps: (1) fit g0; (2) fit g1; (3) fit mu on the A0 = A1 = 0 rows and
-    fluctuate it with weights R = I(A0=A1=0)/(g0 g1), zeroing
-    sum(R (Y - mu*)); (4) regress mu* on W0 among A0 = 0 rows; (5)
-    fluctuate that regression with weights H = I(A0=0)/g0, zeroing
-    sum(H (mu* - e*)); (6) theta_hat = mean(e*). Inference comes from the
-    influence function evaluated at (mu*, e*, theta_hat).
+    ``nuisances`` holds the initial fits g0, g1 and mu_hat, as from
+    :func:`fit_sequential_nuisances`. The remaining steps: (3) fluctuate
+    mu_hat with weights R = I(A0=A1=0)/(g0 g1), zeroing
+    sum(R (Y - mu*)); (4) regress mu* on W0 among A0 = 0 rows with
+    ``emu_learner``; (5) fluctuate that regression with weights
+    H = I(A0=0)/g0, zeroing sum(H (mu* - e*)); (6) theta_hat = mean(e*).
+    Inference comes from the influence function evaluated at
+    (mu*, e*, theta_hat). With cross-fitted ``nuisances``, step 4 is
+    cross-fit on the same partition.
 
     Parameters
     ----------
@@ -241,18 +242,15 @@ def tmle_long(data: LongDataset,
     y_bounds : (float, float), optional
         Scaling bounds for ``weighted_logistic``; default is the
         dataset's declared or observed outcome range.
-    n_folds, seed : optional
-        Cross-fit all nuisance regressions on one shared seeded partition.
-    nuisances : SequentialNuisances, optional
-        Reuse precomputed g0/g1/mu_hat (learner and fold arguments for
-        those fits are then ignored).
 
     Raises
     ------
+    ValueError
+        Unknown ``variant``, or ``nuisances`` of another dataset size.
     DegenerateOutcomeError
         ``weighted_logistic`` with y_min = y_max.
     InsufficientDataError, FoldDegeneracyError
-        Too little data in a required stratum (fold named when
+        Too little data for the step 4 regression (fold named when
         cross-fitting).
     GlmError
         Model failure, annotated with the step that raised it (as is a
@@ -262,11 +260,6 @@ def tmle_long(data: LongDataset,
         raise ValueError(f"unknown variant {variant!r}; expected one of "
                          f"{LONG_VARIANTS}")
     bounds = _scaling_bounds(variant, data, y_bounds)
-
-    if nuisances is None:
-        nuisances = fit_sequential_nuisances(
-            data, g0_learner, g1_learner, mu_learner, truncation,
-            n_folds=n_folds, seed=seed)
     r, h = _weights(data, nuisances)
 
     step3 = _labelled_fluctuation(

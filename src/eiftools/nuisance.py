@@ -7,6 +7,13 @@ predictive power. Outcome models condition on the untreated subset
 Propensity models predict ``P(A = 0 | W)`` and are truncated into a
 positivity interval.
 
+``fit_outcome`` and ``fit_propensity`` fit one model on rows of a
+learner's model matrix and return its predictor; they are the only way
+a nuisance model is fit. ``fit_nuisance`` and ``crossfit`` drive them
+over the folds of a point dataset, and
+``longitudinal.fit_sequential_nuisances`` over the strata of a
+two-period one.
+
 Cross-fitting splits the sample into seeded folds and gives each
 observation predictions from models that never saw its fold.
 """
@@ -24,8 +31,6 @@ from .glm import GlmFit, Link, fit_glm, predict
 __all__ = [
     "LearnerSpec",
     "NuisanceEstimates",
-    "OutcomeFit",
-    "PropensityFit",
     "NuisanceError",
     "InsufficientDataError",
     "FoldDegeneracyError",
@@ -190,13 +195,25 @@ class LearnerSpec:
 
 
 class _GlmPredictor:
-    """GLM fit that predicts on rows of its learner's ``design_for`` matrix."""
+    """GLM fit that predicts on rows of its learner's ``design_for`` matrix.
 
-    def __init__(self, fit: GlmFit):
+    With ``bounds`` (lo, hi) the fit regresses the outcome rescaled into
+    [0, 1] with a logit link, and predictions are mapped back onto
+    [lo, hi] after clipping by ``OUTCOME_PROB_CLIP``.
+    """
+
+    def __init__(self, fit: GlmFit,
+                 bounds: Optional[Tuple[float, float]] = None):
         self.fit = fit
+        self.bounds = bounds
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        return predict(self.fit, matrix)
+        raw = predict(self.fit, matrix)
+        if self.bounds is None:
+            return raw
+        lo, hi = self.bounds
+        p = np.clip(raw, OUTCOME_PROB_CLIP, 1.0 - OUTCOME_PROB_CLIP)
+        return lo + (hi - lo) * p
 
 
 # Query rows are searched in blocks of about this many float64 entries
@@ -276,47 +293,6 @@ class _ConstantPredictor:
         return np.full(matrix.shape[0], self.value)
 
 
-@dataclass
-class OutcomeFit:
-    """Fitted outcome regression Ê(Y | A=0, W).
-
-    ``predictions`` holds the full-sample predictions from
-    ``fit_outcome``; it is empty for fits made only to predict held-out
-    rows through ``predict``.
-    """
-
-    learner: LearnerSpec
-    predictions: np.ndarray
-    n_fit: int
-    _predictor: object
-    _bounds: Optional[Tuple[float, float]]
-
-    def predict(self, matrix: np.ndarray) -> np.ndarray:
-        """Predictions on rows of ``learner.design_for(covariates)``."""
-        raw = self._predictor.predict(np.asarray(matrix, dtype=float))
-        if self._bounds is None:
-            return raw
-        lo, hi = self._bounds
-        p = np.clip(raw, OUTCOME_PROB_CLIP, 1.0 - OUTCOME_PROB_CLIP)
-        return lo + (hi - lo) * p
-
-
-@dataclass
-class PropensityFit:
-    """Fitted propensity model P̂(A = 0 | W), truncated into ``truncation``."""
-
-    learner: LearnerSpec
-    predictions: np.ndarray
-    truncation: Tuple[float, float]
-    n_truncated: int
-    _predictor: object
-
-    def predict(self, matrix: np.ndarray) -> np.ndarray:
-        """Predictions on rows of ``learner.design_for(covariates)``."""
-        raw = self._predictor.predict(np.asarray(matrix, dtype=float))
-        return np.clip(raw, self.truncation[0], self.truncation[1])
-
-
 @dataclass(frozen=True)
 class NuisanceEstimates:
     """Per-observation nuisance predictions feeding the estimators.
@@ -367,16 +343,22 @@ def _validate_truncation(truncation) -> Tuple[float, float]:
     return lo, hi
 
 
-def _outcome_model(learner: LearnerSpec, x: np.ndarray,
-                   treatment: np.ndarray, outcome: np.ndarray,
-                   y_bounds: Optional[Tuple[float, float]],
-                   rows: Optional[np.ndarray] = None) -> OutcomeFit:
+def fit_outcome(learner: LearnerSpec, x: np.ndarray, treatment: np.ndarray,
+                outcome: np.ndarray, y_bounds: Optional[Tuple[float, float]],
+                rows: Optional[np.ndarray] = None) -> object:
     """Fit Ê(Y | A=0, W) on the untreated rows of mask ``rows`` (None: all).
 
-    ``x`` is ``learner.design_for`` of the model's covariates on all rows.
-    Without declared ``y_bounds``, logit scaling bounds are the outcome
-    range of ``rows``. The returned fit's ``predictions`` is empty; call
-    its ``predict`` on the rows of ``x`` whose predictions are kept.
+    ``x`` is ``learner.design_for`` of the model's covariates on all rows;
+    the returned predictor's ``predict`` gives outcome-scale predictions
+    on rows of ``x``. GLM learners regress Y on ``x``; with ``link=logit``
+    the response is first rescaled into [0, 1] by ``y_bounds`` (None: the
+    outcome range of ``rows``) and predictions are mapped back. kNN
+    averages the outcomes of the k nearest untreated rows.
+
+    Raises
+    ------
+    InsufficientDataError
+        Fewer than 2 untreated rows, or fewer than kNN's k.
     """
     untreated = treatment == 0.0
     if rows is not None:
@@ -394,64 +376,34 @@ def _outcome_model(learner: LearnerSpec, x: np.ndarray,
             raise InsufficientDataError(
                 f"k={learner.k} exceeds the {n_fit} untreated observations"
             )
-        predictor: object = _KnnPredictor(learner.k, x_fit, y_fit)
-        bounds = None
-    elif learner.link is Link.LOGIT:
+        return _KnnPredictor(learner.k, x_fit, y_fit)
+    if learner.link is Link.LOGIT:
         seen = outcome if rows is None else outcome[rows]
         lo, hi = y_bounds or (float(np.min(seen)), float(np.max(seen)))
         if hi <= lo:
             # Constant outcome: the scaled response is undefined, but the
             # regression it stands in for is the constant itself.
-            predictor = _ConstantPredictor(lo)
-            bounds = None
-        else:
-            z = (y_fit - lo) / (hi - lo)
-            predictor = _GlmPredictor(fit_glm(x_fit, z, Link.LOGIT))
-            bounds = (lo, hi)
-    else:
-        predictor = _GlmPredictor(fit_glm(x_fit, y_fit, Link.IDENTITY))
-        bounds = None
-
-    return OutcomeFit(learner=learner, predictions=np.empty(0),
-                      n_fit=n_fit, _predictor=predictor, _bounds=bounds)
+            return _ConstantPredictor(lo)
+        z = (y_fit - lo) / (hi - lo)
+        return _GlmPredictor(fit_glm(x_fit, z, Link.LOGIT), bounds=(lo, hi))
+    return _GlmPredictor(fit_glm(x_fit, y_fit, Link.IDENTITY))
 
 
-def fit_outcome(data: Dataset, learner: LearnerSpec,
-                covariates: Optional[Sequence[str]] = None) -> OutcomeFit:
-    """Fit Ê(Y | A=0, W) on the untreated subset; predict for every row.
-
-    Parameters
-    ----------
-    data : Dataset
-    learner : LearnerSpec
-        GLM learners regress Y on the expanded design; with
-        ``link=logit`` the response is first rescaled into [0, 1] using
-        the dataset's outcome bounds and predictions are mapped back.
-        kNN averages the outcomes of the k nearest untreated neighbors.
-    covariates : sequence of str, optional
-        Restrict the model to these columns (used to force deliberate
-        misspecification in simulations). Predictions still cover all rows.
-
-    Raises
-    ------
-    InsufficientDataError
-        Fewer than 2 untreated observations.
-    """
-    x = learner.design_for(data.covariate_matrix(covariates))
-    out = _outcome_model(learner, x, data.treatment, data.outcome,
-                         data.y_bounds)
-    out.predictions = out.predict(x)
-    return out
-
-
-def _propensity_model(learner: LearnerSpec, x: np.ndarray,
-                      treatment: np.ndarray,
-                      rows: Optional[np.ndarray] = None) -> object:
+def fit_propensity(learner: LearnerSpec, x: np.ndarray,
+                   treatment: np.ndarray,
+                   rows: Optional[np.ndarray] = None) -> object:
     """Fit the untruncated P̂(A = 0 | W) on mask ``rows`` (None: all).
 
     ``x`` is ``learner.design_for`` of the model's covariates on all rows;
     the returned predictor's ``predict`` gives raw, unclipped
-    probabilities on rows of ``x``.
+    probabilities on rows of ``x``. GLM learners model the untreated
+    indicator with a logit link (whatever the learner's declared outcome
+    link); kNN averages the indicator over neighbors.
+
+    Raises
+    ------
+    InsufficientDataError
+        Only one treatment level among ``rows``, or fewer rows than kNN's k.
     """
     a = treatment
     if rows is not None:
@@ -468,33 +420,6 @@ def _propensity_model(learner: LearnerSpec, x: np.ndarray,
             )
         return _KnnPredictor(learner.k, x, z)
     return _GlmPredictor(fit_glm(x, z, Link.LOGIT))
-
-
-def fit_propensity(data: Dataset, learner: LearnerSpec,
-                   truncation: Tuple[float, float] = DEFAULT_TRUNCATION,
-                   covariates: Optional[Sequence[str]] = None) -> PropensityFit:
-    """Fit P̂(A = 0 | W) on all rows and truncate predictions.
-
-    GLM learners model the untreated indicator with a logit link
-    (regardless of the learner's declared outcome link); kNN averages the
-    indicator over neighbors. Raw predictions are clipped into
-    ``truncation`` and the number of clipped rows is recorded.
-
-    Raises
-    ------
-    InsufficientDataError
-        Only one treatment level present.
-    """
-    lo, hi = _validate_truncation(truncation)
-    x = learner.design_for(data.covariate_matrix(covariates))
-    predictor = _propensity_model(learner, x, data.treatment)
-    raw = predictor.predict(x)
-    n_trunc = int(np.sum((raw < lo) | (raw > hi)))
-    return PropensityFit(learner=learner,
-                         predictions=np.clip(raw, lo, hi),
-                         truncation=(lo, hi),
-                         n_truncated=n_trunc,
-                         _predictor=predictor)
 
 
 def _held_out_predictions(fit: Callable[[Optional[np.ndarray]], object],
@@ -533,13 +458,13 @@ def _point_nuisances(data: Dataset, outcome_learner: LearnerSpec,
     x_out = outcome_learner.design_for(
         data.covariate_matrix(outcome_covariates))
     outcome_pred = _held_out_predictions(
-        lambda rows: _outcome_model(outcome_learner, x_out, a, data.outcome,
-                                    data.y_bounds, rows),
+        lambda rows: fit_outcome(outcome_learner, x_out, a, data.outcome,
+                                 data.y_bounds, rows),
         x_out, assignment)
     x_prop = propensity_learner.design_for(
         data.covariate_matrix(propensity_covariates))
     raw = _held_out_predictions(
-        lambda rows: _propensity_model(propensity_learner, x_prop, a, rows),
+        lambda rows: fit_propensity(propensity_learner, x_prop, a, rows),
         x_prop, assignment)
     return NuisanceEstimates(
         outcome_pred=outcome_pred,
@@ -558,7 +483,21 @@ def fit_nuisance(data: Dataset, outcome_learner: LearnerSpec,
                  outcome_covariates: Optional[Sequence[str]] = None,
                  propensity_covariates: Optional[Sequence[str]] = None,
                  ) -> NuisanceEstimates:
-    """Fit both nuisances on the full sample (no cross-fitting)."""
+    """Fit both nuisances on the full sample (no cross-fitting).
+
+    Each model is a ``fit_outcome``/``fit_propensity`` fit on its
+    learner's model matrix, and predicts every row. Raw propensity
+    predictions are clipped into ``truncation`` and the clipped rows are
+    counted in ``n_truncated``. ``outcome_covariates`` and
+    ``propensity_covariates`` restrict a model to those columns (used to
+    force deliberate misspecification in simulations).
+
+    Raises
+    ------
+    InsufficientDataError
+        Fewer than 2 untreated rows, only one treatment level, or fewer
+        rows than a kNN learner's k.
+    """
     return _point_nuisances(data, outcome_learner, propensity_learner,
                             truncation, outcome_covariates,
                             propensity_covariates, None)

@@ -133,9 +133,6 @@ class LinearModel:
             hi += max(a, b)
         return lo, hi
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"intercept": self.intercept, "coefs": dict(self.coefs)}
-
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "LinearModel":
         d = _object(d, ("intercept", "coefs"), where)
@@ -212,16 +209,6 @@ class CovariateSpec:
             return rng.uniform(float(self.low), float(self.high), n)
         return rng.normal(float(self.mean), float(self.sd), n)
 
-    def to_dict(self) -> Dict[str, object]:
-        d: Dict[str, object] = {"name": self.name, "dist": self.dist}
-        for key in ("p", "low", "high", "mean", "sd"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = float(v)
-        if self.model is not None:
-            d["model"] = self.model.to_dict()
-        return d
-
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "CovariateSpec":
         d = _object(d, ("name", "dist", "p", "low", "high", "mean", "sd",
@@ -273,14 +260,6 @@ class NoiseSpec:
                                float(self.half_width), n)
         return np.zeros(n)
 
-    def to_dict(self) -> Dict[str, object]:
-        d: Dict[str, object] = {"kind": self.kind}
-        if self.kind == "normal":
-            d["sd"] = float(self.sd)
-        if self.kind == "uniform":
-            d["half_width"] = float(self.half_width)
-        return d
-
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "NoiseSpec":
         d = _object(d, ("kind", "sd", "half_width"), where)
@@ -318,12 +297,6 @@ class OutcomeSpec:
         if self.scale == "logit":
             return float(expit(lo)), float(expit(hi))
         return lo, hi
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"scale": self.scale, "kind": self.kind,
-                "intercept": self.mean_model.intercept,
-                "coefs": dict(self.mean_model.coefs),
-                "noise": self.noise.to_dict()}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "OutcomeSpec":
@@ -547,21 +520,6 @@ class DgpConfig:
         return self
 
     # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        d: Dict[str, object] = {
-            "design": self.design,
-            "covariates": [c.to_dict() for c in self.covariates],
-            "treatment": self.treatment.to_dict(),
-            "outcome": self.outcome.to_dict(),
-            "positivity_floor": float(self.positivity_floor),
-        }
-        if self.design == "longitudinal":
-            d["w1_covariates"] = [c.to_dict() for c in self.w1_covariates]
-            d["a1"] = self.a1_model.to_dict() if self.a1_model else None
-        if self.y_bounds is not None:
-            d["y_bounds"] = [self.y_bounds[0], self.y_bounds[1]]
-        return d
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "DgpConfig":
@@ -830,31 +788,6 @@ class EstimationPlan:
             if self.y_bounds is not None else None,
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "EstimationPlan":
-        allowed = {"outcome_learner", "propensity_learner", "truncation",
-                   "folds", "outcome_covariates", "propensity_covariates",
-                   "y_bounds"}
-        extra = set(d) - allowed
-        if extra:
-            raise ValueError(f"unknown plan keys {sorted(extra)}")
-
-        def tup(key):
-            v = d.get(key)
-            return tuple(v) if v is not None else None
-
-        return cls(
-            outcome_learner=LearnerSpec.parse(
-                d.get("outcome_learner", "glm_main_terms")),
-            propensity_learner=LearnerSpec.parse(
-                d.get("propensity_learner", "glm_main_terms")),
-            truncation=tuple(d.get("truncation", DEFAULT_TRUNCATION)),
-            n_folds=d.get("folds"),
-            outcome_covariates=tup("outcome_covariates"),
-            propensity_covariates=tup("propensity_covariates"),
-            y_bounds=tup("y_bounds"),
-        )
-
 
 @dataclass
 class ReplicateRecord:
@@ -998,10 +931,9 @@ def long_estimate(name: str, data: LongDataset, nuis: SequentialNuisances,
         return long_est.one_step_long(data, nuis,
                                       emu_learner=plan.outcome_learner)
     if name in LONG_ESTIMATORS:
-        return long_est.tmle_long(
-            data, emu_learner=plan.outcome_learner,
-            truncation=plan.truncation, variant=name[len("tmle_long_"):],
-            y_bounds=plan.y_bounds, nuisances=nuis)
+        return long_est.tmle_long(data, nuis, name[len("tmle_long_"):],
+                                  emu_learner=plan.outcome_learner,
+                                  y_bounds=plan.y_bounds)
     raise ValueError(f"unknown longitudinal estimator {name!r}")
 
 

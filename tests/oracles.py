@@ -362,14 +362,22 @@ def history_dataset(data):
 
 
 class _OnCovariates:
-    """A fitted library model that predicts on raw covariates, building
-    its learner's model matrix on exactly the rows it is asked for."""
+    """A fitted library predictor that predicts on raw covariates, building
+    its learner's model matrix on exactly the rows it is asked for. With
+    ``bounds`` (lo, hi), its [0, 1]-scale predictions are clipped away
+    from 0 and 1 and mapped onto [lo, hi]."""
 
-    def __init__(self, model, learner):
-        self.model, self.learner = model, learner
+    def __init__(self, predictor, learner, bounds=None):
+        self.predictor, self.learner = predictor, learner
+        self.bounds = bounds
 
     def predict(self, covariates):
-        return self.model.predict(self.learner.design_for(covariates))
+        raw = self.predictor.predict(self.learner.design_for(covariates))
+        if self.bounds is None:
+            return raw
+        lo, hi = self.bounds
+        clip = nu.OUTCOME_PROB_CLIP
+        return lo + (hi - lo) * np.clip(raw, clip, 1.0 - clip)
 
 
 def outcome_model_on_subset(data, learner):
@@ -399,10 +407,7 @@ def outcome_model_on_subset(data, learner):
     else:
         predictor = nu._GlmPredictor(
             fit_glm(learner.design_for(x_fit), y_fit, Link.IDENTITY))
-    return _OnCovariates(
-        nu.OutcomeFit(learner=learner, predictions=np.empty(0),
-                      n_fit=int(untreated.sum()), _predictor=predictor,
-                      _bounds=bounds), learner)
+    return _OnCovariates(predictor, learner, bounds)
 
 
 def propensity_model_on_subset(data, learner):

@@ -81,7 +81,7 @@ def test_criterion_1_targeting_and_mean_eif_certificates():
         data = random_long_dataset(rng, n=int(rng.integers(40, 201)))
         nuis = fit_sequential_nuisances(data)
         for variant in VARIANTS:
-            fit = tmle_long(data, variant=variant, nuisances=nuis,
+            fit = tmle_long(data, nuis, variant=variant,
                             y_bounds=(0.0, 1.0))
             d = fit.diagnostics
             assert abs(d["step3_score_residual"]) <= \
@@ -163,9 +163,10 @@ def test_criterion_3_saturated_learners_match_stratum_oracles():
         data = saturated_long_dataset(rng, n=int(rng.integers(50, 81)))
         oracle = stratum_long_value(data.w0, data.a0, data.w1, data.a1,
                                     data.outcome)
+        nuis = fit_sequential_nuisances(data, g1_learner=saturated,
+                                        mu_learner=saturated)
         for variant in ("weighted_linear", "covariate_linear"):
-            fit = tmle_long(data, variant=variant,
-                            g1_learner=saturated, mu_learner=saturated)
+            fit = tmle_long(data, nuis, variant=variant)
             assert fit.psi_hat == pytest.approx(oracle, abs=SATURATED_TOL)
         long_checked += 1
 
@@ -221,7 +222,7 @@ def test_criterion_5_logistic_targeting_respects_outcome_bounds():
     for r in range(n_rep):
         data = generate(dgp_long, 100, replicate_seed(BOUNDING_LONG_SEED, r))
         nuis = fit_sequential_nuisances(data)
-        fit = tmle_long(data, variant="weighted_logistic", nuisances=nuis)
+        fit = tmle_long(data, nuis, variant="weighted_logistic")
         d = fit.diagnostics
         assert 0.0 <= fit.psi_hat <= 1.0
         assert d["mu_star_min"] >= 0.0 and d["mu_star_max"] <= 1.0
@@ -288,7 +289,8 @@ def test_criterion_7_two_period_reduction_to_one_period():
             {name: point.covariates[:, j]
              for j, name in enumerate(point.covariate_names)},
             point.treatment, {}, np.zeros(point.n_obs), point.outcome)
-        long_fit = tmle_long(as_long, variant="weighted_linear")
+        long_fit = tmle_long(as_long, fit_sequential_nuisances(as_long),
+                             variant="weighted_linear")
         assert long_fit.diagnostics["g1_degenerate"]
 
         nuis = fit_nuisance(point, MAIN_TERMS, MAIN_TERMS)

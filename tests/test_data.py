@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from eiftools.data import Dataset, LongDataset
+from eiftools.nuisance import LearnerSpec, fit_propensity
 
 NAN, INF = float("nan"), float("inf")
 PATHS = ("constructor", "from_columns")
@@ -253,10 +254,46 @@ def test_covariate_matrix_selects_validated_columns():
 
 
 def test_covariate_matrix_is_c_contiguous_for_any_stored_layout():
-    # The constructor keeps the layout it is given; a selection does not.
+    # The constructor stores a Fortran-ordered input in C order, and a
+    # selection is C order too.
     stored = np.asfortranarray(np.arange(12.0).reshape(4, 3))
     data = Dataset(covariate_names=("a", "b", "c"), covariates=stored,
                    treatment=POINT["treatment"], outcome=POINT["outcome"])
+    assert data.covariates.flags.c_contiguous
     picked = data.covariate_matrix(("c", "a"))
     assert picked.flags.c_contiguous
     assert np.array_equal(picked, stored[:, [2, 0]])
+
+
+def _knn_fit(matrix, treatment):
+    knn = LearnerSpec("k_nearest_neighbors", k=2)
+    return fit_propensity(knn, knn.design_for(matrix), treatment)
+
+
+def test_fortran_ordered_inputs_give_knn_the_c_order_fit():
+    # kNN standardizes by column mean and scale, whose rounding depends on
+    # the memory layout of the matrix; the containers store C order.
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        n = int(rng.integers(8, 61))
+        w = rng.normal(size=(n, 3)) * rng.uniform(0.1, 100.0, size=3)
+        a = (rng.random(n) < 0.5).astype(float)
+        a[:2], a[2] = 0.0, 1.0
+        y = rng.normal(size=n)
+        names = ("u", "v", "x")
+        c_order = Dataset(names, np.ascontiguousarray(w), a, y)
+        f_order = Dataset(names, np.asfortranarray(w), a, y)
+        long_args = dict(w0_names=names, a0=a, w1_names=("p", "q", "r"),
+                         a1=np.zeros(n), outcome=y)
+        c_long = LongDataset(w0=np.ascontiguousarray(w),
+                             w1=np.ascontiguousarray(w[::-1]), **long_args)
+        f_long = LongDataset(w0=np.asfortranarray(w),
+                             w1=np.asfortranarray(w[::-1]), **long_args)
+        for want, got in ((c_order.covariates, f_order.covariates),
+                          (c_long.w0, f_long.w0), (c_long.w1, f_long.w1)):
+            assert got.flags.c_contiguous
+            want_fit, got_fit = _knn_fit(want, a), _knn_fit(got, a)
+            assert np.array_equal(got_fit.center, want_fit.center)
+            assert np.array_equal(got_fit.scale, want_fit.scale)
+            assert np.array_equal(got_fit.predict(got),
+                                  want_fit.predict(want))

@@ -166,22 +166,21 @@ def test_reordered_restriction_gives_knn_the_oracles_layout(seed, n, order,
     rebuilt = restricted(data, chosen)
     learner = LearnerSpec.parse("k_nearest_neighbors:k=2")
 
-    outcome = fit_outcome(data, learner, covariates=chosen)
+    x = learner.design_for(data.covariate_matrix(chosen))
+    outcome = fit_outcome(learner, x, data.treatment, data.outcome,
+                          data.y_bounds)
     want = outcome_model_on_subset(rebuilt, learner)
-    assert np.array_equal(outcome._predictor.center,
-                          want.model._predictor.center)
-    assert np.array_equal(outcome._predictor.scale,
-                          want.model._predictor.scale)
-    assert np.array_equal(outcome.predictions,
+    assert np.array_equal(outcome.center, want.predictor.center)
+    assert np.array_equal(outcome.scale, want.predictor.scale)
+    assert np.array_equal(outcome.predict(x),
                           want.predict(rebuilt.covariates))
 
-    propensity = fit_propensity(data, learner, covariates=chosen)
+    propensity = fit_propensity(learner, x, data.treatment)
     want = propensity_model_on_subset(rebuilt, learner)
-    assert np.array_equal(propensity._predictor.center, want.center)
-    assert np.array_equal(propensity._predictor.scale, want.scale)
-    assert np.array_equal(propensity.predictions,
-                          np.clip(want.predict(rebuilt.covariates),
-                                  *propensity.truncation))
+    assert np.array_equal(propensity.center, want.center)
+    assert np.array_equal(propensity.scale, want.scale)
+    assert np.array_equal(propensity.predict(x),
+                          want.predict(rebuilt.covariates))
 
 
 @st.composite

@@ -71,21 +71,19 @@ def test_saturated_long_matches_nested_stratum_oracle():
         data = saturated_long_dataset(rng, n=int(rng.integers(50, 81)))
         oracle = stratum_long_value(data.w0, data.a0, data.w1, data.a1,
                                     data.outcome)
+        nuis = fit_sequential_nuisances(data, g1_learner=SATURATED_STAGE2,
+                                        mu_learner=SATURATED_STAGE2)
         for variant in ("weighted_linear", "covariate_linear"):
-            fit = tmle_long(
-                data,
-                g1_learner=SATURATED_STAGE2,
-                mu_learner=SATURATED_STAGE2,
-                variant=variant,
-            )
+            fit = tmle_long(data, nuis, variant=variant)
             assert fit.psi_hat == pytest.approx(oracle, abs=1e-10), variant
 
 
 def test_saturated_fluctuations_have_zero_coefficients():
     rng = np.random.default_rng(159)
     data = saturated_long_dataset(rng, n=60)
-    fit = tmle_long(data, g1_learner=SATURATED_STAGE2,
-                    mu_learner=SATURATED_STAGE2, variant="weighted_linear")
+    nuis = fit_sequential_nuisances(data, g1_learner=SATURATED_STAGE2,
+                                    mu_learner=SATURATED_STAGE2)
+    fit = tmle_long(data, nuis, variant="weighted_linear")
     assert abs(fit.diagnostics["step3_coefficient"]) < 1e-10
     assert abs(fit.diagnostics["step5_coefficient"]) < 1e-10
 
@@ -103,7 +101,8 @@ def test_reduction_to_point_treatment():
             + a0 * rng.normal(scale=0.5, size=n)
         data = LongDataset.from_columns({"w0": w0}, a0, {}, np.zeros(n), y)
 
-        long_fit = tmle_long(data, variant="weighted_linear")
+        long_fit = tmle_long(data, fit_sequential_nuisances(data),
+                             variant="weighted_linear")
         assert long_fit.diagnostics["g1_degenerate"]
 
         point_data = Dataset.from_columns({"w0": w0}, a0, y)
@@ -121,8 +120,9 @@ def test_score_equation_certificates_and_mean_eif_identity():
     for _ in range(10):
         data = random_long_dataset(rng)
         n = data.n_obs
+        nuis = fit_sequential_nuisances(data)
         for variant in LONG_VARIANTS:
-            fit = tmle_long(data, variant=variant, y_bounds=(0.0, 1.0))
+            fit = tmle_long(data, nuis, variant=variant, y_bounds=(0.0, 1.0))
             d = fit.diagnostics
             assert abs(d["step3_score_residual"]) <= \
                 1e-8 * (1.0 + d["step3_weight_sum"])
@@ -145,7 +145,7 @@ def test_mu_star_shift_identities():
     data = random_long_dataset(rng, n=80)
     nuis = fit_sequential_nuisances(data)
 
-    wl = tmle_long(data, variant="weighted_linear", nuisances=nuis)
+    wl = tmle_long(data, nuis, variant="weighted_linear")
     np.testing.assert_allclose(
         wl.nuisances.mu_star - nuis.mu_hat,
         np.full(data.n_obs, wl.diagnostics["step3_coefficient"]),
@@ -153,7 +153,7 @@ def test_mu_star_shift_identities():
 
     # the covariate-shape update predicts under the regime: the shift is
     # coefficient / (g0 g1) on every row, not just the on-regime ones
-    cl = tmle_long(data, variant="covariate_linear", nuisances=nuis)
+    cl = tmle_long(data, nuis, variant="covariate_linear")
     np.testing.assert_allclose(
         cl.nuisances.mu_star - nuis.mu_hat,
         cl.diagnostics["step3_coefficient"] / (nuis.g0 * nuis.g1),
@@ -164,8 +164,8 @@ def test_logistic_variant_keeps_everything_in_bounds():
     rng = np.random.default_rng(86)
     for _ in range(15):
         data = random_long_dataset(rng)
-        fit = tmle_long(data, variant="weighted_logistic",
-                        y_bounds=(0.0, 1.0))
+        fit = tmle_long(data, fit_sequential_nuisances(data),
+                        variant="weighted_logistic", y_bounds=(0.0, 1.0))
         d = fit.diagnostics
         assert 0.0 <= fit.psi_hat <= 1.0
         assert d["mu_star_min"] >= 0.0 and d["mu_star_max"] <= 1.0
@@ -193,13 +193,18 @@ def test_one_step_long_identity_and_zero_mean_eif():
 def test_crossfit_uses_one_shared_partition():
     rng = np.random.default_rng(121)
     data = random_long_dataset(rng, n=150)
-    fit = tmle_long(data, variant="weighted_linear", n_folds=3, seed=9)
+
+    def crossfit_tmle(seed):
+        nuis = fit_sequential_nuisances(data, n_folds=3, seed=seed)
+        return tmle_long(data, nuis, variant="weighted_linear")
+
+    fit = crossfit_tmle(9)
     expected = fold_partition(data.n_obs, 3, seed=9)
     np.testing.assert_array_equal(fit.nuisances.fold_assignment, expected)
     assert fit.diagnostics["cross_fitted"]
-    again = tmle_long(data, variant="weighted_linear", n_folds=3, seed=9)
+    again = crossfit_tmle(9)
     assert fit.psi_hat == again.psi_hat
-    other_seed = tmle_long(data, variant="weighted_linear", n_folds=3, seed=10)
+    other_seed = crossfit_tmle(10)
     assert fit.psi_hat != other_seed.psi_hat
 
 
@@ -262,7 +267,7 @@ def test_step_label_annotates_glm_errors(monkeypatch):
 
     monkeypatch.setattr(est, "_solve_linear", boom)
     with pytest.raises(GlmError, match=r"step 3 \(fluctuate mu\)"):
-        tmle_long(data, variant="weighted_linear", nuisances=nuis)
+        tmle_long(data, nuis, variant="weighted_linear")
 
 
 def test_degenerate_outcome_and_unknown_variant():
@@ -273,7 +278,25 @@ def test_degenerate_outcome_and_unknown_variant():
         [0.0, 0.0, 1.0, 1.0],
         [2.0, 2.0, 2.0, 2.0],
     )
+    nuis = SequentialNuisances(g0=np.full(4, 0.5), g1=np.full(4, 0.5),
+                               mu_hat=np.full(4, 2.0))
     with pytest.raises(DegenerateOutcomeError):
-        tmle_long(data, variant="weighted_logistic")
+        tmle_long(data, nuis, variant="weighted_logistic")
     with pytest.raises(ValueError, match="unknown variant"):
-        tmle_long(data, variant="cubic")
+        tmle_long(data, nuis, variant="cubic")
+
+
+def test_nuisances_of_another_dataset_size_are_rejected(monkeypatch):
+    small = random_long_dataset(np.random.default_rng(12), n=150)
+    large = random_long_dataset(np.random.default_rng(13), n=200)
+    nuis = fit_sequential_nuisances(small)
+
+    def no_fit(*args):
+        raise AssertionError("the size check runs before any fit")
+    monkeypatch.setattr(lng, "_fit_emu", no_fit)
+    message = "nuisance estimates do not match the dataset size"
+    with pytest.raises(ValueError, match=message):
+        one_step_long(large, nuis)
+    for variant in LONG_VARIANTS:
+        with pytest.raises(ValueError, match=message):
+            tmle_long(large, nuis, variant=variant)

@@ -198,17 +198,23 @@ def test_each_model_matrix_is_built_once_per_call(monkeypatch):
     assert calls == [logit.describe()]
 
 
+def _outcome_on_all_rows(data, learner):
+    """Predictions of ``fit_outcome`` on every row of ``data``."""
+    x = learner.design_for(data.covariates)
+    return fit_outcome(learner, x, data.treatment, data.outcome,
+                       data.y_bounds).predict(x)
+
+
 def test_outcome_fit_matches_stratum_means_on_saturated_data():
     data = Dataset.from_columns(
         {"w": [0.0, 0.0, 1.0, 1.0, 0.0, 1.0]},
         [0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
         [1.0, 3.0, 5.0, 7.0, 100.0, -50.0],
     )
-    out = fit_outcome(data, LearnerSpec("glm_main_terms"))
+    pred = _outcome_on_all_rows(data, LearnerSpec("glm_main_terms"))
     # Untreated stratum means: w=0 -> 2, w=1 -> 6. Treated outcomes are inert.
-    np.testing.assert_allclose(out.predictions,
-                               [2.0, 2.0, 6.0, 6.0, 2.0, 6.0], atol=1e-10)
-    assert out.n_fit == 4
+    np.testing.assert_allclose(pred, [2.0, 2.0, 6.0, 6.0, 2.0, 6.0],
+                               atol=1e-10)
 
 
 def test_outcome_logit_link_maps_back_to_outcome_scale():
@@ -218,15 +224,14 @@ def test_outcome_logit_link_maps_back_to_outcome_scale():
         [2.0, 6.0, 6.0, 2.0, 2.0, 6.0, 4.0],
         y_bounds=(2.0, 6.0),
     )
-    out = fit_outcome(data, LearnerSpec("glm_main_terms", link=Link.LOGIT))
+    pred = _outcome_on_all_rows(
+        data, LearnerSpec("glm_main_terms", link=Link.LOGIT))
     # Saturated binary design: fitted scaled probabilities are the stratum
     # means of the scaled outcome, so back-scaling recovers stratum means.
-    np.testing.assert_allclose(out.predictions[:3], 2.0 + 4.0 * (2.0 / 3.0),
-                               atol=1e-7)
-    np.testing.assert_allclose(out.predictions[3:6], 2.0 + 4.0 * (1.0 / 3.0),
-                               atol=1e-7)
-    assert np.all(out.predictions >= 2.0)
-    assert np.all(out.predictions <= 6.0)
+    np.testing.assert_allclose(pred[:3], 2.0 + 4.0 * (2.0 / 3.0), atol=1e-7)
+    np.testing.assert_allclose(pred[3:6], 2.0 + 4.0 * (1.0 / 3.0), atol=1e-7)
+    assert np.all(pred >= 2.0)
+    assert np.all(pred <= 6.0)
 
 
 def test_outcome_constant_with_logit_link():
@@ -235,8 +240,9 @@ def test_outcome_constant_with_logit_link():
         [0.0, 0.0, 1.0, 1.0],
         [3.5, 3.5, 3.5, 3.5],
     )
-    out = fit_outcome(data, LearnerSpec("glm_main_terms", link=Link.LOGIT))
-    np.testing.assert_array_equal(out.predictions, np.full(4, 3.5))
+    pred = _outcome_on_all_rows(
+        data, LearnerSpec("glm_main_terms", link=Link.LOGIT))
+    np.testing.assert_array_equal(pred, np.full(4, 3.5))
 
 
 def test_knn_outcome_mean_and_tie_break():
@@ -245,12 +251,12 @@ def test_knn_outcome_mean_and_tie_break():
         [0.0, 0.0, 1.0, 1.0],
         [5.0, 9.0, -1.0, -1.0],
     )
-    k2 = fit_outcome(data, LearnerSpec("k_nearest_neighbors", k=2))
-    np.testing.assert_allclose(k2.predictions, np.full(4, 7.0))
+    k2 = _outcome_on_all_rows(data, LearnerSpec("k_nearest_neighbors", k=2))
+    np.testing.assert_allclose(k2, np.full(4, 7.0))
     # k=1 with two untreated rows at identical covariates: the tie goes to
     # the lowest training-row index, whose outcome is 5.
-    k1 = fit_outcome(data, LearnerSpec("k_nearest_neighbors", k=1))
-    np.testing.assert_allclose(k1.predictions[:2], [5.0, 5.0])
+    k1 = _outcome_on_all_rows(data, LearnerSpec("k_nearest_neighbors", k=1))
+    np.testing.assert_allclose(k1[:2], [5.0, 5.0])
 
 
 @pytest.mark.parametrize("kind, n_cov, n_train, n_query, k", [
@@ -290,14 +296,14 @@ def test_knn_k_larger_than_untreated_pool():
         [1.0, 2.0, 3.0, 4.0],
     )
     with pytest.raises(InsufficientDataError, match="k=3"):
-        fit_outcome(data, LearnerSpec("k_nearest_neighbors", k=3))
+        _outcome_on_all_rows(data, LearnerSpec("k_nearest_neighbors", k=3))
 
 
 def test_outcome_needs_two_untreated_rows():
     data = Dataset.from_columns(
         {"w": [0.0, 1.0, 2.0]}, [0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(InsufficientDataError, match="untreated"):
-        fit_outcome(data, LearnerSpec("glm_main_terms"))
+        _outcome_on_all_rows(data, LearnerSpec("glm_main_terms"))
 
 
 def test_propensity_matches_stratum_frequencies():
@@ -306,10 +312,17 @@ def test_propensity_matches_stratum_frequencies():
         [0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0],
         np.zeros(7),
     )
-    prop = fit_propensity(data, LearnerSpec("glm_main_terms"))
-    np.testing.assert_allclose(prop.predictions[:3], 2.0 / 3.0, atol=1e-7)
-    np.testing.assert_allclose(prop.predictions[3:], 1.0 / 4.0, atol=1e-7)
-    assert prop.n_truncated == 0
+    glm = LearnerSpec("glm_main_terms")
+    nuis = fit_nuisance(data, glm, glm)
+    np.testing.assert_allclose(nuis.propensity_pred[:3], 2.0 / 3.0,
+                               atol=1e-7)
+    np.testing.assert_allclose(nuis.propensity_pred[3:], 1.0 / 4.0,
+                               atol=1e-7)
+    assert nuis.n_truncated == 0
+    x = glm.design_for(data.covariates)
+    np.testing.assert_array_equal(
+        fit_propensity(glm, x, data.treatment).predict(x),
+        nuis.propensity_pred)
 
 
 def test_propensity_truncation_counts_clipped_rows():
@@ -319,25 +332,28 @@ def test_propensity_truncation_counts_clipped_rows():
         [1.0, 1.0, 1.0, 0.0, 0.0, 1.0],
         np.zeros(6),
     )
-    prop = fit_propensity(data, LearnerSpec("k_nearest_neighbors", k=3))
-    np.testing.assert_allclose(prop.predictions[:3], 0.01)
-    np.testing.assert_allclose(prop.predictions[3:], 2.0 / 3.0)
-    assert prop.n_truncated == 3
-    assert prop.truncation == DEFAULT_TRUNCATION
+    nuis = fit_nuisance(data, LearnerSpec("glm_main_terms"),
+                        LearnerSpec("k_nearest_neighbors", k=3))
+    np.testing.assert_allclose(nuis.propensity_pred[:3], 0.01)
+    np.testing.assert_allclose(nuis.propensity_pred[3:], 2.0 / 3.0)
+    assert nuis.n_truncated == 3
+    assert nuis.truncation_bounds == DEFAULT_TRUNCATION
 
 
 def test_propensity_needs_both_levels():
     data = Dataset.from_columns(
         {"w": [0.0, 1.0, 2.0]}, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
     with pytest.raises(InsufficientDataError, match="treatment level"):
-        fit_propensity(data, LearnerSpec("glm_main_terms"))
+        fit_nuisance(data, LearnerSpec("glm_main_terms"),
+                     LearnerSpec("glm_main_terms"))
 
 
 def test_truncation_bounds_validated():
     data = random_point_dataset(np.random.default_rng(0), n=30)
+    glm = LearnerSpec("glm_main_terms")
     for bad in ((0.0, 0.9), (0.2, 0.2), (0.5, 1.0), (-0.1, 0.5)):
         with pytest.raises(ValueError, match="truncation"):
-            fit_propensity(data, LearnerSpec("glm_main_terms"), truncation=bad)
+            fit_nuisance(data, glm, glm, truncation=bad)
 
 
 def test_covariate_restriction_forces_marginal_models():
@@ -346,13 +362,15 @@ def test_covariate_restriction_forces_marginal_models():
         [0.0, 0.0, 0.0, 1.0, 1.0, 0.0],
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
     )
-    out = fit_outcome(data, LearnerSpec("glm_main_terms"), covariates=())
-    np.testing.assert_allclose(out.predictions, np.full(6, 3.0), atol=1e-10)
-    prop = fit_propensity(data, LearnerSpec("glm_main_terms"), covariates=())
-    np.testing.assert_allclose(prop.predictions, np.full(6, 4.0 / 6.0),
+    glm = LearnerSpec("glm_main_terms")
+    nuis = fit_nuisance(data, glm, glm, outcome_covariates=(),
+                        propensity_covariates=())
+    np.testing.assert_allclose(nuis.outcome_pred, np.full(6, 3.0),
+                               atol=1e-10)
+    np.testing.assert_allclose(nuis.propensity_pred, np.full(6, 4.0 / 6.0),
                                atol=1e-7)
     with pytest.raises(KeyError):
-        fit_outcome(data, LearnerSpec("glm_main_terms"), covariates=("nope",))
+        fit_nuisance(data, glm, glm, outcome_covariates=("nope",))
 
 
 def test_nuisance_estimates_validation():
