@@ -313,7 +313,7 @@ def _load_dgp(path: str) -> DgpConfig:
         d = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
-    return DgpConfig.from_dict(d).check()
+    return DgpConfig.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ code that receives a container trusts it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -18,12 +19,12 @@ def _as_binary(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    bad = np.flatnonzero((arr != 0.0) & (arr != 1.0))
-    if bad.size:
+    coded = (arr == 0.0) | (arr == 1.0)
+    if not coded.all():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite values")
         raise ValueError(
-            f"{name} must be coded 0/1, found {float(arr[bad[0]])!r}")
+            f"{name} must be coded 0/1, found {float(arr[~coded][0])!r}")
     return arr
 
 
@@ -33,13 +34,14 @@ def _as_outcome(values, n: int, bounds
     y = np.asarray(values, dtype=float)
     if y.shape != (n,):
         raise ValueError(f"outcome has shape {y.shape}, expected ({n},)")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("outcome contains non-finite values")
     if bounds is not None:
         lo, hi = float(bounds[0]), float(bounds[1])
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"invalid outcome bounds ({lo}, {hi})")
-        if np.any(y < lo) or np.any(y > hi):
+        # No rows: nothing to compare; the row count is reported below.
+        if n and not (lo <= y.min() and y.max() <= hi):
             raise ValueError("outcome values fall outside the declared bounds")
         bounds = (lo, hi)
     if n < 2:
@@ -63,7 +65,7 @@ def _as_matrix(name: str, names: Sequence[str], values, n: int
         raise ValueError(
             f"{name} matrix has shape {mat.shape}, expected ({n}, {len(names)})"
         )
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError(f"{name} contains non-finite values")
     return names, mat
 
@@ -100,7 +102,7 @@ class Dataset:
         y, bounds = _as_outcome(self.outcome, n, self.y_bounds)
         names, mat = _as_matrix("covariates", self.covariate_names,
                                 self.covariates, n)
-        if not np.any(a == 0.0):
+        if a.min() > 0.0:
             raise ValueError("no untreated (A = 0) rows; the target mean is unidentified")
         object.__setattr__(self, "covariate_names", names)
         object.__setattr__(self, "covariates", mat)
@@ -125,7 +127,7 @@ class Dataset:
         """Declared outcome range when given, else the observed min/max."""
         if self.y_bounds is not None:
             return self.y_bounds
-        return float(np.min(self.outcome)), float(np.max(self.outcome))
+        return float(self.outcome.min()), float(self.outcome.max())
 
     def covariate_column(self, name: str) -> np.ndarray:
         return self.covariate_matrix((name,))[:, 0]
@@ -179,7 +181,7 @@ class LongDataset:
         overlap = set(w0_names) & set(w1_names)
         if overlap:
             raise ValueError(f"covariate names appear at both times: {sorted(overlap)}")
-        if int(np.sum((a0 == 0.0) & (a1 == 0.0))) < 2:
+        if np.count_nonzero((a0 == 0.0) & (a1 == 0.0)) < 2:
             raise ValueError(
                 "need at least 2 rows following the always-untreated regime "
                 "(A0 = A1 = 0)"

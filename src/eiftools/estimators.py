@@ -17,6 +17,7 @@ mu* and psi inside the outcome bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -102,7 +103,7 @@ def eif_values(data: Dataset, outcome_pred, propensity_pred,
     g = np.asarray(propensity_pred, dtype=float)
     if mu.shape != (data.n_obs,) or g.shape != (data.n_obs,):
         raise ValueError("nuisance predictions must have one value per row")
-    if np.any(g <= 0.0) or np.any(g >= 1.0):
+    if not (0.0 < g.min() and g.max() < 1.0):
         raise ValueError("propensity predictions must lie strictly in (0, 1)")
     h = (data.treatment == 0.0).astype(float) / g
     return h * (data.outcome - mu) + mu - float(psi)
@@ -118,7 +119,9 @@ def wald_inference(eif: np.ndarray, psi_hat: float
     n = phi.shape[0]
     if n < 2:
         raise ValueError("influence-function inference needs n >= 2")
-    se = float(np.sqrt(np.var(phi, ddof=1) / n))
+    # The arithmetic of np.var(phi, ddof=1), without its per-call cost.
+    dev = phi - phi.sum() / n
+    se = math.sqrt((dev * dev).sum() / (n - 1) / n)
     return se, (psi_hat - Z975 * se, psi_hat + Z975 * se)
 
 
@@ -139,7 +142,7 @@ def _result(estimator: str, data: Dataset, mu_for_eif: np.ndarray,
     phi = eif_values(data, mu_for_eif, nuisance.propensity_pred, psi)
     se, ci = wald_inference(phi, psi)
     diagnostics: Dict[str, object] = {
-        "mean_eif": float(np.mean(phi)),
+        "mean_eif": float(phi.sum() / data.n_obs),
         "n_truncated": nuisance.n_truncated,
         "outcome_learner": nuisance.outcome_learner,
         "propensity_learner": nuisance.propensity_learner,
@@ -161,7 +164,7 @@ def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     diagnostics.
     """
     _check_sizes(data, nuisance)
-    psi = float(np.mean(nuisance.outcome_pred))
+    psi = float(nuisance.outcome_pred.sum() / data.n_obs)
     return _result(
         "gcomp", data, nuisance.outcome_pred, nuisance, psi,
         extra={"inference_caveat":
@@ -179,7 +182,7 @@ def one_step(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     """
     h = _clever_covariate(data, nuisance)
     mu = nuisance.outcome_pred
-    psi = float(np.mean(h * (data.outcome - mu) + mu))
+    psi = float((h * (data.outcome - mu) + mu).sum() / data.n_obs)
     return _result("one_step", data, mu, nuisance, psi)
 
 
@@ -200,11 +203,11 @@ def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
 def _solve_linear(z, b, w, x, tol: float) -> float:
     """Root c of sum(w (z - b - c x)) = 0 in closed form, with up to
     three refinement rounds if rounding leaves the score above ``tol``."""
-    wx = float(np.sum(w * x))
-    c, score = 0.0, float(np.sum(w * (z - b)))
+    wx = float((w * x).sum())
+    c, score = 0.0, float((w * (z - b)).sum())
     for _ in range(4):
         c += score / wx
-        score = float(np.sum(w * (z - (b + c * x))))
+        score = float((w * (z - (b + c * x))).sum())
         if abs(score) <= tol:
             return c
     raise NonConvergenceError(
@@ -217,20 +220,20 @@ def _solve_logistic(z, b, w, tol: float) -> float:
     iteration of :func:`eiftools.glm.fit_glm` for one parameter: start
     at 0, take the step score/information, halve it until the weighted
     Bernoulli log-likelihood of the positive-weight rows does not drop."""
-    active = slice(None) if np.all(w > 0) else w > 0
+    active = slice(None) if w.min() > 0 else w > 0
     z_active, w_active = z[active], w[active]
     coef, eta = 0.0, b
     loglik = _bernoulli_loglik(b[active], z_active, w_active)
     for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
         mu = expit(eta)
-        score = float(np.sum(w * (z - mu)))
+        score = float((w * (z - mu)).sum())
         if abs(score) <= tol:
             return coef
         if iteration == DEFAULT_MAX_ITERATIONS:
             raise NonConvergenceError(
                 f"logit fit did not converge in {iteration} iterations",
                 np.array([coef]), np.array([score]), iteration)
-        info = float(np.sum(w * mu * (1.0 - mu)))
+        info = float((w * mu * (1.0 - mu)).sum())
         if not info > 0.0:
             raise SingularDesignError(
                 "logit-link information matrix is singular")
@@ -274,14 +277,17 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
     bad inputs and the :mod:`eiftools.glm` errors on solver failure.
     """
     z, b, w = (np.asarray(v, dtype=float) for v in (response, offset, weights))
-    if not (all(np.all(np.isfinite(v)) for v in (z, b, w))
-            and np.all(w >= 0.0) and np.any(w > 0.0)):
+    # ``w.size`` keeps empty weights on this message rather than numpy's
+    # zero-size reduction error.
+    if not (np.isfinite(z).all() and np.isfinite(b).all()
+            and np.isfinite(w).all() and w.size
+            and 0.0 <= w.min() and w.max() > 0.0):
         raise ValueError("fluctuation inputs must be finite, with weights "
                          "nonnegative and not all zero")
-    tol = DEFAULT_SCORE_TOLERANCE * (1.0 + float(np.sum(w)))
+    tol = DEFAULT_SCORE_TOLERANCE * (1.0 + float(w.sum()))
     if variant == "weighted_logistic":
         lo, hi = bounds
-        if np.any(z < lo) or np.any(z > hi):
+        if not (lo <= z.min() and z.max() <= hi):
             raise ValueError("response values fall outside the scaling "
                              "bounds")
         span = hi - lo
@@ -291,7 +297,7 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
         coef = _solve_logistic(z_sc, b_sc, w, tol)
         targeted_sc = expit(b_sc + coef)
         return FluctuationFit(variant, coef, lo + span * targeted_sc,
-                              float(np.sum(w * (z_sc - targeted_sc))))
+                              float((w * (z_sc - targeted_sc)).sum()))
     if variant == "weighted_linear":
         coef = _solve_linear(z, b, w, 1.0, tol)
         targeted = b + coef
@@ -303,7 +309,7 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
         raise ValueError(f"unknown TMLE variant {variant!r}; "
                          f"expected one of {TMLE_VARIANTS}")
     return FluctuationFit(variant, coef, targeted,
-                          float(np.sum(w * (z - targeted))))
+                          float((w * (z - targeted)).sum()))
 
 
 def _labelled_fluctuation(label: str, *args) -> FluctuationFit:
@@ -354,16 +360,16 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
         f"targeting step ({variant})", data.outcome, nuisance.outcome_pred,
         h, 1.0 / nuisance.propensity_pred, variant,
         _scaling_bounds(variant, data, y_bounds))
-    psi = float(np.mean(fluct.targeted_pred))
+    psi = float(fluct.targeted_pred.sum() / data.n_obs)
     return _result(
         f"tmle_{variant}", data, fluct.targeted_pred, nuisance, psi,
         extra={
             "variant": variant,
             "fluctuation_coefficient": fluct.coefficient,
             "score_residual": fluct.score_residual,
-            "score_scale": float(1.0 + np.sum(h)),
-            "targeted_pred_min": float(np.min(fluct.targeted_pred)),
-            "targeted_pred_max": float(np.max(fluct.targeted_pred)),
+            "score_scale": float(1.0 + h.sum()),
+            "targeted_pred_min": float(fluct.targeted_pred.min()),
+            "targeted_pred_max": float(fluct.targeted_pred.max()),
         },
         fluctuation=fluct,
     )

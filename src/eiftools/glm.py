@@ -116,16 +116,18 @@ def _validate(X, response, offset, weights, link: Link):
         wt = np.asarray(weights, dtype=float)
         if wt.shape != (n,):
             raise ValueError(f"weights have shape {wt.shape}, expected ({n},)")
-        if np.any(wt < 0):
+        # fmin/fmax skip NaN, so a NaN weight is reported as non-finite
+        # below, not as a sign error.
+        if np.fmin.reduce(wt) < 0:
             raise ValueError("weights must be nonnegative")
-        if not np.any(wt > 0):
+        if not np.fmax.reduce(wt) > 0:
             raise ValueError("at least one weight must be strictly positive")
     for name, v in (("model matrix", X), ("response", z), ("offset", b),
                     ("weights", wt)):
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite values")
     if link is Link.LOGIT:
-        if np.any((z < 0) | (z > 1)):
+        if not (0 <= z.min() and z.max() <= 1):
             raise ValueError("logit link requires response values in [0, 1]")
     return X, z, b, wt
 
@@ -138,7 +140,7 @@ def _score(X: np.ndarray, z: np.ndarray, mu: np.ndarray,
 def _bernoulli_loglik(eta: np.ndarray, z: np.ndarray, wt: np.ndarray) -> float:
     # z*log(mu) + (1-z)*log(1-mu) with mu = expit(eta) equals
     # z*eta - log(1 + exp(eta)), which needs a single logaddexp.
-    return float(np.sum(wt * (z * eta - np.logaddexp(0.0, eta))))
+    return float((wt * (z * eta - np.logaddexp(0.0, eta))).sum())
 
 
 def _fit_identity(X, z, b, wt, tol_abs):
@@ -156,13 +158,13 @@ def _fit_identity(X, z, b, wt, tol_abs):
     # sums above tolerance (can happen with badly scaled covariates).
     for _ in range(3):
         score = _score(X, z, b + X @ beta, wt)
-        if np.max(np.abs(score)) <= tol_abs:
+        if np.abs(score).max() <= tol_abs:
             break
         delta, _, _, _ = np.linalg.lstsq(Xw, (z - b - X @ beta) * sw, rcond=None)
         beta = beta + delta
         iterations += 1
     score = _score(X, z, b + X @ beta, wt)
-    if np.max(np.abs(score)) > tol_abs:
+    if np.abs(score).max() > tol_abs:
         raise NonConvergenceError(
             "weighted least squares did not reach the score tolerance",
             beta, score, iterations,
@@ -174,7 +176,7 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
     n, p = X.shape
     # The likelihood leaves out zero-weight rows, so saturated rows there
     # cannot produce 0 * inf; with every weight positive it takes all rows.
-    active = slice(None) if np.all(wt > 0) else wt > 0
+    active = slice(None) if wt.min() > 0 else wt > 0
     z_active, wt_active = z[active], wt[active]
     beta = np.zeros(p)
     eta = b + X @ beta
@@ -182,11 +184,11 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
     mu = expit(eta)
     score = _score(X, z, mu, wt)
     for iteration in range(max_iterations):
-        if np.max(np.abs(score)) <= tol_abs:
+        if np.abs(score).max() <= tol_abs:
             return beta, score, iteration
         with np.errstate(over="ignore"):  # reported below
             info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
-        if not np.all(np.isfinite(info)):
+        if not np.isfinite(info).all():
             raise SingularDesignError(
                 "logit-link information matrix is not finite")
         try:
@@ -194,7 +196,7 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
         except np.linalg.LinAlgError:
             raise SingularDesignError(
                 "logit-link information matrix is singular") from None
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise SingularDesignError(
                 "logit-link Newton step is not finite"
             )
@@ -210,14 +212,14 @@ def _fit_logit(X, z, b, wt, tol_abs, max_iterations):
                 break
             step *= 0.5
         beta, eta, loglik = cand, eta_cand, loglik_cand
-        if np.max(np.abs(beta)) > SEPARATION_NORM:
+        if np.abs(beta).max() > SEPARATION_NORM:
             raise SeparationError(
                 "logit coefficients diverged beyond "
                 f"{SEPARATION_NORM:g}; data look separated"
             )
         mu = expit(eta)
         score = _score(X, z, mu, wt)
-    if np.max(np.abs(score)) <= tol_abs:
+    if np.abs(score).max() <= tol_abs:
         return beta, score, max_iterations
     raise NonConvergenceError(
         f"logit fit did not converge in {max_iterations} iterations",
@@ -268,7 +270,7 @@ def fit_glm(X, response, link: Link,
     """
     link = Link(link)
     X, z, b, wt = _validate(X, response, offset, weights, link)
-    tol_abs = score_tolerance * (1.0 + float(np.sum(wt)))
+    tol_abs = score_tolerance * (1.0 + float(wt.sum()))
     if link is Link.IDENTITY:
         beta, score, iterations = _fit_identity(X, z, b, wt, tol_abs)
     else:

@@ -73,6 +73,18 @@ class SequentialNuisances:
     emu_hat: Optional[np.ndarray] = None
     emu_star: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        # Shapes only: tmle_long rebuilds this object with ``replace`` on
+        # every call, and the vectors come from the fits.
+        shape = self.g0.shape
+        if len(shape) != 1 or self.g1.shape != shape \
+                or self.mu_hat.shape != shape:
+            raise ValueError("g0, g1 and mu_hat must be 1-d arrays of equal "
+                             "length")
+        if self.fold_assignment is not None \
+                and self.fold_assignment.shape != shape:
+            raise ValueError("fold_assignment length mismatch")
+
     @property
     def n_obs(self) -> int:
         return self.g0.shape[0]
@@ -130,7 +142,7 @@ def fit_sequential_nuisances(
     history = np.hstack([data.w0, data.w1])
     stage2_rows = data.a0 == 0.0
     mu_rows = stage2_rows & (data.a1 == 0.0)
-    g1_degenerate = not np.any(data.a1[stage2_rows] == 1.0)
+    g1_degenerate = not (data.a1[stage2_rows] == 1.0).any()
 
     def held_out(model, learner: LearnerSpec, covariates: np.ndarray,
                  stratum: Optional[np.ndarray], *args) -> np.ndarray:
@@ -154,7 +166,8 @@ def fit_sequential_nuisances(
         g0=g0, g1=g1, mu_hat=mu_hat,
         truncation_bounds=(lo, hi),
         fold_assignment=assignment,
-        n_truncated=sum(int(np.sum((r < lo) | (r > hi))) for r in raw),
+        n_truncated=sum(int(np.count_nonzero((r < lo) | (r > hi)))
+                        for r in raw),
         g1_degenerate=g1_degenerate,
     )
 
@@ -198,15 +211,16 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
                    None, nuisances.fold_assignment)
     work = replace(nuisances, mu_star=nuisances.mu_hat, emu_hat=emu,
                    emu_star=emu)
-    plug_in = float(np.mean(emu))
-    theta = plug_in + float(np.mean(
-        r * (data.outcome - work.mu_hat) + h * (work.mu_hat - emu)))
+    n = data.n_obs
+    plug_in = float(emu.sum() / n)
+    theta = plug_in + float(
+        (r * (data.outcome - work.mu_hat) + h * (work.mu_hat - emu)).sum() / n)
     phi = eif_long(data, work, theta)
     se, ci = wald_inference(phi, theta)
     return LongEstimateResult(
         estimator="one_step_long", psi_hat=theta, se=se, ci95=ci, eif=phi,
         diagnostics={
-            "mean_eif": float(np.mean(phi)),
+            "mean_eif": float(phi.sum() / n),
             "plug_in": plug_in,
             "n_truncated": work.n_truncated,
             "g1_degenerate": work.g1_degenerate,
@@ -273,7 +287,8 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
         h, 1.0 / work.g0, variant, bounds)
     work.emu_star = step5.targeted_pred
 
-    theta = float(np.mean(work.emu_star))
+    n = data.n_obs
+    theta = float(work.emu_star.sum() / n)
     phi = eif_long(data, work, theta)
     se, ci = wald_inference(phi, theta)
     return LongEstimateResult(
@@ -281,18 +296,18 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
         eif=phi,
         diagnostics={
             "variant": variant,
-            "mean_eif": float(np.mean(phi)),
+            "mean_eif": float(phi.sum() / n),
             "step3_coefficient": step3.coefficient,
             "step3_score_residual": step3.score_residual,
-            "step3_weight_sum": float(np.sum(r)),
+            "step3_weight_sum": float(r.sum()),
             "step5_response": "mu_star",
             "step5_coefficient": step5.coefficient,
             "step5_score_residual": step5.score_residual,
-            "step5_weight_sum": float(np.sum(h)),
-            "targeted_pred_min": float(np.min(work.emu_star)),
-            "targeted_pred_max": float(np.max(work.emu_star)),
-            "mu_star_min": float(np.min(work.mu_star)),
-            "mu_star_max": float(np.max(work.mu_star)),
+            "step5_weight_sum": float(h.sum()),
+            "targeted_pred_min": float(work.emu_star.min()),
+            "targeted_pred_max": float(work.emu_star.max()),
+            "mu_star_min": float(work.mu_star.min()),
+            "mu_star_max": float(work.mu_star.max()),
             "n_truncated": work.n_truncated,
             "g1_degenerate": work.g1_degenerate,
             "cross_fitted": work.fold_assignment is not None,

@@ -187,7 +187,7 @@ class LearnerSpec:
                              for i in range(matrix.shape[1])
                              for j in range(i + 1, matrix.shape[1])]
             x = np.column_stack(cols)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NuisanceError(
                 f"{self.describe()}: model matrix contains non-finite "
                 "values (a covariate overflows the learner's basis)")
@@ -317,10 +317,11 @@ class NuisanceEstimates:
         if mu.ndim != 1 or g.shape != mu.shape:
             raise ValueError("outcome_pred and propensity_pred must be "
                              "1-d arrays of equal length")
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise ValueError("outcome predictions contain non-finite values")
         lo, hi = _validate_truncation(self.truncation_bounds)
-        if np.any(g < lo) or np.any(g > hi):
+        # NaN fails the comparisons, so it is rejected too.
+        if g.size and not (lo <= g.min() and g.max() <= hi):
             raise ValueError("propensity predictions violate the truncation bounds")
         fa = self.fold_assignment
         if fa is not None:
@@ -363,7 +364,7 @@ def fit_outcome(learner: LearnerSpec, x: np.ndarray, treatment: np.ndarray,
     untreated = treatment == 0.0
     if rows is not None:
         untreated &= rows
-    n_fit = int(untreated.sum())
+    n_fit = int(np.count_nonzero(untreated))
     if n_fit < 2:
         raise InsufficientDataError(
             f"need at least 2 untreated observations, found {n_fit}"
@@ -379,7 +380,7 @@ def fit_outcome(learner: LearnerSpec, x: np.ndarray, treatment: np.ndarray,
         return _KnnPredictor(learner.k, x_fit, y_fit)
     if learner.link is Link.LOGIT:
         seen = outcome if rows is None else outcome[rows]
-        lo, hi = y_bounds or (float(np.min(seen)), float(np.max(seen)))
+        lo, hi = y_bounds or (float(seen.min()), float(seen.max()))
         if hi <= lo:
             # Constant outcome: the scaled response is undefined, but the
             # regression it stands in for is the constant itself.
@@ -408,7 +409,7 @@ def fit_propensity(learner: LearnerSpec, x: np.ndarray,
     a = treatment
     if rows is not None:
         a, x = a[rows], x[rows]
-    if len(np.unique(a)) < 2:
+    if not a.size or a.min() == a.max():
         raise InsufficientDataError(
             "both treatment levels are required to fit a propensity model"
         )
@@ -471,7 +472,7 @@ def _point_nuisances(data: Dataset, outcome_learner: LearnerSpec,
         propensity_pred=np.clip(raw, lo, hi),
         truncation_bounds=(lo, hi),
         fold_assignment=assignment,
-        n_truncated=int(np.sum((raw < lo) | (raw > hi))),
+        n_truncated=int(np.count_nonzero((raw < lo) | (raw > hi))),
         outcome_learner=outcome_learner.describe(),
         propensity_learner=propensity_learner.describe(),
     )

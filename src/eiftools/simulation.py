@@ -2,10 +2,10 @@
 
 A :class:`DgpConfig` describes independent covariates, a logit-scale
 model for the probability of NON-treatment, and an outcome mean on the
-identity or logit scale with optional mean-zero noise. Configurations
-are validated by interval arithmetic so that implied propensities stay
-away from 0 and 1 and binary outcome means stay inside [0, 1];
-violations are reported all at once.
+identity or logit scale with optional mean-zero noise. A configuration
+validates itself on construction, by interval arithmetic so that implied
+propensities stay away from 0 and 1 and binary outcome means stay inside
+[0, 1]; violations are reported all at once.
 
 The true estimand value is available two ways: exact summation over the
 covariate support (discrete covariates only) and Monte Carlo averaging
@@ -20,6 +20,7 @@ failures (never silently dropped).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -323,6 +324,9 @@ class DgpConfig:
     models P(A0=0 | W0), ``w1_covariates`` and ``a1_model``
     (P(A1=0 | W0, a0, W1)) describe the second period, and the outcome
     mean may use ``a0`` and ``a1``.
+
+    Construction raises DgpValidationError listing every problem, so a
+    DgpConfig that exists is usable.
     """
 
     design: str
@@ -341,6 +345,9 @@ class DgpConfig:
             object.__setattr__(self, "y_bounds",
                                (float(self.y_bounds[0]),
                                 float(self.y_bounds[1])))
+        problems = self._violations()
+        if problems:
+            raise DgpValidationError(problems)
 
     # -- structure helpers -------------------------------------------------
 
@@ -368,7 +375,7 @@ class DgpConfig:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self) -> List[str]:
+    def _violations(self) -> List[str]:
         """All configuration problems, empty when the DGP is usable."""
         problems: List[str] = []
         if self.design not in ("point", "longitudinal"):
@@ -513,12 +520,6 @@ class DgpConfig:
                         f"[{blo:g}, {bhi:g}]")
         return problems
 
-    def check(self) -> "DgpConfig":
-        problems = self.validate()
-        if problems:
-            raise DgpValidationError(problems)
-        return self
-
     # -- serialization -----------------------------------------------------
 
     @classmethod
@@ -579,7 +580,6 @@ def generate(dgp: DgpConfig, n: int,
     Draw order is fixed: covariates in declaration order, treatment,
     (longitudinal: second-period covariates, second treatment), outcome.
     """
-    dgp.check()
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
@@ -696,8 +696,8 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
                 values[c.name] = c.draw(rng, n, context=values)
             values["a1"] = np.zeros(n)
         y = _draw_outcome(dgp, rng, values, n)
-        total += float(np.sum(y))
-        total_sq += float(np.sum(y * y))
+        total += float(y.sum())
+        total_sq += float((y * y).sum())
         done += n
     mean = total / draws
     var = max(total_sq / draws - mean * mean, 0.0)
@@ -715,7 +715,6 @@ def true_value(dgp: DgpConfig, method: str = "analytic",
     counterfactual outcome draws with every treatment forced to 0 and
     reports the Monte Carlo standard error.
     """
-    dgp.check()
     if method == "analytic":
         return TruthResult(value=_analytic_truth(dgp), method="analytic")
     if method == "monte_carlo":
@@ -961,7 +960,6 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     estimator of the replicate; an estimator's own failure fails only
     that estimator's record.
     """
-    dgp.check()
     if replications < 2:
         raise ValueError("replications must be at least 2")
     if n < 2:
@@ -1023,16 +1021,18 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
             psis = np.array([rec.psi_hat for rec in ok])
             ses = np.array([rec.se for rec in ok])
             widths = np.array([rec.ci_hi - rec.ci_lo for rec in ok])
+            # np.std(psis, ddof=1), written out as in wald_inference.
+            dev = psis - psis.sum() / n_ok
             summaries.append(EstimatorSummary(
                 estimator=name, n_success=n_ok, n_failed=len(rows) - n_ok,
-                mean_bias=float(np.mean(psis) - truth.value),
-                empirical_se=float(np.std(psis, ddof=1)),
-                mean_se=float(np.mean(ses)),
-                coverage=float(np.mean([rec.covered for rec in ok])),
-                mean_ci_width=float(np.mean(widths)),
-                prop_out_of_bounds=float(np.mean(
-                    [rec.out_of_bounds for rec in ok]))
-                if bounds is not None else None,
+                mean_bias=float(psis.sum() / n_ok - truth.value),
+                empirical_se=math.sqrt((dev * dev).sum() / (n_ok - 1)),
+                mean_se=float(ses.sum() / n_ok),
+                coverage=sum(rec.covered for rec in ok) / n_ok,
+                mean_ci_width=float(widths.sum() / n_ok),
+                prop_out_of_bounds=(
+                    sum(rec.out_of_bounds for rec in ok) / n_ok
+                    if bounds is not None else None),
             ))
         else:
             summaries.append(EstimatorSummary(

@@ -66,6 +66,8 @@ POINT_ERRORS = [
      "treatment must be coded 0/1, found 0.5"),
     ("treatment_nan", dict(treatment=[0.0, 1.0, NAN, 1.0]),
      "treatment contains non-finite values"),
+    ("treatment_inf_after_bad_code", dict(treatment=[0.0, 0.5, -INF, 1.0]),
+     "treatment contains non-finite values"),
     ("outcome_nan", dict(outcome=[1.0, NAN, 3.0, 4.0]),
      "outcome contains non-finite values"),
     ("outcome_inf", dict(outcome=[1.0, 2.0, INF, 4.0]),
@@ -95,6 +97,14 @@ POINT_ERRORS = [
      "invalid outcome bounds (0.0, inf)"),
     ("bounds_violated", dict(y_bounds=(0.0, 3.5)),
      "outcome values fall outside the declared bounds"),
+    ("bounds_violated_below", dict(y_bounds=(1.5, 9.0)),
+     "outcome values fall outside the declared bounds"),
+    ("one_row_out_of_bounds",
+     dict(covariates={}, treatment=[0.0], outcome=[9.0], y_bounds=(0.0, 1.0)),
+     "outcome values fall outside the declared bounds"),
+    ("no_rows_with_bounds",
+     dict(covariates={}, treatment=[], outcome=[], y_bounds=(0.0, 1.0)),
+     "need at least two observations"),
 ]
 
 
@@ -160,6 +170,11 @@ LONG_ERRORS = [
     ("one_always_untreated", dict(a1=[0.0, 1.0, 1.0, 0.0, 1.0, 0.0]),
      "need at least 2 rows following the always-untreated regime "
      "(A0 = A1 = 0)"),
+    ("none_always_untreated", dict(a0=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+     "need at least 2 rows following the always-untreated regime "
+     "(A0 = A1 = 0)"),
+    ("a0_nan_after_bad_code", dict(a0=[0.0, 2.0, NAN, 1.0, 0.0, 1.0]),
+     "a0 contains non-finite values"),
     ("bounds_reversed", dict(y_bounds=(7.0, 0.0)),
      "invalid outcome bounds (7.0, 0.0)"),
     ("bounds_violated", dict(y_bounds=(2.0, 7.0)),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import eiftools.estimators as est
@@ -62,8 +64,10 @@ def test_eif_values_on_saturated_example():
 
 
 def test_eif_values_validation():
-    with pytest.raises(ValueError, match="strictly"):
-        eif_values(SATURATED, np.zeros(4), np.array([1.0, 0.5, 0.5, 0.5]), 0.0)
+    for bad in (1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="strictly"):
+            eif_values(SATURATED, np.zeros(4), np.array([0.5, bad, 0.5, 0.5]),
+                       0.0)
     with pytest.raises(ValueError, match="one value per row"):
         eif_values(SATURATED, np.zeros(3), np.full(4, 0.5), 0.0)
 
@@ -86,6 +90,38 @@ def test_wald_inference_formulas():
 
     with pytest.raises(ValueError, match="n >= 2"):
         wald_inference(np.array([1.0]), 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1),
+       exponent=st.integers(0, 100))
+def test_means_and_wald_se_are_bit_exact(n, seed, exponent):
+    """Means are sum / n and the Wald se is written out; both must equal
+    numpy's np.mean and sqrt(np.var(ddof=1) / n) bit for bit on mixed
+    signs and magnitudes spanning 10**-exponent to 10**exponent."""
+    rng = np.random.default_rng(seed)
+    wide = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(
+        -exponent, exponent + 1, n)
+    se, _ = wald_inference(wide, 0.0)
+    assert se == float(np.sqrt(np.var(wide, ddof=1) / n))
+
+    treatment = (rng.random(n) < 0.5).astype(float)
+    treatment[0] = 0.0
+    data = Dataset.from_columns({"w": np.zeros(n)}, treatment,
+                                rng.normal(size=n))
+    g = rng.uniform(0.05, 0.95, n)
+    nuisance = NuisanceEstimates(wide, g)
+    # Targeting certifies its score to an absolute tolerance, so it runs
+    # on outcome-scale predictions.
+    on_scale = NuisanceEstimates(rng.normal(size=n), g)
+    results = [gcomp(data, nuisance), one_step(data, nuisance),
+               tmle(data, on_scale, "weighted_linear")]
+    plug_ins = [wide, (treatment == 0.0) / g * (data.outcome - wide) + wide,
+                results[2].fluctuation.targeted_pred]
+    for result, values in zip(results, plug_ins):
+        assert result.psi_hat == float(np.mean(values))
+        assert result.diagnostics["mean_eif"] == float(np.mean(result.eif))
+        assert result.se == float(np.sqrt(np.var(result.eif, ddof=1) / n))
 
 
 def test_one_step_equals_gcomp_plus_mean_eif():

@@ -9,6 +9,8 @@ to 1e-12 (relative above 1) and the same score residual to 1e-12 of the
 score scale 1 + sum(weights), or raise the same exception type.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,3 +109,35 @@ def test_kernel_matches_longitudinal_fit_glm_fluctuation(problem):
     args = (response, offset, weights, regime, variant, bounds)
     _check(variant, lambda: fluctuate(*args),
            lambda: fluctuate_long_fit_glm(*args), weights, bounds)
+
+
+NAN, INF = float("nan"), float("inf")
+BAD_INPUTS = "fluctuation inputs must be finite, with weights nonnegative " \
+             "and not all zero"
+OUTSIDE = "response values fall outside the scaling bounds"
+
+
+# (response, offset, weights): each fails the input check of every
+# variant; the empty case must not become numpy's zero-size error.
+BAD_CASES = [
+    ([], [], []),
+    ([0.5, NAN], [0.5, 0.5], [1.0, 1.0]),
+    ([0.5, 0.5], [0.5, -INF], [1.0, 1.0]),
+    ([0.5, 0.5], [0.5, 0.5], [1.0, INF]),
+    ([0.5, 0.5], [0.5, 0.5], [1.0, NAN]),
+    ([0.5, 0.5], [0.5, 0.5], [1.0, -1.0]),
+    ([0.5, 0.5], [0.5, 0.5], [0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("variant, response, offset, weights, message", [
+    *((variant, *case, BAD_INPUTS) for variant in TMLE_VARIANTS
+      for case in BAD_CASES),
+    ("weighted_logistic", [0.5, -0.5], [0.5, 0.5], [1.0, 1.0], OUTSIDE),
+    ("weighted_logistic", [0.5, 1.5], [0.5, 0.5], [1.0, 1.0], OUTSIDE),
+])
+def test_input_errors(variant, response, offset, weights, message):
+    bounds = (0.0, 1.0) if variant == "weighted_logistic" else None
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        fluctuate(np.array(response), np.array(offset), np.array(weights),
+                  np.ones(len(weights)), variant, bounds)

@@ -4,6 +4,8 @@
 build it with the intercept column first, as the nuisance learners do.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -228,6 +230,49 @@ def test_input_validation():
         fit_glm(design, np.array([0.0, np.nan, 1.0]), Link.IDENTITY)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         fit_glm(design, np.array([0.0, 1.5, 1.0]), Link.LOGIT)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (response, link, weights, offset, full message): each input fault and
+# which check reports it first. A NaN weight is non-finite, not a sign
+# error, unless another weight is negative or none is positive.
+INPUT_ERRORS = [
+    ([0.0, 1.0, 0.0], "identity", [1.0, NAN, 1.0], None,
+     "weights contains non-finite values"),
+    ([0.0, 1.0, 0.0], "identity", [1.0, NAN, -1.0], None,
+     "weights must be nonnegative"),
+    ([0.0, 1.0, 0.0], "identity", [NAN, NAN, NAN], None,
+     "at least one weight must be strictly positive"),
+    ([0.0, 1.0, 0.0], "identity", [NAN, 0.0, 0.0], None,
+     "at least one weight must be strictly positive"),
+    ([0.0, 1.0, 0.0], "identity", [1.0, -INF, 1.0], None,
+     "weights must be nonnegative"),
+    ([0.0, 1.0, 0.0], "identity", [1.0, INF, 1.0], None,
+     "weights contains non-finite values"),
+    ([0.0, NAN, 0.0], "identity", [1.0, -1.0, 1.0], None,
+     "weights must be nonnegative"),
+    ([0.0, 1.0, 0.0], "identity", None, [0.0, -INF, 0.0],
+     "offset contains non-finite values"),
+    ([0.0, NAN, 0.0], "logit", None, None,
+     "response contains non-finite values"),
+    ([0.0, -INF, 0.0], "logit", None, None,
+     "response contains non-finite values"),
+    ([0.0, 1.0, -0.5], "logit", None, None,
+     "logit link requires response values in [0, 1]"),
+    ([0.0, 1.0, 1.5], "logit", None, None,
+     "logit link requires response values in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("response, link, weights, offset, message",
+                         INPUT_ERRORS)
+def test_input_errors_keep_their_precedence(response, link, weights, offset,
+                                            message):
+    design = _with_intercept([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        fit_glm(design, np.array(response), link, offset=offset,
+                weights=weights)
 
 
 def test_design_validation():

@@ -1,5 +1,7 @@
 """Two-time-point estimator tests: oracles, reduction, certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,20 @@ def test_nuisances_of_another_dataset_size_are_rejected(monkeypatch):
     for variant in LONG_VARIANTS:
         with pytest.raises(ValueError, match=message):
             tmle_long(large, nuis, variant=variant)
+
+
+def test_nuisance_vectors_of_unequal_length_are_rejected():
+    data = random_long_dataset(np.random.default_rng(14), n=200)
+    nuis = fit_sequential_nuisances(data, n_folds=2, seed=0)
+    lengths = "^g0, g1 and mu_hat must be 1-d arrays of equal length$"
+    cases = [(dict(mu_hat=nuis.mu_hat[:150]), lengths),
+             (dict(g1=nuis.g1[:150]), lengths),
+             (dict(g0=nuis.g0[:150]), lengths),
+             (dict(g0=nuis.g0[:, None]), lengths),
+             (dict(fold_assignment=nuis.fold_assignment[:150]),
+              "^fold_assignment length mismatch$")]
+    for change, message in cases:
+        with pytest.raises(ValueError, match=message):
+            one_step_long(data, replace(nuis, **change))
+        with pytest.raises(ValueError, match=message):
+            tmle_long(data, replace(nuis, **change))

@@ -346,6 +346,14 @@ def test_propensity_needs_both_levels():
     with pytest.raises(InsufficientDataError, match="treatment level"):
         fit_nuisance(data, LearnerSpec("glm_main_terms"),
                      LearnerSpec("glm_main_terms"))
+    # The matrix-level fit: one level among the rows, or no rows at all.
+    glm = LearnerSpec("glm_main_terms")
+    x = glm.design_for(np.array([[0.0], [1.0], [2.0], [3.0]]))
+    a = np.array([0.0, 1.0, 1.0, 0.0])
+    message = "^both treatment levels are required to fit a propensity model$"
+    for rows in ([True, False, False, True], [False] * 4):
+        with pytest.raises(InsufficientDataError, match=message):
+            fit_propensity(glm, x, a, np.array(rows))
 
 
 def test_truncation_bounds_validated():
@@ -377,9 +385,11 @@ def test_nuisance_estimates_validation():
     mu = np.array([1.0, 2.0])
     with pytest.raises(ValueError, match="truncation"):
         NuisanceEstimates(mu, np.array([0.5, 0.5]), truncation_bounds=(0.0, 1.0))
-    with pytest.raises(ValueError, match="violate"):
-        NuisanceEstimates(mu, np.array([0.5, 0.999]),
-                          truncation_bounds=(0.01, 0.99))
+    for g in ([0.5, 0.999], [0.005, 0.5], [0.5, np.nan], [np.inf, 0.5],
+              [0.5, -np.inf]):
+        with pytest.raises(ValueError, match="violate"):
+            NuisanceEstimates(mu, np.array(g), truncation_bounds=(0.01, 0.99))
+    assert NuisanceEstimates(np.empty(0), np.empty(0)).n_obs == 0
     with pytest.raises(ValueError, match="non-finite"):
         NuisanceEstimates(np.array([np.nan, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="fold_assignment"):

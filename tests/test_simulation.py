@@ -45,65 +45,72 @@ def simple_point_dgp(**outcome_kwargs):
     )
 
 
+def violations(build, **fields):
+    """The violations ``build(**fields)`` raises on construction."""
+    with pytest.raises(DgpValidationError) as err:
+        build(**fields)
+    return err.value.violations
+
+
 def test_fixture_configs_validate():
-    assert load_fixture("dgp_binary.json").validate() == []
-    assert load_fixture("dgp_long.json").validate() == []
+    # Construction validates, so a usable config simply builds.
+    assert load_fixture("dgp_binary.json").design == "point"
+    assert load_fixture("dgp_long.json").design == "longitudinal"
 
 
 def test_validation_collects_every_problem():
-    dgp = DgpConfig(
-        design="point",
-        covariates=(CovariateSpec(name="w", dist="triangular"),),
-        treatment=LinearModel(0.0, {"ghost": 1.0}),
-        outcome=OutcomeSpec(scale="cubic", kind="binary",
-                            mean_model=LinearModel(0.2, {})),
-    )
-    problems = dgp.validate()
+    with pytest.raises(DgpValidationError) as err:
+        DgpConfig(
+            design="point",
+            covariates=(CovariateSpec(name="w", dist="triangular"),),
+            treatment=LinearModel(0.0, {"ghost": 1.0}),
+            outcome=OutcomeSpec(scale="cubic", kind="binary",
+                                mean_model=LinearModel(0.2, {})),
+        )
+    problems = err.value.violations
     assert len(problems) >= 3
     text = "; ".join(problems)
     assert "unknown distribution" in text
     assert "unknown terms" in text
     assert "identity or logit" in text
-    with pytest.raises(DgpValidationError) as err:
-        dgp.check()
-    assert err.value.violations == problems
+    assert str(err.value) == text
 
 
 def test_unbounded_covariate_in_treatment_model_rejected():
-    dgp = DgpConfig(
+    problems = violations(
+        DgpConfig,
         design="point",
         covariates=(CovariateSpec(name="w", dist="normal", mean=0.0, sd=1.0),),
         treatment=LinearModel(0.0, {"w": 0.5}),
         outcome=OutcomeSpec(scale="logit", kind="binary",
                             mean_model=LinearModel(0.0, {"w": 0.3})),
     )
-    problems = dgp.validate()
     assert any("arbitrarily extreme" in p for p in problems)
     # Zero coefficient on the unbounded covariate is fine.
-    ok = DgpConfig(
+    DgpConfig(
         design="point",
         covariates=(CovariateSpec(name="w", dist="normal", mean=0.0, sd=1.0),),
         treatment=LinearModel(0.3, {"w": 0.0}),
         outcome=OutcomeSpec(scale="logit", kind="binary",
                             mean_model=LinearModel(0.0, {"w": 0.3})),
     )
-    assert ok.validate() == []
 
 
 def test_propensity_interval_must_respect_floor():
     dgp = simple_point_dgp()
-    steep = DgpConfig(
+    problems = violations(
+        DgpConfig,
         design=dgp.design, covariates=dgp.covariates,
         treatment=LinearModel(0.0, {"w": 6.0}),
         outcome=dgp.outcome, positivity_floor=0.05,
     )
-    problems = steep.validate()
     assert any("positivity floor" in p for p in problems)
 
 
 def test_binary_identity_mean_must_fit_unit_interval():
-    bad = simple_point_dgp(mean_model=LinearModel(0.9, {"w": 0.4, "a": 0.2}))
-    problems = bad.validate()
+    problems = violations(
+        simple_point_dgp,
+        mean_model=LinearModel(0.9, {"w": 0.4, "a": 0.2}))
     assert any("outside [0, 1]" in p for p in problems)
 
 
@@ -113,27 +120,28 @@ def test_declared_y_bounds_checked_against_mean_and_noise():
         covariates=(CovariateSpec(name="w", dist="bernoulli", p=0.5),),
         treatment=LinearModel(0.2, {"w": -0.4}),
     )
-    normal_noise = DgpConfig(
+    normal_noise = violations(
+        DgpConfig,
         outcome=OutcomeSpec(scale="identity", kind="continuous",
                             mean_model=LinearModel(1.0, {"w": 0.5}),
                             noise=NoiseSpec(kind="normal", sd=0.3)),
         y_bounds=(0.0, 2.0), **base)
-    assert any("unbounded" in p for p in normal_noise.validate())
+    assert any("unbounded" in p for p in normal_noise)
 
-    tight = DgpConfig(
+    # Uniform noise that stays inside the bounds is accepted.
+    DgpConfig(
         outcome=OutcomeSpec(scale="identity", kind="continuous",
                             mean_model=LinearModel(1.0, {"w": 0.5}),
                             noise=NoiseSpec(kind="uniform", half_width=0.4)),
         y_bounds=(0.0, 2.0), **base)
-    assert tight.validate() == []
 
-    wide_noise = DgpConfig(
+    wide_noise = violations(
+        DgpConfig,
         outcome=OutcomeSpec(scale="identity", kind="continuous",
                             mean_model=LinearModel(1.0, {"w": 0.5}),
                             noise=NoiseSpec(kind="uniform", half_width=1.5)),
         y_bounds=(0.0, 2.0), **base)
-    assert any("outside the declared y_bounds" in p
-               for p in wide_noise.validate())
+    assert any("outside the declared y_bounds" in p for p in wide_noise)
 
 
 def test_config_from_dict_rejects_unknown_and_missing_keys():
@@ -282,6 +290,17 @@ def test_failures_are_recorded_not_dropped():
     assert len(error_rows) == s.n_failed
     assert all(r.psi_hat is None for r in error_rows)
     assert all("Error" in r.error for r in error_rows)
+    # The summaries are numpy's statistics of the successful rows, bit
+    # for bit.
+    ok = [r for r in report.replicates if not r.error]
+    psis = np.array([r.psi_hat for r in ok])
+    assert s.mean_bias == float(np.mean(psis) - report.truth.value)
+    assert s.empirical_se == float(np.std(psis, ddof=1))
+    assert s.mean_se == float(np.mean([r.se for r in ok]))
+    assert s.coverage == float(np.mean([r.covered for r in ok]))
+    assert s.mean_ci_width == float(np.mean([r.ci_hi - r.ci_lo for r in ok]))
+    assert s.prop_out_of_bounds == float(np.mean([r.out_of_bounds
+                                                  for r in ok]))
 
 
 def test_one_estimator_failing_keeps_the_others(monkeypatch):
