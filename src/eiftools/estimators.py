@@ -27,7 +27,7 @@ from ._numeric import expit, logit
 from .data import Dataset
 from .glm import (DEFAULT_MAX_ITERATIONS, DEFAULT_SCORE_TOLERANCE,
                   SEPARATION_NORM, GlmError, NonConvergenceError,
-                  SeparationError, SingularDesignError, _bernoulli_loglik)
+                  SeparationError, SingularDesignError)
 from .nuisance import NuisanceEstimates
 
 __all__ = [
@@ -217,13 +217,19 @@ def _solve_linear(z, b, w, x, tol: float) -> float:
 
 def _solve_logistic(z, b, w, tol: float) -> float:
     """Weighted logistic intercept with offset ``b``, by the Newton
-    iteration of :func:`eiftools.glm.fit_glm` for one parameter: start
-    at 0, take the step score/information, halve it until the weighted
-    Bernoulli log-likelihood of the positive-weight rows does not drop."""
+    iteration of :func:`eiftools.glm.fit_glm`'s logit solver, weighted
+    and for one parameter: start at 0, take the step score/information,
+    halve it until the weighted Bernoulli log-likelihood of the
+    positive-weight rows does not drop."""
     active = slice(None) if w.min() > 0 else w > 0
     z_active, w_active = z[active], w[active]
+
+    def weighted_loglik(eta):  # z*eta - log(1 + exp(eta)) per row
+        return float((w_active * (z_active * eta
+                                  - np.logaddexp(0.0, eta))).sum())
+
     coef, eta = 0.0, b
-    loglik = _bernoulli_loglik(b[active], z_active, w_active)
+    loglik = weighted_loglik(b[active])
     for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
         mu = expit(eta)
         score = float((w * (z - mu)).sum())
@@ -244,7 +250,7 @@ def _solve_logistic(z, b, w, tol: float) -> float:
         for _ in range(40):
             cand = coef + step * delta
             eta = b + cand
-            loglik_cand = _bernoulli_loglik(eta[active], z_active, w_active)
+            loglik_cand = weighted_loglik(eta[active])
             if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
                 break
             step *= 0.5

@@ -51,12 +51,12 @@ LONG_VARIANTS = ("weighted_linear", "covariate_linear", "weighted_logistic")
 _DEFAULT_LEARNER = LearnerSpec("glm_main_terms")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequentialNuisances:
     """Per-observation nuisance vectors for the two-time-point estimand.
 
-    ``g0``, ``g1``, ``mu_hat`` come from the initial fits; ``mu_star``,
-    ``emu_hat``, ``emu_star`` are filled in as the targeting steps run.
+    ``g0``, ``g1``, ``mu_hat`` come from the initial fits; an estimator
+    returns a copy with ``mu_star``, ``emu_hat``, ``emu_star`` filled in.
     ``g1`` is exactly 1 when the second treatment is identically 0 in the
     fitting stratum (the point-treatment reduction), in which case the
     truncation bounds are deliberately not applied to it.
@@ -74,8 +74,8 @@ class SequentialNuisances:
     emu_star: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # Shapes only: tmle_long rebuilds this object with ``replace`` on
-        # every call, and the vectors come from the fits.
+        # Shapes only: each estimator rebuilds this object with ``replace``
+        # on every call, and the vectors come from the fits.
         shape = self.g0.shape
         if len(shape) != 1 or self.g1.shape != shape \
                 or self.mu_hat.shape != shape:
@@ -279,16 +279,18 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
     step3 = _labelled_fluctuation(
         "step 3 (fluctuate mu)", data.outcome, nuisances.mu_hat, r,
         1.0 / (nuisances.g0 * nuisances.g1), variant, bounds)
-    work = replace(nuisances, mu_star=step3.targeted_pred)
-    work.emu_hat = _fit_emu(data, work.mu_star, emu_learner, variant, bounds,
-                            work.fold_assignment)
+    mu_star = step3.targeted_pred
+    emu_hat = _fit_emu(data, mu_star, emu_learner, variant, bounds,
+                       nuisances.fold_assignment)
     step5 = _labelled_fluctuation(
-        "step 5 (fluctuate the W0 regression)", work.mu_star, work.emu_hat,
-        h, 1.0 / work.g0, variant, bounds)
-    work.emu_star = step5.targeted_pred
+        "step 5 (fluctuate the W0 regression)", mu_star, emu_hat,
+        h, 1.0 / nuisances.g0, variant, bounds)
+    emu_star = step5.targeted_pred
+    work = replace(nuisances, mu_star=mu_star, emu_hat=emu_hat,
+                   emu_star=emu_star)
 
     n = data.n_obs
-    theta = float(work.emu_star.sum() / n)
+    theta = float(emu_star.sum() / n)
     phi = eif_long(data, work, theta)
     se, ci = wald_inference(phi, theta)
     return LongEstimateResult(
@@ -304,13 +306,13 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
             "step5_coefficient": step5.coefficient,
             "step5_score_residual": step5.score_residual,
             "step5_weight_sum": float(h.sum()),
-            "targeted_pred_min": float(work.emu_star.min()),
-            "targeted_pred_max": float(work.emu_star.max()),
-            "mu_star_min": float(work.mu_star.min()),
-            "mu_star_max": float(work.mu_star.max()),
-            "n_truncated": work.n_truncated,
-            "g1_degenerate": work.g1_degenerate,
-            "cross_fitted": work.fold_assignment is not None,
+            "targeted_pred_min": float(emu_star.min()),
+            "targeted_pred_max": float(emu_star.max()),
+            "mu_star_min": float(mu_star.min()),
+            "mu_star_max": float(mu_star.max()),
+            "n_truncated": nuisances.n_truncated,
+            "g1_degenerate": nuisances.g1_degenerate,
+            "cross_fitted": nuisances.fold_assignment is not None,
         },
         fluctuation=step5,
         nuisances=work,

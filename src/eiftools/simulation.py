@@ -982,8 +982,10 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     records: List[ReplicateRecord] = []
     for r in range(replications):
         ss = replicate_seed(seed, r)
-        fold_seed = int(np.random.SeedSequence(
-            seed, spawn_key=(r, 1)).generate_state(1)[0])
+        fold_seed = 0  # read only by a cross-fitted plan
+        if plan.n_folds is not None:
+            fold_seed = int(np.random.SeedSequence(
+                seed, spawn_key=(r, 1)).generate_state(1)[0])
         try:
             # a draw can be too degenerate to estimate from (e.g. fewer
             # than 2 rows on the regime of interest); record, don't crash

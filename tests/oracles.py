@@ -16,7 +16,8 @@ from scipy.special import expit, logit
 from eiftools import _numeric
 from eiftools import nuisance as nu
 from eiftools.data import Dataset
-from eiftools.glm import Link, fit_glm
+from eiftools.glm import (SEPARATION_NORM, Link, NonConvergenceError,
+                          SeparationError, SingularDesignError, fit_glm)
 
 SCALED_CLIP = 1e-6
 
@@ -205,17 +206,20 @@ def read_csv_columns_per_cell(path):
 
 
 def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
-    """Weighted logistic Newton iteration with step-halving, evaluating
-    the log-likelihood as z*log(mu) + (1-z)*log(1-mu) with two logaddexp
-    passes over the positive-weight rows.
+    """Weighted logistic Newton iteration with offset ``b`` and
+    step-halving, evaluating the log-likelihood as
+    z*log(mu) + (1-z)*log(1-mu) with two logaddexp passes over the
+    positive-weight rows.
 
     It takes ``expit`` and the positive-definite solve from
     ``eiftools._numeric``, as the library does, so that equal iterates pin
     the iteration itself; ``tests/test_numeric.py`` pins those primitives
     against scipy.
 
-    Returns (coefficients, iterations); raises RuntimeError when the
-    score sums do not reach ``tol_abs``.
+    Returns (coefficients, iterations). Fails as the library's solvers
+    do: SingularDesignError for a singular information matrix,
+    SeparationError for coefficients beyond SEPARATION_NORM and
+    NonConvergenceError when the score sums do not reach ``tol_abs``.
     """
     def loglik(eta):
         active = wt > 0
@@ -233,7 +237,10 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
             return beta, iteration
         mu = _numeric.expit(eta)
         info = X.T @ (X * (wt * mu * (1.0 - mu))[:, None])
-        delta = _numeric.spd_solve(info, score)
+        try:
+            delta = _numeric.spd_solve(info, score)
+        except np.linalg.LinAlgError:
+            raise SingularDesignError("singular information") from None
         step = 1.0
         for _ in range(40):
             cand = beta + step * delta
@@ -243,26 +250,39 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
                 break
             step *= 0.5
         beta, eta, ll = cand, eta_cand, ll_cand
+        if np.max(np.abs(beta)) > SEPARATION_NORM:
+            raise SeparationError("coefficients diverged")
         score = X.T @ (wt * (z - _numeric.expit(eta)))
     if np.max(np.abs(score)) <= tol_abs:
         return beta, max_iterations
-    raise RuntimeError("no convergence")
+    raise NonConvergenceError("no convergence", beta, score, max_iterations)
 
 
-def _clever_covariate_matrix(h):
-    """``h`` as the one column of a model without intercept. A column
-    with no nonzero entry leaves no parameter to fit, which is a
-    ValueError, as it is for the direct solver."""
-    if not np.any(h != 0.0):
+def _one_column_fit(x, z, b, wt, logistic=False):
+    """Coefficient of the one-column GLM ``z ~ offset(b) + x`` weighted by
+    ``wt``: least squares on the square-root-weighted system, or the
+    weighted Newton iteration above. Raises ValueError when no weight is
+    positive, or when ``x`` has no nonzero entry (no parameter to fit)."""
+    if not np.any(wt > 0):
+        raise ValueError("at least one weight must be strictly positive")
+    if not np.any(x != 0.0):
         raise ValueError("design has no effective parameters: no intercept "
                          "and no nonzero column")
-    return h[:, None]
+    X = x[:, None]
+    if logistic:
+        beta, _ = fit_logit_two_logaddexp(X, z, b, wt,
+                                          1e-8 * (1.0 + np.sum(wt)))
+    else:
+        sw = np.sqrt(wt)
+        beta = np.linalg.lstsq(X * sw[:, None], (z - b) * sw, rcond=None)[0]
+    return float(beta[0])
 
 
 def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
-    """The point design's targeting fluctuation as a general GLM fit
-    (a model matrix -> ``fit_glm``), the way ``tmle`` solved it before it
-    had a direct one-parameter solver.
+    """The point design's targeting fluctuation as a general weighted GLM
+    fit on a one-column model matrix, the way ``tmle`` solved it (through
+    ``fit_glm``'s former offset and weights) before it had a direct
+    one-parameter solver.
 
     ``h = I(A=0)/g`` enters as the weights (or, for ``covariate_linear``,
     as the regressor); ``bounds`` are the logistic scaling bounds.
@@ -271,15 +291,11 @@ def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
     h = (treatment == 0.0).astype(float) / g
     n = y.shape[0]
     if variant == "covariate_linear":
-        fit = fit_glm(_clever_covariate_matrix(h), y, Link.IDENTITY,
-                      offset=mu)
-        delta = float(fit.coefficients[0])
+        delta = _one_column_fit(h, y, mu, np.ones(n))
         mu_star = mu + delta / g
         return delta, mu_star, float(np.sum(h * (y - mu_star)))
     if variant == "weighted_linear":
-        fit = fit_glm(np.ones((n, 1)), y, Link.IDENTITY,
-                      offset=mu, weights=h)
-        gamma = float(fit.coefficients[0])
+        gamma = _one_column_fit(np.ones(n), y, mu, h)
         mu_star = mu + gamma
         return gamma, mu_star, float(np.sum(h * (y - mu_star)))
     lo, hi = bounds
@@ -288,9 +304,7 @@ def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
     span = hi - lo
     y_sc = (y - lo) / span
     offset = logit(np.clip((mu - lo) / span, SCALED_CLIP, 1.0 - SCALED_CLIP))
-    fit = fit_glm(np.ones((n, 1)), y_sc, Link.LOGIT,
-                  offset=offset, weights=h)
-    gamma = float(fit.coefficients[0])
+    gamma = _one_column_fit(np.ones(n), y_sc, offset, h, logistic=True)
     targeted_sc = expit(offset + gamma)
     return (gamma, lo + span * targeted_sc,
             float(np.sum(h * (y_sc - targeted_sc))))
@@ -299,20 +313,16 @@ def fluctuate_point_fit_glm(y, mu, g, treatment, variant, bounds=None):
 def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
                            variant, bounds=None):
     """The longitudinal design's targeting fluctuation (steps 3 and 5) as
-    a general GLM fit, the way ``tmle_long`` solved it before it had a
-    direct one-parameter solver. Returns (coefficient, targeted
+    a general weighted GLM fit, the way ``tmle_long`` solved it before it
+    had a direct one-parameter solver. Returns (coefficient, targeted
     predictions, score residual)."""
     n = response.shape[0]
     if variant == "weighted_linear":
-        fit = fit_glm(np.ones((n, 1)), response, Link.IDENTITY,
-                      offset=offset_pred, weights=weights)
-        coef = float(fit.coefficients[0])
+        coef = _one_column_fit(np.ones(n), response, offset_pred, weights)
         targeted = offset_pred + coef
         return coef, targeted, float(np.sum(weights * (response - targeted)))
     if variant == "covariate_linear":
-        fit = fit_glm(_clever_covariate_matrix(weights), response,
-                      Link.IDENTITY, offset=offset_pred)
-        coef = float(fit.coefficients[0])
+        coef = _one_column_fit(weights, response, offset_pred, np.ones(n))
         targeted = offset_pred + coef * regime_covariate
         return coef, targeted, float(np.sum(weights * (response - targeted)))
     lo, hi = bounds
@@ -322,9 +332,7 @@ def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
         raise ValueError("response values fall outside the scaling bounds")
     off = logit(np.clip((offset_pred - lo) / span, SCALED_CLIP,
                         1.0 - SCALED_CLIP))
-    fit = fit_glm(np.ones((n, 1)), resp_sc, Link.LOGIT,
-                  offset=off, weights=weights)
-    coef = float(fit.coefficients[0])
+    coef = _one_column_fit(np.ones(n), resp_sc, off, weights, logistic=True)
     targeted_sc = expit(off + coef)
     return (coef, lo + span * targeted_sc,
             float(np.sum(weights * (resp_sc - targeted_sc))))

@@ -3,7 +3,9 @@
 ``estimators.fluctuate`` solves each one-parameter fluctuation in closed
 form (linear variants) or by a scalar Newton iteration (logistic). The
 oracles in ``tests/oracles.py`` solve the same fluctuations the way both
-designs did before, as ``fit_glm`` on a one-column model matrix. On random
+designs did before, as a weighted GLM fit with an offset on a one-column
+model matrix: least squares on the square-root-weighted system, or the
+weighted Newton iteration of ``fit_logit_two_logaddexp``. On random
 problems the two must give the same coefficient and targeted predictions
 to 1e-12 (relative above 1) and the same score residual to 1e-12 of the
 score scale 1 + sum(weights), or raise the same exception type.
@@ -20,9 +22,15 @@ from scipy.special import expit
 from eiftools.data import Dataset
 from eiftools.estimators import TMLE_VARIANTS, fluctuate, tmle
 from eiftools.nuisance import NuisanceEstimates
-from oracles import fluctuate_long_fit_glm, fluctuate_point_fit_glm
+from oracles import (bisect_root, fluctuate_long_fit_glm,
+                     fluctuate_point_fit_glm)
 
 RTOL = 1e-12
+
+# Root of 2*(1 - expit(0.2 + c)) - expit(-0.1 + c) = 0, computed once by
+# bisection to machine precision and frozen here.
+FROZEN_LOGIT_GAMMA = 0.5963687987672498
+FROZEN_LOGIT_PROBS = (0.6891971966294974, 0.6216056067410052)
 
 
 @st.composite
@@ -109,6 +117,26 @@ def test_kernel_matches_longitudinal_fit_glm_fluctuation(problem):
     args = (response, offset, weights, regime, variant, bounds)
     _check(variant, lambda: fluctuate(*args),
            lambda: fluctuate_long_fit_glm(*args), weights, bounds)
+
+
+def test_logit_frozen_two_point_example():
+    # Logit-scale offsets 0.2 and -0.1 with weights 2 and 1. The default
+    # tolerance certifies the score equation, so the coefficient sits
+    # within (score tol) / (information) of the exact root.
+    fit = fluctuate(np.array([1.0, 0.0]), expit(np.array([0.2, -0.1])),
+                    np.array([2.0, 1.0]), np.ones(2), "weighted_logistic",
+                    (0.0, 1.0))
+    assert fit.coefficient == pytest.approx(FROZEN_LOGIT_GAMMA, abs=1e-6)
+    np.testing.assert_allclose(fit.targeted_pred, FROZEN_LOGIT_PROBS,
+                               rtol=0, atol=1e-6)
+
+
+def test_frozen_value_agrees_with_live_bisection():
+    def score(c):
+        return 2.0 * (1.0 - expit(0.2 + c)) - expit(-0.1 + c)
+
+    live = bisect_root(score, -20.0, 20.0)
+    assert live == pytest.approx(FROZEN_LOGIT_GAMMA, abs=1e-12)
 
 
 NAN, INF = float("nan"), float("inf")

@@ -1,6 +1,6 @@
 """Two-time-point estimator tests: oracles, reduction, certificates."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -48,8 +48,8 @@ def test_eif_long_by_hand():
         g1=np.array([0.5, 0.5, 0.25, 0.9]),
         mu_hat=np.array([1.5, 1.0, 3.0, 6.0]),
     )
-    nuis.mu_star = nuis.mu_hat
-    nuis.emu_star = np.array([1.0, 1.0, 2.0, 5.0])
+    nuis = replace(nuis, mu_star=nuis.mu_hat,
+                   emu_star=np.array([1.0, 1.0, 2.0, 5.0]))
     # Row by row with theta = 1:
     #  r1: R=4, H=2 -> 4*(2-1.5) + 2*(1.5-1) + 1 - 1 = 3
     #  r2: R=4, H=2 -> 4*(1-1)   + 2*(1-1)   + 1 - 1 = 0
@@ -58,13 +58,25 @@ def test_eif_long_by_hand():
     phi = eif_long(data, nuis, theta=1.0)
     np.testing.assert_allclose(phi, [3.0, 0.0, 3.0, 4.0], atol=1e-14)
 
-    nuis.emu_hat = nuis.emu_star
+    nuis = replace(nuis, emu_hat=nuis.emu_star)
     untargeted = eif_long(data, nuis, theta=1.0, targeted=False)
     np.testing.assert_allclose(untargeted, phi, atol=1e-14)
 
     bare = SequentialNuisances(g0=nuis.g0, g1=nuis.g1, mu_hat=nuis.mu_hat)
     with pytest.raises(ValueError, match="not been computed"):
         eif_long(data, bare, theta=1.0)
+
+
+def test_sequential_nuisances_are_frozen():
+    # The shape check runs on construction only, so a field swapped in
+    # afterwards could not be checked; assignment is refused instead.
+    data = random_long_dataset(np.random.default_rng(3), 200)
+    nuis = fit_sequential_nuisances(data)
+    with pytest.raises(FrozenInstanceError):
+        nuis.mu_hat = nuis.mu_hat[:150]
+    result = tmle_long(data, nuis)
+    assert result.nuisances is not nuis
+    assert nuis.mu_star is None
 
 
 def test_saturated_long_matches_nested_stratum_oracle():
