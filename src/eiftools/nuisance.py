@@ -132,7 +132,11 @@ class LearnerSpec:
                 if not sep or not key or not value:
                     raise ValueError(f"malformed learner option {item!r}")
                 if key in ("degree", "k"):
-                    kwargs[key] = int(value)
+                    try:
+                        kwargs[key] = int(value)
+                    except ValueError:
+                        raise ValueError(f"{key} must be an integer, "
+                                         f"got {value!r}") from None
                 elif key == "interactions":
                     if value.lower() not in ("true", "false"):
                         raise ValueError(
@@ -216,8 +220,9 @@ class _GlmPredictor:
         return lo + (hi - lo) * p
 
 
-# Query rows are searched in blocks of about this many float64 entries
-# (256 KB), so working memory does not grow with the query size.
+# Query rows are searched in blocks whose full-width distance matrix
+# holds about this many float64 entries (256 KB), so working memory does
+# not grow with the query size.
 _KNN_BLOCK_ENTRIES = 1 << 15
 
 # numpy's float64 sum over a row adds fewer than this many terms left to
@@ -227,40 +232,34 @@ _KNN_BLOCK_ENTRIES = 1 << 15
 _SEQUENTIAL_SUM_TERMS = 8
 
 
-def _squared_distances(train_x: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """(query, train) squared distances, rounded as a per-row ``np.sum``."""
-    if train_x.shape[1] >= _SEQUENTIAL_SUM_TERMS:
-        return np.sum((train_x[None] - xb[:, None]) ** 2, axis=2)
-    d2 = np.zeros((xb.shape[0], train_x.shape[0]))
-    for j in range(train_x.shape[1]):
-        d2 += (train_x[None, :, j] - xb[:, j, None]) ** 2
-    return d2
-
-
-def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the k smallest entries ordered by (distance, column index)."""
-    chosen = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    chosen.sort(axis=1)
-    dist = np.take_along_axis(d2, chosen, axis=1)
-    chosen = np.take_along_axis(
-        chosen, np.argsort(dist, axis=1, kind="stable"), axis=1)
-    # A row with more than k entries at or below its k-th distance has a
-    # tie that argpartition may have broken the wrong way.
-    tied = np.count_nonzero(d2 <= dist.max(axis=1)[:, None], axis=1) > k
-    if tied.any():
-        chosen[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    return chosen
+def _first_coordinate(x: np.ndarray) -> np.ndarray:
+    """Column 0 of ``x``; zeros when it has no columns."""
+    return x[:, 0] if x.shape[1] else np.zeros(x.shape[0])
 
 
 class _KnnPredictor:
-    """Exact k-nearest-neighbor mean by brute force, with deterministic ties.
+    """Exact k-nearest-neighbor mean by a sorted-projection search.
 
     Distances are Euclidean on per-column standardized covariates
     (training mean/scale; constant columns get scale 1). Neighbors are
     ranked by (distance, training-row index), so ties go to the lowest
-    training index. Every query row is compared with every training row,
-    so time is O(n_train * n_query); query rows are processed in blocks
-    of about ``_KNN_BLOCK_ENTRIES`` entries, which bounds memory.
+    training index, and every prediction is bit-identical to comparing
+    each query row with every training row.
+
+    The search follows Friedman, Baskett & Shustek (1975), "An algorithm
+    for finding nearest neighbors". Training rows are kept sorted on
+    their first coordinate, and query rows sorted the same way are
+    walked in blocks sized by ``_KNN_BLOCK_ENTRIES``, which bounds
+    memory. A block computes distances only to the window of training
+    rows whose first coordinate lies within the previous block's
+    largest k-th distance of the block's own first-coordinate range;
+    the first block's window is every row. A query row is settled when
+    its k-th squared distance is strictly below the squared
+    first-coordinate gap to each window edge. Every row outside the
+    window is then strictly farther than its k-th neighbor, because a
+    rounded sum of nonnegative squares is at least each of its terms.
+    The rows left unsettled are searched again, together after the walk,
+    over every training row.
     """
 
     def __init__(self, k: int, train_x: np.ndarray, train_z: np.ndarray):
@@ -268,21 +267,99 @@ class _KnnPredictor:
         self.center = train_x.mean(axis=0) if train_x.shape[1] else np.zeros(0)
         scale = train_x.std(axis=0) if train_x.shape[1] else np.zeros(0)
         self.scale = np.where(scale > 0, scale, 1.0)
-        self.train_x = (train_x - self.center) / self.scale
-        self.train_z = train_z
+        x = (train_x - self.center) / self.scale
+        self.order = np.argsort(_first_coordinate(x), kind="stable")
+        x = x[self.order]
+        self.key = _first_coordinate(x)
+        # Laid out as the distance kernel reads it: one contiguous row per
+        # column for the column-wise sum, the rows for the pairwise sum.
+        self.train_x = (x if x.shape[1] >= _SEQUENTIAL_SUM_TERMS
+                        else np.ascontiguousarray(x.T))
+        self.train_z = train_z[self.order]
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         x = (matrix - self.center) / self.scale
-        m, d = self.train_x.shape
+        q0 = _first_coordinate(x)
+        by_q0 = np.argsort(q0, kind="stable")
+        x, q0 = x[by_q0], q0[by_q0]
+        m, d = len(self.key), x.shape[1]
         # The pairwise-sum path holds every (query, train, column) term.
         per_row = m * d if d >= _SEQUENTIAL_SUM_TERMS else m
         step = max(1, _KNN_BLOCK_ENTRIES // per_row)
-        out = np.empty(x.shape[0])
+        terms, dist = np.empty(step * per_row), np.empty(step * m)
+        means, settled = np.empty(x.shape[0]), np.ones(x.shape[0], dtype=bool)
+        # The radius only sizes windows; exactness rests on the per-row
+        # check against the window edges.
+        rad = np.inf
         for start in range(0, x.shape[0], step):
-            d2 = _squared_distances(self.train_x, x[start:start + step])
-            out[start:start + step] = np.mean(
-                self.train_z[_nearest(d2, self.k)], axis=1)
+            xb, qb = x[start:start + step], q0[start:start + step]
+            lo = int(np.searchsorted(self.key, qb[0] - rad, "left"))
+            hi = int(np.searchsorted(self.key, qb[-1] + rad, "right"))
+            if hi - lo < self.k:
+                lo, hi = 0, m
+            kth, means[start:start + step] = self._nearest_mean(
+                self._distances(xb, lo, hi, terms, dist), lo)
+            block = settled[start:start + step]
+            if lo > 0:
+                gap = self.key[lo - 1] - qb
+                block &= kth < gap * gap
+            if hi < m:
+                gap = self.key[hi] - qb
+                block &= kth < gap * gap
+            rad = np.sqrt(kth.max())
+        unsettled = np.flatnonzero(~settled)
+        for start in range(0, len(unsettled), step):
+            rows = unsettled[start:start + step]
+            means[rows] = self._nearest_mean(
+                self._distances(x[rows], 0, m, terms, dist), 0)[1]
+        out = np.empty(x.shape[0])
+        out[by_q0] = means
         return out
+
+    def _distances(self, xb: np.ndarray, lo: int, hi: int,
+                   terms: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        """(query, train) squared distances from the rows ``xb`` to sorted
+        training rows [lo, hi), written into the buffer ``dist`` with
+        ``terms`` as working space. Each entry is rounded as a per-row
+        ``np.sum`` of squared differences, so it does not depend on the
+        window."""
+        b, w, d = xb.shape[0], hi - lo, xb.shape[1]
+        d2 = dist[:b * w].reshape(b, w)
+        if d >= _SEQUENTIAL_SUM_TERMS:
+            diff = terms[:b * w * d].reshape(b, w, d)
+            np.subtract(self.train_x[None, lo:hi], xb[:, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            return np.sum(diff, axis=2, out=d2)
+        diff = terms[:b * w].reshape(b, w)
+        d2.fill(0.0)
+        for j in range(d):
+            np.subtract(self.train_x[j, lo:hi], xb[:, j, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            d2 += diff
+        return d2
+
+    def _nearest_mean(self, d2: np.ndarray,
+                      lo: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row of the distances ``d2`` to sorted training rows from
+        ``lo`` on: the k-th smallest distance, and the mean response of
+        the k nearest rows taken in (distance, training index) order."""
+        k, w = self.k, d2.shape[1]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        near = d2 <= kth[:, None]
+        # A row with more than k entries at or below its k-th distance has
+        # a tie (one with fewer, a NaN distance): its k nearest are the
+        # first k of a full stable sort in training-index order.
+        odd = np.count_nonzero(near, axis=1) != k
+        if odd.any():
+            by_index = np.argsort(self.order[lo:lo + w])
+            near[odd] = False
+            near[np.flatnonzero(odd)[:, None], by_index[np.argsort(
+                d2[odd][:, by_index], axis=1, kind="stable")[:, :k]]] = True
+        flat = np.flatnonzero(near).reshape(-1, k)
+        column = flat % w + lo
+        rank = np.lexsort((self.order[column], d2.ravel()[flat]), axis=1)
+        z = self.train_z[column]
+        return kth, np.mean(z[np.arange(len(z))[:, None], rank], axis=1)
 
 
 class _ConstantPredictor:

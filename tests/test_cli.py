@@ -230,6 +230,14 @@ def test_estimate_usage_errors_exit_2(tmp_path):
     assert err["type"] == "UsageError"
     assert "'k'" in err["message"]
 
+    for option in ("k=abc", "k=2.5", "degree=x"):
+        key, value = option.split("=")
+        kind = "k_nearest_neighbors" if key == "k" else "glm_with_basis"
+        err = expect_usage(good, args=["--outcome-learner", f"{kind}:{option}"])
+        assert err["type"] == "UsageError"
+        assert err["message"] == (f"--outcome-learner: {key} must be an "
+                                  f"integer, got {value!r}")
+
     err = expect_usage(b"w,a,y\n0.0,0.0,1.0\n0.\xff,1.0,2.0\n")
     assert err["type"] == "UsageError"
     assert "not UTF-8" in err["message"]

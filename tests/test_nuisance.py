@@ -289,6 +289,132 @@ def test_knn_matches_brute_force_oracle(kind, n_cov, n_train, n_query, k):
             got, knn_mean_brute_force(train_x, train_z, query_x, k))
 
 
+def _knn_block_rows(n_train, n_cov):
+    """Query rows per block of ``_KnnPredictor.predict``."""
+    per_row = n_train * n_cov if n_cov >= 8 else n_train
+    return max(1, _KNN_BLOCK_ENTRIES // per_row)
+
+
+def _assert_knn_exact(train_x, train_z, query_x, k):
+    got = _KnnPredictor(k, train_x, train_z).predict(query_x)
+    np.testing.assert_array_equal(
+        got, knn_mean_brute_force(train_x, train_z, query_x, k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n_train=st.integers(1, 300), n_cov=st.integers(0, 10),
+       kind=st.sampled_from(["continuous", "three_level", "duplicated_first"]),
+       far=st.sampled_from([None, "first", "others"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_knn_search_is_exact(data, n_train, n_cov, kind, far, seed):
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, n_train), label="k")
+    step = min(_knn_block_rows(n_train, n_cov), 150)
+    n_query = (data.draw(st.integers(0, 2), label="blocks") * step
+               + data.draw(st.integers(0, step), label="extra"))
+
+    def draw(rows):
+        if kind == "three_level":
+            return rng.integers(-1, 2, size=(rows, n_cov)).astype(float)
+        x = rng.normal(size=(rows, n_cov))
+        if kind == "duplicated_first" and n_cov:
+            x[:, 0] = rng.integers(0, 3, size=rows)
+        return x
+
+    train_x, query_x = draw(n_train), draw(n_query)
+    # Some queries far outside the training range, in coordinate 0 only
+    # or in the other coordinates only.
+    moved = rng.random(n_query) < 0.3
+    if far == "first" and n_cov:
+        query_x[moved, 0] += rng.choice([-40.0, 40.0], size=moved.sum())
+    if far == "others" and n_cov > 1:
+        query_x[moved, 1:] += 40.0
+    train_z = rng.normal(scale=3.0, size=n_train)
+    _assert_knn_exact(train_x, train_z, query_x, k)
+
+
+def _record_windows(monkeypatch):
+    """(query rows, lo, hi) of every window ``_KnnPredictor`` searches."""
+    windows = []
+    distances = _KnnPredictor._distances
+
+    def recorded(self, xb, lo, hi, *buffers):
+        windows.append((len(xb), lo, hi))
+        return distances(self, xb, lo, hi, *buffers)
+
+    monkeypatch.setattr(_KnnPredictor, "_distances", recorded)
+    return windows
+
+
+def test_knn_windows_prune_and_stay_exact(monkeypatch):
+    windows = _record_windows(monkeypatch)
+    rng = np.random.default_rng(11)
+    train_x = rng.uniform(size=(1600, 3))
+    query_x = rng.uniform(size=(400, 3))
+    train_z = (rng.random(1600) < 0.5).astype(float)
+    _assert_knn_exact(train_x, train_z, query_x, 25)
+    # Brute force would compute 400 * 1600 distances.
+    assert sum(rows * (hi - lo) for rows, lo, hi in windows) < 0.6 * 400 * 1600
+
+
+def test_knn_unsettled_rows_fall_back_to_every_row(monkeypatch):
+    # A dense cluster, a few training rows spread along coordinate 0, and
+    # isolated queries whose coordinate 0 sorts them between cluster
+    # queries: the radius carried from a cluster block is far too small
+    # for them.
+    windows = _record_windows(monkeypatch)
+    rng = np.random.default_rng(12)
+    train_x = rng.normal(scale=0.01, size=(1500, 3))
+    spread = rng.normal(size=(100, 3))
+    spread[:, 0] *= 50.0
+    train_x = np.vstack([train_x, spread])
+    query_x = rng.normal(scale=0.01, size=(300, 3))
+    query_x[::60, 1:] += 5.0
+    train_z = rng.normal(size=1600)
+    _assert_knn_exact(train_x, train_z, query_x, 10)
+    blocks = -(-300 // _knn_block_rows(1600, 3))
+    assert min(hi - lo for _, lo, hi in windows) < 1600
+    assert len(windows) > blocks
+
+
+def test_knn_pairwise_sums_under_pruning(monkeypatch):
+    # Nine covariates (numpy sums the squares pairwise) along a line, so
+    # neighbors are close in coordinate 0 and the windows prune.
+    windows = _record_windows(monkeypatch)
+    rng = np.random.default_rng(13)
+    line = rng.normal(size=(700, 1))
+    x = line + 0.05 * rng.normal(size=(700, 9))
+    train_x, query_x = x[:600], x[600:]
+    _assert_knn_exact(train_x, rng.normal(size=600), query_x, 5)
+    assert min(hi - lo for _, lo, hi in windows) < 600
+
+
+@pytest.mark.parametrize("skipped_column", [None, -1])
+def test_knn_certificate_at_window_edges(skipped_column):
+    # An integer grid without (0, 0), ordered by first coordinate
+    # descending, so (1, 0) has a lower index than (0, 1) and (0, -1).
+    # Queries on training rows carry radius 0 into the next block, whose
+    # window is then the rows with first coordinate 0. For the query
+    # (0, 0) the edge row (1, 0) is exactly as near as the k-th neighbor
+    # in the window (a full grid: the tie goes to (1, 0)), or strictly
+    # nearer while the left edge is farther (column -1 skipped).
+    grid = [(i, j) for i in range(20, -21, -1) for j in range(-20, 21)
+            if (i, j) != (0, 0) and i != skipped_column]
+    step = _knn_block_rows(len(grid), 2)
+    query_x = np.array([(-2.0, -2.0)] * step + [(0.0, 0.0)] * step)
+    _assert_knn_exact(np.array(grid, dtype=float),
+                      np.arange(len(grid), dtype=float), query_x, 1)
+
+
+def test_knn_constant_first_column():
+    rng = np.random.default_rng(14)
+    train_x = rng.normal(size=(400, 3))
+    query_x = rng.normal(size=(250, 3))
+    train_x[:, 0] = 2.0
+    query_x[:, 0] = rng.choice([2.0, -3.0], size=250)
+    _assert_knn_exact(train_x, rng.normal(size=400), query_x, 7)
+
+
 def test_knn_k_larger_than_untreated_pool():
     data = Dataset.from_columns(
         {"w": [0.0, 1.0, 2.0, 3.0]},
