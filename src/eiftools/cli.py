@@ -1,10 +1,15 @@
 """Command-line interface: estimate on CSV data, simulate, report truth.
 
+``estimate`` analyses a dataset of either design by
+``simulation.fit_plan_nuisance`` and ``simulation.run_estimator``, the
+path that ``simulate`` takes through ``run_experiment``.
+
 Exit codes: 0 success, 2 input or configuration error, 3 estimation
-failure. Failures write a machine-readable error object to the output
-target (stdout if it cannot be written). All output is byte-deterministic
-given the same inputs and seed: JSON is dumped with sorted keys, and CSV
-floats use ``repr``.
+failure; :func:`main` maps every ``GlmError`` or ``NuisanceError`` that
+reaches it to 3. Failures write a machine-readable error object to the
+output target (stdout if it cannot be written). All output is
+byte-deterministic given the same inputs and seed: JSON is dumped with
+sorted keys, and CSV floats use ``repr``.
 
 CSV conventions (header required, comma-separated, '.' decimals, no
 missing values): the point design expects a treatment column ``a``
@@ -23,6 +28,8 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -34,8 +41,8 @@ from .glm import GlmError
 from .nuisance import DEFAULT_TRUNCATION, LearnerSpec, NuisanceError
 from .simulation import (DgpConfig, DgpValidationError, EstimationPlan,
                          LONG_ESTIMATORS, POINT_ESTIMATORS, AnalyticTruthError,
-                         fit_plan_nuisance, fit_plan_nuisance_long, generate,
-                         long_estimate, point_estimate, replicate_seed,
+                         ReplicateRecord, check_estimators, fit_plan_nuisance,
+                         generate, replicate_seed, run_estimator,
                          run_experiment, true_value)
 
 SCHEMA_VERSION = 1
@@ -261,17 +268,16 @@ def _parse_learner(text: str, flag: str) -> LearnerSpec:
 
 
 def _parse_estimators(text: Optional[str], design: str) -> List[str]:
-    valid = POINT_ESTIMATORS if design == "point" else LONG_ESTIMATORS
     if text is None or text.strip() == "all":
-        return list(valid)
+        return list(POINT_ESTIMATORS if design == "point"
+                    else LONG_ESTIMATORS)
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise UsageError("--estimators is empty")
-    unknown = [n for n in names if n not in valid]
-    if unknown:
-        raise UsageError(
-            f"unknown estimators for the {design} design: {unknown}; "
-            f"valid names: {list(valid)}")
+    try:
+        check_estimators(design, names)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return names
 
 
@@ -295,9 +301,8 @@ def _plan_from_args(args) -> EstimationPlan:
                                               "--propensity-learner"),
             truncation=truncation,
             n_folds=args.folds,
-            outcome_covariates=cols(getattr(args, "outcome_covariates", None)),
-            propensity_covariates=cols(
-                getattr(args, "propensity_covariates", None)),
+            outcome_covariates=cols(args.outcome_covariates),
+            propensity_covariates=cols(args.propensity_covariates),
             y_bounds=y_bounds,
         )
     except ValueError as exc:
@@ -341,41 +346,28 @@ def cmd_estimate(args) -> int:
     if args.design == "point":
         data = read_point_csv(args.data, args.treatment_col, args.outcome_col,
                               y_bounds=plan.y_bounds)
+        covariates = data.covariate_names
     else:
         data = read_long_csv(args.data, y_bounds=plan.y_bounds)
+        covariates = ()
     try:
-        plan.check_data(args.design, data.n_obs, data.covariate_names
-                        if args.design == "point" else ())
+        plan.check_data(args.design, data.n_obs, covariates)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     names = _parse_estimators(args.estimators, args.design)
-    fold_seed = args.seed if args.seed is not None else 0
-
-    try:
-        if args.design == "point":
-            nuis = fit_plan_nuisance(data, plan, fold_seed)
-        else:
-            nuis = fit_plan_nuisance_long(data, plan, fold_seed)
-    except (GlmError, NuisanceError) as exc:
-        raise EstimationFailure(exc) from exc
-
+    # A GlmError or NuisanceError from here on exits 3 (see main).
+    nuis = fit_plan_nuisance(data, plan,
+                             args.seed if args.seed is not None else 0)
     estimates = []
     for name in names:
         try:
-            if args.design == "point":
-                res = point_estimate(name, data, nuis, plan)
-            else:
-                res = long_estimate(name, data, nuis, plan)
-            estimates.append(res.to_json_dict())
+            estimates.append(
+                run_estimator(name, data, nuis, plan).to_json_dict())
         except DegenerateOutcomeError:
-            lo, hi = data.outcome_bounds()
-            if lo == hi:
-                estimates.append(_constant_outcome_result(name, lo))
-            else:
-                raise EstimationFailure(
-                    DegenerateOutcomeError(f"{name}: degenerate outcome bounds"))
-        except (GlmError, NuisanceError) as exc:
-            raise EstimationFailure(exc) from exc
+            # The data and the estimator share plan.y_bounds, so the
+            # bounds collapse only on a constant outcome.
+            estimates.append(
+                _constant_outcome_result(name, data.outcome_bounds()[0]))
 
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -407,19 +399,19 @@ def cmd_simulate(args) -> int:
         report = run_experiment(dgp, args.n, args.replications, names, plan,
                                 seed=args.seed, truth_method=args.truth_method,
                                 mc_draws=args.mc_draws)
-    except AnalyticTruthError as exc:
-        raise UsageError(str(exc)) from None
-    except ValueError as exc:
+        # Replicate 0's draw, which run_experiment records as a failure
+        # when it is degenerate; drawn before anything is written.
+        data = (generate(dgp, args.n, replicate_seed(args.seed, 0))
+                if args.emit_data is not None else None)
+    except (AnalyticTruthError, ValueError) as exc:
         raise UsageError(str(exc)) from None
 
     _write_text(_json_text(report.to_json_dict()), args.out)
     if csv_path:
-        header = ["replicate", "estimator", "psi_hat", "se", "ci_lo",
-                  "ci_hi", "covered", "out_of_bounds", "error"]
-        rows = [[row[h] for h in header] for row in report.replicate_rows()]
-        write_csv(csv_path, header, rows)
-    if args.emit_data is not None:
-        data = generate(dgp, args.n, replicate_seed(args.seed, 0))
+        header = [f.name for f in fields(ReplicateRecord)]
+        row = attrgetter(*header)
+        write_csv(csv_path, header, [row(rec) for rec in report.replicates])
+    if data is not None:
         write_dataset_csv(data, args.emit_data)
     return EXIT_OK
 
@@ -438,14 +430,6 @@ def cmd_truth(args) -> int:
     }
     _write_text(_json_text(out), args.out)
     return EXIT_OK
-
-
-class EstimationFailure(Exception):
-    """Wraps an estimator/nuisance failure; maps to exit code 3."""
-
-    def __init__(self, cause: Exception):
-        super().__init__(str(cause))
-        self.cause = cause
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +550,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DgpValidationError) as exc:
         _report_error(exc, args.out)
         return EXIT_INPUT
-    except EstimationFailure as exc:
-        _report_error(exc.cause, args.out)
+    except (GlmError, NuisanceError) as exc:
+        _report_error(exc, args.out)
         return EXIT_ESTIMATION
 
 

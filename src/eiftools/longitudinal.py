@@ -102,16 +102,15 @@ def _weights(data: LongDataset, nuis: SequentialNuisances
     return both / (nuis.g0 * nuis.g1), first / nuis.g0
 
 
-def eif_long(data: LongDataset, nuisances: SequentialNuisances, theta: float,
-             targeted: bool = True) -> np.ndarray:
-    """Influence-function values for every observation.
+def eif_long(data: LongDataset, nuisances: SequentialNuisances, theta: float
+             ) -> np.ndarray:
+    """Influence-function values for every observation, at the targeted
+    outcome-side nuisances ``mu_star``/``emu_star``.
 
-    With ``targeted`` (the default) the outcome-side nuisances are the
-    targeted ``mu_star``/``emu_star``; otherwise the initial
-    ``mu_hat``/``emu_hat``.
+    ``one_step_long`` evaluates it at the initial fits by setting
+    ``mu_star = mu_hat`` and ``emu_star = emu_hat``.
     """
-    mu = nuisances.mu_star if targeted else nuisances.mu_hat
-    emu = nuisances.emu_star if targeted else nuisances.emu_hat
+    mu, emu = nuisances.mu_star, nuisances.emu_star
     if mu is None or emu is None:
         raise ValueError("requested nuisance vectors have not been computed")
     r, h = _weights(data, nuisances)

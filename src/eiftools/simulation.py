@@ -16,13 +16,17 @@ cross-check each other in the test suite.
 independent, order-insensitive seed streams and reports bias, empirical
 and estimated standard errors, CI coverage, bound violations, and
 failures (never silently dropped).
+
+``fit_plan_nuisance`` and ``run_estimator`` are the one path from a
+dataset of either design to its estimates, for ``run_experiment`` and
+the ``estimate`` command alike; they choose by the data's type.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,7 +35,6 @@ from ._numeric import expit
 from .data import Dataset, LongDataset
 from . import estimators as est
 from . import longitudinal as long_est
-from .longitudinal import SequentialNuisances
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, NuisanceError,
                        _validate_truncation, check_fold_count, crossfit,
                        fit_nuisance)
@@ -56,10 +59,9 @@ __all__ = [
     "true_value",
     "run_experiment",
     "replicate_seed",
+    "check_estimators",
     "fit_plan_nuisance",
-    "fit_plan_nuisance_long",
-    "point_estimate",
-    "long_estimate",
+    "run_estimator",
 ]
 
 POINT_ESTIMATORS = ("gcomp", "one_step", "tmle_covariate_linear",
@@ -369,7 +371,7 @@ class DgpConfig:
         iv = {c.name: c.support_interval() for c in self.covariates}
         for c in self.w1_covariates:
             iv[c.name] = c.support_interval()
-        for key in _TREATMENT_KEYS[self.design] if self.design in _TREATMENT_KEYS else ():
+        for key in _TREATMENT_KEYS[self.design]:
             iv[key] = (0.0, 1.0)
         return iv
 
@@ -411,8 +413,7 @@ class DgpConfig:
         all_names = names + w1_names
         if len(set(all_names)) != len(all_names):
             problems.append("covariate names must be unique")
-        reserved = set(_TREATMENT_KEYS.get(self.design, ())) | {"a", "a0", "a1"}
-        clash = set(all_names) & reserved
+        clash = set(all_names) & {"a", "a0", "a1"}
         if clash:
             problems.append(f"covariate names {sorted(clash)} are reserved")
 
@@ -423,7 +424,7 @@ class DgpConfig:
             bad = set(self.a1_model.coefs) - set(all_names) - {"a0"}
             if bad:
                 problems.append(f"a1 model references unknown terms {sorted(bad)}")
-        treatment_keys = set(_TREATMENT_KEYS.get(self.design, ()))
+        treatment_keys = set(_TREATMENT_KEYS[self.design])
         bad = set(self.outcome.mean_model.coefs) - set(all_names) - treatment_keys
         if bad:
             problems.append(f"outcome model references unknown terms {sorted(bad)}")
@@ -454,7 +455,7 @@ class DgpConfig:
     def _positivity_problems(self, intervals, floor: float) -> List[str]:
         problems = []
         models = [("treatment model", self.treatment)]
-        if self.design == "longitudinal" and self.a1_model is not None:
+        if self.a1_model is not None:
             models.append(("a1 model", self.a1_model))
         for label, model in models:
             for name, coef in model.coefs.items():
@@ -563,49 +564,54 @@ class DgpConfig:
 # Generation
 
 
-def _draw_outcome(dgp: DgpConfig, rng: np.random.Generator,
-                  values: Dict[str, np.ndarray], n: int) -> np.ndarray:
+def _draw(dgp: DgpConfig, rng: np.random.Generator, n: int,
+          observed: bool) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Every variable of ``n`` draws, keyed by name, and the outcome.
+
+    Draw order is fixed: covariates in declaration order, treatment,
+    (longitudinal: second-period covariates, second treatment), outcome.
+    Unless ``observed``, every treatment is 0 and takes no draw, so the
+    outcome is the counterfactual one under the untreated regime.
+    """
+    values: Dict[str, np.ndarray] = {}
+    for c in dgp.covariates:
+        values[c.name] = c.draw(rng, n)
+
+    def treatment(model: LinearModel) -> np.ndarray:
+        if not observed:
+            return np.zeros(n)
+        p_untreated = expit(np.broadcast_to(
+            np.asarray(model.eta(values), dtype=float), (n,)))
+        return (rng.random(n) >= p_untreated).astype(float)
+
+    if dgp.design == "point":
+        values["a"] = treatment(dgp.treatment)
+    else:
+        values["a0"] = treatment(dgp.treatment)
+        for c in dgp.w1_covariates:
+            values[c.name] = c.draw(rng, n, context=values)
+        values["a1"] = treatment(dgp.a1_model)
     mean = np.broadcast_to(np.asarray(dgp.outcome.mean(values), dtype=float),
                            (n,))
     if dgp.outcome.kind == "binary":
-        return (rng.random(n) < mean).astype(float)
-    return mean + dgp.outcome.noise.draw(rng, n)
+        return values, (rng.random(n) < mean).astype(float)
+    return values, mean + dgp.outcome.noise.draw(rng, n)
 
 
 def generate(dgp: DgpConfig, n: int,
              seed: Union[int, np.random.SeedSequence, np.random.Generator]
              ) -> Union[Dataset, LongDataset]:
-    """Draw a dataset of size ``n``; deterministic given (config, n, seed).
-
-    Draw order is fixed: covariates in declaration order, treatment,
-    (longitudinal: second-period covariates, second treatment), outcome.
-    """
+    """Draw a dataset of size ``n``; deterministic given (config, n, seed)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = np.random.default_rng(seed)
-    values: Dict[str, np.ndarray] = {}
-    for c in dgp.covariates:
-        values[c.name] = c.draw(rng, n)
-    p_a0 = expit(np.broadcast_to(
-        np.asarray(dgp.treatment.eta(values), dtype=float), (n,)))
-    a0 = (rng.random(n) >= p_a0).astype(float)
-    if dgp.design == "point":
-        values["a"] = a0
-        y = _draw_outcome(dgp, rng, values, n)
-        w_cols = {name: values[name] for name in dgp.w0_names}
-        return Dataset.from_columns(w_cols, a0, y,
-                                    y_bounds=dgp.implied_y_bounds())
-    values["a0"] = a0
-    for c in dgp.w1_covariates:
-        values[c.name] = c.draw(rng, n, context=values)
-    p_a1 = expit(np.broadcast_to(
-        np.asarray(dgp.a1_model.eta(values), dtype=float), (n,)))
-    a1 = (rng.random(n) >= p_a1).astype(float)
-    values["a1"] = a1
-    y = _draw_outcome(dgp, rng, values, n)
+    values, y = _draw(dgp, np.random.default_rng(seed), n, observed=True)
     w0_cols = {name: values[name] for name in dgp.w0_names}
+    if dgp.design == "point":
+        return Dataset.from_columns(w0_cols, values["a"], y,
+                                    y_bounds=dgp.implied_y_bounds())
     w1_cols = {name: values[name] for name in dgp.w1_names}
-    return LongDataset.from_columns(w0_cols, a0, w1_cols, a1, y,
+    return LongDataset.from_columns(w0_cols, values["a0"], w1_cols,
+                                    values["a1"], y,
                                     y_bounds=dgp.implied_y_bounds())
 
 
@@ -685,17 +691,9 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
     batch = 200_000
     while done < draws:
         n = min(batch, draws - done)
-        values: Dict[str, np.ndarray] = {}
-        for c in dgp.covariates:
-            values[c.name] = c.draw(rng, n)
-        if dgp.design == "point":
-            values["a"] = np.zeros(n)
-        else:
-            values["a0"] = np.zeros(n)
-            for c in dgp.w1_covariates:
-                values[c.name] = c.draw(rng, n, context=values)
-            values["a1"] = np.zeros(n)
-        y = _draw_outcome(dgp, rng, values, n)
+        # Keep only y, so the batch's other variables are freed before
+        # the next batch is drawn.
+        y = _draw(dgp, rng, n, observed=False)[1]
         total += float(y.sum())
         total_sq += float((y * y).sum())
         done += n
@@ -802,46 +800,21 @@ class ReplicateRecord:
     out_of_bounds: Optional[bool] = None
     error: Optional[str] = None
 
-    def to_row(self) -> Dict[str, object]:
-        return {
-            "replicate": self.replicate,
-            "estimator": self.estimator,
-            "psi_hat": self.psi_hat,
-            "se": self.se,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "covered": self.covered,
-            "out_of_bounds": self.out_of_bounds,
-            "error": self.error or "",
-        }
-
 
 @dataclass
 class EstimatorSummary:
-    """Aggregated performance of one estimator across replicates."""
+    """Aggregated performance of one estimator across replicates; the
+    statistics are None with fewer than 2 successful replicates."""
 
     estimator: str
     n_success: int
     n_failed: int
-    mean_bias: Optional[float]
-    empirical_se: Optional[float]
-    mean_se: Optional[float]
-    coverage: Optional[float]
-    mean_ci_width: Optional[float]
-    prop_out_of_bounds: Optional[float]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "estimator": self.estimator,
-            "n_success": self.n_success,
-            "n_failed": self.n_failed,
-            "mean_bias": self.mean_bias,
-            "empirical_se": self.empirical_se,
-            "mean_se": self.mean_se,
-            "coverage": self.coverage,
-            "mean_ci_width": self.mean_ci_width,
-            "prop_out_of_bounds": self.prop_out_of_bounds,
-        }
+    mean_bias: Optional[float] = None
+    empirical_se: Optional[float] = None
+    mean_se: Optional[float] = None
+    coverage: Optional[float] = None
+    mean_ci_width: Optional[float] = None
+    prop_out_of_bounds: Optional[float] = None
 
 
 @dataclass
@@ -872,11 +845,8 @@ class ExperimentReport:
             "seed": self.seed,
             "truth": self.truth.to_dict(),
             "plan": self.plan.to_dict(),
-            "estimators": [s.to_dict() for s in self.summaries],
+            "estimators": [asdict(s) for s in self.summaries],
         }
-
-    def replicate_rows(self) -> List[Dict[str, object]]:
-        return [r.to_row() for r in self.replicates]
 
 
 def replicate_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
@@ -884,8 +854,28 @@ def replicate_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(replicate,))
 
 
-def fit_plan_nuisance(data: Dataset, plan: EstimationPlan, fold_seed: int = 0):
-    """Point-design nuisance estimates under the plan."""
+def check_estimators(design: str, names: Sequence[str]):
+    """Raise ValueError unless every name is an estimator of ``design``."""
+    valid = POINT_ESTIMATORS if design == "point" else LONG_ESTIMATORS
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        raise ValueError(
+            f"unknown estimators for the {design} design: {unknown}; "
+            f"valid names: {list(valid)}")
+
+
+def fit_plan_nuisance(data: Union[Dataset, LongDataset],
+                      plan: EstimationPlan, fold_seed: int = 0):
+    """Nuisance estimates under the plan, for data of either design."""
+    if isinstance(data, LongDataset):
+        plan.check_data("longitudinal", data.n_obs, ())
+        return long_est.fit_sequential_nuisances(
+            data, g0_learner=plan.propensity_learner,
+            g1_learner=plan.propensity_learner,
+            mu_learner=plan.outcome_learner,
+            truncation=plan.truncation,
+            n_folds=plan.n_folds,
+            seed=fold_seed)
     if plan.n_folds is not None:
         return crossfit(data, plan.outcome_learner, plan.propensity_learner,
                         plan.n_folds, fold_seed, plan.truncation,
@@ -897,43 +887,24 @@ def fit_plan_nuisance(data: Dataset, plan: EstimationPlan, fold_seed: int = 0):
                         propensity_covariates=plan.propensity_covariates)
 
 
-def fit_plan_nuisance_long(data: LongDataset, plan: EstimationPlan,
-                           fold_seed: int = 0) -> SequentialNuisances:
-    """Longitudinal nuisance estimates under the plan."""
-    plan.check_data("longitudinal", data.n_obs, ())
-    return long_est.fit_sequential_nuisances(
-        data, g0_learner=plan.propensity_learner,
-        g1_learner=plan.propensity_learner,
-        mu_learner=plan.outcome_learner,
-        truncation=plan.truncation,
-        n_folds=plan.n_folds,
-        seed=fold_seed)
-
-
-def point_estimate(name: str, data: Dataset, nuis, plan: EstimationPlan
-                   ) -> est.EstimateResult:
-    """Run one point-design estimator by its name."""
+def run_estimator(name: str, data: Union[Dataset, LongDataset], nuis,
+                  plan: EstimationPlan) -> est.EstimateResult:
+    """Run one estimator of the data's design by its name, on nuisances
+    from :func:`fit_plan_nuisance`."""
+    long_design = isinstance(data, LongDataset)
+    check_estimators("longitudinal" if long_design else "point", (name,))
     if name == "gcomp":
         return est.gcomp(data, nuis)
     if name == "one_step":
         return est.one_step(data, nuis)
-    if name in POINT_ESTIMATORS:
-        return est.tmle(data, nuis, name[len("tmle_"):],
-                        y_bounds=plan.y_bounds)
-    raise ValueError(f"unknown point estimator {name!r}")
-
-
-def long_estimate(name: str, data: LongDataset, nuis: SequentialNuisances,
-                  plan: EstimationPlan) -> est.EstimateResult:
-    """Run one longitudinal estimator by its name."""
     if name == "one_step_long":
         return long_est.one_step_long(data, nuis,
                                       emu_learner=plan.outcome_learner)
-    if name in LONG_ESTIMATORS:
+    if long_design:
         return long_est.tmle_long(data, nuis, name[len("tmle_long_"):],
                                   emu_learner=plan.outcome_learner,
                                   y_bounds=plan.y_bounds)
-    raise ValueError(f"unknown longitudinal estimator {name!r}")
+    return est.tmle(data, nuis, name[len("tmle_"):], y_bounds=plan.y_bounds)
 
 
 # Failures of one replicate's draw, nuisance fit or estimator; each is
@@ -965,20 +936,12 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     plan.check_data(dgp.design, n, dgp.w0_names)
-    valid = POINT_ESTIMATORS if dgp.design == "point" else LONG_ESTIMATORS
-    unknown = set(estimator_names) - set(valid)
-    if unknown:
-        raise ValueError(
-            f"unknown estimators for the {dgp.design} design: "
-            f"{sorted(unknown)}; valid names: {list(valid)}")
+    check_estimators(dgp.design, estimator_names)
     truth = true_value(dgp, method=truth_method, mc_draws=mc_draws,
                        mc_seed=np.random.SeedSequence(seed, spawn_key=(2**31,)))
     bounds = plan.y_bounds if plan.y_bounds is not None \
         else dgp.implied_y_bounds()
 
-    fit_nuisances, estimate = (
-        (fit_plan_nuisance, point_estimate) if dgp.design == "point"
-        else (fit_plan_nuisance_long, long_estimate))
     records: List[ReplicateRecord] = []
     for r in range(replications):
         ss = replicate_seed(seed, r)
@@ -990,7 +953,7 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
             # a draw can be too degenerate to estimate from (e.g. fewer
             # than 2 rows on the regime of interest); record, don't crash
             data = generate(dgp, n, ss)
-            nuis = fit_nuisances(data, plan, fold_seed)
+            nuis = fit_plan_nuisance(data, plan, fold_seed)
         except _REPLICATE_FAILURES as exc:
             for name in estimator_names:
                 records.append(ReplicateRecord(replicate=r, estimator=name,
@@ -998,7 +961,7 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
             continue
         for name in estimator_names:
             try:
-                res = estimate(name, data, nuis, plan)
+                res = run_estimator(name, data, nuis, plan)
             except _REPLICATE_FAILURES as exc:
                 records.append(ReplicateRecord(replicate=r, estimator=name,
                                                error=_failure(exc)))
@@ -1038,9 +1001,7 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
             ))
         else:
             summaries.append(EstimatorSummary(
-                estimator=name, n_success=n_ok, n_failed=len(rows) - n_ok,
-                mean_bias=None, empirical_se=None, mean_se=None,
-                coverage=None, mean_ci_width=None, prop_out_of_bounds=None))
+                estimator=name, n_success=n_ok, n_failed=len(rows) - n_ok))
 
     return ExperimentReport(
         design=dgp.design, n=n, replications=replications, seed=seed,

@@ -126,6 +126,40 @@ def test_estimate_overflowing_covariate_exits_3(tmp_path, learner, error):
         assert payload["message"].startswith(learner)
 
 
+def test_estimate_estimator_failure_exits_3(tmp_path, monkeypatch):
+    # The nuisance fits succeed and an estimator fails: main maps the
+    # estimator's error to exit 3 with its payload, on either design.
+    from eiftools import estimators, longitudinal
+    from eiftools.glm import SeparationError
+    from eiftools.nuisance import FoldDegeneracyError
+
+    long_csv = tmp_path / "long.csv"
+    assert run_cli(["simulate", "--config", FIXTURES / "dgp_long.json",
+                    "--n", "200", "--replications", "2", "--seed", "1",
+                    "--estimators", "one_step_long",
+                    "--out", tmp_path / "sim.json",
+                    "--emit-data", long_csv]) == 0
+
+    def tmle(*args, **kwargs):
+        raise SeparationError("targeting failed")
+
+    def tmle_long(*args, **kwargs):
+        raise FoldDegeneracyError("fold 1: targeting failed")
+
+    monkeypatch.setattr(estimators, "tmle", tmle)
+    monkeypatch.setattr(longitudinal, "tmle_long", tmle_long)
+    out = tmp_path / "est.json"
+    for argv, error, message in (
+            (["--data", FIXTURES / "saturated_4row.csv"],
+             "SeparationError", "targeting failed"),
+            (["--data", long_csv, "--design", "longitudinal",
+              "--folds", "2", "--seed", "1"],
+             "FoldDegeneracyError", "fold 1: targeting failed")):
+        assert run_cli(["estimate", *argv, "--out", out]) == 3
+        assert read_json(out) == {"schema_version": 1, "error": {
+            "type": error, "message": message}}
+
+
 def test_estimate_determinism(tmp_path):
     rng = np.random.default_rng(31)
     n = 60
@@ -486,6 +520,28 @@ def test_emit_data_round_trips_longitudinal(tmp_path):
     assert payload["n"] == 300
     names = [row["estimator"] for row in payload["estimates"]]
     assert names == list(LONG_NAMES)
+
+
+@pytest.mark.parametrize("config, n, seed, message", [
+    ("dgp_binary.json", "2", "3", "no untreated (A = 0) rows"),
+    ("dgp_binary.json", "3", "2", "no untreated (A = 0) rows"),
+    ("dgp_long.json", "4", "0", "need at least 2 rows following the "
+                                "always-untreated regime"),
+])
+def test_simulate_degenerate_emit_data_exits_2(tmp_path, config, n, seed,
+                                               message):
+    # Replicate 0's draw is no dataset: the experiment records it as a
+    # failed replicate, but --emit-data cannot write it, so the command
+    # exits 2 with the payload and writes no report or CSV.
+    out = tmp_path / "r.json"
+    code = run_cli(["simulate", "--config", FIXTURES / config, "--n", n,
+                    "--replications", "2", "--seed", seed, "--out", out,
+                    "--emit-data", tmp_path / "d.csv"])
+    assert code == 2
+    err = read_json(out)["error"]
+    assert err["type"] == "UsageError"
+    assert err["message"].startswith(message)
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ def test_eif_long_by_hand():
     phi = eif_long(data, nuis, theta=1.0)
     np.testing.assert_allclose(phi, [3.0, 0.0, 3.0, 4.0], atol=1e-14)
 
-    nuis = replace(nuis, emu_hat=nuis.emu_star)
-    untargeted = eif_long(data, nuis, theta=1.0, targeted=False)
-    np.testing.assert_allclose(untargeted, phi, atol=1e-14)
-
     bare = SequentialNuisances(g0=nuis.g0, g1=nuis.g1, mu_hat=nuis.mu_hat)
     with pytest.raises(ValueError, match="not been computed"):
         eif_long(data, bare, theta=1.0)

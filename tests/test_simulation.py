@@ -19,8 +19,11 @@ from eiftools.simulation import (
     NoiseSpec,
     OutcomeSpec,
     POINT_ESTIMATORS,
+    check_estimators,
+    fit_plan_nuisance,
     generate,
     replicate_seed,
+    run_estimator,
     run_experiment,
     true_value,
 )
@@ -266,7 +269,7 @@ def test_run_experiment_structure_and_determinism():
                            estimator_names=POINT_ESTIMATORS, plan=plan,
                            seed=42)
     assert again.to_json_dict() == blob
-    assert again.replicate_rows() == report.replicate_rows()
+    assert again.replicates == report.replicates
 
 
 def test_failures_are_recorded_not_dropped():
@@ -408,6 +411,54 @@ def test_estimator_names_validated_per_design():
         run_experiment(point, n=100, replications=1,
                        estimator_names=("one_step",),
                        plan=EstimationPlan(), seed=1)
+
+
+def test_run_estimator_serves_only_the_datas_design():
+    plan = EstimationPlan()
+    for config, names, foreign, design in (
+            ("dgp_binary.json", POINT_ESTIMATORS, "one_step_long", "point"),
+            ("dgp_long.json", LONG_ESTIMATORS, "gcomp", "longitudinal")):
+        data = generate(load_fixture(config), 300, 1)
+        nuis = fit_plan_nuisance(data, plan)
+        for name in names:
+            assert run_estimator(name, data, nuis, plan).estimator == name
+        with pytest.raises(ValueError) as want:
+            check_estimators(design, [foreign])
+        assert str(want.value).startswith(
+            f"unknown estimators for the {design} design: ['{foreign}']")
+        with pytest.raises(ValueError) as got:
+            run_estimator(foreign, data, nuis, plan)
+        assert str(got.value) == str(want.value)
+
+
+def test_fit_plan_nuisance_rejects_longitudinal_restrictions():
+    data = generate(load_fixture("dgp_long.json"), 100, 1)
+    with pytest.raises(ValueError, match="covariate restrictions are not "
+                                         "supported for the longitudinal"):
+        fit_plan_nuisance(data, EstimationPlan(outcome_covariates=("w0",)))
+
+
+def test_unknown_estimator_message_is_one_text(tmp_path):
+    # run_experiment and both commands list unknown names in the order
+    # given, with the same words.
+    from eiftools.cli import main
+    names = ("zz", "gcomp", "aa")
+    with pytest.raises(ValueError) as exc:
+        run_experiment(load_fixture("dgp_binary.json"), n=100,
+                       replications=2, estimator_names=names,
+                       plan=EstimationPlan(), seed=1)
+    assert str(exc.value) == (
+        "unknown estimators for the point design: ['zz', 'aa']; valid "
+        f"names: {list(POINT_ESTIMATORS)}")
+    out = tmp_path / "err.json"
+    for argv in (["simulate", "--config", FIXTURES / "dgp_binary.json",
+                  "--n", "100", "--replications", "2", "--seed", "1"],
+                 ["estimate", "--data", FIXTURES / "saturated_4row.csv"]):
+        code = main([str(a) for a in argv]
+                    + ["--estimators", ",".join(names), "--out", str(out)])
+        assert code == 2
+        error = json.loads(out.read_text(encoding="utf-8"))["error"]
+        assert error == {"type": "UsageError", "message": str(exc.value)}
 
 
 def test_plan_to_dict_reports_every_field():
