@@ -381,17 +381,18 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     csv_path = args.out and os.path.splitext(args.out)[0] + ".csv"
-    outputs = [p for p in (args.out, csv_path, args.emit_data) if p]
+    outputs = [p for p in (args.out, csv_path, args.emit_data)
+               if p is not None]
+    for path in outputs:  # checked before any replicate runs
+        folder = os.path.dirname(os.path.abspath(path))
+        if not path or os.path.isdir(path) or not (
+                os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise OutputError(f"cannot write {path or repr(path)}: not a "
+                              "file in an existing, writable directory")
     if len({Path(p).resolve() for p in outputs}) < len(outputs):
         raise OutputError(
             f"output files must differ: --out {args.out} (per-replicate "
             f"CSV {csv_path}), --emit-data {args.emit_data}")
-    for path in outputs:  # checked before any replicate runs
-        folder = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path) or not (os.path.isdir(folder)
-                                       and os.access(folder, os.W_OK)):
-            raise OutputError(f"cannot write {path}: not a file in an "
-                              "existing, writable directory")
     dgp = _load_dgp(args.config)
     plan = _plan_from_args(args)
     names = _parse_estimators(args.estimators, dgp.design)

@@ -135,24 +135,37 @@ def _clever_covariate(data: Dataset, nuisance: NuisanceEstimates) -> np.ndarray:
     return (data.treatment == 0.0).astype(float) / nuisance.propensity_pred
 
 
-def _result(estimator: str, data: Dataset, mu_for_eif: np.ndarray,
-            nuisance: NuisanceEstimates, psi: float,
-            extra: Optional[Dict[str, object]] = None,
-            fluctuation: Optional[FluctuationFit] = None) -> EstimateResult:
-    phi = eif_values(data, mu_for_eif, nuisance.propensity_pred, psi)
+def _result(estimator: str, phi: np.ndarray, psi: float, nuisance,
+            extra: Dict[str, object], result: type = EstimateResult,
+            **fields) -> EstimateResult:
+    """The estimate ``psi`` of ``estimator``, of either design, as a
+    ``result`` with the remaining ``fields``: Wald inference on its
+    influence-function values ``phi``, and diagnostics that every
+    estimate reports (``mean_eif``; ``n_truncated`` and ``cross_fitted``
+    of ``nuisance``) followed by ``extra``."""
     se, ci = wald_inference(phi, psi)
     diagnostics: Dict[str, object] = {
-        "mean_eif": float(phi.sum() / data.n_obs),
+        "mean_eif": float(phi.sum() / phi.shape[0]),
         "n_truncated": nuisance.n_truncated,
-        "outcome_learner": nuisance.outcome_learner,
-        "propensity_learner": nuisance.propensity_learner,
         "cross_fitted": nuisance.fold_assignment is not None,
+        **extra,
     }
-    if extra:
-        diagnostics.update(extra)
-    return EstimateResult(estimator=estimator, psi_hat=psi, se=se, ci95=ci,
-                          eif=phi, diagnostics=diagnostics,
-                          fluctuation=fluctuation)
+    return result(estimator=estimator, psi_hat=psi, se=se, ci95=ci, eif=phi,
+                  diagnostics=diagnostics, **fields)
+
+
+def _point_result(estimator: str, data: Dataset, mu_for_eif: np.ndarray,
+                  nuisance: NuisanceEstimates, psi: float,
+                  extra: Optional[Dict[str, object]] = None,
+                  fluctuation: Optional[FluctuationFit] = None
+                  ) -> EstimateResult:
+    """:func:`_result` with the influence function at ``mu_for_eif``."""
+    phi = eif_values(data, mu_for_eif, nuisance.propensity_pred, psi)
+    return _result(estimator, phi, psi, nuisance,
+                   {"outcome_learner": nuisance.outcome_learner,
+                    "propensity_learner": nuisance.propensity_learner,
+                    **(extra or {})},
+                   fluctuation=fluctuation)
 
 
 def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
@@ -165,7 +178,7 @@ def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     """
     _check_sizes(data, nuisance)
     psi = float(nuisance.outcome_pred.sum() / data.n_obs)
-    return _result(
+    return _point_result(
         "gcomp", data, nuisance.outcome_pred, nuisance, psi,
         extra={"inference_caveat":
                "plug-in estimator; influence-function interval is not "
@@ -183,7 +196,7 @@ def one_step(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     h = _clever_covariate(data, nuisance)
     mu = nuisance.outcome_pred
     psi = float((h * (data.outcome - mu) + mu).sum() / data.n_obs)
-    return _result("one_step", data, mu, nuisance, psi)
+    return _point_result("one_step", data, mu, nuisance, psi)
 
 
 def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
@@ -367,7 +380,7 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
         h, 1.0 / nuisance.propensity_pred, variant,
         _scaling_bounds(variant, data, y_bounds))
     psi = float(fluct.targeted_pred.sum() / data.n_obs)
-    return _result(
+    return _point_result(
         f"tmle_{variant}", data, fluct.targeted_pred, nuisance, psi,
         extra={
             "variant": variant,

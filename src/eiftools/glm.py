@@ -10,9 +10,10 @@ per-parameter score sums
 
 to zero; the GLM nuisance learners fit through it. Convergence is certified
 on the score scale: a fit is converged when every score sum is within
-``score_tolerance * (1 + n)`` of zero. (The TMLE targeting steps, the one
-weighted score equation with an offset, are solved directly by
-:func:`eiftools.estimators.fluctuate`.)
+``DEFAULT_SCORE_TOLERANCE * (1 + n)`` of zero, and the logit solver gives
+up after ``DEFAULT_MAX_ITERATIONS`` Newton steps. (The TMLE targeting
+steps, the one weighted score equation with an offset, are solved
+directly by :func:`eiftools.estimators.fluctuate`.)
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class GlmFit:
 
     ``score_residuals`` holds the per-parameter score sums at
     ``coefficients``; their largest magnitude is at most
-    ``score_tolerance * (1 + n)``.
+    ``DEFAULT_SCORE_TOLERANCE * (1 + n)``.
     """
 
     coefficients: np.ndarray
@@ -140,15 +141,19 @@ def _fit_identity(X, z, tol_abs):
     return beta, score, iterations
 
 
-def _fit_logit(X, z, tol_abs, max_iterations):
+def _fit_logit(X, z, tol_abs):
     beta = np.zeros(X.shape[1])
     eta = X @ beta
     loglik = _bernoulli_loglik(eta, z)
     mu = expit(eta)
     score = X.T @ (z - mu)
-    for iteration in range(max_iterations):
+    for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
         if np.abs(score).max() <= tol_abs:
             return beta, score, iteration
+        if iteration == DEFAULT_MAX_ITERATIONS:
+            raise NonConvergenceError(
+                f"logit fit did not converge in {iteration} iterations",
+                beta, score, iteration)
         with np.errstate(over="ignore"):  # reported below
             info = X.T @ (X * (mu * (1.0 - mu))[:, None])
         if not np.isfinite(info).all():
@@ -181,17 +186,9 @@ def _fit_logit(X, z, tol_abs, max_iterations):
             )
         mu = expit(eta)
         score = X.T @ (z - mu)
-    if np.abs(score).max() <= tol_abs:
-        return beta, score, max_iterations
-    raise NonConvergenceError(
-        f"logit fit did not converge in {max_iterations} iterations",
-        beta, score, max_iterations,
-    )
 
 
-def fit_glm(X, response, link: Link, *,
-            score_tolerance: float = DEFAULT_SCORE_TOLERANCE,
-            max_iterations: int = DEFAULT_MAX_ITERATIONS) -> GlmFit:
+def fit_glm(X, response, link: Link) -> GlmFit:
     """Fit a canonical-link GLM by maximum likelihood.
 
     Parameters
@@ -204,11 +201,6 @@ def fit_glm(X, response, link: Link, *,
     link : Link
         ``Link.IDENTITY`` (closed-form least squares) or ``Link.LOGIT``
         (Newton iteration with step-halving).
-    score_tolerance : float
-        Relative score tolerance; convergence means every score sum is
-        within ``score_tolerance * (1 + n)`` of zero.
-    max_iterations : int
-        Iteration cap for the logit solver.
 
     Returns
     -------
@@ -226,11 +218,11 @@ def fit_glm(X, response, link: Link, *,
     """
     link = Link(link)
     X, z = _validate(X, response, link)
-    tol_abs = score_tolerance * (1.0 + X.shape[0])
+    tol_abs = DEFAULT_SCORE_TOLERANCE * (1.0 + X.shape[0])
     if link is Link.IDENTITY:
         beta, score, iterations = _fit_identity(X, z, tol_abs)
     else:
-        beta, score, iterations = _fit_logit(X, z, tol_abs, max_iterations)
+        beta, score, iterations = _fit_logit(X, z, tol_abs)
     return GlmFit(
         coefficients=beta,
         iterations=iterations,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import LongDataset
 from .estimators import (EstimateResult, _check_sizes, _labelled_fluctuation,
-                         _scaling_bounds, wald_inference)
+                         _result, _scaling_bounds)
 from .glm import Link
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, _held_out_predictions,
                        _validate_truncation, fit_outcome, fit_propensity,
@@ -53,13 +53,13 @@ _DEFAULT_LEARNER = LearnerSpec("glm_main_terms")
 
 @dataclass(frozen=True)
 class SequentialNuisances:
-    """Per-observation nuisance vectors for the two-time-point estimand.
+    """Per-observation initial fits for the two-time-point estimand.
 
-    ``g0``, ``g1``, ``mu_hat`` come from the initial fits; an estimator
-    returns a copy with ``mu_star``, ``emu_hat``, ``emu_star`` filled in.
-    ``g1`` is exactly 1 when the second treatment is identically 0 in the
-    fitting stratum (the point-treatment reduction), in which case the
-    truncation bounds are deliberately not applied to it.
+    ``g0``, ``g1``, ``mu_hat`` come from :func:`fit_sequential_nuisances`;
+    the estimators read them and leave them as they are. ``g1`` is
+    exactly 1 when the second treatment is identically 0 in the fitting
+    stratum (the point-treatment reduction), in which case the truncation
+    bounds are deliberately not applied to it.
     """
 
     g0: np.ndarray
@@ -69,13 +69,9 @@ class SequentialNuisances:
     fold_assignment: Optional[np.ndarray] = None
     n_truncated: int = 0
     g1_degenerate: bool = False
-    mu_star: Optional[np.ndarray] = None
-    emu_hat: Optional[np.ndarray] = None
-    emu_star: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # Shapes only: each estimator rebuilds this object with ``replace``
-        # on every call, and the vectors come from the fits.
+        # Shapes only: the vectors come from the fits.
         shape = self.g0.shape
         if len(shape) != 1 or self.g1.shape != shape \
                 or self.mu_hat.shape != shape:
@@ -102,17 +98,15 @@ def _weights(data: LongDataset, nuis: SequentialNuisances
     return both / (nuis.g0 * nuis.g1), first / nuis.g0
 
 
-def eif_long(data: LongDataset, nuisances: SequentialNuisances, theta: float
-             ) -> np.ndarray:
-    """Influence-function values for every observation, at the targeted
-    outcome-side nuisances ``mu_star``/``emu_star``.
+def eif_long(data: LongDataset, nuisances: SequentialNuisances,
+             mu: np.ndarray, emu: np.ndarray, theta: float) -> np.ndarray:
+    """Influence-function values for every observation, at the
+    outcome-side nuisances ``mu`` (of Y) and ``emu`` (of mu on W0) and
+    the propensities of ``nuisances``.
 
-    ``one_step_long`` evaluates it at the initial fits by setting
-    ``mu_star = mu_hat`` and ``emu_star = emu_hat``.
+    :func:`tmle_long` evaluates it at its targeted mu* and e*, and
+    :func:`one_step_long` at mu_hat and its regression of mu_hat on W0.
     """
-    mu, emu = nuisances.mu_star, nuisances.emu_star
-    if mu is None or emu is None:
-        raise ValueError("requested nuisance vectors have not been computed")
     r, h = _weights(data, nuisances)
     return (r * (data.outcome - mu) + h * (mu - emu) + emu - float(theta))
 
@@ -140,25 +134,18 @@ def fit_sequential_nuisances(
         data.n_obs, n_folds, 0 if seed is None else seed)
     history = np.hstack([data.w0, data.w1])
     stage2_rows = data.a0 == 0.0
-    mu_rows = stage2_rows & (data.a1 == 0.0)
     g1_degenerate = not (data.a1[stage2_rows] == 1.0).any()
-
-    def held_out(model, learner: LearnerSpec, covariates: np.ndarray,
-                 stratum: Optional[np.ndarray], *args) -> np.ndarray:
-        x = learner.design_for(covariates)
-
-        def fit(rows):
-            if stratum is not None:
-                rows = stratum if rows is None else stratum & rows
-            return model(learner, x, *args, rows)
-        return _held_out_predictions(fit, x, assignment)
-
-    raw = [held_out(fit_propensity, g0_learner, data.w0, None, data.a0)]
+    raw = [_held_out_predictions(fit_propensity, g0_learner, data.w0,
+                                 (data.a0,), assignment)]
     if not g1_degenerate:
-        raw.append(held_out(fit_propensity, g1_learner, history,
-                            stage2_rows, data.a1))
-    mu_hat = held_out(fit_outcome, mu_learner, history, mu_rows, data.a1,
-                      data.outcome, data.y_bounds)
+        raw.append(_held_out_predictions(fit_propensity, g1_learner, history,
+                                         (data.a1,), assignment, stage2_rows))
+    # The stratum is A0 = A1 = 0, not A0 = 0 with fit_outcome's own A1 = 0
+    # filter: a logit-link fit rescales by the outcome range of its rows.
+    mu_hat = _held_out_predictions(
+        fit_outcome, mu_learner, history, (data.a1, data.outcome,
+                                           data.y_bounds),
+        assignment, stage2_rows & (data.a1 == 0.0))
     g0 = np.clip(raw[0], lo, hi)
     g1 = np.ones(data.n_obs) if g1_degenerate else np.clip(raw[1], lo, hi)
     return SequentialNuisances(
@@ -182,18 +169,21 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
     """
     if variant == "weighted_logistic":
         learner = replace(learner, link=Link.LOGIT)
-    x = learner.design_for(data.w0)
-    return _held_out_predictions(
-        lambda rows: fit_outcome(learner, x, data.a0, response, bounds,
-                                 rows),
-        x, assignment)
+    return _held_out_predictions(fit_outcome, learner, data.w0,
+                                 (data.a0, response, bounds), assignment)
 
 
 @dataclass
 class LongEstimateResult(EstimateResult):
-    """Two-time-point estimate; also carries the full nuisance trace."""
+    """Two-time-point estimate with its nuisance trace: the input
+    ``nuisances``, the (targeted) regression of Y ``mu_star``, its
+    regression on W0 ``emu_hat`` and that one targeted, ``emu_star``.
+    The one-step estimator targets neither: mu_hat and ``emu_hat``."""
 
     nuisances: Optional[SequentialNuisances] = None
+    mu_star: Optional[np.ndarray] = None
+    emu_hat: Optional[np.ndarray] = None
+    emu_star: Optional[np.ndarray] = None
 
 
 def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
@@ -206,27 +196,19 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
     outcome bounds.
     """
     r, h = _weights(data, nuisances)
-    emu = _fit_emu(data, nuisances.mu_hat, emu_learner, "weighted_linear",
-                   None, nuisances.fold_assignment)
-    work = replace(nuisances, mu_star=nuisances.mu_hat, emu_hat=emu,
-                   emu_star=emu)
+    mu = nuisances.mu_hat
+    emu = _fit_emu(data, mu, emu_learner, "weighted_linear", None,
+                   nuisances.fold_assignment)
     n = data.n_obs
     plug_in = float(emu.sum() / n)
     theta = plug_in + float(
-        (r * (data.outcome - work.mu_hat) + h * (work.mu_hat - emu)).sum() / n)
-    phi = eif_long(data, work, theta)
-    se, ci = wald_inference(phi, theta)
-    return LongEstimateResult(
-        estimator="one_step_long", psi_hat=theta, se=se, ci95=ci, eif=phi,
-        diagnostics={
-            "mean_eif": float(phi.sum() / n),
-            "plug_in": plug_in,
-            "n_truncated": work.n_truncated,
-            "g1_degenerate": work.g1_degenerate,
-            "cross_fitted": work.fold_assignment is not None,
-        },
-        nuisances=work,
-    )
+        (r * (data.outcome - mu) + h * (mu - emu)).sum() / n)
+    return _result(
+        "one_step_long", eif_long(data, nuisances, mu, emu, theta), theta,
+        nuisances,
+        {"plug_in": plug_in, "g1_degenerate": nuisances.g1_degenerate},
+        result=LongEstimateResult, nuisances=nuisances, mu_star=mu,
+        emu_hat=emu, emu_star=emu)
 
 
 def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
@@ -285,19 +267,13 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
         "step 5 (fluctuate the W0 regression)", mu_star, emu_hat,
         h, 1.0 / nuisances.g0, variant, bounds)
     emu_star = step5.targeted_pred
-    work = replace(nuisances, mu_star=mu_star, emu_hat=emu_hat,
-                   emu_star=emu_star)
-
-    n = data.n_obs
-    theta = float(emu_star.sum() / n)
-    phi = eif_long(data, work, theta)
-    se, ci = wald_inference(phi, theta)
-    return LongEstimateResult(
-        estimator=f"tmle_long_{variant}", psi_hat=theta, se=se, ci95=ci,
-        eif=phi,
-        diagnostics={
+    theta = float(emu_star.sum() / data.n_obs)
+    return _result(
+        f"tmle_long_{variant}",
+        eif_long(data, nuisances, mu_star, emu_star, theta), theta,
+        nuisances,
+        {
             "variant": variant,
-            "mean_eif": float(phi.sum() / n),
             "step3_coefficient": step3.coefficient,
             "step3_score_residual": step3.score_residual,
             "step3_weight_sum": float(r.sum()),
@@ -309,11 +285,8 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
             "targeted_pred_max": float(emu_star.max()),
             "mu_star_min": float(mu_star.min()),
             "mu_star_max": float(mu_star.max()),
-            "n_truncated": nuisances.n_truncated,
             "g1_degenerate": nuisances.g1_degenerate,
-            "cross_fitted": nuisances.fold_assignment is not None,
         },
-        fluctuation=step5,
-        nuisances=work,
-    )
+        result=LongEstimateResult, fluctuation=step5, nuisances=nuisances,
+        mu_star=mu_star, emu_hat=emu_hat, emu_star=emu_star)
 

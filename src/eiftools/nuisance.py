@@ -500,27 +500,38 @@ def fit_propensity(learner: LearnerSpec, x: np.ndarray,
     return _GlmPredictor(fit_glm(x, z, Link.LOGIT))
 
 
-def _held_out_predictions(fit: Callable[[Optional[np.ndarray]], object],
-                          x: np.ndarray,
-                          assignment: Optional[np.ndarray]) -> np.ndarray:
-    """Predict every row of ``x`` from a model fit without that row's fold.
+def _held_out_predictions(model: Callable[..., object], learner: LearnerSpec,
+                          covariates: np.ndarray, args: Tuple,
+                          assignment: Optional[np.ndarray],
+                          stratum: Optional[np.ndarray] = None) -> np.ndarray:
+    """Predict every row from a model fit without that row's fold.
 
-    ``fit(rows)`` returns a model with ``predict``, fit on the boolean
-    row mask ``rows`` (None: all rows). Without an ``assignment``, no
+    ``model(learner, x, *args, rows)`` is ``fit_outcome`` or
+    ``fit_propensity``: it fits on the boolean row mask ``rows`` (None:
+    all rows) of ``x``, the learner's model matrix on ``covariates``, and
+    returns a model with ``predict``. Fits see only the rows of
+    ``stratum`` (None: all rows). Without an ``assignment``, no
     cross-fitting is the single split whose training and held-out rows
     are both the whole sample. A fold's ``InsufficientDataError`` becomes
     a ``FoldDegeneracyError`` naming the fold.
     """
+    x = learner.design_for(covariates)
+
+    def fit(rows):
+        if stratum is not None:
+            rows = stratum if rows is None else stratum & rows
+        return model(learner, x, *args, rows)
+
     if assignment is None:
         return fit(None).predict(x)
     out = np.empty(x.shape[0])
     for fold in range(int(assignment.max()) + 1):
         held = assignment == fold
         try:
-            model = fit(~held)
+            fitted = fit(~held)
         except InsufficientDataError as exc:
             raise FoldDegeneracyError(f"fold {fold}: {exc}") from exc
-        out[held] = model.predict(x[held])
+        out[held] = fitted.predict(x[held])
     return out
 
 
@@ -533,17 +544,13 @@ def _point_nuisances(data: Dataset, outcome_learner: LearnerSpec,
     """Both point nuisances, predicted on held-out rows of ``assignment``."""
     lo, hi = _validate_truncation(truncation)
     a = data.treatment
-    x_out = outcome_learner.design_for(
-        data.covariate_matrix(outcome_covariates))
     outcome_pred = _held_out_predictions(
-        lambda rows: fit_outcome(outcome_learner, x_out, a, data.outcome,
-                                 data.y_bounds, rows),
-        x_out, assignment)
-    x_prop = propensity_learner.design_for(
-        data.covariate_matrix(propensity_covariates))
+        fit_outcome, outcome_learner,
+        data.covariate_matrix(outcome_covariates),
+        (a, data.outcome, data.y_bounds), assignment)
     raw = _held_out_predictions(
-        lambda rows: fit_propensity(propensity_learner, x_prop, a, rows),
-        x_prop, assignment)
+        fit_propensity, propensity_learner,
+        data.covariate_matrix(propensity_covariates), (a,), assignment)
     return NuisanceEstimates(
         outcome_pred=outcome_pred,
         propensity_pred=np.clip(raw, lo, hi),

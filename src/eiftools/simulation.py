@@ -663,21 +663,17 @@ def _analytic_truth(dgp: DgpConfig) -> float:
         raise AnalyticTruthError(
             "exact truth requires discrete (bernoulli) covariates; "
             "use the monte_carlo method")
+    # The point design is the case whose second period is empty: its one
+    # setting has mass 1.
+    untreated = dict.fromkeys(_TREATMENT_KEYS[dgp.design], 0.0)
     total = 0.0
-    if dgp.design == "point":
-        for combo in _support(dgp.covariates):
-            prob = _point_mass(dgp.covariates, combo, combo)
-            vals = dict(combo, a=0.0)
-            total += prob * float(dgp.outcome.mean(vals))
-        return total
     for combo0 in _support(dgp.covariates):
         p0 = _point_mass(dgp.covariates, combo0, combo0)
-        context = dict(combo0, a0=0.0)
+        context = dict(combo0, **untreated)
         inner = 0.0
         for combo1 in _support(dgp.w1_covariates):
             p1 = _point_mass(dgp.w1_covariates, combo1, context)
-            vals = dict(context, **combo1, a1=0.0)
-            inner += p1 * float(dgp.outcome.mean(vals))
+            inner += p1 * float(dgp.outcome.mean(dict(context, **combo1)))
         total += p0 * inner
     return total
 
@@ -855,13 +851,17 @@ def replicate_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
 
 
 def check_estimators(design: str, names: Sequence[str]):
-    """Raise ValueError unless every name is an estimator of ``design``."""
+    """Raise ValueError unless every name is an estimator of ``design``
+    and none is named twice."""
     valid = POINT_ESTIMATORS if design == "point" else LONG_ESTIMATORS
     unknown = [name for name in names if name not in valid]
     if unknown:
         raise ValueError(
             f"unknown estimators for the {design} design: {unknown}; "
             f"valid names: {list(valid)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"estimators named more than once: {repeated}")
 
 
 def fit_plan_nuisance(data: Union[Dataset, LongDataset],
@@ -937,6 +937,12 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
         raise ValueError(f"n must be at least 2, got {n}")
     plan.check_data(dgp.design, n, dgp.w0_names)
     check_estimators(dgp.design, estimator_names)
+    implied = dgp.implied_y_bounds()
+    if plan.y_bounds is not None and implied is not None and not (
+            plan.y_bounds[0] <= implied[0] and implied[1] <= plan.y_bounds[1]):
+        raise ValueError(
+            f"y_bounds {tuple(plan.y_bounds)} do not contain the outcome "
+            f"bounds {implied} of the DGP")
     truth = true_value(dgp, method=truth_method, mc_draws=mc_draws,
                        mc_seed=np.random.SeedSequence(seed, spawn_key=(2**31,)))
     bounds = plan.y_bounds if plan.y_bounds is not None \

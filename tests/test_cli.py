@@ -385,6 +385,27 @@ def test_simulate_unwritable_output_writes_nothing(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+def test_simulate_empty_output_path_exits_2_before_running(
+        tmp_path, capsys, monkeypatch):
+    # An empty path names no file; it fails the up-front output check
+    # instead of failing after the experiment, or being skipped.
+    import eiftools.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the outputs are checked before any replicate")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.chdir(tmp_path)
+    base = ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "50",
+            "--replications", "2", "--seed", "1"]
+    for flags in (["--out", ""],
+                  ["--out", tmp_path / "r.json", "--emit-data", ""]):
+        assert run_cli(base + flags) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "OutputError"
+        assert err["message"].startswith("cannot write '': ")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_determinism(tmp_path):
     outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for out in outs:

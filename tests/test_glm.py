@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+import eiftools.glm as glm
 from eiftools.glm import (
     GlmFit,
     Link,
@@ -116,13 +117,13 @@ def test_duplicate_column_is_singular():
         fit_glm(design, np.array([0.0, 1.0, 0.0, 1.0]), Link.LOGIT)
 
 
-def test_nonconvergence_carries_last_iterate():
+def test_nonconvergence_carries_last_iterate(monkeypatch):
     # The intercept-only root is logit(1/3); one Newton step from 0 falls
     # short of it.
+    monkeypatch.setattr(glm, "DEFAULT_MAX_ITERATIONS", 1)
     design = np.ones((3, 1))
     with pytest.raises(NonConvergenceError) as excinfo:
-        fit_glm(design, np.array([1.0, 0.0, 0.0]), Link.LOGIT,
-                max_iterations=1)
+        fit_glm(design, np.array([1.0, 0.0, 0.0]), Link.LOGIT)
     err = excinfo.value
     assert err.iterations == 1
     assert err.coefficients.shape == (1,)

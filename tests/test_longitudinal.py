@@ -48,19 +48,14 @@ def test_eif_long_by_hand():
         g1=np.array([0.5, 0.5, 0.25, 0.9]),
         mu_hat=np.array([1.5, 1.0, 3.0, 6.0]),
     )
-    nuis = replace(nuis, mu_star=nuis.mu_hat,
-                   emu_star=np.array([1.0, 1.0, 2.0, 5.0]))
     # Row by row with theta = 1:
     #  r1: R=4, H=2 -> 4*(2-1.5) + 2*(1.5-1) + 1 - 1 = 3
     #  r2: R=4, H=2 -> 4*(1-1)   + 2*(1-1)   + 1 - 1 = 0
     #  r3: R=0, H=2 -> 0         + 2*(3-2)   + 2 - 1 = 3
     #  r4: R=0, H=0 -> 0         + 0         + 5 - 1 = 4
-    phi = eif_long(data, nuis, theta=1.0)
+    phi = eif_long(data, nuis, nuis.mu_hat, np.array([1.0, 1.0, 2.0, 5.0]),
+                   theta=1.0)
     np.testing.assert_allclose(phi, [3.0, 0.0, 3.0, 4.0], atol=1e-14)
-
-    bare = SequentialNuisances(g0=nuis.g0, g1=nuis.g1, mu_hat=nuis.mu_hat)
-    with pytest.raises(ValueError, match="not been computed"):
-        eif_long(data, bare, theta=1.0)
 
 
 def test_sequential_nuisances_are_frozen():
@@ -70,9 +65,11 @@ def test_sequential_nuisances_are_frozen():
     nuis = fit_sequential_nuisances(data)
     with pytest.raises(FrozenInstanceError):
         nuis.mu_hat = nuis.mu_hat[:150]
+    before = nuis.mu_hat.copy()
     result = tmle_long(data, nuis)
-    assert result.nuisances is not nuis
-    assert nuis.mu_star is None
+    assert result.nuisances is nuis
+    assert np.array_equal(nuis.mu_hat, before)
+    assert not np.array_equal(result.mu_star, before)
 
 
 def test_saturated_long_matches_nested_stratum_oracle():
@@ -139,9 +136,8 @@ def test_score_equation_certificates_and_mean_eif_identity():
             assert abs(d["step5_score_residual"]) <= \
                 1e-8 * (1.0 + d["step5_weight_sum"])
             # theta is exactly the mean of the final targeted regression.
-            work = fit.nuisances
             assert fit.psi_hat == pytest.approx(
-                float(np.mean(work.emu_star)), abs=1e-14)
+                float(np.mean(fit.emu_star)), abs=1e-14)
             # The influence-function mean decomposes into the two residuals
             # (rescaled to the outcome scale for the logistic variant).
             span = 1.0 if variant != "weighted_logistic" else 1.0 - 0.0
@@ -157,7 +153,7 @@ def test_mu_star_shift_identities():
 
     wl = tmle_long(data, nuis, variant="weighted_linear")
     np.testing.assert_allclose(
-        wl.nuisances.mu_star - nuis.mu_hat,
+        wl.mu_star - nuis.mu_hat,
         np.full(data.n_obs, wl.diagnostics["step3_coefficient"]),
         atol=1e-12)
 
@@ -165,7 +161,7 @@ def test_mu_star_shift_identities():
     # coefficient / (g0 g1) on every row, not just the on-regime ones
     cl = tmle_long(data, nuis, variant="covariate_linear")
     np.testing.assert_allclose(
-        cl.nuisances.mu_star - nuis.mu_hat,
+        cl.mu_star - nuis.mu_hat,
         cl.diagnostics["step3_coefficient"] / (nuis.g0 * nuis.g1),
         atol=1e-12)
 
@@ -191,7 +187,8 @@ def test_one_step_long_identity_and_zero_mean_eif():
     fit = one_step_long(data, nuis)
     r = ((data.a0 == 0.0) & (data.a1 == 0.0)) / (nuis.g0 * nuis.g1)
     h = (data.a0 == 0.0) / nuis.g0
-    emu = fit.nuisances.emu_hat
+    emu = fit.emu_hat
+    assert fit.emu_star is emu and fit.mu_star is nuis.mu_hat
     by_hand = float(np.mean(emu) + np.mean(
         r * (data.outcome - nuis.mu_hat) + h * (nuis.mu_hat - emu)))
     assert fit.psi_hat == pytest.approx(by_hand, abs=1e-13)

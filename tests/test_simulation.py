@@ -431,6 +431,23 @@ def test_run_estimator_serves_only_the_datas_design():
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("n_folds", [None, 3])
+def test_every_estimate_reports_its_own_eif_mean_and_nuisance_facts(n_folds):
+    # One assembly reports these for the estimators of both designs.
+    plan = EstimationPlan(truncation=(0.45, 0.55), n_folds=n_folds)
+    for config, names in (("dgp_binary.json", POINT_ESTIMATORS),
+                          ("dgp_long.json", LONG_ESTIMATORS)):
+        data = generate(load_fixture(config), 300, 2)
+        nuis = fit_plan_nuisance(data, plan, fold_seed=4)
+        assert nuis.n_truncated > 0
+        for name in names:
+            res = run_estimator(name, data, nuis, plan)
+            d = res.diagnostics
+            assert d["mean_eif"] == float(np.mean(res.eif)), name
+            assert d["n_truncated"] == nuis.n_truncated, name
+            assert d["cross_fitted"] is (n_folds is not None), name
+
+
 def test_fit_plan_nuisance_rejects_longitudinal_restrictions():
     data = generate(load_fixture("dgp_long.json"), 100, 1)
     with pytest.raises(ValueError, match="covariate restrictions are not "
@@ -459,6 +476,59 @@ def test_unknown_estimator_message_is_one_text(tmp_path):
         assert code == 2
         error = json.loads(out.read_text(encoding="utf-8"))["error"]
         assert error == {"type": "UsageError", "message": str(exc.value)}
+
+
+def test_repeated_estimator_name_is_rejected(tmp_path, monkeypatch):
+    # A repeated name would be run and summarised twice.
+    from eiftools import cli
+    names = ("gcomp", "one_step", "gcomp")
+    with pytest.raises(ValueError) as exc:
+        run_experiment(load_fixture("dgp_binary.json"), n=100,
+                       replications=2, estimator_names=names,
+                       plan=EstimationPlan(), seed=1)
+    assert str(exc.value) == "estimators named more than once: ['gcomp']"
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the names are checked before any replicate")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    out = tmp_path / "err.json"
+    for argv in (["simulate", "--config", FIXTURES / "dgp_binary.json",
+                  "--n", "100", "--replications", "2", "--seed", "1"],
+                 ["estimate", "--data", FIXTURES / "saturated_4row.csv"]):
+        code = cli.main([str(a) for a in argv]
+                        + ["--estimators", ",".join(names), "--out", str(out)])
+        assert code == 2
+        error = json.loads(out.read_text(encoding="utf-8"))["error"]
+        assert error == {"type": "UsageError", "message": str(exc.value)}
+
+
+def test_plan_y_bounds_must_contain_the_dgps_outcome_bounds(tmp_path):
+    from eiftools.cli import main
+    binary = load_fixture("dgp_binary.json")
+    names = ("gcomp", "tmle_weighted_logistic")
+    with pytest.raises(ValueError, match=r"y_bounds \(0\.2, 0\.5\) do not "
+                                         r"contain the outcome bounds "
+                                         r"\(0\.0, 1\.0\) of the DGP"):
+        run_experiment(binary, n=100, replications=2, estimator_names=names,
+                       plan=EstimationPlan(y_bounds=(0.2, 0.5)), seed=1)
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--config", str(FIXTURES / "dgp_binary.json"),
+                 "--n", "100", "--replications", "2", "--seed", "1",
+                 "--y-bounds", "0.2,0.5", "--out", str(out)])
+    assert code == 2
+    error = json.loads(out.read_text(encoding="utf-8"))["error"]
+    assert error["type"] == "UsageError"
+    assert not (tmp_path / "r.csv").exists()
+    # Wider bounds, and any bounds on a DGP without implied ones, still run.
+    report = run_experiment(binary, n=100, replications=2,
+                            estimator_names=names,
+                            plan=EstimationPlan(y_bounds=(-1.0, 2.0)), seed=1)
+    assert report.summary_for("tmle_weighted_logistic").n_failed == 0
+    unbounded = simple_point_dgp(kind="continuous")
+    assert unbounded.implied_y_bounds() is None
+    run_experiment(unbounded, n=100, replications=2,
+                   estimator_names=("gcomp",),
+                   plan=EstimationPlan(y_bounds=(0.2, 0.5)), seed=1)
 
 
 def test_plan_to_dict_reports_every_field():
