@@ -22,9 +22,9 @@ from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
                        InsufficientDataError, LearnerSpec, NuisanceError,
                        NuisanceEstimates, crossfit, fit_nuisance, fit_outcome,
                        fit_propensity)
-from .estimators import (TMLE_VARIANTS, Z975, DegenerateOutcomeError,
-                         EstimateResult, FluctuationFit, eif_values,
-                         fluctuate, gcomp, one_step, tmle, wald_inference)
+from .estimators import (TMLE_VARIANTS, Z975, EstimateResult, FluctuationFit,
+                         eif_values, fluctuate, gcomp, one_step, tmle,
+                         wald_inference)
 from .longitudinal import (LONG_VARIANTS, LongEstimateResult,
                            SequentialNuisances, eif_long,
                            fit_sequential_nuisances, one_step_long, tmle_long)
@@ -57,7 +57,6 @@ __all__ = [
     "fit_propensity",
     "TMLE_VARIANTS",
     "Z975",
-    "DegenerateOutcomeError",
     "EstimateResult",
     "FluctuationFit",
     "eif_values",

@@ -4,10 +4,11 @@
 ``simulation.fit_plan_nuisance`` and ``simulation.run_estimator``, the
 path that ``simulate`` takes through ``run_experiment``.
 
-Exit codes: 0 success, 2 input or configuration error, 3 estimation
-failure; :func:`main` maps every ``GlmError`` or ``NuisanceError`` that
-reaches it to 3. Failures write a machine-readable error object to the
-output target (stdout if it cannot be written). All output is
+Exit codes: 0 success, 2 usage, input or configuration error, 3
+estimation failure; :func:`main` maps every ``GlmError`` or
+``NuisanceError`` that reaches it to 3. Failures write a machine-readable
+error object to the output target, or to stdout for a usage error, an
+output path that cannot be written, or a failure to write. All output is
 byte-deterministic given the same inputs and seed: JSON is dumped with
 sorted keys, and CSV floats use ``repr``.
 
@@ -36,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .data import Dataset, LongDataset
-from .estimators import DegenerateOutcomeError
 from .glm import GlmError
 from .nuisance import DEFAULT_TRUNCATION, LearnerSpec, NuisanceError
 from .simulation import (DgpConfig, DgpValidationError, EstimationPlan,
@@ -325,20 +325,19 @@ def _load_dgp(path: str) -> DgpConfig:
 # Subcommands
 
 
-def _constant_outcome_result(name: str, value: float) -> Dict[str, object]:
-    # A constant outcome pins the bound-respecting estimate at the
-    # constant with zero spread; reported directly instead of failing.
-    return {
-        "estimator": name,
-        "psi_hat": value,
-        "se": 0.0,
-        "ci95": [value, value],
-        "diagnostics": {
-            "note": "outcome is constant; estimate is the constant with "
-                    "zero standard error",
-            "n_truncated": 0,
-        },
-    }
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Raise OutputError unless each path that is not None (stdout) can
+    be written: a writable file, or a new one in an existing, writable
+    directory. Each command calls this before any fit or sum runs."""
+    for path in paths:
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not path or os.path.isdir(path) or not (
+                os.access(path, os.W_OK) if os.path.exists(path)
+                else os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise OutputError(f"cannot write {path or repr(path)}: not a "
+                              "file in an existing, writable directory")
 
 
 def cmd_estimate(args) -> int:
@@ -355,20 +354,11 @@ def cmd_estimate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     names = _parse_estimators(args.estimators, args.design)
+    _check_outputs(args.out)
     # A GlmError or NuisanceError from here on exits 3 (see main).
-    nuis = fit_plan_nuisance(data, plan,
-                             args.seed if args.seed is not None else 0)
-    estimates = []
-    for name in names:
-        try:
-            estimates.append(
-                run_estimator(name, data, nuis, plan).to_json_dict())
-        except DegenerateOutcomeError:
-            # The data and the estimator share plan.y_bounds, so the
-            # bounds collapse only on a constant outcome.
-            estimates.append(
-                _constant_outcome_result(name, data.outcome_bounds()[0]))
-
+    nuis = fit_plan_nuisance(data, plan, args.seed)
+    estimates = [run_estimator(name, data, nuis, plan).to_json_dict()
+                 for name in names]
     out = {
         "schema_version": SCHEMA_VERSION,
         "design": args.design,
@@ -381,14 +371,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     csv_path = args.out and os.path.splitext(args.out)[0] + ".csv"
+    _check_outputs(args.out, csv_path, args.emit_data)
     outputs = [p for p in (args.out, csv_path, args.emit_data)
                if p is not None]
-    for path in outputs:  # checked before any replicate runs
-        folder = os.path.dirname(os.path.abspath(path))
-        if not path or os.path.isdir(path) or not (
-                os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            raise OutputError(f"cannot write {path or repr(path)}: not a "
-                              "file in an existing, writable directory")
     if len({Path(p).resolve() for p in outputs}) < len(outputs):
         raise OutputError(
             f"output files must differ: --out {args.out} (per-replicate "
@@ -419,9 +404,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_truth(args) -> int:
     dgp = _load_dgp(args.config)
+    _check_outputs(args.out)
     try:
         truth = true_value(dgp, method=args.method, mc_draws=args.mc_draws,
-                           mc_seed=args.seed if args.seed is not None else 0)
+                           mc_seed=args.seed)
     except (AnalyticTruthError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     out = {
@@ -435,6 +421,26 @@ def cmd_truth(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as a :class:`UsageError` instead of
+    printing it and exiting, so that :func:`main` reports it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _add_plan_flags(p: argparse.ArgumentParser):
@@ -459,7 +465,7 @@ def _add_plan_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eiftools",
         description="Doubly robust estimation of the untreated mean "
                     "(g-computation, one-step/AIPW, TMLE) plus a "
@@ -477,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--outcome-col", default="y",
                        help="outcome column for the point design")
     _add_plan_flags(p_est)
-    p_est.add_argument("--seed", type=int, default=None,
+    p_est.add_argument("--seed", type=_seed, default=0,
                        help="seed for the cross-fitting partition")
     p_est.add_argument("--out", default=None, help="output JSON path "
                        "(default stdout)")
@@ -491,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--estimators", default=None,
                        help="comma list or 'all' (default all)")
     _add_plan_flags(p_sim)
-    p_sim.add_argument("--seed", type=int, required=True,
+    p_sim.add_argument("--seed", type=_seed, required=True,
                        help="master seed (required; all randomness flows "
                             "from it)")
     p_sim.add_argument("--truth-method", choices=("analytic", "monte_carlo"),
@@ -510,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tru.add_argument("--method", choices=("analytic", "monte_carlo"),
                        default="analytic")
     p_tru.add_argument("--mc-draws", type=int, default=1_000_000)
-    p_tru.add_argument("--seed", type=int, default=None,
+    p_tru.add_argument("--seed", type=_seed, default=0,
                        help="seed for the monte_carlo method")
     p_tru.add_argument("--out", default=None, help="output JSON path "
                        "(default stdout)")
@@ -541,8 +547,11 @@ def _report_error(exc: Exception, path: Optional[str]):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:  # no output path is known yet
+        _report_error(exc, None)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except OutputError as exc:

@@ -35,7 +35,6 @@ __all__ = [
     "Z975",
     "EstimateResult",
     "FluctuationFit",
-    "DegenerateOutcomeError",
     "eif_values",
     "wald_inference",
     "fluctuate",
@@ -51,10 +50,6 @@ TMLE_VARIANTS = ("covariate_linear", "weighted_linear", "weighted_logistic")
 
 # Scaled initial predictions are clipped here before logit().
 _SCALED_PRED_CLIP = 1e-6
-
-
-class DegenerateOutcomeError(Exception):
-    """Outcome bounds collapse to a point; logistic targeting is undefined."""
 
 
 @dataclass(frozen=True)
@@ -206,10 +201,6 @@ def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
     if variant != "weighted_logistic":
         return None
     lo, hi = y_bounds if y_bounds is not None else data.outcome_bounds()
-    if not hi > lo:
-        raise DegenerateOutcomeError(
-            f"outcome bounds ({lo}, {hi}) have zero width; logistic "
-            "targeting needs y_min < y_max")
     return float(lo), float(hi)
 
 
@@ -290,6 +281,8 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
     rescaled by ``bounds = (lo, hi)`` (None for the other variants),
     offset logit(rescaled offset clipped into (1e-6, 1 - 1e-6));
     targeted stays in [lo, hi]; the residual is on the rescaled response.
+    Bounds of zero width hold one value, so every response equals it and
+    it is its own targeted prediction (coefficient and residual 0).
 
     The score is certified to ``1e-8 * (1 + sum(weights))``
     (``1e-8 * (1 + n)`` for ``covariate_linear``). Raises ValueError on
@@ -310,6 +303,8 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
             raise ValueError("response values fall outside the scaling "
                              "bounds")
         span = hi - lo
+        if span == 0.0:
+            return FluctuationFit(variant, 0.0, np.full(z.shape[0], lo), 0.0)
         z_sc = (z - lo) / span
         b_sc = logit(np.clip((b - lo) / span, _SCALED_PRED_CLIP,
                              1.0 - _SCALED_PRED_CLIP))
@@ -369,8 +364,6 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
 
     Raises
     ------
-    DegenerateOutcomeError
-        ``weighted_logistic`` with y_min = y_max.
     GlmError, ValueError
         Targeting-model failure, annotated with the variant.
     """

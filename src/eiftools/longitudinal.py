@@ -242,8 +242,6 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
     ------
     ValueError
         Unknown ``variant``, or ``nuisances`` of another dataset size.
-    DegenerateOutcomeError
-        ``weighted_logistic`` with y_min = y_max.
     InsufficientDataError, FoldDegeneracyError
         Too little data for the step 4 regression (fold named when
         cross-fitting).

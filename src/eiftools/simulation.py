@@ -909,8 +909,7 @@ def run_estimator(name: str, data: Union[Dataset, LongDataset], nuis,
 
 # Failures of one replicate's draw, nuisance fit or estimator; each is
 # recorded on the replicate instead of ending the experiment.
-_REPLICATE_FAILURES = (GlmError, NuisanceError, est.DegenerateOutcomeError,
-                       ValueError)
+_REPLICATE_FAILURES = (GlmError, NuisanceError, ValueError)
 
 
 def _failure(exc: Exception) -> str:

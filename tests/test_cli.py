@@ -4,6 +4,8 @@ Each test drives ``eiftools.cli.main`` in process and checks exit codes,
 output schemas, and byte-level determinism of the written files.
 """
 
+import csv
+import io
 import json
 import pathlib
 import subprocess
@@ -55,8 +57,8 @@ def test_estimate_saturated_fixture(tmp_path):
 
 
 def test_estimate_constant_outcome(tmp_path):
-    # constant outcome: the logistic-targeting scale collapses, and the CLI
-    # must report the constant with a zero-width interval instead of failing
+    # constant outcome: the logistic-targeting bounds have zero width, and
+    # the estimator reports the constant with a zero-width interval
     out = tmp_path / "est.json"
     code = run_cli(["estimate", "--data", FIXTURES / "constant_y.csv",
                     "--estimators", "tmle_weighted_logistic", "--out", out])
@@ -66,7 +68,44 @@ def test_estimate_constant_outcome(tmp_path):
     assert row["psi_hat"] == 2.5
     assert row["se"] == 0.0
     assert row["ci95"] == [2.5, 2.5]
-    assert "note" in row["diagnostics"]
+    assert row["diagnostics"]["score_residual"] == 0.0
+    assert row["diagnostics"]["targeted_pred_min"] == 2.5
+    assert row["diagnostics"]["targeted_pred_max"] == 2.5
+
+
+@pytest.mark.parametrize("config", ["dgp_constant_point.json",
+                                    "dgp_constant_long.json"])
+@pytest.mark.parametrize("folds", [[], ["--folds", "2"]])
+def test_constant_outcome_simulate_and_estimate_agree(tmp_path, config,
+                                                      folds):
+    # Every outcome is 2.5: simulate records no failed replicate, and
+    # estimate on replicate 0's draw gives each logistic estimator the
+    # values of replicate 0's row, bit for bit.
+    seed = 6
+    out, draw = tmp_path / "r.json", tmp_path / "draw.csv"
+    assert run_cli(["simulate", "--config", FIXTURES / config, "--n", "200",
+                    "--replications", "3", "--seed", seed, *folds,
+                    "--out", out, "--emit-data", draw]) == 0
+    report = read_json(out)
+    for summary in report["estimators"]:
+        assert (summary["n_success"], summary["n_failed"]) == (3, 0)
+    rows = {row["estimator"]: row
+            for row in csv.DictReader(io.StringIO(
+                (tmp_path / "r.csv").read_text(encoding="utf-8")))
+            if row["replicate"] == "0"}
+
+    # Replicate 0's fold seed, as run_experiment derives it.
+    fold_seed = int(np.random.SeedSequence(
+        seed, spawn_key=(0, 1)).generate_state(1)[0])
+    est_out = tmp_path / "est.json"
+    assert run_cli(["estimate", "--data", draw, "--design", report["design"],
+                    *folds, "--seed", fold_seed, "--out", est_out]) == 0
+    (e,) = [e for e in read_json(est_out)["estimates"]
+            if e["estimator"].endswith("_weighted_logistic")]
+    row = rows[e["estimator"]]
+    assert row["error"] == ""
+    assert [e["psi_hat"], e["se"], *e["ci95"]] == [
+        float(row[k]) for k in ("psi_hat", "se", "ci_lo", "ci_hi")]
 
 
 def test_estimate_separation_exits_3(tmp_path):
@@ -290,18 +329,28 @@ def test_estimate_missing_file_exit_2(tmp_path):
     ["truth", "--config", FIXTURES / "dgp_binary.json"],
 ])
 def test_unwritable_out_exits_2_with_payload_on_stdout(tmp_path, capsys,
-                                                       command):
-    out = tmp_path / "no_such_dir" / "out.json"
-    code = run_cli(command + ["--out", out])
-    assert code == 2
-    err = json.loads(capsys.readouterr().out)["error"]
-    if command[2] == FIXTURES / "absent.csv":
-        # The input error is the one reported, not the failed write.
-        assert err["type"] == "UsageError"
-        assert "cannot read" in err["message"]
-    else:
-        assert err["type"] == "OutputError"
-        assert f"cannot write {out}" in err["message"]
+                                                       monkeypatch, command):
+    # The output path is checked before any fit, replicate or truth sum.
+    import eiftools.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the output is checked before any work")
+    for work in ("fit_plan_nuisance", "run_experiment", "true_value"):
+        monkeypatch.setattr(cli, work, no_work)
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "no_such_dir" / "out.json"
+    for out, shown in ((missing, missing), ("", "''")):
+        code = run_cli(command + ["--out", out])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        if command[2] == FIXTURES / "absent.csv":
+            # The input error is the one reported, not the failed write.
+            assert err["type"] == "UsageError"
+            assert "cannot read" in err["message"]
+        else:
+            assert err["type"] == "OutputError"
+            assert err["message"].startswith(f"cannot write {shown}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_estimate_long_stray_column_exit_2(tmp_path):
@@ -406,6 +455,42 @@ def test_simulate_empty_output_path_exits_2_before_running(
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--data", FIXTURES / "saturated_4row.csv", "--folds", "2"],
+    ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "50",
+     "--replications", "2"],
+    ["truth", "--config", FIXTURES / "dgp_binary.json",
+     "--method", "monte_carlo"],
+])
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_bad_seed_exits_2_naming_the_flag(capsys, command, seed):
+    assert run_cli(command + ["--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "UsageError"
+    assert "argument --seed: " in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate"], "the following arguments are required: --data"),
+    (["simulate", "--config", "c.json", "--n", "abc", "--replications", "2",
+      "--seed", "1"], "argument --n: invalid int value: 'abc'"),
+    (["truth", "--config", "c.json", "--method", "exact"],
+     "argument --method: invalid choice: 'exact'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_errors_print_a_payload(capsys, argv, message):
+    # Argument parsing errors exit 2 with the JSON payload on stdout,
+    # as every other usage error does, and nothing on stderr.
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "UsageError"
+    assert message in err["message"]
+
+
 def test_simulate_determinism(tmp_path):
     outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for out in outs:
@@ -419,11 +504,14 @@ def test_simulate_determinism(tmp_path):
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
-def test_simulate_requires_seed():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["simulate", "--config", FIXTURES / "dgp_binary.json",
-                 "--n", "50", "--replications", "2"])
-    assert exc.value.code == 2
+def test_simulate_requires_seed(capsys):
+    assert run_cli(["simulate", "--config", FIXTURES / "dgp_binary.json",
+                    "--n", "50", "--replications", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "UsageError"
+    assert "--seed" in err["message"]
 
 
 def test_simulate_config_errors_exit_2(tmp_path):

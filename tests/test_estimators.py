@@ -9,7 +9,6 @@ from scipy.special import expit
 import eiftools.estimators as est
 from eiftools.data import Dataset
 from eiftools.estimators import (
-    DegenerateOutcomeError,
     TMLE_VARIANTS,
     Z975,
     eif_values,
@@ -293,16 +292,16 @@ def test_affine_equivariance_of_location_scale():
         shift + scale * base.psi_hat, rel=1e-6, abs=1e-6)
 
 
-def test_degenerate_outcome_only_breaks_logistic_variant():
+def test_constant_outcome_gives_the_constant_for_every_variant():
+    # The logistic variant's bounds have zero width: the one value they
+    # hold is its own targeted prediction.
     data = Dataset.from_columns(
         {"w": [0.0, 1.0, 0.0, 1.0]},
         [0.0, 0.0, 1.0, 1.0],
         [2.0, 2.0, 2.0, 2.0],
     )
     nuis = NuisanceEstimates(np.full(4, 2.0), np.full(4, 0.5))
-    with pytest.raises(DegenerateOutcomeError):
-        tmle(data, nuis, "weighted_logistic")
-    for variant in ("covariate_linear", "weighted_linear"):
+    for variant in TMLE_VARIANTS:
         fit = tmle(data, nuis, variant)
         assert fit.psi_hat == pytest.approx(2.0, abs=1e-12)
         assert fit.se == 0.0
