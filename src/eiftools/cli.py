@@ -5,12 +5,12 @@
 path that ``simulate`` takes through ``run_experiment``.
 
 Exit codes: 0 success, 2 usage, input or configuration error, 3
-estimation failure; :func:`main` maps every ``GlmError`` or
-``NuisanceError`` that reaches it to 3. Failures write a machine-readable
-error object to the output target, or to stdout for a usage error, an
-output path that cannot be written, or a failure to write. All output is
-byte-deterministic given the same inputs and seed: JSON is dumped with
-sorted keys, and CSV floats use ``repr``.
+estimation failure; :func:`main` maps every ``GlmError``,
+``NuisanceError`` or ``MemoryError`` that reaches it to 3. Failures write
+a machine-readable error object to the output target, or to stdout for a
+usage error, an output path that cannot be written, or a failure to
+write. All output is byte-deterministic given the same inputs and seed:
+JSON is dumped with sorted keys, and CSV floats use ``repr``.
 
 CSV conventions (header required, comma-separated, '.' decimals, no
 missing values): the point design expects a treatment column ``a``
@@ -355,7 +355,8 @@ def cmd_estimate(args) -> int:
         raise UsageError(str(exc)) from None
     names = _parse_estimators(args.estimators, args.design)
     _check_outputs(args.out)
-    # A GlmError or NuisanceError from here on exits 3 (see main).
+    # A GlmError, NuisanceError or MemoryError from here on exits 3 (see
+    # main).
     nuis = fit_plan_nuisance(data, plan, args.seed)
     estimates = [run_estimator(name, data, nuis, plan).to_json_dict()
                  for name in names]
@@ -560,7 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DgpValidationError) as exc:
         _report_error(exc, args.out)
         return EXIT_INPUT
-    except (GlmError, NuisanceError) as exc:
+    except (GlmError, NuisanceError, MemoryError) as exc:
         _report_error(exc, args.out)
         return EXIT_ESTIMATION
 

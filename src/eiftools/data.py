@@ -28,6 +28,14 @@ def _as_binary(name: str, values) -> np.ndarray:
     return arr
 
 
+def _outcome_bounds(bounds) -> Tuple[float, float]:
+    """``bounds`` as two floats; ValueError unless finite with lo <= hi."""
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise ValueError(f"invalid outcome bounds ({lo}, {hi})")
+    return lo, hi
+
+
 def _as_outcome(values, n: int, bounds
                 ) -> Tuple[np.ndarray, Optional[Tuple[float, float]]]:
     """The outcome of ``n`` rows and its declared bounds, both checked."""
@@ -37,13 +45,10 @@ def _as_outcome(values, n: int, bounds
     if not np.isfinite(y).all():
         raise ValueError("outcome contains non-finite values")
     if bounds is not None:
-        lo, hi = float(bounds[0]), float(bounds[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise ValueError(f"invalid outcome bounds ({lo}, {hi})")
+        lo, hi = bounds = _outcome_bounds(bounds)
         # No rows: nothing to compare; the row count is reported below.
         if n and not (lo <= y.min() and y.max() <= hi):
             raise ValueError("outcome values fall outside the declared bounds")
-        bounds = (lo, hi)
     if n < 2:
         raise ValueError("need at least two observations")
     return y, bounds

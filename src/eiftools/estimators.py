@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._numeric import expit, logit
+from ._numeric import expit, logit, softplus
 from .data import Dataset
 from .glm import (DEFAULT_MAX_ITERATIONS, DEFAULT_SCORE_TOLERANCE,
                   SEPARATION_NORM, GlmError, NonConvergenceError,
@@ -229,8 +229,7 @@ def _solve_logistic(z, b, w, tol: float) -> float:
     z_active, w_active = z[active], w[active]
 
     def weighted_loglik(eta):  # z*eta - log(1 + exp(eta)) per row
-        return float((w_active * (z_active * eta
-                                  - np.logaddexp(0.0, eta))).sum())
+        return float((w_active * (z_active * eta - softplus(eta))).sum())
 
     coef, eta = 0.0, b
     loglik = weighted_loglik(b[active])

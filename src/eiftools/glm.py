@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._numeric import expit, spd_solve
+from ._numeric import expit, softplus, spd_solve
 
 __all__ = [
     "Link",
@@ -112,8 +112,8 @@ def _validate(X, response, link: Link):
 
 def _bernoulli_loglik(eta: np.ndarray, z: np.ndarray) -> float:
     # z*log(mu) + (1-z)*log(1-mu) with mu = expit(eta) equals
-    # z*eta - log(1 + exp(eta)), which needs a single logaddexp.
-    return float((z * eta - np.logaddexp(0.0, eta)).sum())
+    # z*eta - log(1 + exp(eta)).
+    return float((z * eta - softplus(eta)).sum())
 
 
 def _fit_identity(X, z, tol_abs):

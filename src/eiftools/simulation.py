@@ -15,7 +15,8 @@ cross-check each other in the test suite.
 ``run_experiment`` replays an estimation plan over many replicates with
 independent, order-insensitive seed streams and reports bias, empirical
 and estimated standard errors, CI coverage, bound violations, and
-failures (never silently dropped).
+failures (never silently dropped). A Monte Carlo truth is drawn on a
+second thread while the replicates run, with the same bytes out.
 
 ``fit_plan_nuisance`` and ``run_estimator`` are the one path from a
 dataset of either design to its estimates, for ``run_experiment`` and
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._numeric import expit
-from .data import Dataset, LongDataset
+from .data import Dataset, LongDataset, _outcome_bounds
 from . import estimators as est
 from . import longitudinal as long_est
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, NuisanceError,
@@ -565,21 +567,25 @@ class DgpConfig:
 
 
 def _draw(dgp: DgpConfig, rng: np.random.Generator, n: int,
-          observed: bool) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+          observed: bool
+          ) -> Tuple[Dict[str, Union[float, np.ndarray]], np.ndarray]:
     """Every variable of ``n`` draws, keyed by name, and the outcome.
 
     Draw order is fixed: covariates in declaration order, treatment,
     (longitudinal: second-period covariates, second treatment), outcome.
-    Unless ``observed``, every treatment is 0 and takes no draw, so the
-    outcome is the counterfactual one under the untreated regime.
+    Unless ``observed``, every treatment is the scalar 0.0 and takes no
+    draw, so the outcome is the counterfactual one under the untreated
+    regime. ``coef * 0.0`` broadcasts the value that a column of zeros
+    would give each row, into the same sum in the same term order, so the
+    outcome's bits do not depend on this shortcut.
     """
-    values: Dict[str, np.ndarray] = {}
+    values: Dict[str, Union[float, np.ndarray]] = {}
     for c in dgp.covariates:
         values[c.name] = c.draw(rng, n)
 
-    def treatment(model: LinearModel) -> np.ndarray:
+    def treatment(model: LinearModel) -> Union[float, np.ndarray]:
         if not observed:
-            return np.zeros(n)
+            return 0.0
         p_untreated = expit(np.broadcast_to(
             np.asarray(model.eta(values), dtype=float), (n,)))
         return (rng.random(n) >= p_untreated).astype(float)
@@ -699,6 +705,15 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
                        mc_se=float(np.sqrt(var / draws)), mc_draws=draws)
 
 
+def _check_truth_method(method: str, mc_draws: int):
+    """Raise ValueError unless :func:`true_value` takes ``method`` and,
+    for ``monte_carlo``, ``mc_draws``."""
+    if method not in ("analytic", "monte_carlo"):
+        raise ValueError(f"unknown truth method {method!r}")
+    if method == "monte_carlo" and mc_draws < 2:
+        raise ValueError("mc_draws must be at least 2")
+
+
 def true_value(dgp: DgpConfig, method: str = "analytic",
                mc_draws: int = 1_000_000,
                mc_seed: Union[int, np.random.SeedSequence] = 0) -> TruthResult:
@@ -709,13 +724,10 @@ def true_value(dgp: DgpConfig, method: str = "analytic",
     counterfactual outcome draws with every treatment forced to 0 and
     reports the Monte Carlo standard error.
     """
+    _check_truth_method(method, mc_draws)
     if method == "analytic":
         return TruthResult(value=_analytic_truth(dgp), method="analytic")
-    if method == "monte_carlo":
-        if mc_draws < 2:
-            raise ValueError("mc_draws must be at least 2")
-        return _monte_carlo_truth(dgp, int(mc_draws), mc_seed)
-    raise ValueError(f"unknown truth method {method!r}")
+    return _monte_carlo_truth(dgp, int(mc_draws), mc_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +755,8 @@ class EstimationPlan:
 
     def __post_init__(self):
         _validate_truncation(self.truncation)
+        if self.y_bounds is not None:
+            _outcome_bounds(self.y_bounds)
 
     def check_data(self, design: str, n_obs: int, names: Sequence[str]):
         """Raise ValueError unless the plan fits data of ``design`` with
@@ -916,6 +930,30 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+class _TruthThread(threading.Thread):
+    """:func:`true_value` on one worker thread, started on construction;
+    :meth:`result` joins it and returns the truth or re-raises its error."""
+
+    def __init__(self, *args):
+        super().__init__(name="eiftools-truth", daemon=True)
+        self._args = args
+        self._truth: Optional[TruthResult] = None
+        self._error: Optional[BaseException] = None
+        self.start()
+
+    def run(self):
+        try:
+            self._truth = true_value(*self._args)
+        except BaseException as exc:  # raised again on the joining thread
+            self._error = exc
+
+    def result(self) -> TruthResult:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._truth
+
+
 def run_experiment(dgp: DgpConfig, n: int, replications: int,
                    estimator_names: Sequence[str], plan: EstimationPlan,
                    seed: int, truth_method: str = "analytic",
@@ -929,6 +967,13 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     are never silently dropped. A failed draw or nuisance fit fails every
     estimator of the replicate; an estimator's own failure fails only
     that estimator's record.
+
+    No replicate needs the true value until its coverage is scored, so a
+    ``monte_carlo`` truth is drawn on a second thread while the
+    replicates run, and coverage is scored once it is joined. Its draws
+    come from their own stream, so the report's bytes are the same as
+    when it ran first. The exact ``analytic`` sum runs before replicate 0,
+    and every error the truth method raises for its arguments does too.
     """
     if replications < 2:
         raise ValueError("replications must be at least 2")
@@ -942,45 +987,58 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
         raise ValueError(
             f"y_bounds {tuple(plan.y_bounds)} do not contain the outcome "
             f"bounds {implied} of the DGP")
-    truth = true_value(dgp, method=truth_method, mc_draws=mc_draws,
-                       mc_seed=np.random.SeedSequence(seed, spawn_key=(2**31,)))
-    bounds = plan.y_bounds if plan.y_bounds is not None \
-        else dgp.implied_y_bounds()
+    _check_truth_method(truth_method, mc_draws)
+    truth_args = (dgp, truth_method, mc_draws,
+                  np.random.SeedSequence(seed, spawn_key=(2**31,)))
+    bounds = plan.y_bounds if plan.y_bounds is not None else implied
+    if truth_method == "monte_carlo":
+        worker, truth = _TruthThread(*truth_args), None
+    else:
+        worker, truth = None, true_value(*truth_args)
 
     records: List[ReplicateRecord] = []
-    for r in range(replications):
-        ss = replicate_seed(seed, r)
-        fold_seed = 0  # read only by a cross-fitted plan
-        if plan.n_folds is not None:
-            fold_seed = int(np.random.SeedSequence(
-                seed, spawn_key=(r, 1)).generate_state(1)[0])
-        try:
-            # a draw can be too degenerate to estimate from (e.g. fewer
-            # than 2 rows on the regime of interest); record, don't crash
-            data = generate(dgp, n, ss)
-            nuis = fit_plan_nuisance(data, plan, fold_seed)
-        except _REPLICATE_FAILURES as exc:
-            for name in estimator_names:
-                records.append(ReplicateRecord(replicate=r, estimator=name,
-                                               error=_failure(exc)))
-            continue
-        for name in estimator_names:
+    try:
+        for r in range(replications):
+            ss = replicate_seed(seed, r)
+            fold_seed = 0  # read only by a cross-fitted plan
+            if plan.n_folds is not None:
+                fold_seed = int(np.random.SeedSequence(
+                    seed, spawn_key=(r, 1)).generate_state(1)[0])
             try:
-                res = run_estimator(name, data, nuis, plan)
+                # a draw can be too degenerate to estimate from (e.g. fewer
+                # than 2 rows on the regime of interest); record, don't crash
+                data = generate(dgp, n, ss)
+                nuis = fit_plan_nuisance(data, plan, fold_seed)
             except _REPLICATE_FAILURES as exc:
-                records.append(ReplicateRecord(replicate=r, estimator=name,
-                                               error=_failure(exc)))
+                for name in estimator_names:
+                    records.append(ReplicateRecord(replicate=r, estimator=name,
+                                                   error=_failure(exc)))
                 continue
-            rec = ReplicateRecord(
-                replicate=r, estimator=name,
-                psi_hat=res.psi_hat, se=res.se,
-                ci_lo=res.ci95[0], ci_hi=res.ci95[1],
-                covered=bool(res.ci95[0] <= truth.value <= res.ci95[1]),
-            )
-            if bounds is not None:
-                rec.out_of_bounds = bool(res.psi_hat < bounds[0]
-                                         or res.psi_hat > bounds[1])
-            records.append(rec)
+            for name in estimator_names:
+                try:
+                    res = run_estimator(name, data, nuis, plan)
+                except _REPLICATE_FAILURES as exc:
+                    records.append(ReplicateRecord(replicate=r, estimator=name,
+                                                   error=_failure(exc)))
+                    continue
+                # ``covered`` is scored once the truth is known, below.
+                rec = ReplicateRecord(
+                    replicate=r, estimator=name,
+                    psi_hat=res.psi_hat, se=res.se,
+                    ci_lo=res.ci95[0], ci_hi=res.ci95[1],
+                )
+                if bounds is not None:
+                    rec.out_of_bounds = bool(res.psi_hat < bounds[0]
+                                             or res.psi_hat > bounds[1])
+                records.append(rec)
+    finally:
+        if worker is not None:
+            worker.join()
+    if worker is not None:
+        truth = worker.result()
+    for rec in records:
+        if rec.error is None:
+            rec.covered = bool(rec.ci_lo <= truth.value <= rec.ci_hi)
 
     summaries = []
     for name in estimator_names:

@@ -120,6 +120,20 @@ def test_estimate_separation_exits_3(tmp_path):
     assert payload["error"]["message"]
 
 
+def test_simulate_memory_error_exits_3(capsys):
+    # numpy refuses one 745 GiB array at once, so nothing is allocated.
+    # Never try a size that could be allocated.
+    code = run_cli(["simulate", "--config", FIXTURES / "dgp_binary.json",
+                    "--n", "100000000000", "--replications", "2",
+                    "--seed", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "MemoryError"
+    assert error["message"].startswith("Unable to allocate")
+
+
 @pytest.mark.parametrize("seed", ["0", "2"])
 def test_estimate_degenerate_fold_exits_3(tmp_path, seed):
     # one untreated row: under seed 0 a fold complement has none at all

@@ -5,6 +5,7 @@ build it with the intercept column first, as the nuisance learners do.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,29 @@ def test_logit_iterates_match_two_logaddexp_oracle(case):
     rng = np.random.default_rng({"binary": 43, "continuous": 53}[case])
     for design, z in _logit_oracle_problems(rng, case):
         _assert_iterates_match_oracle(design, z)
+
+
+def test_bernoulli_loglik_is_finite_and_silent_at_extremes():
+    # log(1 + exp(eta)) is formed as max(eta, 0) + log1p(exp(-|eta|)):
+    # the exponent is never positive, so neither exp overflow nor a lost
+    # tiny eta shows, and the value is the logaddexp form's.
+    tiny = np.finfo(float).tiny
+    eta = np.array([800.0, -800.0, 709.8, -709.8, 0.0, 1e-300, -1e-300,
+                    tiny, -tiny])
+    rng = np.random.default_rng(17)
+    for z in (np.zeros(9), np.ones(9), np.full(9, 0.5), rng.random(9),
+              (rng.random(9) < 0.5).astype(float)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = glm._bernoulli_loglik(eta, z)
+            for e, zi in zip(eta, z):
+                one = glm._bernoulli_loglik(np.array([e]), np.array([zi]))
+                assert np.isfinite(one)
+                assert one == pytest.approx(
+                    zi * e - np.logaddexp(0.0, e), rel=1e-15, abs=0.0)
+        assert np.isfinite(got)
+        expected = float((z * eta - np.logaddexp(0.0, eta)).sum())
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_halved_step_matches_two_logaddexp_oracle():

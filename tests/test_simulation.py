@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -529,6 +531,141 @@ def test_plan_y_bounds_must_contain_the_dgps_outcome_bounds(tmp_path):
     run_experiment(unbounded, n=100, replications=2,
                    estimator_names=("gcomp",),
                    plan=EstimationPlan(y_bounds=(0.2, 0.5)), seed=1)
+
+
+def _normal_noise_config(tmp_path):
+    """A continuous-outcome DGP without implied outcome bounds, as a file."""
+    path = tmp_path / "normal.json"
+    path.write_text(json.dumps({
+        "design": "point",
+        "covariates": [{"name": "w", "dist": "bernoulli", "p": 0.5}],
+        "treatment": {"intercept": 0.4, "coefs": {"w": -0.8}},
+        "outcome": {"scale": "identity", "kind": "continuous",
+                    "intercept": 1.0, "coefs": {"w": 0.5, "a": 0.3},
+                    "noise": {"kind": "normal", "sd": 1.0}},
+    }), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("text, bounds", [("3,1", (3.0, 1.0)),
+                                          ("nan,1", (float("nan"), 1.0))])
+def test_invalid_plan_y_bounds_exit_2_before_any_replicate(
+        tmp_path, monkeypatch, capsys, text, bounds):
+    from eiftools import cli, simulation
+    message = f"invalid outcome bounds ({bounds[0]}, {bounds[1]})"
+    # The Dataset rule, and its message, hold for a plan as well.
+    with pytest.raises(ValueError, match=r"^invalid outcome bounds"):
+        EstimationPlan(y_bounds=bounds)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the bounds were checked")
+
+    for module in (simulation, cli):
+        for name in ("generate", "fit_plan_nuisance", "true_value"):
+            monkeypatch.setattr(module, name, no_work)
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("w,a,y\n0,0,1.5\n1,0,0.5\n0,1,2.0\n1,1,1.0\n",
+                        encoding="utf-8")
+    runs = (["simulate", "--config", str(_normal_noise_config(tmp_path)),
+             "--n", "100", "--replications", "2", "--seed", "1",
+             "--truth-method", "monte_carlo", "--mc-draws", "1000"],
+            ["estimate", "--data", str(csv_path)])
+    for argv in runs:
+        assert cli.main(argv + ["--y-bounds", text]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "UsageError", "message": message}
+
+
+def _mc_truth_dgp():
+    return DgpConfig(
+        design="point",
+        covariates=(CovariateSpec(name="w", dist="uniform", low=0.0,
+                                  high=1.0),),
+        treatment=LinearModel(0.2, {"w": 0.3}),
+        outcome=OutcomeSpec(scale="identity", kind="continuous",
+                            mean_model=LinearModel(1.0, {"w": 0.5})))
+
+
+def test_monte_carlo_truth_runs_beside_the_replicates(monkeypatch):
+    from eiftools import simulation
+    dgp, seed = load_fixture("dgp_long.json"), 13
+    real_true_value = simulation.true_value
+    threads = []
+
+    def true_value_on(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_true_value(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "true_value", true_value_on)
+    report = run_experiment(dgp, n=200, replications=3,
+                            estimator_names=LONG_ESTIMATORS,
+                            plan=EstimationPlan(n_folds=2), seed=seed,
+                            truth_method="monte_carlo", mc_draws=50_000)
+    assert report.truth == real_true_value(
+        dgp, "monte_carlo", 50_000,
+        np.random.SeedSequence(seed, spawn_key=(2**31,)))
+    ok = [rec for rec in report.replicates if rec.error is None]
+    assert len(ok) == 3 * len(LONG_ESTIMATORS)
+    for rec in ok:
+        assert rec.covered == (rec.ci_lo <= report.truth.value <= rec.ci_hi)
+    # The Monte Carlo truth ran on a worker thread; the exact sum runs on
+    # the caller's.
+    assert threads[0] is not threading.main_thread()
+    run_experiment(load_fixture("dgp_binary.json"), n=100, replications=2,
+                   estimator_names=("gcomp",), plan=EstimationPlan(), seed=1)
+    assert threads[1] is threading.main_thread()
+
+
+def test_truth_argument_errors_come_before_any_replicate(monkeypatch):
+    from eiftools import simulation
+
+    def generate(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(simulation, "generate", generate)
+    args = dict(n=100, replications=2, estimator_names=("gcomp",),
+                plan=EstimationPlan(), seed=1)
+    with pytest.raises(AnalyticTruthError):
+        run_experiment(_mc_truth_dgp(), truth_method="analytic", **args)
+    with pytest.raises(ValueError, match=r"^mc_draws must be at least 2$"):
+        run_experiment(_mc_truth_dgp(), truth_method="monte_carlo",
+                       mc_draws=1, **args)
+    with pytest.raises(ValueError, match=r"^unknown truth method 'exact'$"):
+        run_experiment(_mc_truth_dgp(), truth_method="exact", **args)
+
+
+def test_truth_worker_is_joined_on_every_exit(monkeypatch):
+    from eiftools import simulation
+    args = dict(dgp=_mc_truth_dgp(), n=100, replications=2,
+                estimator_names=("gcomp",), plan=EstimationPlan(), seed=1,
+                truth_method="monte_carlo", mc_draws=1000)
+    before = threading.active_count()
+
+    def true_value(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "true_value", true_value)
+        with pytest.raises(RuntimeError, match=r"^boom$"):
+            run_experiment(**args)
+    assert threading.active_count() == before
+
+    def run_estimator(*args, **kwargs):
+        raise KeyError("escapes the replicate loop")
+
+    real_true_value = simulation.true_value
+
+    def slow_true_value(*args, **kwargs):
+        # Still running when the loop's error escapes, unless joined.
+        time.sleep(0.2)
+        return real_true_value(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "run_estimator", run_estimator)
+        patch.setattr(simulation, "true_value", slow_true_value)
+        with pytest.raises(KeyError, match="escapes the replicate loop"):
+            run_experiment(**args)
+    assert threading.active_count() == before
 
 
 def test_plan_to_dict_reports_every_field():
