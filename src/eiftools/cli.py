@@ -287,11 +287,13 @@ def _plan_from_args(args) -> EstimationPlan:
     y_bounds = _parse_pair(args.y_bounds, "--y-bounds") \
         if args.y_bounds else None
 
-    def cols(text):
+    def cols(text, flag):
         if text is None:
             return None
         names = tuple(t.strip() for t in text.split(",") if t.strip())
-        return names if names else None
+        if not names:
+            raise UsageError(f"{flag} is empty")
+        return names
 
     try:
         return EstimationPlan(
@@ -301,8 +303,10 @@ def _plan_from_args(args) -> EstimationPlan:
                                               "--propensity-learner"),
             truncation=truncation,
             n_folds=args.folds,
-            outcome_covariates=cols(args.outcome_covariates),
-            propensity_covariates=cols(args.propensity_covariates),
+            outcome_covariates=cols(args.outcome_covariates,
+                                    "--outcome-covariates"),
+            propensity_covariates=cols(args.propensity_covariates,
+                                       "--propensity-covariates"),
             y_bounds=y_bounds,
         )
     except ValueError as exc:
@@ -376,9 +380,11 @@ def cmd_simulate(args) -> int:
     outputs = [p for p in (args.out, csv_path, args.emit_data)
                if p is not None]
     if len({Path(p).resolve() for p in outputs}) < len(outputs):
+        emit = ("" if args.emit_data is None
+                else f", --emit-data {args.emit_data}")
         raise OutputError(
             f"output files must differ: --out {args.out} (per-replicate "
-            f"CSV {csv_path}), --emit-data {args.emit_data}")
+            f"CSV {csv_path}){emit}")
     dgp = _load_dgp(args.config)
     plan = _plan_from_args(args)
     names = _parse_estimators(args.estimators, dgp.design)

@@ -260,6 +260,10 @@ class _KnnPredictor:
     rounded sum of nonnegative squares is at least each of its terms.
     The rows left unsettled are searched again, together after the walk,
     over every training row.
+
+    When every training response is +0.0 or 1.0, a row's mean is the
+    number of ones among its k nearest over k. A sum of zeros and ones
+    is exact in any order, so this skips the ranking with the same bits.
     """
 
     def __init__(self, k: int, train_x: np.ndarray, train_z: np.ndarray):
@@ -276,6 +280,15 @@ class _KnnPredictor:
         self.train_x = (x if x.shape[1] >= _SEQUENTIAL_SUM_TERMS
                         else np.ascontiguousarray(x.T))
         self.train_z = train_z[self.order]
+        # Set when the mean is a count (see the class docstring): every
+        # propensity model, and binary outcomes. A -0.0 response is ranked,
+        # since the sign of a sum of -0.0 terms depends on the numpy
+        # version (+0.0 where the sum starts from 0.0, -0.0 where it
+        # starts from the first term).
+        z = self.train_z
+        binary = (z == 0.0) | (z == 1.0)
+        self.ones = (z == 1.0 if binary.all() and not np.signbit(z).any()
+                     else None)
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         x = (matrix - self.center) / self.scale
@@ -330,11 +343,20 @@ class _KnnPredictor:
             np.subtract(self.train_x[None, lo:hi], xb[:, None], out=diff)
             np.multiply(diff, diff, out=diff)
             return np.sum(diff, axis=2, out=d2)
+        if d == 0:
+            d2.fill(0.0)
+            return d2
+        # Column 0's squares go straight into d2: 0.0 + s is s for every
+        # square s, NaN included. Each difference is the training row
+        # copied across the block, less the query column in place.
+        d2[...] = self.train_x[0, lo:hi]
+        d2 -= xb[:, 0, None]
+        d2 *= d2
         diff = terms[:b * w].reshape(b, w)
-        d2.fill(0.0)
-        for j in range(d):
-            np.subtract(self.train_x[j, lo:hi], xb[:, j, None], out=diff)
-            np.multiply(diff, diff, out=diff)
+        for j in range(1, d):
+            diff[...] = self.train_x[j, lo:hi]
+            diff -= xb[:, j, None]
+            diff *= diff
             d2 += diff
         return d2
 
@@ -355,6 +377,9 @@ class _KnnPredictor:
             near[odd] = False
             near[np.flatnonzero(odd)[:, None], by_index[np.argsort(
                 d2[odd][:, by_index], axis=1, kind="stable")[:, :k]]] = True
+        if self.ones is not None:
+            return kth, np.count_nonzero(near & self.ones[lo:lo + w],
+                                         axis=1) / k
         flat = np.flatnonzero(near).reshape(-1, k)
         column = flat % w + lo
         rank = np.lexsort((self.order[column], d2.ravel()[flat]), axis=1)

@@ -408,16 +408,41 @@ def test_simulate_output_collisions_exit_2_before_running(tmp_path, capsys):
     # and --emit-data may not reuse either file.
     base = ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "50",
             "--replications", "2", "--seed", "1"]
-    for flags in (["--out", tmp_path / "rep.csv"],
-                  ["--out", tmp_path / "rep.json",
-                   "--emit-data", tmp_path / "rep.csv"],
-                  ["--out", tmp_path / "rep.json",
-                   "--emit-data", tmp_path / "rep.json"]):
+    csv, rep = tmp_path / "rep.csv", tmp_path / "rep.json"
+    # --emit-data is named only when it was given.
+    for flags, message in (
+            (["--out", csv], f"--out {csv} (per-replicate CSV {csv})"),
+            (["--out", rep, "--emit-data", csv],
+             f"--out {rep} (per-replicate CSV {csv}), --emit-data {csv}"),
+            (["--out", rep, "--emit-data", rep],
+             f"--out {rep} (per-replicate CSV {csv}), --emit-data {rep}")):
         assert run_cli(base + flags) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "OutputError"
-        assert "output files must differ" in err["message"]
+        assert err["message"] == f"output files must differ: {message}"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_covariate_restriction_exits_2_before_fitting(monkeypatch,
+                                                            capsys):
+    # An empty list would otherwise mean "every covariate".
+    from eiftools import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("fitted despite an empty covariate list")
+
+    monkeypatch.setattr(cli, "fit_plan_nuisance", never)
+    monkeypatch.setattr(cli, "run_experiment", never)
+    commands = (["estimate", "--data", FIXTURES / "saturated_4row.csv"],
+                ["simulate", "--config", FIXTURES / "dgp_binary.json",
+                 "--n", "50", "--replications", "2", "--seed", "1"])
+    for command in commands:
+        for flag in ("--outcome-covariates", "--propensity-covariates"):
+            for value in (",", "", " , "):
+                assert run_cli(command + [flag, value]) == 2
+                err = json.loads(capsys.readouterr().out)["error"]
+                assert err["type"] == "UsageError"
+                assert err["message"] == f"{flag} is empty"
 
 
 def test_simulate_unwritable_outputs_exit_2(tmp_path, capsys):

@@ -282,11 +282,12 @@ def test_knn_matches_brute_force_oracle(kind, n_cov, n_train, n_query, k):
         return rng.normal(size=(rows, n_cov))
 
     train_x, query_x = draw(n_train), draw(n_query)
-    for train_z in ((rng.random(n_train) < 0.4).astype(float),
-                    rng.normal(scale=3.0, size=n_train)):
-        got = _KnnPredictor(k, train_x, train_z).predict(query_x)
-        np.testing.assert_array_equal(
-            got, knn_mean_brute_force(train_x, train_z, query_x, k))
+    binary = (rng.random(n_train) < 0.4).astype(float)
+    # The 0/1 response with its zeros stored as -0.0 is ranked, not
+    # counted: numpy's sum gives the sign of a mean of zeros.
+    for train_z in (binary, rng.normal(scale=3.0, size=n_train),
+                    np.copysign(binary, binary - 0.5)):
+        _assert_knn_exact(train_x, train_z, query_x, k)
 
 
 def _knn_block_rows(n_train, n_cov):
@@ -297,16 +298,22 @@ def _knn_block_rows(n_train, n_cov):
 
 def _assert_knn_exact(train_x, train_z, query_x, k):
     got = _KnnPredictor(k, train_x, train_z).predict(query_x)
-    np.testing.assert_array_equal(
-        got, knn_mean_brute_force(train_x, train_z, query_x, k))
+    want = knn_mean_brute_force(train_x, train_z, query_x, k)
+    np.testing.assert_array_equal(got, want)
+    # assert_array_equal takes -0.0 for +0.0; the sign of a zero mean is
+    # pinned too.
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), n_train=st.integers(1, 300), n_cov=st.integers(0, 10),
        kind=st.sampled_from(["continuous", "three_level", "duplicated_first"]),
        far=st.sampled_from([None, "first", "others"]),
+       response=st.sampled_from(["continuous", "binary", "binary_neg0",
+                                 "neg0"]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_knn_search_is_exact(data, n_train, n_cov, kind, far, seed):
+def test_knn_search_is_exact(data, n_train, n_cov, kind, far, response,
+                             seed):
     rng = np.random.default_rng(seed)
     k = data.draw(st.integers(1, n_train), label="k")
     step = min(_knn_block_rows(n_train, n_cov), 150)
@@ -329,8 +336,33 @@ def test_knn_search_is_exact(data, n_train, n_cov, kind, far, seed):
         query_x[moved, 0] += rng.choice([-40.0, 40.0], size=moved.sum())
     if far == "others" and n_cov > 1:
         query_x[moved, 1:] += 40.0
-    train_z = rng.normal(scale=3.0, size=n_train)
+    # 0/1 responses are counted unless a zero is stored as -0.0.
+    if response == "continuous":
+        train_z = rng.normal(scale=3.0, size=n_train)
+    elif response == "neg0":
+        train_z = np.full(n_train, -0.0)
+    else:
+        train_z = (rng.random(n_train) < 0.5).astype(float)
+        if response == "binary_neg0":
+            train_z = np.copysign(train_z, train_z - 0.5)
     _assert_knn_exact(train_x, train_z, query_x, k)
+
+
+@pytest.mark.parametrize("train_z, counted", [
+    ([0.0, 1.0, 1.0, 0.0], True),
+    ([1.0, 1.0, 1.0, 1.0], True),
+    ([0.0, 0.0, 0.0, 0.0], True),
+    ([-0.0, 1.0, 1.0, 0.0], False),
+    ([-0.0, -0.0, -0.0, -0.0], False),
+    ([0.0, 1.0, 2.0, 0.0], False),
+    ([0.0, 1.0, np.nan, 0.0], False),
+    ([0.0, 0.5, 1.0, 0.0], False),
+])
+def test_knn_counts_only_plus_zero_and_one_responses(train_z, counted):
+    # A mean of +0.0/1.0 responses is a count of ones over k; any other
+    # response, -0.0 included, is ranked and averaged with np.mean.
+    knn = _KnnPredictor(2, np.arange(8.0).reshape(4, 2), np.array(train_z))
+    assert (knn.ones is not None) == counted
 
 
 def _record_windows(monkeypatch):
