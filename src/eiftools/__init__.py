@@ -25,8 +25,7 @@ from .nuisance import (DEFAULT_TRUNCATION, FoldDegeneracyError,
 from .estimators import (TMLE_VARIANTS, Z975, EstimateResult, FluctuationFit,
                          eif_values, fluctuate, gcomp, one_step, tmle,
                          wald_inference)
-from .longitudinal import (LONG_VARIANTS, LongEstimateResult,
-                           SequentialNuisances, eif_long,
+from .longitudinal import (LongEstimateResult, SequentialNuisances, eif_long,
                            fit_sequential_nuisances, one_step_long, tmle_long)
 from .simulation import (DgpConfig, DgpValidationError, EstimationPlan,
                          ExperimentReport, TruthResult, generate,
@@ -65,7 +64,6 @@ __all__ = [
     "one_step",
     "tmle",
     "wald_inference",
-    "LONG_VARIANTS",
     "LongEstimateResult",
     "SequentialNuisances",
     "eif_long",

@@ -5,8 +5,10 @@
 path that ``simulate`` takes through ``run_experiment``.
 
 Exit codes: 0 success, 2 usage, input or configuration error, 3
-estimation failure; :func:`main` maps every ``GlmError``,
-``NuisanceError`` or ``MemoryError`` that reaches it to 3. Failures write
+estimation failure. :func:`main` is the one place that maps an error to
+its code: a ``ValueError`` or ``AnalyticTruthError`` that reaches it is
+reported as a ``UsageError`` and exits 2, and every ``GlmError``,
+``NuisanceError`` or ``MemoryError`` exits 3. Failures write
 a machine-readable error object to the output target, or to stdout for a
 usage error, an output path that cannot be written, or a failure to
 write. All output is byte-deterministic given the same inputs and seed:
@@ -274,10 +276,7 @@ def _parse_estimators(text: Optional[str], design: str) -> List[str]:
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise UsageError("--estimators is empty")
-    try:
-        check_estimators(design, names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    check_estimators(design, names)
     return names
 
 
@@ -295,22 +294,19 @@ def _plan_from_args(args) -> EstimationPlan:
             raise UsageError(f"{flag} is empty")
         return names
 
-    try:
-        return EstimationPlan(
-            outcome_learner=_parse_learner(args.outcome_learner,
-                                           "--outcome-learner"),
-            propensity_learner=_parse_learner(args.propensity_learner,
-                                              "--propensity-learner"),
-            truncation=truncation,
-            n_folds=args.folds,
-            outcome_covariates=cols(args.outcome_covariates,
-                                    "--outcome-covariates"),
-            propensity_covariates=cols(args.propensity_covariates,
-                                       "--propensity-covariates"),
-            y_bounds=y_bounds,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return EstimationPlan(
+        outcome_learner=_parse_learner(args.outcome_learner,
+                                       "--outcome-learner"),
+        propensity_learner=_parse_learner(args.propensity_learner,
+                                          "--propensity-learner"),
+        truncation=truncation,
+        n_folds=args.folds,
+        outcome_covariates=cols(args.outcome_covariates,
+                                "--outcome-covariates"),
+        propensity_covariates=cols(args.propensity_covariates,
+                                   "--propensity-covariates"),
+        y_bounds=y_bounds,
+    )
 
 
 def _load_dgp(path: str) -> DgpConfig:
@@ -347,16 +343,20 @@ def _check_outputs(*paths: Optional[str]) -> None:
 def cmd_estimate(args) -> int:
     plan = _plan_from_args(args)
     if args.design == "point":
-        data = read_point_csv(args.data, args.treatment_col, args.outcome_col,
-                              y_bounds=plan.y_bounds)
+        data = read_point_csv(
+            args.data,
+            "a" if args.treatment_col is None else args.treatment_col,
+            "y" if args.outcome_col is None else args.outcome_col,
+            y_bounds=plan.y_bounds)
         covariates = data.covariate_names
     else:
+        for flag, value in (("--treatment-col", args.treatment_col),
+                            ("--outcome-col", args.outcome_col)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to the point design only")
         data = read_long_csv(args.data, y_bounds=plan.y_bounds)
         covariates = ()
-    try:
-        plan.check_data(args.design, data.n_obs, covariates)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    plan.check_data(args.design, data.n_obs, covariates)
     names = _parse_estimators(args.estimators, args.design)
     _check_outputs(args.out)
     # A GlmError, NuisanceError or MemoryError from here on exits 3 (see
@@ -388,16 +388,13 @@ def cmd_simulate(args) -> int:
     dgp = _load_dgp(args.config)
     plan = _plan_from_args(args)
     names = _parse_estimators(args.estimators, dgp.design)
-    try:
-        report = run_experiment(dgp, args.n, args.replications, names, plan,
-                                seed=args.seed, truth_method=args.truth_method,
-                                mc_draws=args.mc_draws)
-        # Replicate 0's draw, which run_experiment records as a failure
-        # when it is degenerate; drawn before anything is written.
-        data = (generate(dgp, args.n, replicate_seed(args.seed, 0))
-                if args.emit_data is not None else None)
-    except (AnalyticTruthError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    report = run_experiment(dgp, args.n, args.replications, names, plan,
+                            seed=args.seed, truth_method=args.truth_method,
+                            mc_draws=args.mc_draws)
+    # Replicate 0's draw, which run_experiment records as a failure when
+    # it is degenerate; drawn before anything is written.
+    data = (generate(dgp, args.n, replicate_seed(args.seed, 0))
+            if args.emit_data is not None else None)
 
     _write_text(_json_text(report.to_json_dict()), args.out)
     if csv_path:
@@ -412,11 +409,8 @@ def cmd_simulate(args) -> int:
 def cmd_truth(args) -> int:
     dgp = _load_dgp(args.config)
     _check_outputs(args.out)
-    try:
-        truth = true_value(dgp, method=args.method, mc_draws=args.mc_draws,
-                           mc_seed=args.seed)
-    except (AnalyticTruthError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    truth = true_value(dgp, method=args.method, mc_draws=args.mc_draws,
+                       mc_seed=args.seed)
     out = {
         "schema_version": SCHEMA_VERSION,
         "design": dgp.design,
@@ -485,10 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default="point")
     p_est.add_argument("--estimators", default=None,
                        help="comma list or 'all' (default all)")
-    p_est.add_argument("--treatment-col", default="a",
-                       help="treatment column for the point design")
-    p_est.add_argument("--outcome-col", default="y",
-                       help="outcome column for the point design")
+    p_est.add_argument("--treatment-col", default=None,
+                       help="treatment column for the point design "
+                            "(default a)")
+    p_est.add_argument("--outcome-col", default=None,
+                       help="outcome column for the point design "
+                            "(default y)")
     _add_plan_flags(p_est)
     p_est.add_argument("--seed", type=_seed, default=0,
                        help="seed for the cross-fitting partition")
@@ -566,6 +562,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     except (UsageError, DgpValidationError) as exc:
         _report_error(exc, args.out)
+        return EXIT_INPUT
+    except (ValueError, AnalyticTruthError) as exc:
+        _report_error(UsageError(str(exc)), args.out)
         return EXIT_INPUT
     except (GlmError, NuisanceError, MemoryError) as exc:
         _report_error(exc, args.out)

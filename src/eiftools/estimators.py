@@ -108,15 +108,20 @@ def wald_inference(eif: np.ndarray, psi_hat: float
                    ) -> Tuple[float, Tuple[float, float]]:
     """Standard error and 95% CI from the influence-function values.
 
-    se = sqrt(sample variance (n-1 divisor) of the values / n).
+    se = sqrt(sample variance (n-1 divisor) of the values / n). Raises
+    ValueError when that variance overflows, so no interval is infinite.
     """
     phi = np.asarray(eif, dtype=float)
     n = phi.shape[0]
     if n < 2:
         raise ValueError("influence-function inference needs n >= 2")
     # The arithmetic of np.var(phi, ddof=1), without its per-call cost.
-    dev = phi - phi.sum() / n
-    se = math.sqrt((dev * dev).sum() / (n - 1) / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        dev = phi - phi.sum() / n
+        se = math.sqrt((dev * dev).sum() / (n - 1) / n)
+    if not math.isfinite(se):
+        raise ValueError("the influence-function variance overflows: the "
+                         "standard error is not finite")
     return se, (psi_hat - Z975 * se, psi_hat + Z975 * se)
 
 

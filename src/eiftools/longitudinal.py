@@ -37,7 +37,6 @@ from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, _held_out_predictions,
                        fold_partition)
 
 __all__ = [
-    "LONG_VARIANTS",
     "SequentialNuisances",
     "LongEstimateResult",
     "eif_long",
@@ -45,8 +44,6 @@ __all__ = [
     "one_step_long",
     "tmle_long",
 ]
-
-LONG_VARIANTS = ("weighted_linear", "covariate_linear", "weighted_logistic")
 
 _DEFAULT_LEARNER = LearnerSpec("glm_main_terms")
 
@@ -65,7 +62,6 @@ class SequentialNuisances:
     g0: np.ndarray
     g1: np.ndarray
     mu_hat: np.ndarray
-    truncation_bounds: Tuple[float, float] = DEFAULT_TRUNCATION
     fold_assignment: Optional[np.ndarray] = None
     n_truncated: int = 0
     g1_degenerate: bool = False
@@ -150,7 +146,6 @@ def fit_sequential_nuisances(
     g1 = np.ones(data.n_obs) if g1_degenerate else np.clip(raw[1], lo, hi)
     return SequentialNuisances(
         g0=g0, g1=g1, mu_hat=mu_hat,
-        truncation_bounds=(lo, hi),
         fold_assignment=assignment,
         n_truncated=sum(int(np.count_nonzero((r < lo) | (r > hi)))
                         for r in raw),
@@ -249,9 +244,6 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
         Model failure, annotated with the step that raised it (as is a
         ``ValueError`` from a targeting step).
     """
-    if variant not in LONG_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of "
-                         f"{LONG_VARIANTS}")
     bounds = _scaling_bounds(variant, data, y_bounds)
     r, h = _weights(data, nuisances)
 

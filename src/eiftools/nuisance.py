@@ -225,6 +225,12 @@ class _GlmPredictor:
 # not grow with the query size.
 _KNN_BLOCK_ENTRIES = 1 << 15
 
+# Largest |standardized covariate| of a predicted row. Training rows lie
+# within sqrt(m) standard deviations, so a squared distance then sums one
+# square of about (1e150)^2 at most per covariate, far below the float64
+# maximum of about 1.8e308.
+_KNN_MAX_STANDARDIZED = 1e150
+
 # numpy's float64 sum over a row adds fewer than this many terms left to
 # right and groups more in pairwise blocks. Narrower rows are summed one
 # column at a time, which rounds the same way and avoids a reduction over
@@ -268,8 +274,14 @@ class _KnnPredictor:
 
     def __init__(self, k: int, train_x: np.ndarray, train_z: np.ndarray):
         self.k = k
-        self.center = train_x.mean(axis=0) if train_x.shape[1] else np.zeros(0)
-        scale = train_x.std(axis=0) if train_x.shape[1] else np.zeros(0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.center = (train_x.mean(axis=0) if train_x.shape[1]
+                           else np.zeros(0))
+            scale = train_x.std(axis=0) if train_x.shape[1] else np.zeros(0)
+        if not np.isfinite(scale).all():
+            raise NuisanceError(
+                f"k_nearest_neighbors:k={k}: a covariate's standard "
+                "deviation overflows, so it cannot be standardized")
         self.scale = np.where(scale > 0, scale, 1.0)
         x = (train_x - self.center) / self.scale
         self.order = np.argsort(_first_coordinate(x), kind="stable")
@@ -291,7 +303,13 @@ class _KnnPredictor:
                      else None)
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        x = (matrix - self.center) / self.scale
+        with np.errstate(over="ignore"):  # checked below
+            x = (matrix - self.center) / self.scale
+        if x.size and not np.abs(x).max() <= _KNN_MAX_STANDARDIZED:
+            raise NuisanceError(
+                f"k_nearest_neighbors:k={self.k}: a predicted row lies more "
+                f"than {_KNN_MAX_STANDARDIZED:g} standard deviations from "
+                "the training rows, so its distances overflow")
         q0 = _first_coordinate(x)
         by_q0 = np.argsort(q0, kind="stable")
         x, q0 = x[by_q0], q0[by_q0]

@@ -66,10 +66,10 @@ __all__ = [
     "run_estimator",
 ]
 
-POINT_ESTIMATORS = ("gcomp", "one_step", "tmle_covariate_linear",
-                    "tmle_weighted_linear", "tmle_weighted_logistic")
-LONG_ESTIMATORS = ("one_step_long", "tmle_long_covariate_linear",
-                   "tmle_long_weighted_linear", "tmle_long_weighted_logistic")
+POINT_ESTIMATORS = ("gcomp", "one_step",
+                    *(f"tmle_{v}" for v in est.TMLE_VARIANTS))
+LONG_ESTIMATORS = ("one_step_long",
+                   *(f"tmle_long_{v}" for v in est.TMLE_VARIANTS))
 
 # Reserved names usable in coefficient maps besides covariate names.
 _TREATMENT_KEYS = {"point": ("a",), "longitudinal": ("a0", "a1")}

@@ -151,13 +151,17 @@ def test_estimate_degenerate_fold_exits_3(tmp_path, seed):
 @pytest.mark.parametrize("learner, error", [
     ("glm_with_basis:degree=2", "NuisanceError"),
     ("glm_main_terms", "SingularDesignError"),
+    ("k_nearest_neighbors:k=3", "NuisanceError"),
 ])
 def test_estimate_overflowing_covariate_exits_3(tmp_path, learner, error):
     # w = 1e200 on a treated row: its square overflows the outcome model's
     # basis, which the model matrix check sees on all rows although the
     # outcome fit never uses that row; with main terms the propensity
-    # fit's information matrix overflows instead. Either way the JSON
-    # payload is the only output: no numpy warning reaches stderr.
+    # fit's information matrix overflows instead. A kNN outcome model
+    # trains on the untreated rows, so the treated row lies too many of
+    # their standard deviations away for a finite distance. Either way
+    # the JSON payload is the only output: no numpy warning reaches
+    # stderr.
     rng = np.random.default_rng(4)
     w = rng.normal(size=40)
     a = (np.arange(40) % 3 == 0).astype(float)
@@ -324,6 +328,14 @@ def test_estimate_usage_errors_exit_2(tmp_path):
         assert err["type"] == "UsageError"
         assert err["message"] == (f"--outcome-learner: {key} must be an "
                                   f"integer, got {value!r}")
+
+    # The point design's column flags are rejected on the longitudinal
+    # design before the file is read (this one has no columns to read).
+    for flag in ("--outcome-col", "--treatment-col"):
+        err = expect_usage("not a dataset\n", name="long.csv",
+                           args=["--design", "longitudinal", flag, "zzz"])
+        assert err == {"type": "UsageError", "message":
+                       f"{flag} applies to the point design only"}
 
     err = expect_usage(b"w,a,y\n0.0,0.0,1.0\n0.\xff,1.0,2.0\n")
     assert err["type"] == "UsageError"
@@ -647,6 +659,39 @@ def test_emit_data_round_trips_into_estimate(tmp_path):
     assert payload["n"] == 200
     for row in payload["estimates"]:
         assert 0.0 <= row["psi_hat"] <= 1.0
+
+
+def test_y_bounds_rescale_the_outcome_model_only_in_estimate(tmp_path):
+    # The README's account of --y-bounds: simulate passes it to the
+    # targeting and the out-of-bounds score, while a logit outcome model
+    # rescales by the DGP's bounds; estimate declares the data's bounds.
+    config = tmp_path / "dgp.json"
+    config.write_text(json.dumps({
+        "design": "point",
+        "covariates": [{"name": "w", "dist": "uniform", "low": 0.0,
+                        "high": 1.0}],
+        "treatment": {"intercept": 0.3, "coefs": {"w": -0.6}},
+        "outcome": {"scale": "identity", "kind": "continuous",
+                    "intercept": 2.5, "coefs": {"w": 1.0, "a": 0.5},
+                    "noise": {"kind": "uniform", "half_width": 0.5}},
+        "y_bounds": [1, 5]}), encoding="utf-8")
+    logit = ["--outcome-learner", "glm_main_terms:link=logit",
+             "--estimators", "gcomp"]
+    data_csv = tmp_path / "draw.csv"
+    assert run_cli(["simulate", "--config", config, "--n", "200",
+                    "--replications", "2", "--seed", "1",
+                    "--truth-method", "monte_carlo", "--mc-draws", "1000",
+                    "--y-bounds", "0,10", *logit, "--out", tmp_path / "r.json",
+                    "--emit-data", data_csv]) == 0
+    with open(tmp_path / "r.csv", encoding="utf-8", newline="") as fh:
+        simulated = float(next(csv.DictReader(fh))["psi_hat"])
+    estimated = {}
+    for bounds in ("1,5", "0,10"):
+        out = tmp_path / "est.json"
+        assert run_cli(["estimate", "--data", data_csv, "--y-bounds", bounds,
+                        *logit, "--out", out]) == 0
+        estimated[bounds] = read_json(out)["estimates"][0]["psi_hat"]
+    assert simulated == estimated["1,5"] != estimated["0,10"]
 
 
 def test_emit_data_round_trips_longitudinal(tmp_path):

@@ -90,6 +90,12 @@ def test_wald_inference_formulas():
     with pytest.raises(ValueError, match="n >= 2"):
         wald_inference(np.array([1.0]), 0.0)
 
+    # Squared deviations, or the sum itself, overflow: an error, not an
+    # infinite interval (nor a warning, which the test settings raise).
+    for phi in ([1e160, -1e160, 0.0], [1e308, 1e308]):
+        with pytest.raises(ValueError, match="variance overflows"):
+            wald_inference(np.array(phi), 0.0)
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1),

@@ -17,7 +17,6 @@ from eiftools.nuisance import (
     fold_partition,
 )
 from eiftools.longitudinal import (
-    LONG_VARIANTS,
     SequentialNuisances,
     eif_long,
     fit_sequential_nuisances,
@@ -128,7 +127,7 @@ def test_score_equation_certificates_and_mean_eif_identity():
         data = random_long_dataset(rng)
         n = data.n_obs
         nuis = fit_sequential_nuisances(data)
-        for variant in LONG_VARIANTS:
+        for variant in est.TMLE_VARIANTS:
             fit = tmle_long(data, nuis, variant=variant, y_bounds=(0.0, 1.0))
             d = fit.diagnostics
             assert abs(d["step3_score_residual"]) <= \
@@ -289,7 +288,8 @@ def test_degenerate_outcome_and_unknown_variant():
                                mu_hat=np.full(4, 2.0))
     fit = tmle_long(data, nuis, variant="weighted_logistic")
     assert (fit.psi_hat, fit.se) == (2.0, 0.0)
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ValueError, match=r"^step 3 \(fluctuate mu\): "
+                       "unknown TMLE variant 'cubic'"):
         tmle_long(data, nuis, variant="cubic")
 
 
@@ -304,7 +304,7 @@ def test_nuisances_of_another_dataset_size_are_rejected(monkeypatch):
     message = "nuisance estimates do not match the dataset size"
     with pytest.raises(ValueError, match=message):
         one_step_long(large, nuis)
-    for variant in LONG_VARIANTS:
+    for variant in est.TMLE_VARIANTS:
         with pytest.raises(ValueError, match=message):
             tmle_long(large, nuis, variant=variant)
 

@@ -457,6 +457,24 @@ def test_knn_k_larger_than_untreated_pool():
         _outcome_on_all_rows(data, LearnerSpec("k_nearest_neighbors", k=3))
 
 
+@pytest.mark.parametrize("train_w, query_w, message", [
+    ([0.0, 1.0, 2.0, 1e200], [0.0], "standard deviation overflows"),
+    ([0.0, 1.0, 2.0, 3.0], [1e200], "more than 1e\\+150 standard deviations"),
+], ids=["training_scale", "predicted_row"])
+def test_knn_overflowing_covariate_raises_nuisance_error(train_w, query_w,
+                                                         message):
+    # Once, the first overflowed the column's scale to inf, which dropped
+    # the column from every distance, and the second overflowed every
+    # distance to inf; both only warned (an error under the test
+    # settings).
+    knn = LearnerSpec("k_nearest_neighbors", k=1)
+    with pytest.raises(NuisanceError, match=f"^k_nearest_neighbors:k=1: "
+                                            f".*{message}"):
+        fit_propensity(knn, np.array(train_w)[:, None],
+                       np.array([0.0, 1.0, 0.0, 1.0])).predict(
+            np.array(query_w)[:, None])
+
+
 def test_outcome_needs_two_untreated_rows():
     data = Dataset.from_columns(
         {"w": [0.0, 1.0, 2.0]}, [0.0, 1.0, 1.0], [1.0, 2.0, 3.0])

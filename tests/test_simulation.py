@@ -308,6 +308,29 @@ def test_failures_are_recorded_not_dropped():
                                                   for r in ok]))
 
 
+def test_overflowing_standard_error_fails_the_replicate():
+    # Outcome noise of sd 1e160 overflows the influence-function variance
+    # of every estimate: each replicate records the failure, where it
+    # once reported an infinite se (and the test settings turn the
+    # overflow warning into an error).
+    dgp = DgpConfig.from_dict({
+        "design": "point",
+        "covariates": [{"name": "w", "dist": "bernoulli", "p": 0.5}],
+        "treatment": {"intercept": 0.4, "coefs": {"w": -0.8}},
+        "outcome": {"scale": "identity", "kind": "continuous",
+                    "intercept": 0.2, "coefs": {"w": 0.4, "a": 0.2},
+                    "noise": {"kind": "normal", "sd": 1e160}},
+    })
+    plan = EstimationPlan(
+        outcome_learner=LearnerSpec("k_nearest_neighbors", k=3))
+    report = run_experiment(dgp, n=40, replications=2,
+                            estimator_names=("gcomp", "one_step"), plan=plan,
+                            seed=1)
+    assert [r.error for r in report.replicates] == 4 * [
+        "ValueError: the influence-function variance overflows: the "
+        "standard error is not finite"]
+
+
 def test_one_estimator_failing_keeps_the_others(monkeypatch):
     from eiftools import estimators, longitudinal, simulation
     from eiftools.glm import SeparationError
