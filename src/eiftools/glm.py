@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "SeparationError",
     "NonConvergenceError",
     "fit_glm",
+    "fit_logit_stack",
     "predict",
 ]
 
@@ -110,10 +112,12 @@ def _validate(X, response, link: Link):
     return X, z
 
 
-def _bernoulli_loglik(eta: np.ndarray, z: np.ndarray) -> float:
+def _bernoulli_loglik(eta: np.ndarray, z: np.ndarray):
+    """Log-likelihood over the last axis: a numpy float for one model, one
+    per row for a stack."""
     # z*log(mu) + (1-z)*log(1-mu) with mu = expit(eta) equals
     # z*eta - log(1 + exp(eta)).
-    return float((z * eta - softplus(eta)).sum())
+    return (z * eta - softplus(eta)).sum(axis=-1)
 
 
 def _fit_identity(X, z, tol_abs):
@@ -144,7 +148,7 @@ def _fit_identity(X, z, tol_abs):
 def _fit_logit(X, z, tol_abs):
     beta = np.zeros(X.shape[1])
     eta = X @ beta
-    loglik = _bernoulli_loglik(eta, z)
+    loglik = float(_bernoulli_loglik(eta, z))
     mu = expit(eta)
     score = X.T @ (z - mu)
     for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
@@ -168,17 +172,7 @@ def _fit_logit(X, z, tol_abs):
             raise SingularDesignError(
                 "logit-link Newton step is not finite"
             )
-        # Step-halving: accept the largest step that does not decrease
-        # the Bernoulli log-likelihood.
-        step = 1.0
-        for _ in range(40):
-            cand = beta + step * delta
-            eta_cand = X @ cand
-            loglik_cand = _bernoulli_loglik(eta_cand, z)
-            if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
-                break
-            step *= 0.5
-        beta, eta, loglik = cand, eta_cand, loglik_cand
+        beta, eta, loglik = _halve_step(X, z, beta, delta, loglik, 1.0, 40)
         if np.abs(beta).max() > SEPARATION_NORM:
             raise SeparationError(
                 "logit coefficients diverged beyond "
@@ -186,6 +180,116 @@ def _fit_logit(X, z, tol_abs):
             )
         mu = expit(eta)
         score = X.T @ (z - mu)
+
+
+def _halve_step(X, z, beta, delta, loglik: float, step: float, tries: int):
+    """Step-halving from ``step``: the first of ``tries`` candidates
+    ``beta + step * delta``, halving ``step`` each time, that does not
+    decrease the Bernoulli log-likelihood, else the last one; returned
+    with its linear predictor and log-likelihood."""
+    for _ in range(tries):
+        cand = beta + step * delta
+        eta_cand = X @ cand
+        loglik_cand = float(_bernoulli_loglik(eta_cand, z))
+        if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
+            break
+        step *= 0.5
+    return cand, eta_cand, loglik_cand
+
+
+def fit_logit_stack(X: np.ndarray, Z: np.ndarray) -> List[Optional[GlmFit]]:
+    """Logit fits of a stack of models in one Newton solve.
+
+    ``X`` is a C-contiguous ``(R, n, p)`` stack of model matrices and ``Z``
+    an ``(R, n)`` stack of responses in [0, 1], all finite; neither is
+    checked. Slice ``i``'s fit is ``fit_glm(X[i], Z[i], Link.LOGIT)``, bit
+    for bit in its coefficients, score residuals and iteration count: each
+    Newton step makes the calls of ``_fit_logit`` on C-contiguous stacks,
+    where numpy's ``matmul``, ``sum`` over the last axis, ``cholesky``
+    and ``solve`` give each slice the bits of the 2-D call (the tests pin
+    this). A slice that rejects the full step finishes its step-halving
+    alone, in ``_fit_logit``'s own code. Slices leave the stack as they
+    converge.
+
+    A slice whose fit fails (a non-finite or singular information
+    matrix, a non-finite step, separation, or the iteration cap) is
+    ``None``: fit alone with ``fit_glm``, it raises that error. ``fit_glm``
+    keeps its own solver because a stack of one costs more than it.
+    """
+    R, n, p = X.shape
+    tol_abs = DEFAULT_SCORE_TOLERANCE * (1.0 + n)
+    fits: List[Optional[GlmFit]] = [None] * R
+    live = np.arange(R)  # each stacked slice's index in the input
+    beta = np.zeros((R, p))
+    eta = _matvec(X, beta)
+    loglik = _bernoulli_loglik(eta, Z)
+    mu = expit(eta)
+    score = _matvec(X.transpose(0, 2, 1), Z - mu)
+    for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
+        done = np.abs(score).max(axis=1) <= tol_abs
+        for j in np.flatnonzero(done):
+            fits[live[j]] = GlmFit(coefficients=beta[j].copy(),
+                                   iterations=iteration,
+                                   score_residuals=score[j].copy(),
+                                   link=Link.LOGIT)
+        if iteration == DEFAULT_MAX_ITERATIONS:
+            break  # the slices left fail on the iteration cap
+        with np.errstate(over="ignore"):  # a non-finite slice leaves below
+            info = X.transpose(0, 2, 1) @ (X * (mu * (1.0 - mu))[..., None])
+        keep = ~done & np.isfinite(info).all(axis=(1, 2))
+        live, X, Z, beta, loglik, info, score = _rows(
+            keep, live, X, Z, beta, loglik, info, score)
+        delta = _spd_solve_stack(info, score)
+        live, X, Z, beta, loglik, delta = _rows(
+            np.isfinite(delta).all(axis=1), live, X, Z, beta, loglik, delta)
+        if not live.size:
+            break
+        step = 1.0
+        cand = beta + step * delta
+        eta = _matvec(X, cand)
+        loglik_cand = _bernoulli_loglik(eta, Z)
+        for j in np.flatnonzero(
+                ~(loglik_cand >= loglik - 1e-12 * (1.0 + np.abs(loglik)))):
+            cand[j], eta[j], loglik_cand[j] = _halve_step(
+                X[j], Z[j], beta[j], delta[j], float(loglik[j]), step * 0.5,
+                39)
+        live, X, Z, beta, loglik, eta = _rows(
+            ~(np.abs(cand).max(axis=1) > SEPARATION_NORM),
+            live, X, Z, cand, loglik_cand, eta)
+        mu = expit(eta)
+        score = _matvec(X.transpose(0, 2, 1), Z - mu)
+    return fits
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``A[i] @ v[i]`` for each slice of an ``(R, m, k)`` and an ``(R, k)``
+    stack, as one ``(R, m)`` array."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _rows(keep: np.ndarray, *stacks: np.ndarray):
+    """The slices ``keep`` of each stack (the stacks themselves when it
+    keeps them all)."""
+    if keep.all():
+        return stacks
+    return tuple(a[keep] for a in stacks)
+
+
+def _spd_solve_stack(info: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """``spd_solve(info[i], score[i])`` for each slice, as rows; the row
+    of a slice where it raises is NaN."""
+    try:
+        np.linalg.cholesky(info)
+        return np.linalg.solve(info, score[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    delta = np.full(score.shape, np.nan)
+    for j in range(info.shape[0]):
+        try:
+            delta[j] = spd_solve(info[j], score[j])
+        except np.linalg.LinAlgError:
+            pass
+    return delta
 
 
 def fit_glm(X, response, link: Link) -> GlmFit:

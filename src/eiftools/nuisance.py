@@ -9,10 +9,12 @@ positivity interval.
 
 ``fit_outcome`` and ``fit_propensity`` fit one model on rows of a
 learner's model matrix and return its predictor; they are the only way
-a nuisance model is fit. ``fit_nuisance`` and ``crossfit`` drive them
-over the folds of a point dataset, and
+a nuisance model is fit on one dataset. ``fit_nuisance`` and ``crossfit``
+drive them over the folds of a point dataset, and
 ``longitudinal.fit_sequential_nuisances`` over the strata of a
-two-period one.
+two-period one. ``stacked_propensity_predictions`` fits the GLM
+propensity models of several datasets of one size in one Newton solve,
+with ``fit_propensity``'s bits, for ``fit_nuisance`` to take.
 
 Cross-fitting splits the sample into seeded folds and gives each
 observation predictions from models that never saw its fold.
@@ -21,12 +23,12 @@ observation predictions from models that never saw its fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import Dataset
-from .glm import GlmFit, Link, fit_glm, predict
+from .glm import GlmFit, Link, fit_glm, fit_logit_stack, predict
 
 __all__ = [
     "LearnerSpec",
@@ -36,6 +38,7 @@ __all__ = [
     "FoldDegeneracyError",
     "fit_outcome",
     "fit_propensity",
+    "stacked_propensity_predictions",
     "fit_nuisance",
     "crossfit",
     "check_fold_count",
@@ -543,6 +546,45 @@ def fit_propensity(learner: LearnerSpec, x: np.ndarray,
     return _GlmPredictor(fit_glm(x, z, Link.LOGIT))
 
 
+def stacked_propensity_predictions(learner: LearnerSpec,
+                                   covariates: Sequence[np.ndarray],
+                                   treatments: Sequence[np.ndarray]
+                                   ) -> List[Optional[np.ndarray]]:
+    """Full-sample GLM propensity predictions of several datasets with one
+    row count, from one stacked Newton solve (``glm.fit_logit_stack``).
+
+    Member ``i`` has covariate matrix ``covariates[i]`` and treatment
+    ``treatments[i]``; its predictions equal
+    ``fit_propensity(learner, x, treatments[i]).predict(x)``, with ``x =
+    learner.design_for(covariates[i])``, bit for bit. A member is None
+    when that call would raise (its model matrix is not finite, its
+    treatment has one level, or its fit fails), and also when it is the
+    only member left, since ``fit_glm`` fits one model faster: fit alone,
+    it gives its predictions or raises its error.
+    """
+    if learner.kind not in GLM_KINDS:
+        raise ValueError(f"{learner.describe()} is not a GLM learner")
+    members, xs, zs = [], [], []
+    for i, (cov, a) in enumerate(zip(covariates, treatments)):
+        try:
+            x = learner.design_for(cov)
+        except NuisanceError:
+            continue
+        if a.min() == a.max():
+            continue
+        members.append(i)
+        xs.append(x)
+        zs.append((a == 0.0).astype(float))
+    out: List[Optional[np.ndarray]] = [None] * len(covariates)
+    if len(members) < 2:
+        return out
+    for i, x, fit in zip(members, xs,
+                         fit_logit_stack(np.stack(xs), np.stack(zs))):
+        if fit is not None:
+            out[i] = _GlmPredictor(fit).predict(x)
+    return out
+
+
 def _held_out_predictions(model: Callable[..., object], learner: LearnerSpec,
                           covariates: np.ndarray, args: Tuple,
                           assignment: Optional[np.ndarray],
@@ -583,17 +625,22 @@ def _point_nuisances(data: Dataset, outcome_learner: LearnerSpec,
                      truncation: Tuple[float, float],
                      outcome_covariates: Optional[Sequence[str]],
                      propensity_covariates: Optional[Sequence[str]],
-                     assignment: Optional[np.ndarray]) -> NuisanceEstimates:
-    """Both point nuisances, predicted on held-out rows of ``assignment``."""
+                     assignment: Optional[np.ndarray],
+                     raw_propensity: Optional[np.ndarray] = None
+                     ) -> NuisanceEstimates:
+    """Both point nuisances, predicted on held-out rows of ``assignment``;
+    a given ``raw_propensity`` stands for the propensity model's."""
     lo, hi = _validate_truncation(truncation)
     a = data.treatment
     outcome_pred = _held_out_predictions(
         fit_outcome, outcome_learner,
         data.covariate_matrix(outcome_covariates),
         (a, data.outcome, data.y_bounds), assignment)
-    raw = _held_out_predictions(
-        fit_propensity, propensity_learner,
-        data.covariate_matrix(propensity_covariates), (a,), assignment)
+    raw = raw_propensity
+    if raw is None:
+        raw = _held_out_predictions(
+            fit_propensity, propensity_learner,
+            data.covariate_matrix(propensity_covariates), (a,), assignment)
     return NuisanceEstimates(
         outcome_pred=outcome_pred,
         propensity_pred=np.clip(raw, lo, hi),
@@ -610,6 +657,7 @@ def fit_nuisance(data: Dataset, outcome_learner: LearnerSpec,
                  truncation: Tuple[float, float] = DEFAULT_TRUNCATION,
                  outcome_covariates: Optional[Sequence[str]] = None,
                  propensity_covariates: Optional[Sequence[str]] = None,
+                 raw_propensity: Optional[np.ndarray] = None,
                  ) -> NuisanceEstimates:
     """Fit both nuisances on the full sample (no cross-fitting).
 
@@ -619,6 +667,8 @@ def fit_nuisance(data: Dataset, outcome_learner: LearnerSpec,
     counted in ``n_truncated``. ``outcome_covariates`` and
     ``propensity_covariates`` restrict a model to those columns (used to
     force deliberate misspecification in simulations).
+    ``raw_propensity``, this dataset's entry of
+    ``stacked_propensity_predictions``, stands for the propensity fit.
 
     Raises
     ------
@@ -628,7 +678,7 @@ def fit_nuisance(data: Dataset, outcome_learner: LearnerSpec,
     """
     return _point_nuisances(data, outcome_learner, propensity_learner,
                             truncation, outcome_covariates,
-                            propensity_covariates, None)
+                            propensity_covariates, None, raw_propensity)
 
 
 def check_fold_count(n_folds: int, n_obs: int) -> None:

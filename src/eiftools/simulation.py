@@ -16,7 +16,9 @@ cross-check each other in the test suite.
 independent, order-insensitive seed streams and reports bias, empirical
 and estimated standard errors, CI coverage, bound violations, and
 failures (never silently dropped). A Monte Carlo truth is drawn on a
-second thread while the replicates run, with the same bytes out.
+second thread while the replicates run, and the GLM propensity models
+of a block of replicates are fit in one stacked solve, each with the
+same bytes out.
 
 ``fit_plan_nuisance`` and ``run_estimator`` are the one path from a
 dataset of either design to its estimates, for ``run_experiment`` and
@@ -37,9 +39,9 @@ from ._numeric import expit
 from .data import Dataset, LongDataset, _outcome_bounds
 from . import estimators as est
 from . import longitudinal as long_est
-from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, NuisanceError,
-                       _validate_truncation, check_fold_count, crossfit,
-                       fit_nuisance)
+from .nuisance import (DEFAULT_TRUNCATION, GLM_KINDS, LearnerSpec,
+                       NuisanceError, _validate_truncation, check_fold_count,
+                       crossfit, fit_nuisance, stacked_propensity_predictions)
 from .glm import GlmError
 
 __all__ = [
@@ -194,6 +196,9 @@ class CovariateSpec:
                 problems.append(f"{where}: uniform needs low and high")
             elif not float(self.low) < float(self.high):
                 problems.append(f"{where}: uniform needs low < high")
+            elif not math.isfinite(float(self.high) - float(self.low)):
+                problems.append(f"{where}: uniform needs a finite width "
+                                "high - low")
         if self.dist == "normal":
             if self.mean is None or self.sd is None:
                 problems.append(f"{where}: normal needs mean and sd")
@@ -575,7 +580,8 @@ def _draw(dgp: DgpConfig, rng: np.random.Generator, n: int,
     (longitudinal: second-period covariates, second treatment), outcome.
     Unless ``observed``, every treatment is the scalar 0.0 and takes no
     draw, so the outcome is the counterfactual one under the untreated
-    regime. ``coef * 0.0`` broadcasts the value that a column of zeros
+    regime. An outcome mean or value that overflows float64 raises
+    ValueError. ``coef * 0.0`` broadcasts the value that a column of zeros
     would give each row, into the same sum in the same term order, so the
     outcome's bits do not depend on this shortcut.
     """
@@ -597,11 +603,17 @@ def _draw(dgp: DgpConfig, rng: np.random.Generator, n: int,
         for c in dgp.w1_covariates:
             values[c.name] = c.draw(rng, n, context=values)
         values["a1"] = treatment(dgp.a1_model)
-    mean = np.broadcast_to(np.asarray(dgp.outcome.mean(values), dtype=float),
-                           (n,))
-    if dgp.outcome.kind == "binary":
-        return values, (rng.random(n) < mean).astype(float)
-    return values, mean + dgp.outcome.noise.draw(rng, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = np.broadcast_to(
+            np.asarray(dgp.outcome.mean(values), dtype=float), (n,))
+        if dgp.outcome.kind == "binary":
+            y = (rng.random(n) < mean).astype(float)
+        else:
+            y = mean + dgp.outcome.noise.draw(rng, n)
+    if not (np.isfinite(mean).all() and np.isfinite(y).all()):
+        raise ValueError("the outcome overflows: a drawn outcome mean or "
+                         "value is not finite")
+    return values, y
 
 
 def generate(dgp: DgpConfig, n: int,
@@ -696,8 +708,9 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
         # Keep only y, so the batch's other variables are freed before
         # the next batch is drawn.
         y = _draw(dgp, rng, n, observed=False)[1]
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
+        with np.errstate(over="ignore"):  # true_value checks the result
+            total += float(y.sum())
+            total_sq += float((y * y).sum())
         done += n
     mean = total / draws
     var = max(total_sq / draws - mean * mean, 0.0)
@@ -722,12 +735,21 @@ def true_value(dgp: DgpConfig, method: str = "analytic",
     ``analytic`` sums exactly over the covariate support (bernoulli
     covariates only). ``monte_carlo`` averages ``mc_draws``
     counterfactual outcome draws with every treatment forced to 0 and
-    reports the Monte Carlo standard error.
+    reports the Monte Carlo standard error. A value or standard error
+    that overflows float64 raises ValueError.
     """
     _check_truth_method(method, mc_draws)
     if method == "analytic":
-        return TruthResult(value=_analytic_truth(dgp), method="analytic")
-    return _monte_carlo_truth(dgp, int(mc_draws), mc_seed)
+        truth = TruthResult(value=_analytic_truth(dgp), method="analytic")
+    else:
+        truth = _monte_carlo_truth(dgp, int(mc_draws), mc_seed)
+    if not math.isfinite(truth.value):
+        raise ValueError(f"the true value overflows: the {method} value "
+                         "is not finite")
+    if truth.mc_se is not None and not math.isfinite(truth.mc_se):
+        raise ValueError("the true value overflows: its Monte Carlo "
+                         "standard error is not finite")
+    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -879,8 +901,17 @@ def check_estimators(design: str, names: Sequence[str]):
 
 
 def fit_plan_nuisance(data: Union[Dataset, LongDataset],
-                      plan: EstimationPlan, fold_seed: int = 0):
-    """Nuisance estimates under the plan, for data of either design."""
+                      plan: EstimationPlan, fold_seed: int = 0,
+                      raw_propensity: Optional[np.ndarray] = None):
+    """Nuisance estimates under the plan, for data of either design.
+
+    ``raw_propensity``, the data's entry of
+    ``nuisance.stacked_propensity_predictions``, stands for the propensity
+    fit of a point plan without folds."""
+    if raw_propensity is not None and (
+            isinstance(data, LongDataset) or plan.n_folds is not None):
+        raise ValueError("given propensity predictions need a point plan "
+                         "without folds")
     if isinstance(data, LongDataset):
         plan.check_data("longitudinal", data.n_obs, ())
         return long_est.fit_sequential_nuisances(
@@ -898,7 +929,8 @@ def fit_plan_nuisance(data: Union[Dataset, LongDataset],
     return fit_nuisance(data, plan.outcome_learner,
                         plan.propensity_learner, plan.truncation,
                         outcome_covariates=plan.outcome_covariates,
-                        propensity_covariates=plan.propensity_covariates)
+                        propensity_covariates=plan.propensity_covariates,
+                        raw_propensity=raw_propensity)
 
 
 def run_estimator(name: str, data: Union[Dataset, LongDataset], nuis,
@@ -954,6 +986,93 @@ class _TruthThread(threading.Thread):
         return self._truth
 
 
+# Replicates are analysed in blocks of at most this many entries of the
+# stacked propensity model matrices (128 KB of float64), so a block's
+# Newton solve pays numpy's per-call cost once for all its members while
+# its working memory stays bounded; 16 replicates at n=500 under
+# glm_main_terms on one covariate.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _replicates_per_block(dgp: DgpConfig, n: int,
+                          plan: EstimationPlan) -> int:
+    """Replicates per block: 1 unless the plan's propensity models are
+    stacked (a point design, no folds, a GLM propensity learner)."""
+    learner = plan.propensity_learner
+    if (dgp.design != "point" or plan.n_folds is not None
+            or learner.kind not in GLM_KINDS):
+        return 1
+    m = len(plan.propensity_covariates if plan.propensity_covariates
+            is not None else dgp.w0_names)
+    # The learner's column count, read off its model matrix of one row.
+    p = learner.design_for(np.zeros((1, m))).shape[1]
+    return max(1, _BLOCK_ENTRIES // (n * p))
+
+
+def _generate_replicate(dgp: DgpConfig, n: int, seed: int, r: int
+                        ) -> Union[Dataset, LongDataset, Exception]:
+    """Replicate ``r``'s dataset, or the failure that its draw raised."""
+    try:
+        return generate(dgp, n, replicate_seed(seed, r))
+    except _REPLICATE_FAILURES as exc:
+        # a draw can be too degenerate to estimate from (e.g. fewer than
+        # 2 rows on the regime of interest); record, don't crash
+        return exc
+
+
+def _block_propensities(drawn: Sequence[Union[Dataset, Exception]],
+                        plan: EstimationPlan) -> List[Optional[np.ndarray]]:
+    """Raw propensity predictions of a block's drawn datasets, from one
+    stacked solve; None for a failed draw and for a dataset that
+    :func:`fit_plan_nuisance` fits alone."""
+    datasets = [d for d in drawn if isinstance(d, Dataset)]
+    stacked = iter(stacked_propensity_predictions(
+        plan.propensity_learner,
+        [d.covariate_matrix(plan.propensity_covariates) for d in datasets],
+        [d.treatment for d in datasets]))
+    return [next(stacked) if isinstance(d, Dataset) else None for d in drawn]
+
+
+def _replicate_records(r: int, data, raw_propensity: Optional[np.ndarray],
+                       seed: int, plan: EstimationPlan,
+                       estimator_names: Sequence[str],
+                       bounds: Optional[Tuple[float, float]]
+                       ) -> List[ReplicateRecord]:
+    """One record per estimator for replicate ``r``, whose draw ``data``
+    is a dataset or the failure it raised; ``covered`` is left unscored."""
+    def failed(exc: Exception) -> List[ReplicateRecord]:
+        return [ReplicateRecord(replicate=r, estimator=name,
+                                error=_failure(exc))
+                for name in estimator_names]
+
+    if isinstance(data, Exception):
+        return failed(data)
+    fold_seed = 0  # read only by a cross-fitted plan
+    if plan.n_folds is not None:
+        fold_seed = int(np.random.SeedSequence(
+            seed, spawn_key=(r, 1)).generate_state(1)[0])
+    try:
+        nuis = fit_plan_nuisance(data, plan, fold_seed, raw_propensity)
+    except _REPLICATE_FAILURES as exc:
+        return failed(exc)
+    records = []
+    for name in estimator_names:
+        try:
+            res = run_estimator(name, data, nuis, plan)
+        except _REPLICATE_FAILURES as exc:
+            records.append(ReplicateRecord(replicate=r, estimator=name,
+                                           error=_failure(exc)))
+            continue
+        rec = ReplicateRecord(replicate=r, estimator=name,
+                              psi_hat=res.psi_hat, se=res.se,
+                              ci_lo=res.ci95[0], ci_hi=res.ci95[1])
+        if bounds is not None:
+            rec.out_of_bounds = bool(res.psi_hat < bounds[0]
+                                     or res.psi_hat > bounds[1])
+        records.append(rec)
+    return records
+
+
 def run_experiment(dgp: DgpConfig, n: int, replications: int,
                    estimator_names: Sequence[str], plan: EstimationPlan,
                    seed: int, truth_method: str = "analytic",
@@ -974,6 +1093,21 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     come from their own stream, so the report's bytes are the same as
     when it ran first. The exact ``analytic`` sum runs before replicate 0,
     and every error the truth method raises for its arguments does too.
+
+    Replicates run in blocks of consecutive replicates, sized so that the
+    stacked propensity model matrices hold at most ``_BLOCK_ENTRIES``
+    entries (16 replicates at n=500 under ``glm_main_terms`` on one
+    covariate). For a point design without folds whose propensity
+    learner is a GLM, a block draws all its datasets, then fits their
+    propensity models in one stacked Newton solve
+    (``nuisance.stacked_propensity_predictions``), and then gives each
+    replicate its own ``fit_plan_nuisance`` call, handed its propensity
+    predictions, and its estimators. The outcome models, every other
+    plan and the ``estimate`` command fit one dataset at a time. A block
+    of one, a failed draw, a one-level treatment and a propensity fit
+    that fails in the stack are fit alone, by the same code as without
+    blocks. The stacked fit has ``fit_glm``'s bits, so the report does
+    not depend on the block size.
     """
     if replications < 2:
         raise ValueError("replications must be at least 2")
@@ -996,41 +1130,19 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     else:
         worker, truth = None, true_value(*truth_args)
 
+    per_block = _replicates_per_block(dgp, n, plan)
     records: List[ReplicateRecord] = []
     try:
-        for r in range(replications):
-            ss = replicate_seed(seed, r)
-            fold_seed = 0  # read only by a cross-fitted plan
-            if plan.n_folds is not None:
-                fold_seed = int(np.random.SeedSequence(
-                    seed, spawn_key=(r, 1)).generate_state(1)[0])
-            try:
-                # a draw can be too degenerate to estimate from (e.g. fewer
-                # than 2 rows on the regime of interest); record, don't crash
-                data = generate(dgp, n, ss)
-                nuis = fit_plan_nuisance(data, plan, fold_seed)
-            except _REPLICATE_FAILURES as exc:
-                for name in estimator_names:
-                    records.append(ReplicateRecord(replicate=r, estimator=name,
-                                                   error=_failure(exc)))
-                continue
-            for name in estimator_names:
-                try:
-                    res = run_estimator(name, data, nuis, plan)
-                except _REPLICATE_FAILURES as exc:
-                    records.append(ReplicateRecord(replicate=r, estimator=name,
-                                                   error=_failure(exc)))
-                    continue
-                # ``covered`` is scored once the truth is known, below.
-                rec = ReplicateRecord(
-                    replicate=r, estimator=name,
-                    psi_hat=res.psi_hat, se=res.se,
-                    ci_lo=res.ci95[0], ci_hi=res.ci95[1],
-                )
-                if bounds is not None:
-                    rec.out_of_bounds = bool(res.psi_hat < bounds[0]
-                                             or res.psi_hat > bounds[1])
-                records.append(rec)
+        for start in range(0, replications, per_block):
+            block = range(start, min(start + per_block, replications))
+            drawn = [_generate_replicate(dgp, n, seed, r) for r in block]
+            raw_propensities = (_block_propensities(drawn, plan)
+                                if per_block > 1 else [None] * len(drawn))
+            for r, data, raw_propensity in zip(block, drawn,
+                                               raw_propensities):
+                records += _replicate_records(
+                    r, data, raw_propensity, seed, plan, estimator_names,
+                    bounds)
     finally:
         if worker is not None:
             worker.join()

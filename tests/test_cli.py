@@ -796,3 +796,44 @@ def test_console_script_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["truth"]["value"] == pytest.approx(0.4, abs=1e-12)
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON proper: NaN and Infinity are rejected."""
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+MC_TRUTH = ["--method", "monte_carlo", "--mc-draws", "2000"]
+MC_SIMULATE = ["--truth-method", "monte_carlo", "--mc-draws", "2000",
+               "--n", "50", "--replications", "2", "--seed", "1"]
+
+
+# (fixture, command and flags, error type, message start). Each once wrote
+# NaN or Infinity into its JSON, or ended in a traceback.
+@pytest.mark.parametrize("fixture, argv, kind, message", [
+    ("dgp_overflow_noise.json", ["truth", *MC_TRUTH], "UsageError",
+     "the true value overflows: its Monte Carlo standard error"),
+    ("dgp_overflow_noise.json", ["simulate", *MC_SIMULATE], "UsageError",
+     "the true value overflows: its Monte Carlo standard error"),
+    ("dgp_overflow_coef.json", ["truth", *MC_TRUTH], "UsageError",
+     "the true value overflows: the monte_carlo value"),
+    ("dgp_overflow_exact.json", ["truth"], "UsageError",
+     "the true value overflows: the analytic value"),
+    ("dgp_overflow_exact.json", ["truth", *MC_TRUTH], "UsageError",
+     "the outcome overflows"),
+    ("dgp_overflow_exact.json", ["simulate", *MC_SIMULATE], "UsageError",
+     "the outcome overflows"),
+    ("dgp_overflow_width.json", ["truth", *MC_TRUTH], "DgpValidationError",
+     "covariates[0] (w): uniform needs a finite width"),
+    ("dgp_overflow_width.json", ["simulate", *MC_SIMULATE],
+     "DgpValidationError", "covariates[0] (w): uniform needs a finite width"),
+])
+def test_overflowing_truth_exits_2_with_json(capsys, fixture, argv, kind,
+                                             message):
+    code = run_cli([argv[0], "--config", FIXTURES / fixture, *argv[1:]])
+    assert code == 2
+    error = _strict_json(capsys.readouterr().out)["error"]
+    assert error["type"] == kind
+    assert error["message"].startswith(message)

@@ -22,6 +22,7 @@ from eiftools.glm import (
     fit_glm,
     predict,
 )
+from eiftools._numeric import spd_solve
 from oracles import fit_logit_two_logaddexp
 
 
@@ -281,3 +282,147 @@ def test_halved_step_matches_two_logaddexp_oracle():
     design = _with_intercept([-7.0, 9.0, -8.0, -7.0, -3.0],
                              [-7.0, 4.0, -2.0, -2.0, -3.0])
     _assert_iterates_match_oracle(design, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
+
+
+# The stacked solve rests on numpy giving each slice of a C-contiguous
+# stack the bits of the 2-D call. Row counts straddle 8 and 128 terms,
+# where numpy's float64 summation changes from a plain loop to unrolled
+# and then pairwise blocks. np.einsum is not used: it sums in its own
+# order.
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 127, 128, 129, 500])
+def test_stacked_numpy_calls_equal_the_per_slice_calls(n):
+    rng = np.random.default_rng(n)
+    for p in (1, 2, 3, 6):
+        R = 5
+        X = rng.normal(size=(R, n, p))
+        W = X * rng.random((R, n, 1))
+        v, u = rng.normal(size=(R, p)), rng.normal(size=(R, n))
+        Xt = X.transpose(0, 2, 1)
+        assert all(a.flags.c_contiguous for a in (X, W, v, u))
+        gemv = X @ v[..., None]
+        gemv_t = Xt @ u[..., None]
+        gemm = Xt @ W
+        sums = u.sum(axis=1)
+        info = gemm + n * np.eye(p)
+        chol = np.linalg.cholesky(info)
+        solved = np.linalg.solve(info, gemv_t)
+        for i in range(R):
+            assert np.array_equal(gemv[i, :, 0], X[i] @ v[i])
+            assert np.array_equal(gemv_t[i, :, 0], X[i].T @ u[i])
+            assert np.array_equal(gemm[i], X[i].T @ W[i])
+            assert sums[i] == u[i].sum()
+            assert np.array_equal(chol[i], np.linalg.cholesky(info[i]))
+            assert np.array_equal(solved[i, :, 0],
+                                  spd_solve(info[i], gemv_t[i, :, 0]))
+
+
+# Rows whose sixth full Newton step is halved (see the test above).
+# Repeating, permuting, scaling and reflecting them keeps every step's
+# halving, since the Newton path is unchanged by these up to rounding.
+_HALVING_X = np.array([[-7.0, 9.0, -8.0, -7.0, -3.0],
+                       [-7.0, 4.0, -2.0, -2.0, -3.0]]).T
+_HALVING_Z = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+
+
+def _stack_slice(rng, n, p, kind):
+    """One logit problem with ``n`` rows and ``p`` columns (the first the
+    intercept): ``kind`` "halving" (n a multiple of 5, p=3), "separated",
+    "collinear" (p >= 3), "overflowing" (an information matrix beyond
+    float64) or "random"."""
+    x = np.ones((n, p))
+    if kind == "halving":
+        k = n // 5
+        rows = rng.permutation(n)
+        x[:, 1:] = (np.tile(_HALVING_X, (k, 1))[rows]
+                    * rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2))
+        return x, np.tile(_HALVING_Z, k)[rows]
+    if rng.random() < 0.3:
+        x[:, 1:] = rng.random((n, p - 1)) < 0.5
+    else:
+        x[:, 1:] = rng.normal(scale=rng.choice([0.5, 2.0, 8.0]),
+                              size=(n, p - 1))
+    eta = (rng.normal() + rng.choice([-4.0, 0.0, 4.0])
+           + x[:, 1:] @ rng.uniform(-2.0, 2.0, p - 1))
+    z = (rng.random(n) < expit(eta)).astype(float)
+    if rng.random() < 0.2:
+        z = expit(eta)
+    if kind == "separated":
+        z = (x[:, 1] > np.median(x[:, 1])).astype(float)
+    elif kind == "collinear":
+        x[:, 2] = x[:, 1]
+    elif kind == "overflowing":
+        x[:, 1] *= 1e160
+    return x, z
+
+
+def _random_stack(rng):
+    """An (R, n, p) stack of logit problems and its responses; one stack in
+    four holds slices that step-halve."""
+    R = int(rng.integers(2, 7))
+    if rng.random() < 0.25:
+        n, p = 5 * int(rng.integers(1, 5)), 3
+        kinds = rng.choice(["halving", "random"], size=R)
+    else:
+        n, p = int(rng.integers(5, 301)), int(rng.integers(1, 7))
+        kinds = rng.choice(["random", "separated", "collinear",
+                            "overflowing"], size=R, p=[0.7, 0.1, 0.1, 0.1])
+        if p < 3:
+            kinds[kinds == "collinear"] = "random"
+        if p < 2:
+            kinds[:] = "random"
+    slices = [_stack_slice(rng, n, p, kind) for kind in kinds]
+    return (np.stack([x for x, _ in slices]),
+            np.stack([z for _, z in slices]))
+
+
+def _assert_stack_matches_fit_glm(X, Z, failures):
+    fits = glm.fit_logit_stack(X, Z)
+    assert len(fits) == X.shape[0]
+    iterations = set()
+    for i, fit in enumerate(fits):
+        try:
+            alone = fit_glm(X[i], Z[i], Link.LOGIT)
+        except glm.GlmError as exc:
+            # A slice that fails in the stack is fit alone, by fit_glm.
+            assert fit is None
+            failures.append(type(exc).__name__)
+            continue
+        assert fit is not None
+        assert fit.iterations == alone.iterations
+        assert np.array_equal(fit.coefficients, alone.coefficients)
+        assert np.array_equal(fit.score_residuals, alone.score_residuals)
+        assert fit.link is Link.LOGIT
+        iterations.add(fit.iterations)
+    return iterations
+
+
+def test_stacked_logit_fits_equal_fit_glm_bit_for_bit(monkeypatch):
+    halved = []
+    halve_step = glm._halve_step
+
+    def counted(X, z, beta, delta, loglik, step, tries):
+        if step < 1.0:  # only a stacked slice's halving starts below 1
+            halved.append(step)
+        return halve_step(X, z, beta, delta, loglik, step, tries)
+    monkeypatch.setattr(glm, "_halve_step", counted)
+    rng = np.random.default_rng(2024)
+    failures, mixed = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(220):
+            X, Z = _random_stack(rng)
+            mixed += len(_assert_stack_matches_fit_glm(X, Z, failures)) > 1
+    # The stacks covered what they are meant to: slices converging at
+    # different iterations, step-halving, and each failure of the solve.
+    assert mixed > 100
+    assert len(halved) > 50
+    assert {"SeparationError", "SingularDesignError"} <= set(failures)
+
+
+def test_stacked_logit_slices_fail_on_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(glm, "DEFAULT_MAX_ITERATIONS", 3)
+    rng = np.random.default_rng(8)
+    failures = []
+    for _ in range(20):
+        _assert_stack_matches_fit_glm(*_random_stack(rng), failures)
+    assert "NonConvergenceError" in failures

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eiftools import longitudinal as lng
 from eiftools.data import Dataset
-from eiftools.glm import Link
+from eiftools.glm import GlmError, Link
 from eiftools.nuisance import (
     _KNN_BLOCK_ENTRIES,
     _KnnPredictor,
@@ -22,6 +22,7 @@ from eiftools.nuisance import (
     fit_outcome,
     fit_propensity,
     fold_partition,
+    stacked_propensity_predictions,
 )
 from helpers import (count_predicted_rows, random_long_dataset,
                      random_point_dataset)
@@ -651,3 +652,52 @@ def test_crossfit_predicts_each_row_once_per_model(monkeypatch):
     crossfit(data, LearnerSpec("k_nearest_neighbors", k=5),
              LearnerSpec("glm_main_terms"), n_folds=4, seed=1)
     assert rows == {"_KnnPredictor": 90, "_GlmPredictor": 90}
+
+
+def test_stacked_propensity_predictions_equal_fit_propensity():
+    # Members a stacked solve cannot fit are None, and fit alone they
+    # raise: a one-level treatment, a covariate that overflows the
+    # learner's basis, and a separated fit.
+    rng = np.random.default_rng(12)
+    n = 80
+    learner = LearnerSpec("glm_with_basis", degree=2)
+    covariates = [rng.normal(size=(n, 2)) for _ in range(7)]
+    treatments = [(rng.random(n) < 0.4).astype(float) for _ in range(7)]
+    treatments[1][:] = 1.0
+    covariates[2][0, 1] = 1e200
+    covariates[3][:, 0] *= 1e-2
+    treatments[3] = (covariates[3][:, 0] > 0).astype(float)
+    predictions = stacked_propensity_predictions(learner, covariates,
+                                                 treatments)
+    alone = []
+    for cov, a, got in zip(covariates, treatments, predictions):
+        try:
+            x = learner.design_for(cov)
+            alone.append(fit_propensity(learner, x, a).predict(x))
+        except (NuisanceError, GlmError) as exc:
+            alone.append(type(exc).__name__)
+        if got is None:
+            assert isinstance(alone[-1], str)
+        else:
+            assert np.array_equal(got, alone[-1])
+    assert [alone[i] for i in (1, 2, 3)] == [
+        "InsufficientDataError", "NuisanceError", "SeparationError"]
+    assert sum(got is not None for got in predictions) == 4
+    # A lone member is left to fit_glm, and kNN learners do not stack.
+    assert stacked_propensity_predictions(
+        learner, covariates[:1], treatments[:1]) == [None]
+    with pytest.raises(ValueError, match="not a GLM learner"):
+        stacked_propensity_predictions(
+            LearnerSpec("k_nearest_neighbors", k=3), covariates, treatments)
+
+
+def test_given_raw_propensity_stands_for_the_fit():
+    data = random_point_dataset(np.random.default_rng(4), n=90)
+    learner = LearnerSpec("glm_main_terms")
+    raw = stacked_propensity_predictions(
+        learner, [data.covariate_matrix()] * 2, [data.treatment] * 2)[0]
+    fitted = fit_nuisance(data, learner, learner)
+    given = fit_nuisance(data, learner, learner, raw_propensity=raw)
+    for field in ("outcome_pred", "propensity_pred"):
+        assert np.array_equal(getattr(given, field), getattr(fitted, field))
+    assert given.n_truncated == fitted.n_truncated

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import threading
 import time
 
@@ -709,3 +710,139 @@ def test_plan_to_dict_reports_every_field():
         "y_bounds": [0.0, 1.0],
     }
     assert EstimationPlan().to_dict()["outcome_covariates"] is None
+
+
+def test_normal_covariate_draw_has_its_mean_and_sd():
+    n = 40_000
+    w = CovariateSpec(name="w", dist="normal", mean=2.0, sd=3.0).draw(
+        np.random.default_rng(5), n)
+    assert w.shape == (n,)
+    # Four standard errors of the sample mean and of the sample sd.
+    assert abs(w.mean() - 2.0) < 4 * 3.0 / np.sqrt(n)
+    assert abs(w.std(ddof=1) - 3.0) < 4 * 3.0 / np.sqrt(2 * n)
+
+
+def test_logit_mean_interval_is_expit_of_the_eta_interval():
+    outcome = OutcomeSpec(scale="logit", kind="binary",
+                          mean_model=LinearModel(0.3, {"w": -1.2, "v": 0.5}))
+    intervals = {"w": (0.0, 1.0), "v": (-2.0, 3.0)}
+    eta_lo, eta_hi = outcome.mean_model.eta_interval(intervals)
+    assert (eta_lo, eta_hi) == (0.3 - 1.2 - 1.0, 0.3 + 1.5)
+    lo, hi = outcome.mean_interval(intervals)
+    assert type(lo) is float and type(hi) is float
+    assert lo == pytest.approx(expit(eta_lo), rel=1e-15, abs=0.0)
+    assert hi == pytest.approx(expit(eta_hi), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_generate_rejects_fewer_than_two_rows(n):
+    with pytest.raises(ValueError, match=r"^n must be at least 2$"):
+        generate(load_fixture("dgp_binary.json"), n, 1)
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (-np.inf, 1.0),
+                                       (0.0, np.inf)])
+def test_uniform_covariate_width_must_be_finite(low, high):
+    config = json.loads((FIXTURES / "dgp_overflow_width.json").read_text())
+    config["covariates"][0].update(low=low, high=high)
+    assert violations(DgpConfig.from_dict, d=config) == [
+        "covariates[0] (w): uniform needs a finite width high - low"]
+
+
+# (fixture, truth method, message): each truth that overflows float64 is
+# an input error, with no overflow warning on the way.
+OVERFLOWING_TRUTHS = [
+    ("dgp_overflow_noise.json", "monte_carlo",
+     "the true value overflows: its Monte Carlo standard error is not "
+     "finite"),
+    ("dgp_overflow_coef.json", "monte_carlo",
+     "the true value overflows: the monte_carlo value is not finite"),
+    ("dgp_overflow_exact.json", "analytic",
+     "the true value overflows: the analytic value is not finite"),
+    ("dgp_overflow_exact.json", "monte_carlo",
+     "the outcome overflows: a drawn outcome mean or value is not finite"),
+]
+
+
+@pytest.mark.parametrize("fixture, method, message", OVERFLOWING_TRUTHS)
+def test_overflowing_truth_is_an_input_error(fixture, method, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        true_value(load_fixture(fixture), method, mc_draws=2000, mc_seed=1)
+
+
+def test_overflowing_draw_is_an_input_error():
+    # w = 1 gives the mean 1e308 + 1e308. A replicate records the error as
+    # a failed draw.
+    with pytest.raises(ValueError, match=r"^the outcome overflows: a drawn "
+                       r"outcome mean or value is not finite$"):
+        generate(load_fixture("dgp_overflow_exact.json"), 30, 1)
+
+
+# (fixture, simulate flags, a failure the report must hold). At n=12 the
+# logit outcome models fail on some replicates; at n=40 on the
+# adversarial DGP some draws fail, some outcome fits lack untreated rows
+# and one propensity fit separates inside its block's stacked solve.
+BLOCK_CASES = [
+    ("dgp_binary.json", ["--n", "500", "--replications", "40", "--seed",
+                         "3"], None),
+    ("dgp_binary.json", ["--n", "12", "--replications", "40", "--seed", "3",
+                         "--outcome-learner", "glm_main_terms:link=logit"],
+     "SingularDesignError"),
+    ("dgp_adversarial_point.json", ["--n", "40", "--replications", "40",
+                                    "--seed", "10", "--truth-method",
+                                    "monte_carlo", "--mc-draws", "20000"],
+     "SeparationError"),
+    ("dgp_constant_point.json", ["--n", "50", "--replications", "20",
+                                 "--seed", "3"], None),
+]
+
+
+@pytest.mark.parametrize("fixture, flags, failure", BLOCK_CASES)
+def test_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
+                                                 capsys, fixture, flags,
+                                                 failure):
+    from eiftools import cli, nuisance, simulation
+    dgp, n = load_fixture(fixture), int(flags[1])
+    stacked_fit = nuisance.fit_logit_stack
+    stacks = []
+
+    def spy(X, Z):
+        stacks.append(X.shape[0])
+        return stacked_fit(X, Z)
+    monkeypatch.setattr(nuisance, "fit_logit_stack", spy)
+    default = simulation._BLOCK_ENTRIES
+    outputs = {}
+    for size in (1, 2, 3, None):
+        # Every fixture here has one covariate: 2 propensity columns.
+        monkeypatch.setattr(simulation, "_BLOCK_ENTRIES",
+                            default if size is None else size * n * 2)
+        # The propensity learner, which sizes the blocks, is the default.
+        per_block = simulation._replicates_per_block(dgp, n,
+                                                     EstimationPlan())
+        assert per_block == (size or default // (n * 2))
+        stacks.clear()
+        out = tmp_path / f"block_{size}.json"
+        assert cli.main(["simulate", "--config", str(FIXTURES / fixture),
+                         *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        outputs[size] = (out.read_bytes(),
+                         out.with_suffix(".csv").read_bytes())
+        # Blocks of one fit alone; larger ones stack their members.
+        assert (not stacks) == (per_block == 1)
+        assert all(2 <= r <= per_block for r in stacks)
+    for size in (2, 3, None):
+        assert outputs[size] == outputs[1]
+    if failure is not None:
+        assert failure.encode() in outputs[1][1]
+
+
+def test_given_propensity_predictions_need_a_point_plan_without_folds():
+    data = generate(load_fixture("dgp_binary.json"), 60, 2)
+    raw = np.full(60, 0.5)
+    with pytest.raises(ValueError, match="point plan without folds"):
+        fit_plan_nuisance(data, EstimationPlan(n_folds=2), 1, raw)
+    long_data = generate(load_fixture("dgp_long.json"), 60, 2)
+    with pytest.raises(ValueError, match="point plan without folds"):
+        fit_plan_nuisance(long_data, EstimationPlan(), 0, raw)
+    given = fit_plan_nuisance(data, EstimationPlan(), 0, raw)
+    assert np.array_equal(given.propensity_pred, raw)
