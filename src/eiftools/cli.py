@@ -457,7 +457,8 @@ def _add_plan_flags(p: argparse.ArgumentParser):
                    help="propensity truncation bounds (default 0.01,0.99)")
     p.add_argument("--y-bounds", default=None, metavar="LO,HI",
                    help="outcome bounds for logistic targeting "
-                        "(default: observed range)")
+                        "(default: observed range); a negative LO needs "
+                        "the = form, --y-bounds=-1,2")
     p.add_argument("--outcome-covariates", default=None, metavar="COLS",
                    help="comma list restricting the outcome model's covariates")
     p.add_argument("--propensity-covariates", default=None, metavar="COLS",

@@ -142,7 +142,12 @@ def _result(estimator: str, phi: np.ndarray, psi: float, nuisance,
     ``result`` with the remaining ``fields``: Wald inference on its
     influence-function values ``phi``, and diagnostics that every
     estimate reports (``mean_eif``; ``n_truncated`` and ``cross_fitted``
-    of ``nuisance``) followed by ``extra``."""
+    of ``nuisance``) followed by ``extra``. Raises ValueError when ``psi``
+    or ``phi`` overflowed: each estimator computes them with numpy's
+    overflow and invalid-value warnings off, so this check reports it."""
+    if not (math.isfinite(psi) and np.isfinite(phi).all()):
+        raise ValueError(f"the estimate overflows: the {estimator} value or "
+                         "its influence-function values are not finite")
     se, ci = wald_inference(phi, psi)
     diagnostics: Dict[str, object] = {
         "mean_eif": float(phi.sum() / phi.shape[0]),
@@ -168,6 +173,7 @@ def _point_result(estimator: str, data: Dataset, mu_for_eif: np.ndarray,
                    fluctuation=fluctuation)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _result
 def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     """Plug-in estimator: the mean of the outcome-model predictions.
 
@@ -186,6 +192,7 @@ def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _result
 def one_step(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     """One-step (AIPW) estimator: plug-in plus the mean influence function.
 
@@ -339,6 +346,7 @@ def _labelled_fluctuation(label: str, *args) -> FluctuationFit:
         raise
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _result
 def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
          y_bounds: Optional[Tuple[float, float]] = None) -> EstimateResult:
     """Targeted maximum likelihood estimator of the untreated mean.

@@ -181,6 +181,7 @@ class LongEstimateResult(EstimateResult):
     emu_star: Optional[np.ndarray] = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _result
 def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
                   emu_learner: LearnerSpec = _DEFAULT_LEARNER
                   ) -> LongEstimateResult:
@@ -206,6 +207,7 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
         emu_hat=emu, emu_star=emu)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _result
 def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
               variant: str = "weighted_linear",
               emu_learner: LearnerSpec = _DEFAULT_LEARNER,

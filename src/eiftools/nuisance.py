@@ -547,35 +547,39 @@ def fit_propensity(learner: LearnerSpec, x: np.ndarray,
 
 
 def stacked_propensity_predictions(learner: LearnerSpec,
-                                   covariates: Sequence[np.ndarray],
-                                   treatments: Sequence[np.ndarray]
+                                   datasets: Sequence[Optional[Dataset]],
+                                   covariates: Optional[Sequence[str]]
                                    ) -> List[Optional[np.ndarray]]:
     """Full-sample GLM propensity predictions of several datasets with one
     row count, from one stacked Newton solve (``glm.fit_logit_stack``).
 
-    Member ``i`` has covariate matrix ``covariates[i]`` and treatment
-    ``treatments[i]``; its predictions equal
-    ``fit_propensity(learner, x, treatments[i]).predict(x)``, with ``x =
-    learner.design_for(covariates[i])``, bit for bit. A member is None
+    Each dataset's model is fit on its columns ``covariates`` (None:
+    all), and its entry is what ``fit_nuisance(..., raw_propensity=...)``
+    takes: ``fit_propensity(learner, x, data.treatment).predict(x)``,
+    with ``x = learner.design_for(data.covariate_matrix(covariates))``,
+    bit for bit. An entry is None for a None member (a failed draw),
     when that call would raise (its model matrix is not finite, its
-    treatment has one level, or its fit fails), and also when it is the
-    only member left, since ``fit_glm`` fits one model faster: fit alone,
-    it gives its predictions or raises its error.
+    treatment has one level, or its fit fails), and when it is the only
+    member left, since ``fit_glm`` fits one model faster: fit alone, it
+    gives its predictions or raises its error.
     """
     if learner.kind not in GLM_KINDS:
         raise ValueError(f"{learner.describe()} is not a GLM learner")
     members, xs, zs = [], [], []
-    for i, (cov, a) in enumerate(zip(covariates, treatments)):
+    for i, data in enumerate(datasets):
+        if data is None:
+            continue
         try:
-            x = learner.design_for(cov)
+            x = learner.design_for(data.covariate_matrix(covariates))
         except NuisanceError:
             continue
+        a = data.treatment
         if a.min() == a.max():
             continue
         members.append(i)
         xs.append(x)
         zs.append((a == 0.0).astype(float))
-    out: List[Optional[np.ndarray]] = [None] * len(covariates)
+    out: List[Optional[np.ndarray]] = [None] * len(datasets)
     if len(members) < 2:
         return out
     for i, x, fit in zip(members, xs,

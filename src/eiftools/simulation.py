@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -905,15 +904,18 @@ def fit_plan_nuisance(data: Union[Dataset, LongDataset],
                       raw_propensity: Optional[np.ndarray] = None):
     """Nuisance estimates under the plan, for data of either design.
 
-    ``raw_propensity``, the data's entry of
+    Raises ValueError unless ``EstimationPlan.check_data`` accepts the
+    data. ``raw_propensity``, the data's entry of
     ``nuisance.stacked_propensity_predictions``, stands for the propensity
     fit of a point plan without folds."""
-    if raw_propensity is not None and (
-            isinstance(data, LongDataset) or plan.n_folds is not None):
+    long_design = isinstance(data, LongDataset)
+    plan.check_data("longitudinal" if long_design else "point", data.n_obs,
+                    () if long_design else data.covariate_names)
+    if raw_propensity is not None and (long_design
+                                       or plan.n_folds is not None):
         raise ValueError("given propensity predictions need a point plan "
                          "without folds")
-    if isinstance(data, LongDataset):
-        plan.check_data("longitudinal", data.n_obs, ())
+    if long_design:
         return long_est.fit_sequential_nuisances(
             data, g0_learner=plan.propensity_learner,
             g1_learner=plan.propensity_learner,
@@ -962,30 +964,6 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-class _TruthThread(threading.Thread):
-    """:func:`true_value` on one worker thread, started on construction;
-    :meth:`result` joins it and returns the truth or re-raises its error."""
-
-    def __init__(self, *args):
-        super().__init__(name="eiftools-truth", daemon=True)
-        self._args = args
-        self._truth: Optional[TruthResult] = None
-        self._error: Optional[BaseException] = None
-        self.start()
-
-    def run(self):
-        try:
-            self._truth = true_value(*self._args)
-        except BaseException as exc:  # raised again on the joining thread
-            self._error = exc
-
-    def result(self) -> TruthResult:
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._truth
-
-
 # Replicates are analysed in blocks of at most this many entries of the
 # stacked propensity model matrices (128 KB of float64), so a block's
 # Newton solve pays numpy's per-call cost once for all its members while
@@ -1018,19 +996,6 @@ def _generate_replicate(dgp: DgpConfig, n: int, seed: int, r: int
         # a draw can be too degenerate to estimate from (e.g. fewer than
         # 2 rows on the regime of interest); record, don't crash
         return exc
-
-
-def _block_propensities(drawn: Sequence[Union[Dataset, Exception]],
-                        plan: EstimationPlan) -> List[Optional[np.ndarray]]:
-    """Raw propensity predictions of a block's drawn datasets, from one
-    stacked solve; None for a failed draw and for a dataset that
-    :func:`fit_plan_nuisance` fits alone."""
-    datasets = [d for d in drawn if isinstance(d, Dataset)]
-    stacked = iter(stacked_propensity_predictions(
-        plan.propensity_learner,
-        [d.covariate_matrix(plan.propensity_covariates) for d in datasets],
-        [d.treatment for d in datasets]))
-    return [next(stacked) if isinstance(d, Dataset) else None for d in drawn]
 
 
 def _replicate_records(r: int, data, raw_propensity: Optional[np.ndarray],
@@ -1088,8 +1053,11 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     that estimator's record.
 
     No replicate needs the true value until its coverage is scored, so a
-    ``monte_carlo`` truth is drawn on a second thread while the
-    replicates run, and coverage is scored once it is joined. Its draws
+    ``monte_carlo`` truth is drawn on a one-worker
+    ``concurrent.futures.ThreadPoolExecutor`` while the replicates run.
+    The pool is shut down, which joins its worker, on every exit from
+    the replicate loop; the truth's error, if any, is raised again
+    unchanged, and coverage is scored once the truth is read. Its draws
     come from their own stream, so the report's bytes are the same as
     when it ran first. The exact ``analytic`` sum runs before replicate 0,
     and every error the truth method raises for its arguments does too.
@@ -1098,16 +1066,16 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     stacked propensity model matrices hold at most ``_BLOCK_ENTRIES``
     entries (16 replicates at n=500 under ``glm_main_terms`` on one
     covariate). For a point design without folds whose propensity
-    learner is a GLM, a block draws all its datasets, then fits their
-    propensity models in one stacked Newton solve
-    (``nuisance.stacked_propensity_predictions``), and then gives each
-    replicate its own ``fit_plan_nuisance`` call, handed its propensity
-    predictions, and its estimators. The outcome models, every other
-    plan and the ``estimate`` command fit one dataset at a time. A block
-    of one, a failed draw, a one-level treatment and a propensity fit
-    that fails in the stack are fit alone, by the same code as without
-    blocks. The stacked fit has ``fit_glm``'s bits, so the report does
-    not depend on the block size.
+    learner is a GLM, a block draws all its datasets, hands them to
+    ``nuisance.stacked_propensity_predictions`` (a failed draw as None)
+    for one stacked Newton solve of their propensity models, and then
+    gives each replicate its own ``fit_plan_nuisance`` call, handed its
+    entry, and its estimators. The outcome models, every other plan and
+    the ``estimate`` command fit one dataset at a time. A block of one,
+    a failed draw, a one-level treatment and a propensity fit that fails
+    in the stack are fit alone, by the same code as without blocks. The
+    stacked fit has ``fit_glm``'s bits, so the report does not depend on
+    the block size.
     """
     if replications < 2:
         raise ValueError("replications must be at least 2")
@@ -1125,10 +1093,14 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     truth_args = (dgp, truth_method, mc_draws,
                   np.random.SeedSequence(seed, spawn_key=(2**31,)))
     bounds = plan.y_bounds if plan.y_bounds is not None else implied
+    pool = pending = None
     if truth_method == "monte_carlo":
-        worker, truth = _TruthThread(*truth_args), None
+        # Imported here: it loads logging, which no other run needs.
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=1)
+        pending = pool.submit(true_value, *truth_args)
     else:
-        worker, truth = None, true_value(*truth_args)
+        truth = true_value(*truth_args)
 
     per_block = _replicates_per_block(dgp, n, plan)
     records: List[ReplicateRecord] = []
@@ -1136,18 +1108,21 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
         for start in range(0, replications, per_block):
             block = range(start, min(start + per_block, replications))
             drawn = [_generate_replicate(dgp, n, seed, r) for r in block]
-            raw_propensities = (_block_propensities(drawn, plan)
-                                if per_block > 1 else [None] * len(drawn))
+            raw_propensities = (stacked_propensity_predictions(
+                plan.propensity_learner,
+                [None if isinstance(d, Exception) else d for d in drawn],
+                plan.propensity_covariates)
+                if per_block > 1 else [None] * len(drawn))
             for r, data, raw_propensity in zip(block, drawn,
                                                raw_propensities):
                 records += _replicate_records(
                     r, data, raw_propensity, seed, plan, estimator_names,
                     bounds)
     finally:
-        if worker is not None:
-            worker.join()
-    if worker is not None:
-        truth = worker.result()
+        if pool is not None:
+            pool.shutdown()
+    if pending is not None:
+        truth = pending.result()
     for rec in records:
         if rec.error is None:
             rec.covered = bool(rec.ci_lo <= truth.value <= rec.ci_hi)

@@ -715,6 +715,124 @@ def test_emit_data_round_trips_longitudinal(tmp_path):
     assert names == list(LONG_NAMES)
 
 
+def _long_estimates(tmp_path, columns, y, argv):
+    """``estimate`` on the two-period CSV ``columns`` with outcome ``y``:
+    (psi_hat, se) per estimator."""
+    path = tmp_path / "moved.csv"
+    columns = dict(columns, y=y)
+    path.write_text(",".join(columns) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in zip(*columns.values())), encoding="utf-8")
+    out = tmp_path / "est.json"
+    assert run_cli(["estimate", "--data", path, "--design", "longitudinal",
+                    *argv, "--out", out]) == 0
+    return {e["estimator"]: (e["psi_hat"], e["se"])
+            for e in read_json(out)["estimates"]}
+
+
+@pytest.mark.parametrize("learner", ["glm_main_terms",
+                                     "glm_main_terms:link=logit",
+                                     "k_nearest_neighbors:k=15"])
+@pytest.mark.parametrize("folds", [[], ["--folds", "2"]])
+def test_long_estimates_are_affine_equivariant(tmp_path, learner, folds):
+    # The two-period counterpart of the point design's location-scale
+    # test, through the command line: y -> c + s*y, with --y-bounds
+    # mapped (its ends swap when s < 0), maps every estimate to
+    # c + s*psi and its standard error to |s|*se.
+    draw = tmp_path / "draw.csv"
+    assert run_cli(["simulate", "--config", FIXTURES / "dgp_long.json",
+                    "--n", "400", "--replications", "2", "--seed", "3",
+                    "--estimators", "one_step_long",
+                    "--emit-data", draw]) == 0
+    with open(draw, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = {name: np.array([float(row[name]) for row in rows])
+               for name in rows[0]}
+    y = columns.pop("y")
+    argv = ["--outcome-learner", learner, *folds]
+    base = _long_estimates(tmp_path, columns, y, ["--y-bounds=0,1", *argv])
+    assert sorted(base) == sorted(LONG_NAMES)
+    for c, s in ((5.0, 1.0), (2.5, -3.7), (-1.0, 1e6), (0.0, -1e6)):
+        lo, hi = sorted((c, c + s))
+        moved = _long_estimates(tmp_path, columns, c + s * y,
+                                [f"--y-bounds={lo!r},{hi!r}", *argv])
+        for name, (psi, se) in base.items():
+            assert moved[name][0] == pytest.approx(c + s * psi, rel=1e-10)
+            assert moved[name][1] == pytest.approx(abs(s) * se, rel=1e-10)
+
+
+def test_negative_y_bounds_need_the_equals_form(tmp_path, capsys):
+    # argparse reads "-1,2" after a space as a flag, so a lower bound
+    # below zero is written --y-bounds=-1,2, as the flag's help says.
+    path = tmp_path / "data.csv"
+    path.write_text("w,a,y\n0,0,-0.5\n1,0,1.5\n0,1,0.5\n1,1,1\n0,0,0\n"
+                    "1,1,-1\n", encoding="utf-8")
+    assert run_cli(["estimate", "--data", path, "--y-bounds", "-1,2"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["message"].endswith(
+        "argument --y-bounds: expected one argument")
+    out = tmp_path / "est.json"
+    assert run_cli(["estimate", "--data", path, "--y-bounds=-1,2",
+                    "--estimators", "tmle_weighted_logistic",
+                    "--out", out]) == 0
+    assert -1.0 <= read_json(out)["estimates"][0]["psi_hat"] <= 2.0
+
+
+# Outcomes near the float64 maximum whose exact truth, 9e307, is finite.
+_HUGE_OUTCOME = {"intercept": 0.4e308,
+                 "noise": {"kind": "uniform", "half_width": 0.3e308}}
+_HUGE_DGPS = {
+    "point": {
+        "design": "point",
+        "covariates": [{"name": "w", "dist": "bernoulli", "p": 0.5}],
+        "treatment": {"intercept": 0.2, "coefs": {"w": 0.3}},
+        "outcome": dict(_HUGE_OUTCOME, coefs={"w": 1e308}),
+        "y_bounds": [0, 1.75e308]},
+    "longitudinal": {
+        "design": "longitudinal",
+        "covariates": [{"name": "w0", "dist": "bernoulli", "p": 0.5}],
+        "treatment": {"intercept": 0.3, "coefs": {"w0": 0.3}},
+        "w1_covariates": [{"name": "w1", "dist": "bernoulli", "p": 0.5}],
+        "a1": {"intercept": 0.4, "coefs": {"w0": 0.2}},
+        "outcome": dict(_HUGE_OUTCOME, coefs={"w0": 0.5e308, "w1": 0.5e308}),
+        "y_bounds": [0, 1.75e308]},
+}
+
+
+@pytest.mark.parametrize("design", ["point", "longitudinal"])
+def test_overflowing_estimates_are_input_errors(tmp_path, design):
+    # The means behind each estimate overflow float64. Once they raised a
+    # RuntimeWarning (an error under the test settings) from inside the
+    # estimator; now simulate records the ValueError on each replicate,
+    # and estimate exits 2 with its payload.
+    config = tmp_path / "dgp.json"
+    config.write_text(json.dumps(_HUGE_DGPS[design]), encoding="utf-8")
+    names = POINT_NAMES if design == "point" else LONG_NAMES
+    logit = ["--outcome-learner", "glm_main_terms:link=logit"]
+    draw = tmp_path / "draw.csv"
+    assert run_cli(["simulate", "--config", config, "--n", "60",
+                    "--replications", "3", "--seed", "1", *logit,
+                    "--out", tmp_path / "r.json", "--emit-data", draw]) == 0
+    with open(tmp_path / "r.csv", encoding="utf-8", newline="") as fh:
+        errors = {(row["estimator"], row["error"].partition(":")[0])
+                  for row in csv.DictReader(fh)}
+    assert {name for name, _ in errors} == set(names)
+    assert errors <= {(name, kind) for name in names
+                      for kind in ("ValueError", "NonConvergenceError")}
+    # The first (gcomp, one_step_long) and the logistic TMLE always do.
+    overflowing = [names[0], names[-1]]
+    for name in overflowing:
+        assert (name, "ValueError") in errors
+        out = tmp_path / "est.json"
+        assert run_cli(["estimate", "--data", draw, "--design", design,
+                        *logit, "--estimators", name, "--out", out]) == 2
+        error = read_json(out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"] == (
+            f"the estimate overflows: the {name} value or its "
+            "influence-function values are not finite")
+
+
 @pytest.mark.parametrize("config, n, seed, message", [
     ("dgp_binary.json", "2", "3", "no untreated (A = 0) rows"),
     ("dgp_binary.json", "3", "2", "no untreated (A = 0) rows"),
@@ -829,6 +947,8 @@ MC_SIMULATE = ["--truth-method", "monte_carlo", "--mc-draws", "2000",
      "covariates[0] (w): uniform needs a finite width"),
     ("dgp_overflow_width.json", ["simulate", *MC_SIMULATE],
      "DgpValidationError", "covariates[0] (w): uniform needs a finite width"),
+    ("dgp_overflow_coef.json", ["simulate", *MC_SIMULATE], "UsageError",
+     "the true value overflows: the monte_carlo value"),
 ])
 def test_overflowing_truth_exits_2_with_json(capsys, fixture, argv, kind,
                                              message):

@@ -657,23 +657,29 @@ def test_crossfit_predicts_each_row_once_per_model(monkeypatch):
 def test_stacked_propensity_predictions_equal_fit_propensity():
     # Members a stacked solve cannot fit are None, and fit alone they
     # raise: a one-level treatment, a covariate that overflows the
-    # learner's basis, and a separated fit.
+    # learner's basis, and a separated fit. A None member (a failed
+    # draw) stays None, and each model sees only the named columns.
     rng = np.random.default_rng(12)
     n = 80
     learner = LearnerSpec("glm_with_basis", degree=2)
-    covariates = [rng.normal(size=(n, 2)) for _ in range(7)]
+    covariates = [rng.normal(size=(n, 3)) for _ in range(7)]
     treatments = [(rng.random(n) < 0.4).astype(float) for _ in range(7)]
-    treatments[1][:] = 1.0
+    treatments[1][:] = 0.0
     covariates[2][0, 1] = 1e200
     covariates[3][:, 0] *= 1e-2
     treatments[3] = (covariates[3][:, 0] > 0).astype(float)
-    predictions = stacked_propensity_predictions(learner, covariates,
-                                                 treatments)
+    datasets = [Dataset(("u", "v", "unused"), cov, a, rng.normal(size=n))
+                for cov, a in zip(covariates, treatments)]
+    datasets.insert(4, None)
+    predictions = stacked_propensity_predictions(learner, datasets,
+                                                 ("u", "v"))
+    assert len(predictions) == 8 and predictions[4] is None
+    del datasets[4], predictions[4]
     alone = []
-    for cov, a, got in zip(covariates, treatments, predictions):
+    for data, got in zip(datasets, predictions):
         try:
-            x = learner.design_for(cov)
-            alone.append(fit_propensity(learner, x, a).predict(x))
+            x = learner.design_for(data.covariate_matrix(("u", "v")))
+            alone.append(fit_propensity(learner, x, data.treatment).predict(x))
         except (NuisanceError, GlmError) as exc:
             alone.append(type(exc).__name__)
         if got is None:
@@ -683,19 +689,22 @@ def test_stacked_propensity_predictions_equal_fit_propensity():
     assert [alone[i] for i in (1, 2, 3)] == [
         "InsufficientDataError", "NuisanceError", "SeparationError"]
     assert sum(got is not None for got in predictions) == 4
-    # A lone member is left to fit_glm, and kNN learners do not stack.
+    # A lone member is left to fit_glm, also beside failed draws, and kNN
+    # learners do not stack.
     assert stacked_propensity_predictions(
-        learner, covariates[:1], treatments[:1]) == [None]
+        learner, datasets[:1], None) == [None]
+    assert stacked_propensity_predictions(
+        learner, [None, datasets[0], None], None) == [None] * 3
     with pytest.raises(ValueError, match="not a GLM learner"):
         stacked_propensity_predictions(
-            LearnerSpec("k_nearest_neighbors", k=3), covariates, treatments)
+            LearnerSpec("k_nearest_neighbors", k=3), datasets, None)
 
 
 def test_given_raw_propensity_stands_for_the_fit():
     data = random_point_dataset(np.random.default_rng(4), n=90)
     learner = LearnerSpec("glm_main_terms")
-    raw = stacked_propensity_predictions(
-        learner, [data.covariate_matrix()] * 2, [data.treatment] * 2)[0]
+    raw = stacked_propensity_predictions(learner, [None, data, data],
+                                         None)[1]
     fitted = fit_nuisance(data, learner, learner)
     given = fit_nuisance(data, learner, learner, raw_propensity=raw)
     for field in ("outcome_pred", "propensity_pred"):

@@ -3,6 +3,8 @@
 import json
 import pathlib
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -481,6 +483,27 @@ def test_fit_plan_nuisance_rejects_longitudinal_restrictions():
         fit_plan_nuisance(data, EstimationPlan(outcome_covariates=("w0",)))
 
 
+@pytest.mark.parametrize("n_folds", [None, 2])
+def test_fit_plan_nuisance_checks_the_plan_on_either_design(n_folds):
+    # A point plan naming a missing column once raised a bare KeyError;
+    # both designs now raise check_data's ValueError, with or without
+    # folds.
+    point = generate(load_fixture("dgp_binary.json"), 100, 1)
+    for role in ("outcome", "propensity"):
+        plan = EstimationPlan(n_folds=n_folds,
+                              **{f"{role}_covariates": ("w", "zz")})
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown {role} covariates ['zz']; the data have "
+                f"{list(point.covariate_names)}")):
+            fit_plan_nuisance(point, plan)
+    long_data = generate(load_fixture("dgp_long.json"), 100, 1)
+    with pytest.raises(ValueError, match="^covariate restrictions are not "
+                                         "supported for the longitudinal "
+                                         "design$"):
+        fit_plan_nuisance(long_data, EstimationPlan(
+            n_folds=n_folds, propensity_covariates=("zz",)))
+
+
 def test_unknown_estimator_message_is_one_text(tmp_path):
     # run_experiment and both commands list unknown names in the order
     # given, with the same words.
@@ -690,6 +713,39 @@ def test_truth_worker_is_joined_on_every_exit(monkeypatch):
         with pytest.raises(KeyError, match="escapes the replicate loop"):
             run_experiment(**args)
     assert threading.active_count() == before
+
+
+_IMPORT_PROBE = """
+import sys
+from eiftools.cli import main
+
+def loaded():
+    return [m for m in ("concurrent.futures", "logging") if m in sys.modules]
+
+out, draw, config = sys.argv[1:]
+seen = [loaded()]
+sim = ["simulate", "--config", config, "--n", "100", "--replications", "2",
+       "--seed", "1", "--out", out]
+assert main([*sim, "--emit-data", draw]) == 0
+seen.append(loaded())
+assert main(["estimate", "--data", draw, "--out", out]) == 0
+seen.append(loaded())
+assert main([*sim, "--truth-method", "monte_carlo", "--mc-draws", "100"]) == 0
+seen.append(loaded())
+print(seen)
+"""
+
+
+def test_only_a_monte_carlo_truth_loads_concurrent_futures(tmp_path):
+    # The truth's thread pool module loads logging; importing the CLI, an
+    # estimate and a simulate with the exact truth load neither.
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.json"),
+         str(tmp_path / "draw.csv"), str(FIXTURES / "dgp_binary.json")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(
+        [[], [], [], ["concurrent.futures", "logging"]])
 
 
 def test_plan_to_dict_reports_every_field():
