@@ -13,18 +13,29 @@ mu* chosen by a one-parameter maximum-likelihood fluctuation so that the
 inverse-probability score sum(H_i * (Y_i - mu*_i)) is zero, then averages
 mu*. Three fluctuations are implemented; the weighted logistic one keeps
 mu* and psi inside the outcome bounds.
+
+The clever weights are derived once per (data, nuisances) pair, for both
+designs, and shared by every estimator of that pair: H = I(A=0)/g, 1/g
+and sum(H) here, and R, H, their inverse probabilities and their sums
+for :mod:`eiftools.longitudinal`. The estimators trust what the
+``Dataset`` and ``NuisanceEstimates`` constructors checked. The public
+functions keep their checks: :func:`eif_values` checks the lengths and
+that g lies strictly in (0, 1), :func:`fluctuate` that its inputs are
+finite with weights nonnegative and not all zero, and
+:func:`wald_inference` that there are two or more values with a finite
+variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ._numeric import expit, logit, softplus
-from .data import Dataset
+from .data import Dataset, LongDataset
 from .glm import (DEFAULT_MAX_ITERATIONS, DEFAULT_SCORE_TOLERANCE,
                   SEPARATION_NORM, GlmError, NonConvergenceError,
                   SeparationError, SingularDesignError)
@@ -125,14 +136,47 @@ def wald_inference(eif: np.ndarray, psi_hat: float
     return se, (psi_hat - Z975 * se, psi_hat + Z975 * se)
 
 
-def _check_sizes(data: Dataset, nuisance: NuisanceEstimates) -> None:
+class _CleverWeight(NamedTuple):
+    """One clever weight: ``values`` = I(regime) / p, its regime
+    covariate ``inverse`` = 1 / p, and ``total`` = sum(values)."""
+
+    values: np.ndarray
+    inverse: np.ndarray
+    total: float
+
+
+def _clever_weights(data: Union[Dataset, LongDataset], nuisance
+                    ) -> Tuple[_CleverWeight, ...]:
+    """The clever weights of ``nuisance`` on ``data``: (H,) for the point
+    design, H = I(A=0)/g; (R, H) for the two-period one,
+    R = I(A0=A1=0)/(g0 g1) and H = I(A0=0)/g0.
+
+    They are derived once per (data, nuisance) pair and memoised on
+    ``nuisance``, keyed by the identity of ``data``; the key holds
+    ``data`` itself, so a later dataset cannot reuse a freed one's id.
+    Raises ValueError if ``nuisance`` was fit on a dataset of another
+    size.
+    """
+    memo = getattr(nuisance, "_clever_weights", None)
+    if memo is not None and memo[0] is data:
+        return memo[1]
     if nuisance.n_obs != data.n_obs:
         raise ValueError("nuisance estimates do not match the dataset size")
-
-
-def _clever_covariate(data: Dataset, nuisance: NuisanceEstimates) -> np.ndarray:
-    _check_sizes(data, nuisance)
-    return (data.treatment == 0.0).astype(float) / nuisance.propensity_pred
+    if isinstance(data, LongDataset):
+        first = data.a0 == 0.0
+        regimes = ((first & (data.a1 == 0.0), nuisance.g0 * nuisance.g1),
+                   (first, nuisance.g0))
+    else:
+        regimes = ((data.treatment == 0.0, nuisance.propensity_pred),)
+    weights = []
+    for indicator, probability in regimes:
+        # indicator * (1/p) rounds as indicator / p: the indicator is 0 or 1.
+        inverse = 1.0 / probability
+        values = indicator * inverse
+        weights.append(_CleverWeight(values, inverse, float(values.sum())))
+    memo = (data, tuple(weights))
+    object.__setattr__(nuisance, "_clever_weights", memo)
+    return memo[1]
 
 
 def _result(estimator: str, phi: np.ndarray, psi: float, nuisance,
@@ -145,12 +189,17 @@ def _result(estimator: str, phi: np.ndarray, psi: float, nuisance,
     of ``nuisance``) followed by ``extra``. Raises ValueError when ``psi``
     or ``phi`` overflowed: each estimator computes them with numpy's
     overflow and invalid-value warnings off, so this check reports it."""
-    if not (math.isfinite(psi) and np.isfinite(phi).all()):
+    # A finite sum has finite terms, so one sum serves this check and
+    # mean_eif; a finite phi whose sum overflows fails wald_inference's
+    # variance check, as before.
+    total = float(phi.sum())
+    if not (math.isfinite(psi)
+            and (math.isfinite(total) or np.isfinite(phi).all())):
         raise ValueError(f"the estimate overflows: the {estimator} value or "
                          "its influence-function values are not finite")
     se, ci = wald_inference(phi, psi)
     diagnostics: Dict[str, object] = {
-        "mean_eif": float(phi.sum() / phi.shape[0]),
+        "mean_eif": total / phi.shape[0],
         "n_truncated": nuisance.n_truncated,
         "cross_fitted": nuisance.fold_assignment is not None,
         **extra,
@@ -159,18 +208,26 @@ def _result(estimator: str, phi: np.ndarray, psi: float, nuisance,
                   diagnostics=diagnostics, **fields)
 
 
-def _point_result(estimator: str, data: Dataset, mu_for_eif: np.ndarray,
+def _point_result(estimator: str, pseudo_outcome: np.ndarray,
                   nuisance: NuisanceEstimates, psi: float,
                   extra: Optional[Dict[str, object]] = None,
                   fluctuation: Optional[FluctuationFit] = None
                   ) -> EstimateResult:
-    """:func:`_result` with the influence function at ``mu_for_eif``."""
-    phi = eif_values(data, mu_for_eif, nuisance.propensity_pred, psi)
-    return _result(estimator, phi, psi, nuisance,
+    """:func:`_result` with the influence function
+    ``pseudo_outcome - psi``, where ``pseudo_outcome`` is
+    H (Y - mu) + mu at the mu the estimate evaluates it at."""
+    return _result(estimator, pseudo_outcome - psi, psi, nuisance,
                    {"outcome_learner": nuisance.outcome_learner,
                     "propensity_learner": nuisance.propensity_learner,
                     **(extra or {})},
                    fluctuation=fluctuation)
+
+
+def _pseudo_outcome(data: Dataset, nuisance: NuisanceEstimates,
+                    mu: np.ndarray) -> np.ndarray:
+    """H (Y - mu) + mu, the influence function at ``mu`` plus psi."""
+    (h,) = _clever_weights(data, nuisance)
+    return h.values * (data.outcome - mu) + mu
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _result
@@ -182,10 +239,11 @@ def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     has no general validity guarantee; the caveat is flagged in
     diagnostics.
     """
-    _check_sizes(data, nuisance)
-    psi = float(nuisance.outcome_pred.sum() / data.n_obs)
+    mu = nuisance.outcome_pred
+    pseudo = _pseudo_outcome(data, nuisance, mu)
+    psi = float(mu.sum() / data.n_obs)
     return _point_result(
-        "gcomp", data, nuisance.outcome_pred, nuisance, psi,
+        "gcomp", pseudo, nuisance, psi,
         extra={"inference_caveat":
                "plug-in estimator; influence-function interval is not "
                "theoretically valid with data-adaptive nuisance learners"},
@@ -200,10 +258,9 @@ def one_step(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     The influence function for inference is evaluated at the plug-in
     nuisances and this psi_hat, where its mean is zero by construction.
     """
-    h = _clever_covariate(data, nuisance)
-    mu = nuisance.outcome_pred
-    psi = float((h * (data.outcome - mu) + mu).sum() / data.n_obs)
-    return _point_result("one_step", data, mu, nuisance, psi)
+    pseudo = _pseudo_outcome(data, nuisance, nuisance.outcome_pred)
+    psi = float(pseudo.sum() / data.n_obs)
+    return _point_result("one_step", pseudo, nuisance, psi)
 
 
 def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
@@ -218,7 +275,12 @@ def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
 
 def _solve_linear(z, b, w, x, tol: float) -> float:
     """Root c of sum(w (z - b - c x)) = 0 in closed form, with up to
-    three refinement rounds if rounding leaves the score above ``tol``."""
+    three refinement rounds if rounding leaves the score above ``tol``.
+
+    Raises ValueError when the slope sum(w x) or the sum of the score's
+    term magnitudes overflows: the score then has no finite rounding
+    bound, so no coefficient can be certified (NonConvergenceError
+    otherwise)."""
     wx = float((w * x).sum())
     c, score = 0.0, float((w * (z - b)).sum())
     for _ in range(4):
@@ -226,6 +288,12 @@ def _solve_linear(z, b, w, x, tol: float) -> float:
         score = float((w * (z - (b + c * x))).sum())
         if abs(score) <= tol:
             return c
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here
+        magnitude = float(np.abs(w * (z - (b + c * x))).sum())
+    if not (math.isfinite(wx) and math.isfinite(magnitude)):
+        raise ValueError("the weighted least-squares score overflows: the "
+                         "slope or the sum of its terms' magnitudes is not "
+                         "finite")
     raise NonConvergenceError(
         "weighted least squares did not reach the score tolerance",
         np.array([c]), np.array([score]), 4)
@@ -307,7 +375,17 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
             and 0.0 <= w.min() and w.max() > 0.0):
         raise ValueError("fluctuation inputs must be finite, with weights "
                          "nonnegative and not all zero")
-    tol = DEFAULT_SCORE_TOLERANCE * (1.0 + float(w.sum()))
+    return _solve_fluctuation(z, b, w, regime_covariate, variant, bounds,
+                              float(w.sum()))
+
+
+def _solve_fluctuation(z: np.ndarray, b: np.ndarray, w: np.ndarray,
+                       regime_covariate, variant: str,
+                       bounds: Optional[Tuple[float, float]],
+                       w_total: float) -> FluctuationFit:
+    """:func:`fluctuate` on inputs that passed its checks, with
+    ``w_total`` the sum of the weights ``w``."""
+    tol = DEFAULT_SCORE_TOLERANCE * (1.0 + w_total)
     if variant == "weighted_logistic":
         lo, hi = bounds
         if not (lo <= z.min() and z.max() <= hi):
@@ -337,10 +415,11 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
                           float((w * (z - targeted)).sum()))
 
 
-def _labelled_fluctuation(label: str, *args) -> FluctuationFit:
-    """:func:`fluctuate`, with ``label`` prefixed to a failure's message."""
+def _labelled_fluctuation(label: str, solve, *args) -> FluctuationFit:
+    """``solve(*args)``, :func:`fluctuate` or its unchecked kernel, with
+    ``label`` prefixed to a failure's message."""
     try:
-        return fluctuate(*args)
+        return solve(*args)
     except (GlmError, ValueError) as exc:
         exc.args = (f"{label}: {exc.args[0]}",) + exc.args[1:]
         raise
@@ -379,19 +458,24 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
     GlmError, ValueError
         Targeting-model failure, annotated with the variant.
     """
-    h = _clever_covariate(data, nuisance)
-    fluct = _labelled_fluctuation(
-        f"targeting step ({variant})", data.outcome, nuisance.outcome_pred,
-        h, 1.0 / nuisance.propensity_pred, variant,
-        _scaling_bounds(variant, data, y_bounds))
+    (h,) = _clever_weights(data, nuisance)
+    label = f"targeting step ({variant})"
+    args = (data.outcome, nuisance.outcome_pred, h.values, h.inverse,
+            variant, _scaling_bounds(variant, data, y_bounds))
+    # The constructors checked y and mu, and H is finite when its sum is,
+    # so only a weight sum that overflows is left to fluctuate's checks.
+    fluct = (_labelled_fluctuation(label, _solve_fluctuation, *args, h.total)
+             if math.isfinite(h.total)
+             else _labelled_fluctuation(label, fluctuate, *args))
     psi = float(fluct.targeted_pred.sum() / data.n_obs)
     return _point_result(
-        f"tmle_{variant}", data, fluct.targeted_pred, nuisance, psi,
+        f"tmle_{variant}", _pseudo_outcome(data, nuisance, fluct.targeted_pred),
+        nuisance, psi,
         extra={
             "variant": variant,
             "fluctuation_coefficient": fluct.coefficient,
             "score_residual": fluct.score_residual,
-            "score_scale": float(1.0 + h.sum()),
+            "score_scale": float(1.0 + h.total),
             "targeted_pred_min": float(fluct.targeted_pred.min()),
             "targeted_pred_max": float(fluct.targeted_pred.max()),
         },

@@ -29,8 +29,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .data import LongDataset
-from .estimators import (EstimateResult, _check_sizes, _labelled_fluctuation,
-                         _result, _scaling_bounds)
+from .estimators import (EstimateResult, _clever_weights,
+                         _labelled_fluctuation, _result, _scaling_bounds,
+                         fluctuate)
 from .glm import Link
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, _held_out_predictions,
                        _validate_truncation, fit_outcome, fit_propensity,
@@ -53,7 +54,9 @@ class SequentialNuisances:
     """Per-observation initial fits for the two-time-point estimand.
 
     ``g0``, ``g1``, ``mu_hat`` come from :func:`fit_sequential_nuisances`;
-    the estimators read them and leave them as they are. ``g1`` is
+    the estimators read them and leave them as they are, and keep the
+    clever weights they derive from g0 and g1 on this object, per
+    dataset, so its arrays must not be changed in place. ``g1`` is
     exactly 1 when the second treatment is identically 0 in the fitting
     stratum (the point-treatment reduction), in which case the truncation
     bounds are deliberately not applied to it.
@@ -82,18 +85,6 @@ class SequentialNuisances:
         return self.g0.shape[0]
 
 
-def _weights(data: LongDataset, nuis: SequentialNuisances
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Clever weights (R, H) for the two targeting steps.
-
-    Raises ValueError if ``nuis`` was fit on a dataset of another size.
-    """
-    _check_sizes(data, nuis)
-    both = ((data.a0 == 0.0) & (data.a1 == 0.0)).astype(float)
-    first = (data.a0 == 0.0).astype(float)
-    return both / (nuis.g0 * nuis.g1), first / nuis.g0
-
-
 def eif_long(data: LongDataset, nuisances: SequentialNuisances,
              mu: np.ndarray, emu: np.ndarray, theta: float) -> np.ndarray:
     """Influence-function values for every observation, at the
@@ -103,8 +94,9 @@ def eif_long(data: LongDataset, nuisances: SequentialNuisances,
     :func:`tmle_long` evaluates it at its targeted mu* and e*, and
     :func:`one_step_long` at mu_hat and its regression of mu_hat on W0.
     """
-    r, h = _weights(data, nuisances)
-    return (r * (data.outcome - mu) + h * (mu - emu) + emu - float(theta))
+    r, h = _clever_weights(data, nuisances)
+    return (r.values * (data.outcome - mu) + h.values * (mu - emu) + emu
+            - float(theta))
 
 
 def fit_sequential_nuisances(
@@ -191,14 +183,14 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
     point-treatment one-step, the estimate is not constrained to the
     outcome bounds.
     """
-    r, h = _weights(data, nuisances)
+    r, h = _clever_weights(data, nuisances)
     mu = nuisances.mu_hat
     emu = _fit_emu(data, mu, emu_learner, "weighted_linear", None,
                    nuisances.fold_assignment)
     n = data.n_obs
     plug_in = float(emu.sum() / n)
     theta = plug_in + float(
-        (r * (data.outcome - mu) + h * (mu - emu)).sum() / n)
+        (r.values * (data.outcome - mu) + h.values * (mu - emu)).sum() / n)
     return _result(
         "one_step_long", eif_long(data, nuisances, mu, emu, theta), theta,
         nuisances,
@@ -247,17 +239,19 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
         ``ValueError`` from a targeting step).
     """
     bounds = _scaling_bounds(variant, data, y_bounds)
-    r, h = _weights(data, nuisances)
+    r, h = _clever_weights(data, nuisances)
 
+    # Unlike the point design's, these offsets come from fits and may
+    # overflow, so both steps keep fluctuate's input checks.
     step3 = _labelled_fluctuation(
-        "step 3 (fluctuate mu)", data.outcome, nuisances.mu_hat, r,
-        1.0 / (nuisances.g0 * nuisances.g1), variant, bounds)
+        "step 3 (fluctuate mu)", fluctuate, data.outcome, nuisances.mu_hat,
+        r.values, r.inverse, variant, bounds)
     mu_star = step3.targeted_pred
     emu_hat = _fit_emu(data, mu_star, emu_learner, variant, bounds,
                        nuisances.fold_assignment)
     step5 = _labelled_fluctuation(
-        "step 5 (fluctuate the W0 regression)", mu_star, emu_hat,
-        h, 1.0 / nuisances.g0, variant, bounds)
+        "step 5 (fluctuate the W0 regression)", fluctuate, mu_star, emu_hat,
+        h.values, h.inverse, variant, bounds)
     emu_star = step5.targeted_pred
     theta = float(emu_star.sum() / data.n_obs)
     return _result(
@@ -268,11 +262,11 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
             "variant": variant,
             "step3_coefficient": step3.coefficient,
             "step3_score_residual": step3.score_residual,
-            "step3_weight_sum": float(r.sum()),
+            "step3_weight_sum": r.total,
             "step5_response": "mu_star",
             "step5_coefficient": step5.coefficient,
             "step5_score_residual": step5.score_residual,
-            "step5_weight_sum": float(h.sum()),
+            "step5_weight_sum": h.total,
             "targeted_pred_min": float(emu_star.min()),
             "targeted_pred_max": float(emu_star.max()),
             "mu_star_min": float(mu_star.min()),

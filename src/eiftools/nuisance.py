@@ -346,6 +346,11 @@ class _KnnPredictor:
             rows = unsettled[start:start + step]
             means[rows] = self._nearest_mean(
                 self._distances(x[rows], 0, m, terms, dist), 0)[1]
+        # A count over k is finite; a mean of responses can overflow.
+        if self.ones is None and not np.isfinite(means).all():
+            raise NuisanceError(
+                f"k_nearest_neighbors:k={self.k}: a mean of the nearest "
+                "rows' responses overflows")
         out = np.empty(x.shape[0])
         out[by_q0] = means
         return out
@@ -405,7 +410,8 @@ class _KnnPredictor:
         column = flat % w + lo
         rank = np.lexsort((self.order[column], d2.ravel()[flat]), axis=1)
         z = self.train_z[column]
-        return kth, np.mean(z[np.arange(len(z))[:, None], rank], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # see predict
+            return kth, np.mean(z[np.arange(len(z))[:, None], rank], axis=1)
 
 
 class _ConstantPredictor:
@@ -423,7 +429,9 @@ class NuisanceEstimates:
     ``outcome_pred[i]`` estimates E(Y | A=0, W_i) and ``propensity_pred[i]``
     estimates P(A=0 | W_i), already truncated into ``truncation_bounds``.
     When ``fold_assignment`` is present, row ``i``'s predictions come from
-    models fit without fold ``fold_assignment[i]``.
+    models fit without fold ``fold_assignment[i]``. The estimators keep
+    the clever weights they derive from ``propensity_pred`` on this
+    object, per dataset, so its arrays must not be changed in place.
     """
 
     outcome_pred: np.ndarray

@@ -1,4 +1,7 @@
-"""Point-treatment estimator tests: identities, oracles, bounding."""
+"""Point-treatment estimator tests: identities, oracles, bounding, and the
+clever weights that the estimators of both designs share."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import eiftools.estimators as est
+import eiftools.longitudinal as lng
 from eiftools.data import Dataset
 from eiftools.estimators import (
     TMLE_VARIANTS,
@@ -19,7 +23,7 @@ from eiftools.estimators import (
 )
 from eiftools.glm import GlmError
 from eiftools.nuisance import LearnerSpec, NuisanceEstimates, fit_nuisance
-from helpers import random_point_dataset
+from helpers import random_long_dataset, random_point_dataset
 from oracles import (
     eif_by_hand,
     fluctuation_root,
@@ -343,6 +347,18 @@ def test_unknown_variant_and_size_mismatch():
         gcomp(SATURATED, short)
 
 
+@pytest.mark.parametrize("variant", TMLE_VARIANTS)
+def test_clever_weights_that_overflow_fail_fluctuate_input_check(variant):
+    # A truncation bound below 1/DBL_MAX lets 1/g overflow to inf. The
+    # point TMLE then runs fluctuate's input checks, which it skips when
+    # the weight sum is finite.
+    nuis = NuisanceEstimates(np.zeros(4), np.full(4, 1e-320),
+                             truncation_bounds=(1e-320, 0.5))
+    with pytest.raises(ValueError, match=rf"^targeting step \({variant}\): "
+                       "fluctuation inputs must be finite"):
+        tmle(SATURATED, nuis, variant)
+
+
 def test_result_json_shape():
     nuis = _main_terms_nuisance(SATURATED)
     fit = tmle(SATURATED, nuis, "weighted_logistic")
@@ -380,3 +396,57 @@ def test_covariate_fluctuation_predicts_under_the_regime():
     # the same misspecified outcome model leaves the plug-in visibly biased
     plug_in = gcomp(data, nuis)
     assert abs(plug_in.psi_hat - truth) > 6.0 * fit.se
+
+
+# Each design's estimators, as functions of (data, nuisances), and a
+# builder of (data, nuisances) from a seed; every estimator of a
+# (data, nuisances) pair reads the clever weights derived for that pair.
+_DESIGNS = {
+    "point": (
+        [gcomp, one_step] + [lambda d, n, v=v: tmle(d, n, v)
+                             for v in TMLE_VARIANTS],
+        lambda seed: random_point_dataset(np.random.default_rng(seed), n=120),
+        _main_terms_nuisance),
+    "longitudinal": (
+        [lng.one_step_long] + [lambda d, n, v=v: lng.tmle_long(d, n, v)
+                               for v in TMLE_VARIANTS],
+        lambda seed: random_long_dataset(np.random.default_rng(seed), n=120,
+                                         binary_y=False),
+        lng.fit_sequential_nuisances),
+}
+
+
+def _assert_bit_equal(result, expected):
+    """Everything two estimates report is equal, each float to the bit."""
+    assert ([float.hex(v) for v in (result.psi_hat, result.se, *result.ci95)]
+            == [float.hex(v) for v in (expected.psi_hat, expected.se,
+                                       *expected.ci95)])
+    assert np.array_equal(result.eif, expected.eif)
+    assert result.to_json_dict() == expected.to_json_dict()
+
+
+@pytest.mark.parametrize("design", sorted(_DESIGNS))
+def test_estimators_in_any_order_equal_each_one_alone(design):
+    estimators, draw, fit = _DESIGNS[design]
+    data = draw(31)
+    nuis = fit(data)
+    # Each alone, on nuisances built afresh (replace builds a new object).
+    alone = [run(data, replace(nuis)) for run in estimators]
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        shared = replace(nuis)
+        for i in rng.permutation(len(estimators)):
+            _assert_bit_equal(estimators[i](data, shared), alone[i])
+
+
+@pytest.mark.parametrize("design", sorted(_DESIGNS))
+def test_one_nuisances_object_follows_the_dataset_it_is_given(design):
+    # Nuisances fit on one dataset, used with another of the same size:
+    # each call reads the weights of the dataset it is given.
+    estimators, draw, fit = _DESIGNS[design]
+    first, second = draw(32), draw(33)
+    assert first.n_obs == second.n_obs
+    nuis = fit(first)
+    for data in (first, second, first, second):
+        for run in estimators:
+            _assert_bit_equal(run(data, nuis), run(data, replace(nuis)))

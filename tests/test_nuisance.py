@@ -476,6 +476,22 @@ def test_knn_overflowing_covariate_raises_nuisance_error(train_w, query_w,
             np.array(query_w)[:, None])
 
 
+@pytest.mark.parametrize("outcome", [
+    [1.5e308, 1.6e308, 1.0, 2.0],
+    [1.7e308, 1.7e308, -1.7e308, 2.0],
+], ids=["sum_overflows", "sum_is_nan"])
+def test_knn_overflowing_neighbour_mean_raises_nuisance_error(outcome):
+    # Every outcome is finite, but the sum behind some row's mean of its
+    # two nearest untreated outcomes is not. Once np.mean only warned (an
+    # error under the test settings).
+    data = Dataset.from_columns({"w": [0.0, 1.0, 2.0, 3.0]},
+                                [0.0, 0.0, 0.0, 1.0], outcome)
+    with pytest.raises(NuisanceError, match="^k_nearest_neighbors:k=2: a "
+                                            "mean of the nearest rows' "
+                                            "responses overflows$"):
+        _outcome_on_all_rows(data, LearnerSpec("k_nearest_neighbors", k=2))
+
+
 def test_outcome_needs_two_untreated_rows():
     data = Dataset.from_columns(
         {"w": [0.0, 1.0, 2.0]}, [0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
