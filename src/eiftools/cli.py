@@ -135,42 +135,49 @@ def write_dataset_csv(data: Union[Dataset, LongDataset], path: str):
 def _read_csv_columns(path: str) -> Dict[str, np.ndarray]:
     """Float columns of a CSV file, keyed by header name.
 
-    A plain file (ASCII, no quote characters, no carriage returns) is
-    parsed by one ``np.loadtxt`` call. Any other file, and any plain file
-    that ``loadtxt`` rejects or parses to another shape than one row per
-    body line, is read again by :func:`_read_csv_columns_per_cell`, which
-    words every error. ``loadtxt`` skips blank lines, so the shape check
-    is what keeps them an error.
+    A plain file (ASCII after any UTF-8 byte-order mark, no quote
+    characters, no carriage returns) is parsed from its bytes by one
+    ``np.loadtxt`` call, with no decoded copy of the text. Any other
+    file, and any plain file that ``loadtxt`` rejects or parses to
+    another shape than one row per body line, is decoded and read again
+    by :func:`_read_csv_columns_per_cell`, which words every error.
+    ``loadtxt`` skips blank lines, so the shape check is what keeps them
+    an error.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    try:
-        text = raw.decode("utf-8-sig")  # drops a leading byte-order mark
-    except UnicodeDecodeError as exc:
-        # utf-8-sig counts offsets from after the mark; report the file's.
-        bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0
-        raise UsageError(f"{path}: not UTF-8 text: {exc.reason} at byte "
-                         f"{exc.start + bom}") from None
-    header_line, _, body = text.partition("\n")
-    header = header_line.split(",")
+    # Sliced off the header, so that the file is not copied for a mark.
+    bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0
+    header_line, _, body = raw.partition(b"\n")
+    header_line = header_line[bom:]
+    header = header_line.split(b",")
     # An all-blank body would make loadtxt warn; float() rejects the
     # ASCII separators \x1c-\x1f that loadtxt strips.
-    plain = (text.isascii() and header_line
-             and len(set(header)) == len(header)
+    plain = (header_line and len(set(header)) == len(header)
              and body and not body.isspace()
-             and not any(c in text for c in '"\r\x1c\x1d\x1e\x1f'))
+             and all(part.isascii()
+                     and not any(c in part for c in b'"\r\x1c\x1d\x1e\x1f')
+                     for part in (header_line, body)))
     if plain:
-        n_lines = body.count("\n") + (not body.endswith("\n"))
+        n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
         try:
-            table = np.loadtxt(io.StringIO(body), delimiter=",",
-                               comments=None, ndmin=2, dtype=float)
+            table = np.loadtxt(io.BytesIO(body), delimiter=",",
+                               comments=None, ndmin=2, dtype=float,
+                               encoding="ascii")
         except ValueError:
             pass
         else:
             if table.shape == (n_lines, len(header)):
-                return dict(zip(header, np.ascontiguousarray(table.T)))
+                return dict(zip(header_line.decode("ascii").split(","),
+                                np.ascontiguousarray(table.T)))
+    try:
+        text = raw.decode("utf-8-sig")  # drops a leading byte-order mark
+    except UnicodeDecodeError as exc:
+        # utf-8-sig counts offsets from after the mark; report the file's.
+        raise UsageError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start + bom}") from None
     return _read_csv_columns_per_cell(text, path)
 
 

@@ -120,6 +120,7 @@ def _bernoulli_loglik(eta: np.ndarray, z: np.ndarray):
     return (z * eta - softplus(eta)).sum(axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked below
 def _fit_identity(X, z, tol_abs):
     p = X.shape[1]
     beta, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
@@ -132,8 +133,14 @@ def _fit_identity(X, z, tol_abs):
     score = X.T @ resid
     # Up to three rounds of iterative refinement if rounding left the score
     # sums above tolerance (can happen with badly scaled covariates).
-    while np.abs(score).max() > tol_abs:
-        if iterations > 3:
+    while not np.abs(score).max() <= tol_abs:
+        if iterations > 3 or not np.isfinite(score).all():
+            # As in estimators._solve_linear: a score whose terms'
+            # magnitudes overflow has no finite rounding bound to meet.
+            if not np.isfinite(np.abs(X).T @ np.abs(resid)).all():
+                raise ValueError("the least-squares score overflows: the "
+                                 "sum of its terms' magnitudes is not "
+                                 "finite")
             raise NonConvergenceError(
                 "least squares did not reach the score tolerance",
                 beta, score, iterations,
@@ -319,6 +326,9 @@ def fit_glm(X, response, link: Link) -> GlmFit:
         Logit coefficients diverged (complete separation).
     NonConvergenceError
         Iteration cap reached; carries the last iterate and its score sums.
+    ValueError
+        Invalid input, or an identity-link score whose terms' magnitudes
+        overflow float64, so that no tolerance can certify it.
     """
     link = Link(link)
     X, z = _validate(X, response, link)

@@ -15,10 +15,9 @@ cross-check each other in the test suite.
 ``run_experiment`` replays an estimation plan over many replicates with
 independent, order-insensitive seed streams and reports bias, empirical
 and estimated standard errors, CI coverage, bound violations, and
-failures (never silently dropped). A Monte Carlo truth is drawn on a
-second thread while the replicates run, and the GLM propensity models
-of a block of replicates are fit in one stacked solve, each with the
-same bytes out.
+failures (never silently dropped). The true value is computed first,
+on the caller's thread, and the GLM propensity models of a block of
+replicates are fit in one stacked solve, each with the same bytes out.
 
 ``fit_plan_nuisance`` and ``run_estimator`` are the one path from a
 dataset of either design to its estimates, for ``run_experiment`` and
@@ -717,15 +716,6 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
                        mc_se=float(np.sqrt(var / draws)), mc_draws=draws)
 
 
-def _check_truth_method(method: str, mc_draws: int):
-    """Raise ValueError unless :func:`true_value` takes ``method`` and,
-    for ``monte_carlo``, ``mc_draws``."""
-    if method not in ("analytic", "monte_carlo"):
-        raise ValueError(f"unknown truth method {method!r}")
-    if method == "monte_carlo" and mc_draws < 2:
-        raise ValueError("mc_draws must be at least 2")
-
-
 def true_value(dgp: DgpConfig, method: str = "analytic",
                mc_draws: int = 1_000_000,
                mc_seed: Union[int, np.random.SeedSequence] = 0) -> TruthResult:
@@ -737,7 +727,10 @@ def true_value(dgp: DgpConfig, method: str = "analytic",
     reports the Monte Carlo standard error. A value or standard error
     that overflows float64 raises ValueError.
     """
-    _check_truth_method(method, mc_draws)
+    if method not in ("analytic", "monte_carlo"):
+        raise ValueError(f"unknown truth method {method!r}")
+    if method == "monte_carlo" and mc_draws < 2:
+        raise ValueError("mc_draws must be at least 2")
     if method == "analytic":
         truth = TruthResult(value=_analytic_truth(dgp), method="analytic")
     else:
@@ -1001,10 +994,11 @@ def _generate_replicate(dgp: DgpConfig, n: int, seed: int, r: int
 def _replicate_records(r: int, data, raw_propensity: Optional[np.ndarray],
                        seed: int, plan: EstimationPlan,
                        estimator_names: Sequence[str],
-                       bounds: Optional[Tuple[float, float]]
+                       bounds: Optional[Tuple[float, float]], truth: float
                        ) -> List[ReplicateRecord]:
     """One record per estimator for replicate ``r``, whose draw ``data``
-    is a dataset or the failure it raised; ``covered`` is left unscored."""
+    is a dataset or the failure it raised, scored against the true value
+    ``truth``."""
     def failed(exc: Exception) -> List[ReplicateRecord]:
         return [ReplicateRecord(replicate=r, estimator=name,
                                 error=_failure(exc))
@@ -1028,9 +1022,10 @@ def _replicate_records(r: int, data, raw_propensity: Optional[np.ndarray],
             records.append(ReplicateRecord(replicate=r, estimator=name,
                                            error=_failure(exc)))
             continue
+        lo, hi = res.ci95
         rec = ReplicateRecord(replicate=r, estimator=name,
-                              psi_hat=res.psi_hat, se=res.se,
-                              ci_lo=res.ci95[0], ci_hi=res.ci95[1])
+                              psi_hat=res.psi_hat, se=res.se, ci_lo=lo,
+                              ci_hi=hi, covered=bool(lo <= truth <= hi))
         if bounds is not None:
             rec.out_of_bounds = bool(res.psi_hat < bounds[0]
                                      or res.psi_hat > bounds[1])
@@ -1052,15 +1047,12 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     estimator of the replicate; an estimator's own failure fails only
     that estimator's record.
 
-    No replicate needs the true value until its coverage is scored, so a
-    ``monte_carlo`` truth is drawn on a one-worker
-    ``concurrent.futures.ThreadPoolExecutor`` while the replicates run.
-    The pool is shut down, which joins its worker, on every exit from
-    the replicate loop; the truth's error, if any, is raised again
-    unchanged, and coverage is scored once the truth is read. Its draws
-    come from their own stream, so the report's bytes are the same as
-    when it ran first. The exact ``analytic`` sum runs before replicate 0,
-    and every error the truth method raises for its arguments does too.
+    The true value comes first: :func:`true_value` runs once, on the
+    calling thread, before replicate 0, so an error in the truth
+    arguments and a truth that overflows are raised before any replicate
+    is drawn, and each record's coverage is scored as it is built. A
+    ``monte_carlo`` truth draws from its own stream, derived from
+    (seed, 2**31), so no replicate's draws depend on it.
 
     Replicates run in blocks of consecutive replicates, sized so that the
     stacked propensity model matrices hold at most ``_BLOCK_ENTRIES``
@@ -1089,43 +1081,24 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
         raise ValueError(
             f"y_bounds {tuple(plan.y_bounds)} do not contain the outcome "
             f"bounds {implied} of the DGP")
-    _check_truth_method(truth_method, mc_draws)
-    truth_args = (dgp, truth_method, mc_draws,
-                  np.random.SeedSequence(seed, spawn_key=(2**31,)))
+    truth = true_value(dgp, truth_method, mc_draws,
+                       np.random.SeedSequence(seed, spawn_key=(2**31,)))
     bounds = plan.y_bounds if plan.y_bounds is not None else implied
-    pool = pending = None
-    if truth_method == "monte_carlo":
-        # Imported here: it loads logging, which no other run needs.
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=1)
-        pending = pool.submit(true_value, *truth_args)
-    else:
-        truth = true_value(*truth_args)
 
     per_block = _replicates_per_block(dgp, n, plan)
     records: List[ReplicateRecord] = []
-    try:
-        for start in range(0, replications, per_block):
-            block = range(start, min(start + per_block, replications))
-            drawn = [_generate_replicate(dgp, n, seed, r) for r in block]
-            raw_propensities = (stacked_propensity_predictions(
-                plan.propensity_learner,
-                [None if isinstance(d, Exception) else d for d in drawn],
-                plan.propensity_covariates)
-                if per_block > 1 else [None] * len(drawn))
-            for r, data, raw_propensity in zip(block, drawn,
-                                               raw_propensities):
-                records += _replicate_records(
-                    r, data, raw_propensity, seed, plan, estimator_names,
-                    bounds)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if pending is not None:
-        truth = pending.result()
-    for rec in records:
-        if rec.error is None:
-            rec.covered = bool(rec.ci_lo <= truth.value <= rec.ci_hi)
+    for start in range(0, replications, per_block):
+        block = range(start, min(start + per_block, replications))
+        drawn = [_generate_replicate(dgp, n, seed, r) for r in block]
+        raw_propensities = (stacked_propensity_predictions(
+            plan.propensity_learner,
+            [None if isinstance(d, Exception) else d for d in drawn],
+            plan.propensity_covariates)
+            if per_block > 1 else [None] * len(drawn))
+        for r, data, raw_propensity in zip(block, drawn, raw_propensities):
+            records += _replicate_records(
+                r, data, raw_propensity, seed, plan, estimator_names,
+                bounds, truth.value)
 
     summaries = []
     for name in estimator_names:

@@ -782,12 +782,7 @@ def test_negative_y_bounds_need_the_equals_form(tmp_path, capsys):
 _HUGE_OUTCOME = {"intercept": 0.4e308,
                  "noise": {"kind": "uniform", "half_width": 0.3e308}}
 _HUGE_DGPS = {
-    "point": {
-        "design": "point",
-        "covariates": [{"name": "w", "dist": "bernoulli", "p": 0.5}],
-        "treatment": {"intercept": 0.2, "coefs": {"w": 0.3}},
-        "outcome": dict(_HUGE_OUTCOME, coefs={"w": 1e308}),
-        "y_bounds": [0, 1.75e308]},
+    "point": read_json(FIXTURES / "dgp_huge_point.json"),
     "longitudinal": {
         "design": "longitudinal",
         "covariates": [{"name": "w0", "dist": "bernoulli", "p": 0.5}],
@@ -832,6 +827,43 @@ def test_overflowing_estimates_are_input_errors(tmp_path, design):
             assert error["message"] == (
                 f"the estimate overflows: the {name} value or its "
                 "influence-function values are not finite")
+
+
+_LSQ_OVERFLOW = ("the least-squares score overflows: the sum of its "
+                 "terms' magnitudes is not finite")
+_KNN_OVERFLOW = ("k_nearest_neighbors:k=5: a mean of the nearest rows' "
+                 "responses overflows")
+
+
+# (design, outcome learner, each record's error, estimate's exit code and
+# payload). The identity-link fit once raised a RuntimeWarning from its
+# score's matmul, or a NonConvergenceError that blamed the tolerance.
+@pytest.mark.parametrize("design, learner, error, code, payload", [
+    ("point", "glm_main_terms", f"ValueError: {_LSQ_OVERFLOW}", 2,
+     {"type": "UsageError", "message": _LSQ_OVERFLOW}),
+    ("longitudinal", "glm_main_terms", f"ValueError: {_LSQ_OVERFLOW}", 2,
+     {"type": "UsageError", "message": _LSQ_OVERFLOW}),
+    ("point", "k_nearest_neighbors:k=5", f"NuisanceError: {_KNN_OVERFLOW}",
+     3, {"type": "NuisanceError", "message": _KNN_OVERFLOW}),
+])
+def test_overflowing_outcome_fit_fails_every_record(tmp_path, design, learner,
+                                                    error, code, payload):
+    config = tmp_path / "dgp.json"
+    config.write_text(json.dumps(_HUGE_DGPS[design]), encoding="utf-8")
+    draw = tmp_path / "draw.csv"
+    flags = ["--outcome-learner", learner]
+    assert run_cli(["simulate", "--config", config, "--n", "150",
+                    "--replications", "4", "--seed", "7", *flags,
+                    "--out", tmp_path / "r.json", "--emit-data", draw]) == 0
+    names = POINT_NAMES if design == "point" else LONG_NAMES
+    with open(tmp_path / "r.csv", encoding="utf-8", newline="") as fh:
+        errors = [(row["estimator"], row["error"])
+                  for row in csv.DictReader(fh)]
+    assert errors == [(name, error) for _ in range(4) for name in names]
+    out = tmp_path / "est.json"
+    assert run_cli(["estimate", "--data", draw, "--design", design, *flags,
+                    "--out", out]) == code
+    assert read_json(out)["error"] == payload
 
 
 @pytest.mark.parametrize("config, n, seed, message", [
@@ -950,7 +982,8 @@ MC_SIMULATE = ["--truth-method", "monte_carlo", "--mc-draws", "2000",
      "DgpValidationError", "covariates[0] (w): uniform needs a finite width"),
     ("dgp_overflow_coef.json", ["simulate", *MC_SIMULATE], "UsageError",
      "the true value overflows: the monte_carlo value"),
-    # Each replicate's kNN outcome fit overflows too, and records it.
+    # The truth overflows before any replicate's kNN outcome fit runs
+    # (test_overflowing_outcome_fit_fails_every_record fails those fits).
     ("dgp_overflow_coef.json",
      ["simulate", "--n", "150", "--replications", "5", "--seed", "6",
       "--outcome-learner", "k_nearest_neighbors:k=5",

@@ -6,6 +6,8 @@ it returns, or the error it raises, must be those of
 ``oracles.read_csv_columns_per_cell``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,3 +159,26 @@ def test_reader_drops_byte_order_mark(tmp_path, raw, message):
     else:
         with pytest.raises(UsageError, match=message):
             _read_csv_columns(str(path))
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_plain_file_peaks_below_four_times_its_size(tmp_path, bom):
+    # The plain path parses the file's bytes; a decoded copy of the text
+    # and a StringIO of it once took the peak to 7.7 times the file.
+    rng = np.random.default_rng(3)
+    values = {"w": rng.normal(size=20000), "a": rng.integers(0, 2, 20000),
+              "y": rng.uniform(size=20000)}
+    path = tmp_path / "data.csv"
+    lines = [",".join(values)] + [",".join(map(repr, map(float, row)))
+                                  for row in zip(*values.values())]
+    path.write_bytes(bom + "\n".join(lines).encode("ascii") + b"\n")
+    tracemalloc.start()
+    try:
+        columns = _read_csv_columns(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
+    assert list(columns) == list(values)
+    for name, column in values.items():
+        assert np.array_equal(columns[name], column)

@@ -16,12 +16,13 @@ from eiftools.estimators import (
     TMLE_VARIANTS,
     Z975,
     eif_values,
+    fluctuate,
     gcomp,
     one_step,
     tmle,
     wald_inference,
 )
-from eiftools.glm import GlmError
+from eiftools.glm import GlmError, NonConvergenceError, SingularDesignError
 from eiftools.nuisance import LearnerSpec, NuisanceEstimates, fit_nuisance
 from helpers import random_long_dataset, random_point_dataset
 from oracles import (
@@ -334,6 +335,28 @@ def test_targeting_glm_failure_is_annotated(monkeypatch):
     with pytest.raises(GlmError,
                        match=r"targeting step \(weighted_linear\)"):
         tmle(SATURATED, nuis, "weighted_linear")
+
+
+def test_logistic_fluctuation_stops_at_the_iteration_cap(monkeypatch):
+    # The root is logit(1/3); one Newton step from 0 falls short of it.
+    monkeypatch.setattr(est, "DEFAULT_MAX_ITERATIONS", 1)
+    with pytest.raises(NonConvergenceError, match=r"^logit fit did not "
+                       r"converge in 1 iterations$") as excinfo:
+        fluctuate([1.0, 0.0, 0.0], np.full(3, 0.5), np.ones(3), None,
+                  "weighted_logistic", (0.0, 1.0))
+    err = excinfo.value
+    assert err.iterations == 1
+    assert abs(err.score_residuals[0]) > 1e-8 * (1 + 3)
+
+
+def test_logistic_fluctuation_rejects_a_newton_step_that_overflows():
+    # One row's mean is the smallest positive expit (about 7e-309) and
+    # the other's is 0: against a score of about 2, the step
+    # score / information overflows.
+    with pytest.raises(SingularDesignError,
+                       match=r"^logit-link Newton step is not finite$"):
+        est._solve_logistic(np.ones(2), np.array([-709.5, -800.0]),
+                            np.ones(2), 1e-8 * 3)
 
 
 def test_unknown_variant_and_size_mismatch():

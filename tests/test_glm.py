@@ -119,6 +119,29 @@ def test_duplicate_column_is_singular():
         fit_glm(design, np.array([0.0, 1.0, 0.0, 1.0]), Link.LOGIT)
 
 
+def _huge_identity_problem():
+    # Outcomes near the float64 maximum, as a point DGP with an outcome
+    # coefficient of 1e308 draws them: the score sums stay finite, but
+    # their rounding error (~1e293) dwarfs any tolerance.
+    w = np.arange(150) % 2.0
+    noise = np.random.default_rng(7).uniform(-0.3e308, 0.3e308, 150)
+    return _with_intercept(w), 0.4e308 + 1e308 * w + noise
+
+
+@pytest.mark.parametrize("design, z", [
+    _huge_identity_problem(),
+    # The score sum itself overflows.
+    (np.ones((4, 1)), np.array([1.7e308, 1.7e308, -1.7e308, -1.7e308])),
+])
+def test_identity_score_overflow_is_a_value_error(design, z):
+    # Once a RuntimeWarning from the score's matmul, or a
+    # NonConvergenceError that blamed the tolerance.
+    with pytest.raises(ValueError, match=r"^the least-squares score "
+                       r"overflows: the sum of its terms' magnitudes is "
+                       r"not finite$"):
+        fit_glm(design, z, Link.IDENTITY)
+
+
 def test_nonconvergence_carries_last_iterate(monkeypatch):
     # The intercept-only root is logit(1/3); one Newton step from 0 falls
     # short of it.

@@ -410,6 +410,21 @@ def test_knn_unsettled_rows_fall_back_to_every_row(monkeypatch):
     assert len(windows) > blocks
 
 
+def test_knn_window_with_fewer_than_k_rows_widens_to_every_row(
+        monkeypatch):
+    # A block of queries in the training cluster carries a small radius
+    # into the next block, whose queries lie far out on coordinate 0: the
+    # window around them holds no training row, so it is every row.
+    windows = _record_windows(monkeypatch)
+    rng = np.random.default_rng(15)
+    train_x = rng.normal(size=(200, 2))
+    step = _knn_block_rows(200, 2)
+    query_x = rng.normal(size=(step + 10, 2))
+    query_x[step:, 0] += 40.0
+    _assert_knn_exact(train_x, rng.normal(size=200), query_x, 5)
+    assert windows == [(step, 0, 200), (10, 0, 200)]
+
+
 def test_knn_pairwise_sums_under_pruning(monkeypatch):
     # Nine covariates (numpy sums the squares pairwise) along a line, so
     # neighbors are close in coordinate 0 and the windows prune.

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -633,34 +632,42 @@ def _mc_truth_dgp():
                             mean_model=LinearModel(1.0, {"w": 0.5})))
 
 
-def test_monte_carlo_truth_runs_beside_the_replicates(monkeypatch):
+def test_truth_runs_on_the_main_thread_before_the_first_draw(monkeypatch):
     from eiftools import simulation
-    dgp, seed = load_fixture("dgp_long.json"), 13
-    real_true_value = simulation.true_value
-    threads = []
+    real_true_value, real_generate = simulation.true_value, simulation.generate
+    calls = []
 
-    def true_value_on(*args, **kwargs):
-        threads.append(threading.current_thread())
-        return real_true_value(*args, **kwargs)
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(simulation, "true_value", true_value_on)
-    report = run_experiment(dgp, n=200, replications=3,
-                            estimator_names=LONG_ESTIMATORS,
-                            plan=EstimationPlan(n_folds=2), seed=seed,
-                            truth_method="monte_carlo", mc_draws=50_000)
-    assert report.truth == real_true_value(
-        dgp, "monte_carlo", 50_000,
-        np.random.SeedSequence(seed, spawn_key=(2**31,)))
-    ok = [rec for rec in report.replicates if rec.error is None]
-    assert len(ok) == 3 * len(LONG_ESTIMATORS)
-    for rec in ok:
-        assert rec.covered == (rec.ci_lo <= report.truth.value <= rec.ci_hi)
-    # The Monte Carlo truth ran on a worker thread; the exact sum runs on
-    # the caller's.
-    assert threads[0] is not threading.main_thread()
-    run_experiment(load_fixture("dgp_binary.json"), n=100, replications=2,
-                   estimator_names=("gcomp",), plan=EstimationPlan(), seed=1)
-    assert threads[1] is threading.main_thread()
+    monkeypatch.setattr(simulation, "true_value",
+                        spy("true_value", real_true_value))
+    monkeypatch.setattr(simulation, "generate", spy("generate", real_generate))
+    seed = 13
+    runs = [("dgp_long.json", LONG_ESTIMATORS, EstimationPlan(n_folds=2),
+             "monte_carlo"),
+            ("dgp_binary.json", POINT_ESTIMATORS, EstimationPlan(),
+             "analytic")]
+    for fixture, names, plan, method in runs:
+        dgp = load_fixture(fixture)
+        calls.clear()
+        report = run_experiment(dgp, n=200, replications=3,
+                                estimator_names=names, plan=plan, seed=seed,
+                                truth_method=method, mc_draws=50_000)
+        # One truth, on the caller's thread, before replicate 0's draw.
+        assert calls == [("true_value", threading.main_thread())] + [
+            ("generate", threading.main_thread())] * 3
+        assert report.truth == real_true_value(
+            dgp, method, 50_000,
+            np.random.SeedSequence(seed, spawn_key=(2**31,)))
+        ok = [rec for rec in report.replicates if rec.error is None]
+        assert len(ok) == 3 * len(names)
+        for rec in ok:
+            assert rec.covered == (rec.ci_lo <= report.truth.value
+                                   <= rec.ci_hi)
 
 
 def test_truth_argument_errors_come_before_any_replicate(monkeypatch):
@@ -679,40 +686,6 @@ def test_truth_argument_errors_come_before_any_replicate(monkeypatch):
                        mc_draws=1, **args)
     with pytest.raises(ValueError, match=r"^unknown truth method 'exact'$"):
         run_experiment(_mc_truth_dgp(), truth_method="exact", **args)
-
-
-def test_truth_worker_is_joined_on_every_exit(monkeypatch):
-    from eiftools import simulation
-    args = dict(dgp=_mc_truth_dgp(), n=100, replications=2,
-                estimator_names=("gcomp",), plan=EstimationPlan(), seed=1,
-                truth_method="monte_carlo", mc_draws=1000)
-    before = threading.active_count()
-
-    def true_value(*args, **kwargs):
-        raise RuntimeError("boom")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simulation, "true_value", true_value)
-        with pytest.raises(RuntimeError, match=r"^boom$"):
-            run_experiment(**args)
-    assert threading.active_count() == before
-
-    def run_estimator(*args, **kwargs):
-        raise KeyError("escapes the replicate loop")
-
-    real_true_value = simulation.true_value
-
-    def slow_true_value(*args, **kwargs):
-        # Still running when the loop's error escapes, unless joined.
-        time.sleep(0.2)
-        return real_true_value(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simulation, "run_estimator", run_estimator)
-        patch.setattr(simulation, "true_value", slow_true_value)
-        with pytest.raises(KeyError, match="escapes the replicate loop"):
-            run_experiment(**args)
-    assert threading.active_count() == before
 
 
 _IMPORT_PROBE = """
@@ -736,16 +709,15 @@ print(seen)
 """
 
 
-def test_only_a_monte_carlo_truth_loads_concurrent_futures(tmp_path):
-    # The truth's thread pool module loads logging; importing the CLI, an
-    # estimate and a simulate with the exact truth load neither.
+def test_no_run_loads_concurrent_futures_or_logging(tmp_path):
+    # The program starts no thread: importing the CLI, an estimate and a
+    # simulate with either truth method load neither module.
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.json"),
          str(tmp_path / "draw.csv"), str(FIXTURES / "dgp_binary.json")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(
-        [[], [], [], ["concurrent.futures", "logging"]])
+    assert proc.stdout.strip() == str([[], [], [], []])
 
 
 def test_plan_to_dict_reports_every_field():
@@ -821,9 +793,21 @@ OVERFLOWING_TRUTHS = [
 
 
 @pytest.mark.parametrize("fixture, method, message", OVERFLOWING_TRUTHS)
-def test_overflowing_truth_is_an_input_error(fixture, method, message):
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+def test_overflowing_truth_is_an_input_error(monkeypatch, fixture, method,
+                                             message):
+    from eiftools import simulation
+    match = "^" + re.escape(message) + "$"
+    with pytest.raises(ValueError, match=match):
         true_value(load_fixture(fixture), method, mc_draws=2000, mc_seed=1)
+    # run_experiment raises it before any replicate is drawn.
+    drawn = []
+    monkeypatch.setattr(simulation, "generate",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=match):
+        run_experiment(load_fixture(fixture), n=50, replications=2,
+                       estimator_names=("gcomp",), plan=EstimationPlan(),
+                       seed=1, truth_method=method, mc_draws=2000)
+    assert drawn == []
 
 
 def test_overflowing_draw_is_an_input_error():
