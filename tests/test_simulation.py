@@ -1,5 +1,6 @@
 """DGP validation, generation, truth oracles, and the experiment harness."""
 
+import copy
 import json
 import pathlib
 import re
@@ -157,6 +158,225 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
                              "treatment": {}, "outcome": {}, "bogus": 1})
     with pytest.raises(DgpValidationError, match="missing config keys"):
         DgpConfig.from_dict({"design": "point"})
+
+
+# Minimal valid configs of each design: continuous outcomes on the
+# identity scale without noise or y_bounds.
+POINT = {"design": "point",
+         "covariates": [{"name": "w", "dist": "bernoulli", "p": 0.5}],
+         "treatment": {"intercept": 0.2, "coefs": {"w": -0.4}},
+         "outcome": {"intercept": 1.0, "coefs": {"w": 0.5, "a": 0.2}}}
+LONG = {"design": "longitudinal",
+        "covariates": [{"name": "w", "dist": "bernoulli", "p": 0.5}],
+        "treatment": {"intercept": 0.2, "coefs": {"w": -0.4}},
+        "w1_covariates": [{"name": "v", "dist": "bernoulli",
+                           "model": {"coefs": {"w": 0.5, "a0": 0.3}}}],
+        "a1": {"coefs": {"w": 0.2, "v": -0.3, "a0": 0.5}},
+        "outcome": {"coefs": {"w": 0.5, "v": 0.4, "a1": -0.6}}}
+DROP = object()
+NORMAL_W = {"name": "w", "dist": "normal", "mean": 0.0, "sd": 1.0}
+BERNOULLI = {"name": "u", "dist": "bernoulli", "p": 0.5}
+
+
+def edited(base, edits):
+    """A copy of ``base`` with each dotted path of ``edits`` (list items
+    by index) set to its value, or deleted where the value is DROP."""
+    config = copy.deepcopy(base)
+    for path, value in edits.items():
+        *parents, last = [int(key) if key.isdigit() else key
+                          for key in path.split(".")]
+        target = config
+        for key in parents:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return config
+
+
+def test_edited_copies_sets_and_drops():
+    config = edited(LONG, {"w1_covariates.0.model.intercept": 0.1,
+                           "a1": DROP})
+    assert config["w1_covariates"][0]["model"] == {
+        "coefs": {"w": 0.5, "a0": 0.3}, "intercept": 0.1}
+    assert "a1" not in config and "a1" in LONG
+    assert "intercept" not in LONG["w1_covariates"][0]["model"]
+
+
+def test_minimal_configs_build():
+    assert DgpConfig.from_dict(POINT).design == "point"
+    assert DgpConfig.from_dict(LONG).design == "longitudinal"
+
+
+# Each case breaks one validation rule of a minimal config, and pins the
+# exact violations that it reports.
+VALIDATION_RULES = [
+    pytest.param(POINT, {"design": "cross"},
+                 ["design must be point or longitudinal, got 'cross'"],
+                 id="design"),
+    pytest.param(POINT, {"covariates": [], "treatment.coefs": {},
+                         "outcome.coefs": {"a": 0.2}},
+                 ["at least one covariate is required"], id="no-covariates"),
+    pytest.param(POINT, {"covariates.0.dist": "triangular"},
+                 ["covariates[0] (w): unknown distribution 'triangular'"],
+                 id="distribution"),
+    pytest.param(POINT, {"covariates.0.p": DROP},
+                 ["covariates[0] (w): bernoulli needs exactly one of p or "
+                  "model"], id="bernoulli-p-or-model"),
+    pytest.param(POINT, {"covariates.0.p": 1.5},
+                 ["covariates[0] (w): p=1.5 outside [0, 1]"], id="p-range"),
+    pytest.param(LONG, {"w1_covariates.0.dist": "uniform",
+                        "w1_covariates.0.low": 0.0,
+                        "w1_covariates.0.high": 1.0},
+                 ["w1_covariates[0] (v): model is only valid for bernoulli"],
+                 id="model-on-uniform"),
+    pytest.param(POINT, {"covariates.0.p": DROP,
+                         "covariates.0.dist": "uniform",
+                         "covariates.0.high": 1.0},
+                 ["covariates[0] (w): uniform needs low and high"],
+                 id="uniform-ends"),
+    pytest.param(POINT, {"covariates.0.p": DROP,
+                         "covariates.0.dist": "uniform",
+                         "covariates.0.low": 1.0, "covariates.0.high": 0.0},
+                 ["covariates[0] (w): uniform needs low < high"],
+                 id="uniform-order"),
+    pytest.param(POINT, {"covariates.0.p": DROP,
+                         "covariates.0.dist": "uniform",
+                         "covariates.0.low": -1e308,
+                         "covariates.0.high": 1e308},
+                 ["covariates[0] (w): uniform needs a finite width "
+                  "high - low"], id="uniform-width"),
+    pytest.param(POINT, {"covariates.0.p": DROP,
+                         "covariates.0.dist": "normal",
+                         "covariates.0.mean": 0.0},
+                 ["covariates[0] (w): normal needs mean and sd"],
+                 id="normal-parameters"),
+    pytest.param(POINT, {"covariates.0.p": DROP,
+                         "covariates.0.dist": "normal",
+                         "covariates.0.mean": 0.0, "covariates.0.sd": -1.0},
+                 ["covariates[0] (w): normal needs sd >= 0"], id="normal-sd"),
+    pytest.param(POINT, {"covariates.0.p": DROP,
+                         "covariates.0.model": {"intercept": 0.1}},
+                 ["covariates[0] (w): conditional bernoulli models are only "
+                  "allowed for second-period covariates"],
+                 id="first-period-model"),
+    pytest.param(POINT, {"a1": {}},
+                 ["point design must not define w1_covariates or a1_model"],
+                 id="point-second-period"),
+    pytest.param(LONG, {"a1": DROP}, ["longitudinal design needs a1_model"],
+                 id="a1-missing"),
+    pytest.param(POINT, {"covariates": [BERNOULLI, BERNOULLI],
+                         "treatment.coefs": {}, "outcome.coefs": {}},
+                 ["covariate names must be unique"], id="names-unique"),
+    pytest.param(POINT, {"covariates.0.name": "a0", "treatment.coefs": {},
+                         "outcome.coefs": {}},
+                 ["covariate names ['a0'] are reserved"],
+                 id="names-reserved"),
+    pytest.param(POINT, {"treatment.coefs.ghost": 1.0},
+                 ["treatment model references unknown terms ['ghost']"],
+                 id="treatment-terms"),
+    pytest.param(LONG, {"w1_covariates.0.model.coefs.a1": 1.0},
+                 ["w1_covariates[0] (v): model references unknown terms "
+                  "['a1']"], id="w1-model-terms"),
+    pytest.param(LONG, {"a1.coefs.a1": 1.0},
+                 ["a1 model references unknown terms ['a1']"],
+                 id="a1-terms"),
+    pytest.param(POINT, {"outcome.coefs.a0": 1.0},
+                 ["outcome model references unknown terms ['a0']"],
+                 id="outcome-terms"),
+    pytest.param(POINT, {"outcome.scale": "cubic"},
+                 ["outcome scale must be identity or logit, got 'cubic'"],
+                 id="outcome-scale"),
+    pytest.param(POINT, {"outcome.kind": "count"},
+                 ["outcome kind must be binary or continuous, got 'count'"],
+                 id="outcome-kind"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "cauchy"}},
+                 ["outcome.noise: unknown noise kind 'cauchy'"],
+                 id="noise-kind"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "normal", "sd": -1.0}},
+                 ["outcome.noise: normal noise needs sd >= 0"],
+                 id="noise-sd"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "uniform",
+                                           "half_width": -1.0}},
+                 ["outcome.noise: uniform noise needs half_width >= 0"],
+                 id="noise-half-width"),
+    pytest.param(POINT, {"outcome.kind": "binary", "outcome.intercept": 0.2,
+                         "outcome.noise": {"kind": "uniform",
+                                           "half_width": 0.1}},
+                 ["binary outcomes cannot carry additive noise"],
+                 id="binary-noise"),
+    pytest.param(POINT, {"positivity_floor": 0.5},
+                 ["positivity_floor 0.5 must be in (0, 0.5)"],
+                 id="positivity-floor-range"),
+    pytest.param(POINT, {"covariates.0": NORMAL_W},
+                 ["treatment model: coefficient on unbounded covariate 'w' "
+                  "makes propensities arbitrarily extreme"],
+                 id="treatment-unbounded"),
+    pytest.param(LONG, {"w1_covariates.0": dict(NORMAL_W, name="v")},
+                 ["a1 model: coefficient on unbounded covariate 'v' makes "
+                  "propensities arbitrarily extreme"], id="a1-unbounded"),
+    pytest.param(POINT, {"treatment.coefs.w": 6.0, "positivity_floor": 0.05},
+                 ["treatment model: implied propensities span [0.549834, "
+                  "0.997975], outside the positivity floor [0.05, 0.95]"],
+                 id="treatment-floor"),
+    pytest.param(LONG, {"a1.intercept": 5.0},
+                 ["a1 model: implied propensities span [0.990987, 0.996665], "
+                  "outside the positivity floor [0.01, 0.99]"],
+                 id="a1-floor"),
+    pytest.param(POINT, {"covariates.0": NORMAL_W, "treatment.coefs": {},
+                         "outcome.kind": "binary", "outcome.intercept": 0.2,
+                         "outcome.coefs": {"w": 0.1}},
+                 ["binary outcome on the identity scale with an unbounded "
+                  "covariate cannot keep the mean in [0, 1]"],
+                 id="binary-unbounded"),
+    pytest.param(POINT, {"outcome.kind": "binary", "outcome.intercept": 0.9},
+                 ["binary outcome mean spans [0.9, 1.6], outside [0, 1]"],
+                 id="binary-mean"),
+    pytest.param(POINT, {"outcome.kind": "binary", "outcome.intercept": 0.2,
+                         "y_bounds": [0, 2]},
+                 ["binary outcomes have bounds (0, 1); drop y_bounds or set "
+                  "them to [0, 1]"], id="binary-y-bounds"),
+    pytest.param(POINT, {"y_bounds": [1, 0]},
+                 ["y_bounds (1.0, 0.0) need lo < hi"], id="y-bounds-order"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "normal", "sd": 0.3},
+                         "y_bounds": [0, 2]},
+                 ["normal outcome noise is unbounded and violates the "
+                  "declared y_bounds"], id="y-bounds-normal-noise"),
+    pytest.param(POINT, {"covariates.0": NORMAL_W, "treatment.coefs": {},
+                         "y_bounds": [0, 2]},
+                 ["outcome mean uses an unbounded covariate and violates the "
+                  "declared y_bounds"], id="y-bounds-unbounded-mean"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "uniform",
+                                           "half_width": 1.5},
+                         "y_bounds": [0, 2]},
+                 ["outcome values span [-0.5, 3.2], outside the declared "
+                  "y_bounds [0, 2]"], id="y-bounds-span"),
+    pytest.param(POINT, {"bogus": 1}, ["unknown config keys ['bogus']"],
+                 id="config-keys-unknown"),
+    pytest.param(POINT, {"outcome": DROP}, ["missing config keys ['outcome']"],
+                 id="config-keys-missing"),
+    pytest.param(POINT, {"covariates.0.bogus": 1},
+                 ["covariates[0]: unknown keys ['bogus']"],
+                 id="object-keys-unknown"),
+    pytest.param(POINT, {"covariates.0.name": DROP},
+                 ["covariates[0]: need name and dist"], id="name-and-dist"),
+    pytest.param(POINT, {"y_bounds": [0, 1, 2]},
+                 ["y_bounds: expected [lo, hi], got [0, 1, 2]"],
+                 id="y-bounds-shape"),
+    pytest.param(POINT, {"y_bounds": 5}, ["y_bounds: expected a list, got 5"],
+                 id="type-list"),
+    pytest.param(POINT, {"treatment": []},
+                 ["treatment: expected an object, got []"], id="type-object"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "normal", "sd": "1"}},
+                 ["outcome.noise.sd: expected a number, got '1'"],
+                 id="type-number"),
+]
+
+
+@pytest.mark.parametrize("base, edits, expected", VALIDATION_RULES)
+def test_each_validation_rule_reports_its_message(base, edits, expected):
+    assert violations(DgpConfig.from_dict, d=edited(base, edits)) == expected
 
 
 def test_generate_is_deterministic_and_respects_draw_order():
