@@ -3,9 +3,10 @@
 A :class:`DgpConfig` describes independent covariates, a logit-scale
 model for the probability of NON-treatment, and an outcome mean on the
 identity or logit scale with optional mean-zero noise. A configuration
-validates itself on construction, by interval arithmetic so that implied
-propensities stay away from 0 and 1 and binary outcome means stay inside
-[0, 1]; violations are reported all at once.
+validates itself on construction, in one pass that reports every
+violation at once: every number must be finite, and interval arithmetic
+keeps the implied propensities away from 0 and 1 and binary outcome
+means inside [0, 1].
 
 The true estimand value is available two ways: exact summation over the
 covariate support (discrete covariates only) and Monte Carlo averaging
@@ -177,33 +178,6 @@ class CovariateSpec:
             return (float(self.low), float(self.high))
         return (-np.inf, np.inf)
 
-    def validate(self, where: str) -> List[str]:
-        problems = []
-        if self.dist not in ("bernoulli", "uniform", "normal"):
-            return [f"{where}: unknown distribution {self.dist!r}"]
-        if self.dist == "bernoulli":
-            if (self.p is None) == (self.model is None):
-                problems.append(
-                    f"{where}: bernoulli needs exactly one of p or model")
-            if self.p is not None and not 0.0 <= float(self.p) <= 1.0:
-                problems.append(f"{where}: p={self.p} outside [0, 1]")
-        elif self.model is not None:
-            problems.append(f"{where}: model is only valid for bernoulli")
-        if self.dist == "uniform":
-            if self.low is None or self.high is None:
-                problems.append(f"{where}: uniform needs low and high")
-            elif not float(self.low) < float(self.high):
-                problems.append(f"{where}: uniform needs low < high")
-            elif not math.isfinite(float(self.high) - float(self.low)):
-                problems.append(f"{where}: uniform needs a finite width "
-                                "high - low")
-        if self.dist == "normal":
-            if self.mean is None or self.sd is None:
-                problems.append(f"{where}: normal needs mean and sd")
-            elif float(self.sd) < 0:
-                problems.append(f"{where}: normal needs sd >= 0")
-        return problems
-
     def draw(self, rng: np.random.Generator, n: int,
              context: Optional[Mapping[str, np.ndarray]] = None) -> np.ndarray:
         if self.dist == "bernoulli":
@@ -241,24 +215,6 @@ class NoiseSpec:
     kind: str = "none"
     sd: float = 0.0
     half_width: float = 0.0
-
-    def validate(self, where: str) -> List[str]:
-        if self.kind not in ("none", "normal", "uniform"):
-            return [f"{where}: unknown noise kind {self.kind!r}"]
-        problems = []
-        if self.kind == "normal" and float(self.sd) < 0:
-            problems.append(f"{where}: normal noise needs sd >= 0")
-        if self.kind == "uniform" and float(self.half_width) < 0:
-            problems.append(f"{where}: uniform noise needs half_width >= 0")
-        return problems
-
-    def reach(self) -> float:
-        """Largest possible |noise| (inf for normal)."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "uniform":
-            return float(self.half_width)
-        return np.inf if float(self.sd) > 0 else 0.0
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "normal" and float(self.sd) > 0:
@@ -372,160 +328,184 @@ class DgpConfig:
             return (0.0, 1.0)
         return self.y_bounds
 
-    def _intervals(self) -> Dict[str, Tuple[float, float]]:
-        iv = {c.name: c.support_interval() for c in self.covariates}
-        for c in self.w1_covariates:
-            iv[c.name] = c.support_interval()
-        for key in _TREATMENT_KEYS[self.design]:
-            iv[key] = (0.0, 1.0)
-        return iv
-
     # -- validation --------------------------------------------------------
 
     def _violations(self) -> List[str]:
-        """All configuration problems, empty when the DGP is usable."""
-        problems: List[str] = []
+        """All configuration problems, empty when the DGP is usable.
+
+        Every number must be finite, and every range comparison fails on
+        NaN. The propensity and outcome ranges that the models imply over
+        the covariates' supports are checked only when all else holds.
+        """
         if self.design not in ("point", "longitudinal"):
             return [f"design must be point or longitudinal, got {self.design!r}"]
+        long_design = self.design == "longitudinal"
+        w1_specs = self.w1_covariates if long_design else ()
+        w0 = [c.name for c in self.covariates]
+        names = w0 + [c.name for c in w1_specs]
+        problems: List[str] = []
         if not self.covariates:
             problems.append("at least one covariate is required")
-        names: List[str] = []
-        for i, c in enumerate(self.covariates):
-            problems += c.validate(f"covariates[{i}] ({c.name})")
-            if c.model is not None:
-                problems.append(
-                    f"covariates[{i}] ({c.name}): conditional bernoulli "
-                    "models are only allowed for second-period covariates")
-            names.append(c.name)
-        w1_names: List[str] = []
-        if self.design == "point":
-            if self.w1_covariates or self.a1_model is not None:
-                problems.append(
-                    "point design must not define w1_covariates or a1_model")
-        else:
-            for i, c in enumerate(self.w1_covariates):
-                where = f"w1_covariates[{i}] ({c.name})"
-                problems += c.validate(where)
-                if c.model is not None:
-                    bad = set(c.model.coefs) - set(names) - {"a0"}
-                    if bad:
-                        problems.append(
-                            f"{where}: model references unknown terms "
-                            f"{sorted(bad)}")
-                w1_names.append(c.name)
-            if self.a1_model is None:
-                problems.append("longitudinal design needs a1_model")
-        all_names = names + w1_names
-        if len(set(all_names)) != len(all_names):
+        if not long_design and (self.w1_covariates
+                                or self.a1_model is not None):
+            problems.append(
+                "point design must not define w1_covariates or a1_model")
+        if long_design and self.a1_model is None:
+            problems.append("longitudinal design needs a1_model")
+        if len(set(names)) != len(names):
             problems.append("covariate names must be unique")
-        clash = set(all_names) & {"a", "a0", "a1"}
+        clash = set(names) & {"a", "a0", "a1"}
         if clash:
             problems.append(f"covariate names {sorted(clash)} are reserved")
 
-        bad = set(self.treatment.coefs) - set(names)
-        if bad:
-            problems.append(f"treatment model references unknown terms {sorted(bad)}")
-        if self.design == "longitudinal" and self.a1_model is not None:
-            bad = set(self.a1_model.coefs) - set(all_names) - {"a0"}
-            if bad:
-                problems.append(f"a1 model references unknown terms {sorted(bad)}")
-        treatment_keys = set(_TREATMENT_KEYS[self.design])
-        bad = set(self.outcome.mean_model.coefs) - set(all_names) - treatment_keys
-        if bad:
-            problems.append(f"outcome model references unknown terms {sorted(bad)}")
+        # Each model as (label, model, the terms it may use), and each
+        # number as (where, what, value).
+        models = [("treatment model", self.treatment, w0)]
+        numbers = []
+        for key, specs in (("covariates", self.covariates),
+                           ("w1_covariates", w1_specs)):
+            for i, c in enumerate(specs):
+                where = f"{key}[{i}] ({c.name})"
+                numbers += [(where, what, value) for what, value in
+                            (("mean", c.mean), ("sd", c.sd))
+                            if value is not None]
+                if c.dist not in ("bernoulli", "uniform", "normal"):
+                    problems.append(
+                        f"{where}: unknown distribution {c.dist!r}")
+                elif c.dist == "bernoulli":
+                    if (c.p is None) == (c.model is None):
+                        problems.append(f"{where}: bernoulli needs exactly "
+                                        "one of p or model")
+                    if c.p is not None and not 0.0 <= c.p <= 1.0:
+                        problems.append(f"{where}: p={c.p} outside [0, 1]")
+                elif c.model is not None:
+                    problems.append(
+                        f"{where}: model is only valid for bernoulli")
+                if c.dist == "uniform":
+                    if c.low is None or c.high is None:
+                        problems.append(f"{where}: uniform needs low and high")
+                    elif not float(c.low) < float(c.high):
+                        problems.append(f"{where}: uniform needs low < high")
+                    elif not math.isfinite(float(c.high) - float(c.low)):
+                        problems.append(f"{where}: uniform needs a finite "
+                                        "width high - low")
+                elif c.dist == "normal" and (c.mean is None or c.sd is None):
+                    problems.append(f"{where}: normal needs mean and sd")
+                elif c.dist == "normal" and not c.sd >= 0:
+                    problems.append(f"{where}: normal needs sd >= 0")
+                if c.model is not None and key == "covariates":
+                    problems.append(
+                        f"{where}: conditional bernoulli models are only "
+                        "allowed for second-period covariates")
+                elif c.model is not None:
+                    models.append((f"{where}: model", c.model, w0 + ["a0"]))
+        if long_design and self.a1_model is not None:
+            models.append(("a1 model", self.a1_model, names + ["a0"]))
+        models.append(("outcome model", self.outcome.mean_model,
+                       names + list(_TREATMENT_KEYS[self.design])))
+        for label, model, known in models:
+            unknown = set(model.coefs) - set(known)
+            if unknown:
+                problems.append(
+                    f"{label} references unknown terms {sorted(unknown)}")
+            numbers += [(label, "intercept", model.intercept)]
+            numbers += [(label, f"coefficient on {name!r}", coef)
+                        for name, coef in model.coefs.items()]
+        outcome, noise = self.outcome, self.outcome.noise
+        numbers += [("outcome.noise", "sd", noise.sd),
+                    ("outcome.noise", "half_width", noise.half_width)]
+        numbers += [("y_bounds", end, value)
+                    for end, value in zip(("lo", "hi"), self.y_bounds or ())]
+        problems += [f"{where}: {what} must be finite, got {value}"
+                     for where, what, value in numbers
+                     if not math.isfinite(value)]
 
-        if self.outcome.scale not in ("identity", "logit"):
+        if outcome.scale not in ("identity", "logit"):
             problems.append(f"outcome scale must be identity or logit, "
-                            f"got {self.outcome.scale!r}")
-        if self.outcome.kind not in ("binary", "continuous"):
+                            f"got {outcome.scale!r}")
+        if outcome.kind not in ("binary", "continuous"):
             problems.append(f"outcome kind must be binary or continuous, "
-                            f"got {self.outcome.kind!r}")
-        problems += self.outcome.noise.validate("outcome.noise")
-        if self.outcome.kind == "binary" and self.outcome.noise.kind != "none":
+                            f"got {outcome.kind!r}")
+        if noise.kind not in ("none", "normal", "uniform"):
+            problems.append(
+                f"outcome.noise: unknown noise kind {noise.kind!r}")
+        elif noise.kind == "normal" and not noise.sd >= 0:
+            problems.append("outcome.noise: normal noise needs sd >= 0")
+        elif noise.kind == "uniform" and not noise.half_width >= 0:
+            problems.append(
+                "outcome.noise: uniform noise needs half_width >= 0")
+        binary = outcome.kind == "binary"
+        if binary and noise.kind != "none":
             problems.append("binary outcomes cannot carry additive noise")
-
         floor = float(self.positivity_floor)
         if not 0.0 < floor < 0.5:
             problems.append(f"positivity_floor {floor} must be in (0, 0.5)")
-
-        if problems:
-            # Interval checks below assume a structurally sound config.
-            return problems
-
-        intervals = self._intervals()
-        problems += self._positivity_problems(intervals, floor)
-        problems += self._outcome_range_problems(intervals)
-        return problems
-
-    def _positivity_problems(self, intervals, floor: float) -> List[str]:
-        problems = []
-        models = [("treatment model", self.treatment)]
-        if self.a1_model is not None:
-            models.append(("a1 model", self.a1_model))
-        for label, model in models:
-            for name, coef in model.coefs.items():
-                ilo, ihi = intervals[name]
-                if coef != 0.0 and not (np.isfinite(ilo) and np.isfinite(ihi)):
-                    problems.append(
-                        f"{label}: coefficient on unbounded covariate "
-                        f"{name!r} makes propensities arbitrarily extreme")
         if problems:
             return problems
-        for label, model in models:
-            lo, hi = model.eta_interval(intervals)
-            p_lo, p_hi = float(expit(lo)), float(expit(hi))
-            if p_lo < floor or p_hi > 1.0 - floor:
+
+        intervals = {c.name: c.support_interval()
+                     for c in self.covariates + self.w1_covariates}
+        intervals.update(dict.fromkeys(_TREATMENT_KEYS[self.design],
+                                       (0.0, 1.0)))
+
+        def unbounded_terms(model: LinearModel) -> List[str]:
+            """The terms with a coefficient whose support is unbounded."""
+            return [name for name, coef in model.coefs.items() if coef != 0.0
+                    and not all(map(math.isfinite, intervals[name]))]
+
+        propensities = [("treatment model", self.treatment)]
+        if long_design:
+            propensities.append(("a1 model", self.a1_model))
+        for label, model in propensities:
+            extreme = unbounded_terms(model)
+            problems += [f"{label}: coefficient on unbounded covariate "
+                         f"{name!r} makes propensities arbitrarily extreme"
+                         for name in extreme]
+            if extreme:
+                continue
+            p_lo, p_hi = (float(expit(eta))
+                          for eta in model.eta_interval(intervals))
+            if not (floor <= p_lo and p_hi <= 1.0 - floor):
                 problems.append(
                     f"{label}: implied propensities span [{p_lo:.6g}, "
                     f"{p_hi:.6g}], outside the positivity floor "
                     f"[{floor:g}, {1.0 - floor:g}]")
-        return problems
 
-    def _outcome_range_problems(self, intervals) -> List[str]:
-        problems = []
-        finite_terms = all(
-            np.isfinite(intervals[name][0]) and np.isfinite(intervals[name][1])
-            for name, coef in self.outcome.mean_model.coefs.items()
-            if coef != 0.0)
-        if self.outcome.kind == "binary":
-            if self.outcome.scale == "identity":
-                if not finite_terms:
-                    problems.append(
-                        "binary outcome on the identity scale with an "
-                        "unbounded covariate cannot keep the mean in [0, 1]")
-                else:
-                    lo, hi = self.outcome.mean_interval(intervals)
-                    if lo < 0.0 or hi > 1.0:
-                        problems.append(
-                            f"binary outcome mean spans [{lo:.6g}, {hi:.6g}], "
-                            "outside [0, 1]")
-            if self.y_bounds is not None and self.y_bounds != (0.0, 1.0):
+        # Outcome values must stay in this box: the declared y_bounds, or
+        # [0, 1] for a binary outcome's mean on the identity scale.
+        box = self.y_bounds
+        if binary:
+            if box not in (None, (0.0, 1.0)):
                 problems.append("binary outcomes have bounds (0, 1); "
                                 "drop y_bounds or set them to [0, 1]")
+            box = (0.0, 1.0) if outcome.scale == "identity" else None
+        if box is None:
             return problems
-        if self.y_bounds is not None:
-            blo, bhi = self.y_bounds
-            if not blo < bhi:
-                problems.append(f"y_bounds ({blo}, {bhi}) need lo < hi")
-                return problems
-            reach = self.outcome.noise.reach()
-            if not np.isfinite(reach):
+        blo, bhi = box
+        # The largest |noise|.
+        reach = (noise.half_width if noise.kind == "uniform" else
+                 math.inf if noise.kind == "normal" and noise.sd > 0 else 0.0)
+        if not blo < bhi:
+            problems.append(f"y_bounds ({blo}, {bhi}) need lo < hi")
+        elif reach == math.inf:
+            problems.append("normal outcome noise is unbounded and violates "
+                            "the declared y_bounds")
+        elif unbounded_terms(outcome.mean_model):
+            problems.append(
+                "binary outcome on the identity scale with an unbounded "
+                "covariate cannot keep the mean in [0, 1]" if binary else
+                "outcome mean uses an unbounded covariate and violates the "
+                "declared y_bounds")
+        else:
+            lo, hi = outcome.mean_interval(intervals)
+            lo, hi = lo - reach, hi + reach
+            if not (blo <= lo and hi <= bhi):
                 problems.append(
-                    "normal outcome noise is unbounded and violates the "
-                    "declared y_bounds")
-            elif not finite_terms:
-                problems.append(
-                    "outcome mean uses an unbounded covariate and violates "
-                    "the declared y_bounds")
-            else:
-                lo, hi = self.outcome.mean_interval(intervals)
-                if lo - reach < blo or hi + reach > bhi:
-                    problems.append(
-                        f"outcome values span [{lo - reach:.6g}, "
-                        f"{hi + reach:.6g}], outside the declared y_bounds "
-                        f"[{blo:g}, {bhi:g}]")
+                    f"binary outcome mean spans [{lo:.6g}, {hi:.6g}], "
+                    "outside [0, 1]" if binary else
+                    f"outcome values span [{lo:.6g}, {hi:.6g}], outside "
+                    f"the declared y_bounds [{blo:g}, {bhi:g}]")
         return problems
-
     # -- serialization -----------------------------------------------------
 
     @classmethod

@@ -997,3 +997,56 @@ def test_overflowing_truth_exits_2_with_json(capsys, fixture, argv, kind,
     error = _strict_json(capsys.readouterr().out)["error"]
     assert error["type"] == kind
     assert error["message"].startswith(message)
+
+
+# Each fixture holds a JSON NaN or Infinity literal, which json.loads
+# reads: the config fails to build, rather than failing every record.
+@pytest.mark.parametrize("fixture, violations", [
+    ("dgp_nonfinite_treatment.json",
+     ["treatment model: coefficient on 'w' must be finite, got nan"]),
+    ("dgp_nonfinite_y_bounds.json",
+     ["y_bounds: lo must be finite, got -inf",
+      "y_bounds: hi must be finite, got inf"]),
+    ("dgp_nonfinite_w1_model.json",
+     ["w1_covariates[0] (w1): model: intercept must be finite, got nan"]),
+])
+@pytest.mark.parametrize("argv", [["truth"], ["truth", *MC_TRUTH],
+                                  ["simulate", *MC_SIMULATE]],
+                         ids=["truth", "truth-mc", "simulate"])
+def test_non_finite_config_exits_2_before_any_draw(monkeypatch, capsys,
+                                                   fixture, violations, argv):
+    from eiftools import simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a truth sum or a replicate ran")
+
+    monkeypatch.setattr(simulation, "_draw", never)
+    monkeypatch.setattr(simulation, "_analytic_truth", never)
+    code = run_cli([argv[0], "--config", FIXTURES / fixture, *argv[1:]])
+    assert code == 2
+    error = _strict_json(capsys.readouterr().out)["error"]
+    assert error["type"] == "DgpValidationError"
+    assert error["violations"] == violations
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--truncate", "a,b", "--truncate expects numbers, got 'a,b'"),
+    ("--y-bounds", "0,x", "--y-bounds expects numbers, got '0,x'"),
+    ("--estimators", ",", "--estimators is empty"),
+    ("--estimators", " , ", "--estimators is empty"),
+])
+def test_malformed_flag_lists_are_usage_errors(monkeypatch, capsys, flag,
+                                               value, message):
+    from eiftools import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("fitted despite a malformed flag")
+
+    monkeypatch.setattr(cli, "fit_plan_nuisance", never)
+    monkeypatch.setattr(cli, "run_experiment", never)
+    for command in (["estimate", "--data", FIXTURES / "saturated_4row.csv"],
+                    ["simulate", "--config", FIXTURES / "dgp_binary.json",
+                     "--n", "50", "--replications", "2", "--seed", "1"]):
+        assert run_cli(command + [flag, value]) == 2
+        error = _strict_json(capsys.readouterr().out)["error"]
+        assert error == {"type": "UsageError", "message": message}

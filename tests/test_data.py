@@ -220,6 +220,19 @@ def test_from_columns_equals_constructor(covariates):
     assert built.y_bounds == (0.0, 4.0)
 
 
+def test_one_dimensional_covariates_are_one_column():
+    w = np.array([0.5, 0.25, 0.0, 1.0])
+    rest = dict(treatment=POINT["treatment"], outcome=POINT["outcome"])
+    flat = Dataset(covariate_names=("w",), covariates=w, **rest)
+    assert flat.covariates.shape == (4, 1)
+    np.testing.assert_array_equal(
+        flat.covariates,
+        Dataset(covariate_names=("w",), covariates=w[:, None],
+                **rest).covariates)
+    with _raises("covariates matrix has shape (4, 1), expected (4, 2)"):
+        Dataset(covariate_names=("w", "v"), covariates=w, **rest)
+
+
 @pytest.mark.parametrize("w1", [LONG["w1"], {}])
 def test_long_from_columns_equals_constructor(w1):
     args = {**LONG, "w1": w1, "y_bounds": (1, 6)}

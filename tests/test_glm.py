@@ -119,6 +119,26 @@ def test_duplicate_column_is_singular():
         fit_glm(design, np.array([0.0, 1.0, 0.0, 1.0]), Link.LOGIT)
 
 
+def test_logit_newton_step_that_overflows_is_singular():
+    # Two nearly collinear columns of size about 1e-152 beside one of size
+    # about 1e55: the information matrix is finite and passes the Cholesky
+    # check, but the first Newton step solved from it overflows. (Found
+    # by a seeded random search over small designs; the same under
+    # OpenBLAS's Prescott to SkylakeX and Zen kernels.)
+    design = np.array([
+        [-1.7911240988966296e-152, -1.7911240851376277e-152,
+         -6.437415192645489e+53],
+        [2.161498565345058e-152, 2.161498548740925e-152,
+         7.211497378910566e+55],
+        [-3.3274111912102e-152, -3.3274111656497953e-152,
+         -9.910458659192848e+54],
+        [6.372728305825036e-152, 6.372728256871209e-152,
+         -9.888478691004708e+55]])
+    with pytest.raises(SingularDesignError,
+                       match=r"^logit-link Newton step is not finite$"):
+        fit_glm(design, np.array([0.0, 0.0, 1.0, 0.0]), Link.LOGIT)
+
+
 def _huge_identity_problem():
     # Outcomes near the float64 maximum, as a point DGP with an outcome
     # coefficient of 1e308 draws them: the score sums stay finite, but

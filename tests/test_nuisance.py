@@ -605,6 +605,16 @@ def test_nuisance_estimates_validation():
                           fold_assignment=np.array([0, 1, 0]))
 
 
+@pytest.mark.parametrize("mu, g", [
+    (np.array([1.0, 2.0]), np.full(3, 0.5)),
+    (np.full((2, 1), 1.0), np.full((2, 1), 0.5)),
+])
+def test_nuisance_estimates_need_equal_1d_arrays(mu, g):
+    with pytest.raises(ValueError, match=r"^outcome_pred and propensity_pred "
+                       r"must be 1-d arrays of equal length$"):
+        NuisanceEstimates(mu, g)
+
+
 def test_fold_partition_properties():
     assignment = fold_partition(23, 5, seed=42)
     assert assignment.shape == (23,)

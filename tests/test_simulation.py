@@ -379,6 +379,79 @@ def test_each_validation_rule_reports_its_message(base, edits, expected):
     assert violations(DgpConfig.from_dict, d=edited(base, edits)) == expected
 
 
+NAN, INF = float("nan"), float("inf")
+# Two covariates on [2, 3]: coefficients of 1e308 and -1e308 on them give
+# an implied range of inf - inf, which is NaN, from finite numbers.
+UV = [{"name": "w", "dist": "bernoulli", "p": 0.5},
+      {"name": "u", "dist": "uniform", "low": 2.0, "high": 3.0},
+      {"name": "v", "dist": "uniform", "low": 2.0, "high": 3.0}]
+
+
+# json.loads reads NaN and Infinity; each number a config holds must be
+# finite, and no range comparison lets NaN through.
+@pytest.mark.parametrize("base, edits, expected", [
+    pytest.param(POINT, {"treatment.coefs.w": NAN},
+                 ["treatment model: coefficient on 'w' must be finite, "
+                  "got nan"], id="treatment-coefficient"),
+    pytest.param(POINT, {"treatment.intercept": -INF},
+                 ["treatment model: intercept must be finite, got -inf"],
+                 id="treatment-intercept"),
+    pytest.param(LONG, {"w1_covariates.0.model.intercept": NAN},
+                 ["w1_covariates[0] (v): model: intercept must be finite, "
+                  "got nan"], id="w1-model-intercept"),
+    pytest.param(LONG, {"a1.coefs.v": INF},
+                 ["a1 model: coefficient on 'v' must be finite, got inf"],
+                 id="a1-coefficient"),
+    pytest.param(POINT, {"outcome.intercept": NAN},
+                 ["outcome model: intercept must be finite, got nan"],
+                 id="outcome-intercept"),
+    pytest.param(POINT, {"outcome.coefs.a": -INF},
+                 ["outcome model: coefficient on 'a' must be finite, "
+                  "got -inf"], id="outcome-coefficient"),
+    pytest.param(POINT, {"covariates.0": dict(NORMAL_W, mean=INF),
+                         "treatment.coefs": {}},
+                 ["covariates[0] (w): mean must be finite, got inf"],
+                 id="covariate-mean"),
+    pytest.param(POINT, {"covariates.0": dict(NORMAL_W, sd=NAN),
+                         "treatment.coefs": {}},
+                 ["covariates[0] (w): normal needs sd >= 0",
+                  "covariates[0] (w): sd must be finite, got nan"],
+                 id="covariate-sd"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "normal", "sd": INF}},
+                 ["outcome.noise: sd must be finite, got inf"],
+                 id="noise-sd"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "uniform",
+                                           "half_width": NAN}},
+                 ["outcome.noise: half_width must be finite, got nan",
+                  "outcome.noise: uniform noise needs half_width >= 0"],
+                 id="noise-half-width"),
+    pytest.param(POINT, {"y_bounds": [-INF, INF]},
+                 ["y_bounds: lo must be finite, got -inf",
+                  "y_bounds: hi must be finite, got inf"], id="y-bounds"),
+    pytest.param(POINT, {"covariates.0.p": NAN},
+                 ["covariates[0] (w): p=nan outside [0, 1]"], id="p"),
+    pytest.param(POINT, {"covariates.0.p": DROP,
+                         "covariates.0.dist": "uniform",
+                         "covariates.0.low": NAN, "covariates.0.high": 1.0},
+                 ["covariates[0] (w): uniform needs low < high"],
+                 id="uniform-low"),
+    pytest.param(POINT, {"positivity_floor": NAN},
+                 ["positivity_floor nan must be in (0, 0.5)"],
+                 id="positivity-floor"),
+    pytest.param(POINT, {"covariates": UV,
+                         "treatment.coefs": {"u": 1e308, "v": -1e308}},
+                 ["treatment model: implied propensities span [nan, nan], "
+                  "outside the positivity floor [0.01, 0.99]"],
+                 id="propensity-range"),
+    pytest.param(POINT, {"covariates": UV, "outcome.kind": "binary",
+                         "outcome.coefs": {"u": 1e308, "v": -1e308}},
+                 ["binary outcome mean spans [nan, nan], outside [0, 1]"],
+                 id="outcome-range"),
+])
+def test_non_finite_numbers_are_violations(base, edits, expected):
+    assert violations(DgpConfig.from_dict, d=edited(base, edits)) == expected
+
+
 def test_generate_is_deterministic_and_respects_draw_order():
     dgp = simple_point_dgp()
     a = generate(dgp, 500, seed=7)
