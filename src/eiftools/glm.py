@@ -3,7 +3,8 @@
 A fit takes the model matrix ``X`` as it is, one row per observation and
 one column per parameter; the caller includes any intercept column. Two
 links are supported: identity (least squares, solved in closed form) and
-logit (Newton iteration with step-halving). Both solvers drive the
+logit (Newton iteration with step-halving, on a stack of models at once;
+``fit_glm`` fits one model as a stack of one). Both solvers drive the
 per-parameter score sums
 
     sum_i X_ij * (Z_i - Zhat_i)
@@ -18,9 +19,10 @@ directly by :func:`eiftools.estimators.fluctuate`.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List, Union
 
 import numpy as np
 
@@ -121,7 +123,8 @@ def _bernoulli_loglik(eta: np.ndarray, z: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked below
-def _fit_identity(X, z, tol_abs):
+def _fit_identity(X, z) -> GlmFit:
+    tol_abs = DEFAULT_SCORE_TOLERANCE * (1.0 + X.shape[0])
     p = X.shape[1]
     beta, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
     if rank < p:
@@ -149,145 +152,135 @@ def _fit_identity(X, z, tol_abs):
         iterations += 1
         resid = z - X @ beta
         score = X.T @ resid
-    return beta, score, iterations
+    return GlmFit(beta, iterations, score, Link.IDENTITY)
 
 
-def _fit_logit(X, z, tol_abs):
-    beta = np.zeros(X.shape[1])
-    eta = X @ beta
-    loglik = float(_bernoulli_loglik(eta, z))
-    mu = expit(eta)
-    score = X.T @ (z - mu)
+def fit_logit_stack(X: np.ndarray, Z: np.ndarray
+                    ) -> List[Union[GlmFit, GlmError]]:
+    """Logit fits of a stack of models in one Newton solve.
+
+    ``X`` is a C-contiguous ``(R, n, p)`` stack of model matrices and ``Z``
+    a C-contiguous ``(R, n)`` stack of responses in [0, 1], all finite;
+    neither is checked (``fit_glm`` checks one model, then fits it as a
+    stack of one). Entry ``i`` is slice ``i``'s ``GlmFit``, or the
+    ``GlmError`` its fit fails with: a non-finite or singular information
+    matrix, a non-finite Newton step, separation, or the iteration cap.
+
+    A slice's fit does not depend on the other slices: on C-contiguous
+    stacks numpy's ``matmul``, ``sum`` over the last axis, ``cholesky`` and
+    ``solve`` give each slice the bits of the 2-D call (the tests pin
+    this). A slice that rejects the full Newton step finishes its
+    step-halving alone, and a slice leaves the stack as soon as it
+    converges or fails.
+    """
+    R, n, p = X.shape
+    tol_abs = DEFAULT_SCORE_TOLERANCE * (1.0 + n)
+    out: List[Union[GlmFit, GlmError, None]] = [None] * R
+    live = list(range(R))  # each stacked slice's index in the input
+    settled = {}  # stacked index -> its slice's GlmFit or error
+    # Coefficients, responses and linear predictors are columns, so that
+    # each product is one (R, m, k) @ (R, k, 1) matmul. X @ 0 is +-0 in
+    # every row, and neither expit nor the log-likelihood sees the sign.
+    Xt, Zc = X.transpose(0, 2, 1), Z[..., None]
+    beta = np.zeros((R, p, 1))
+    size = [0.0] * R  # each slice's largest |coefficient|
+    loglik = _bernoulli_loglik(np.zeros((R, n)), Z)
+    mu = np.full((R, n, 1), 0.5)  # expit(+-0)
+    score = Xt @ (Zc - mu)
     for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
-        if np.abs(score).max() <= tol_abs:
-            return beta, score, iteration
-        if iteration == DEFAULT_MAX_ITERATIONS:
-            raise NonConvergenceError(
-                f"logit fit did not converge in {iteration} iterations",
-                beta, score, iteration)
-        with np.errstate(over="ignore"):  # reported below
-            info = X.T @ (X * (mu * (1.0 - mu))[:, None])
-        if not np.isfinite(info).all():
-            raise SingularDesignError(
-                "logit-link information matrix is not finite")
-        try:
-            delta = spd_solve(info, score)
-        except np.linalg.LinAlgError:
-            raise SingularDesignError(
-                "logit-link information matrix is singular") from None
-        if not np.isfinite(delta).all():
-            raise SingularDesignError(
-                "logit-link Newton step is not finite"
-            )
-        beta, eta, loglik = _halve_step(X, z, beta, delta, loglik, 1.0, 40)
-        if np.abs(beta).max() > SEPARATION_NORM:
-            raise SeparationError(
-                "logit coefficients diverged beyond "
-                f"{SEPARATION_NORM:g}; data look separated"
-            )
+        # The last step's separation, then convergence, then the cap.
+        for j, s in enumerate(np.abs(score).max(axis=(1, 2)).tolist()):
+            if size[j] > SEPARATION_NORM:
+                settled[j] = SeparationError(
+                    "logit coefficients diverged beyond "
+                    f"{SEPARATION_NORM:g}; data look separated")
+            elif s <= tol_abs:
+                settled[j] = GlmFit(coefficients=beta[j, :, 0],
+                                    iterations=iteration,
+                                    score_residuals=score[j, :, 0],
+                                    link=Link.LOGIT)
+            elif iteration == DEFAULT_MAX_ITERATIONS:
+                settled[j] = NonConvergenceError(
+                    f"logit fit did not converge in {iteration} "
+                    "iterations", beta[j, :, 0], score[j, :, 0], iteration)
+        if settled:
+            if len(settled) == len(live):
+                break
+            live, X, Z, beta, loglik, mu, score = _drop(
+                settled, out, live, X, Z, beta, loglik, mu, score)
+            Xt, Zc = X.transpose(0, 2, 1), Z[..., None]
+        # A sum is finite only if every term is, and neither overflow
+        # nor inf - inf warns here: a non-finite slice fails below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            info = Xt @ (X * (mu * (1.0 - mu)))
+            delta = _spd_solve_stack(info, score, settled)
+            finite = math.isfinite(info.sum() + delta.sum())
+        if not finite:
+            for j in np.flatnonzero(~np.isfinite(info).all(axis=(1, 2))):
+                settled[j] = SingularDesignError(
+                    "logit-link information matrix is not finite")
+            for j in np.flatnonzero(~np.isfinite(delta).all(axis=(1, 2))):
+                settled.setdefault(j, SingularDesignError(
+                    "logit-link Newton step is not finite"))
+            if len(settled) == len(live):
+                break
+            live, X, Z, beta, loglik, delta = _drop(
+                settled, out, live, X, Z, beta, loglik, delta)
+            Xt, Zc = X.transpose(0, 2, 1), Z[..., None]
+        cand = beta + delta  # the full step: beta + 1.0 * delta
+        eta = X @ cand
+        loglik_cand = _bernoulli_loglik(eta[..., 0], Z)
+        for j, (new, old) in enumerate(zip(loglik_cand.tolist(),
+                                           loglik.tolist())):
+            if not new >= old - 1e-12 * (1.0 + abs(old)):
+                cand[j], eta[j], loglik_cand[j] = _halve_step(
+                    X[j], Z[j], beta[j], delta[j], old)
+        beta, loglik = cand, loglik_cand
+        # Every step is finite, so max over Python floats is numpy's max.
+        size = [max(map(abs, b)) for b in beta[..., 0].tolist()]
         mu = expit(eta)
-        score = X.T @ (z - mu)
+        score = Xt @ (Zc - mu)
+    for j, result in settled.items():
+        out[live[j]] = result
+    return out
 
 
-def _halve_step(X, z, beta, delta, loglik: float, step: float, tries: int):
-    """Step-halving from ``step``: the first of ``tries`` candidates
-    ``beta + step * delta``, halving ``step`` each time, that does not
-    decrease the Bernoulli log-likelihood, else the last one; returned
-    with its linear predictor and log-likelihood."""
-    for _ in range(tries):
+def _drop(settled: dict, out: list, live: list, *stacks):
+    """Record each slice of ``settled`` (stacked index -> result) in
+    ``out``, and return ``live`` and each stack without those slices;
+    ``settled`` is left empty."""
+    for j, result in settled.items():
+        out[live[j]] = result
+    keep = [j for j in range(len(live)) if j not in settled]
+    settled.clear()
+    return ([live[j] for j in keep],) + tuple(a[keep] for a in stacks)
+
+
+def _halve_step(X, z, beta, delta, loglik: float):
+    """Step-halving after a rejected full Newton step: the first of 39
+    candidates ``beta + step * delta``, ``step`` halving from 1/2, that
+    does not decrease the Bernoulli log-likelihood ``loglik`` at
+    ``beta``, else the last one; returned with its linear predictor and
+    log-likelihood. ``beta`` and ``delta`` are ``(p, 1)`` columns."""
+    step = 0.5
+    for _ in range(39):
         cand = beta + step * delta
         eta_cand = X @ cand
-        loglik_cand = float(_bernoulli_loglik(eta_cand, z))
+        loglik_cand = float(_bernoulli_loglik(eta_cand[:, 0], z))
         if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
             break
         step *= 0.5
     return cand, eta_cand, loglik_cand
 
 
-def fit_logit_stack(X: np.ndarray, Z: np.ndarray) -> List[Optional[GlmFit]]:
-    """Logit fits of a stack of models in one Newton solve.
-
-    ``X`` is a C-contiguous ``(R, n, p)`` stack of model matrices and ``Z``
-    an ``(R, n)`` stack of responses in [0, 1], all finite; neither is
-    checked. Slice ``i``'s fit is ``fit_glm(X[i], Z[i], Link.LOGIT)``, bit
-    for bit in its coefficients, score residuals and iteration count: each
-    Newton step makes the calls of ``_fit_logit`` on C-contiguous stacks,
-    where numpy's ``matmul``, ``sum`` over the last axis, ``cholesky``
-    and ``solve`` give each slice the bits of the 2-D call (the tests pin
-    this). A slice that rejects the full step finishes its step-halving
-    alone, in ``_fit_logit``'s own code. Slices leave the stack as they
-    converge.
-
-    A slice whose fit fails (a non-finite or singular information
-    matrix, a non-finite step, separation, or the iteration cap) is
-    ``None``: fit alone with ``fit_glm``, it raises that error. ``fit_glm``
-    keeps its own solver because a stack of one costs more than it.
-    """
-    R, n, p = X.shape
-    tol_abs = DEFAULT_SCORE_TOLERANCE * (1.0 + n)
-    fits: List[Optional[GlmFit]] = [None] * R
-    live = np.arange(R)  # each stacked slice's index in the input
-    beta = np.zeros((R, p))
-    eta = _matvec(X, beta)
-    loglik = _bernoulli_loglik(eta, Z)
-    mu = expit(eta)
-    score = _matvec(X.transpose(0, 2, 1), Z - mu)
-    for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
-        done = np.abs(score).max(axis=1) <= tol_abs
-        for j in np.flatnonzero(done):
-            fits[live[j]] = GlmFit(coefficients=beta[j].copy(),
-                                   iterations=iteration,
-                                   score_residuals=score[j].copy(),
-                                   link=Link.LOGIT)
-        if iteration == DEFAULT_MAX_ITERATIONS:
-            break  # the slices left fail on the iteration cap
-        with np.errstate(over="ignore"):  # a non-finite slice leaves below
-            info = X.transpose(0, 2, 1) @ (X * (mu * (1.0 - mu))[..., None])
-        keep = ~done & np.isfinite(info).all(axis=(1, 2))
-        live, X, Z, beta, loglik, info, score = _rows(
-            keep, live, X, Z, beta, loglik, info, score)
-        delta = _spd_solve_stack(info, score)
-        live, X, Z, beta, loglik, delta = _rows(
-            np.isfinite(delta).all(axis=1), live, X, Z, beta, loglik, delta)
-        if not live.size:
-            break
-        step = 1.0
-        cand = beta + step * delta
-        eta = _matvec(X, cand)
-        loglik_cand = _bernoulli_loglik(eta, Z)
-        for j in np.flatnonzero(
-                ~(loglik_cand >= loglik - 1e-12 * (1.0 + np.abs(loglik)))):
-            cand[j], eta[j], loglik_cand[j] = _halve_step(
-                X[j], Z[j], beta[j], delta[j], float(loglik[j]), step * 0.5,
-                39)
-        live, X, Z, beta, loglik, eta = _rows(
-            ~(np.abs(cand).max(axis=1) > SEPARATION_NORM),
-            live, X, Z, cand, loglik_cand, eta)
-        mu = expit(eta)
-        score = _matvec(X.transpose(0, 2, 1), Z - mu)
-    return fits
-
-
-def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``A[i] @ v[i]`` for each slice of an ``(R, m, k)`` and an ``(R, k)``
-    stack, as one ``(R, m)`` array."""
-    return (A @ v[..., None])[..., 0]
-
-
-def _rows(keep: np.ndarray, *stacks: np.ndarray):
-    """The slices ``keep`` of each stack (the stacks themselves when it
-    keeps them all)."""
-    if keep.all():
-        return stacks
-    return tuple(a[keep] for a in stacks)
-
-
-def _spd_solve_stack(info: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """``spd_solve(info[i], score[i])`` for each slice, as rows; the row
-    of a slice where it raises is NaN."""
+def _spd_solve_stack(info: np.ndarray, score: np.ndarray,
+                     settled: dict) -> np.ndarray:
+    """``spd_solve(info[i], score[i])`` for each slice of a stack of
+    ``(p, 1)`` columns. When the stack's solve raises, each slice is
+    solved alone; one where that raises is NaN, and ``settled`` records
+    it as singular."""
     try:
-        np.linalg.cholesky(info)
-        return np.linalg.solve(info, score[..., None])[..., 0]
+        return spd_solve(info, score)
     except np.linalg.LinAlgError:
         pass
     delta = np.full(score.shape, np.nan)
@@ -295,7 +288,8 @@ def _spd_solve_stack(info: np.ndarray, score: np.ndarray) -> np.ndarray:
         try:
             delta[j] = spd_solve(info[j], score[j])
         except np.linalg.LinAlgError:
-            pass
+            settled[j] = SingularDesignError(
+                "logit-link information matrix is singular")
     return delta
 
 
@@ -332,17 +326,12 @@ def fit_glm(X, response, link: Link) -> GlmFit:
     """
     link = Link(link)
     X, z = _validate(X, response, link)
-    tol_abs = DEFAULT_SCORE_TOLERANCE * (1.0 + X.shape[0])
     if link is Link.IDENTITY:
-        beta, score, iterations = _fit_identity(X, z, tol_abs)
-    else:
-        beta, score, iterations = _fit_logit(X, z, tol_abs)
-    return GlmFit(
-        coefficients=beta,
-        iterations=iterations,
-        score_residuals=score,
-        link=link,
-    )
+        return _fit_identity(X, z)
+    fit = fit_logit_stack(X[None], z[None])[0]
+    if isinstance(fit, GlmError):
+        raise fit
+    return fit
 
 
 def predict(fit: GlmFit, X) -> np.ndarray:

@@ -559,17 +559,17 @@ def stacked_propensity_predictions(learner: LearnerSpec,
                                    covariates: Optional[Sequence[str]]
                                    ) -> List[Optional[np.ndarray]]:
     """Full-sample GLM propensity predictions of several datasets with one
-    row count, from one stacked Newton solve (``glm.fit_logit_stack``).
+    row count, from one stacked Newton solve (``glm.fit_logit_stack``,
+    the solver ``fit_glm`` fits one model with).
 
     Each dataset's model is fit on its columns ``covariates`` (None:
     all), and its entry is what ``fit_nuisance(..., raw_propensity=...)``
     takes: ``fit_propensity(learner, x, data.treatment).predict(x)``,
     with ``x = learner.design_for(data.covariate_matrix(covariates))``,
-    bit for bit. An entry is None for a None member (a failed draw),
+    bit for bit. An entry is None for a None member (a failed draw) and
     when that call would raise (its model matrix is not finite, its
-    treatment has one level, or its fit fails), and when it is the only
-    member left, since ``fit_glm`` fits one model faster: fit alone, it
-    gives its predictions or raises its error.
+    treatment has one level, or its fit fails): fit alone, it raises its
+    error.
     """
     if learner.kind not in GLM_KINDS:
         raise ValueError(f"{learner.describe()} is not a GLM learner")
@@ -588,11 +588,11 @@ def stacked_propensity_predictions(learner: LearnerSpec,
         xs.append(x)
         zs.append((a == 0.0).astype(float))
     out: List[Optional[np.ndarray]] = [None] * len(datasets)
-    if len(members) < 2:
+    if not members:
         return out
     for i, x, fit in zip(members, xs,
                          fit_logit_stack(np.stack(xs), np.stack(zs))):
-        if fit is not None:
+        if isinstance(fit, GlmFit):
             out[i] = _GlmPredictor(fit).predict(x)
     return out
 

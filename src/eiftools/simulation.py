@@ -89,14 +89,21 @@ class AnalyticTruthError(Exception):
 
 
 _JSON_TYPES = {"an object": Mapping, "a list": (list, tuple),
-               "a number": numbers.Real}
+               "a number": numbers.Real, "a string": str}
 
 
 def _typed(value, kind: str, where: str):
     """``value`` if it has the JSON type ``kind``, else a config error
-    (not a TypeError or ValueError deep inside validation)."""
+    (not a TypeError, ValueError or OverflowError deep inside validation)."""
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise DgpValidationError([f"{where}: expected {kind}, got {value!r}"])
+    if kind == "a number":
+        try:
+            float(value)
+        except OverflowError:
+            raise DgpValidationError([f"{where}: expected a number, got an "
+                                      "integer too large for a float"]
+                                     ) from None
     return value
 
 
@@ -202,7 +209,8 @@ class CovariateSpec:
                   if d.get(key) is not None}
         model = d.get("model")
         return cls(
-            name=str(d["name"]), dist=str(d["dist"]), **values,
+            name=_typed(d["name"], "a string", f"{where}.name"),
+            dist=_typed(d["dist"], "a string", f"{where}.dist"), **values,
             model=LinearModel.from_dict(model, f"{where}.model")
             if model is not None else None,
         )
@@ -227,7 +235,8 @@ class NoiseSpec:
     @classmethod
     def from_dict(cls, d: Mapping[str, object], where: str) -> "NoiseSpec":
         d = _object(d, ("kind", "sd", "half_width"), where)
-        return cls(kind=str(d.get("kind", "none")),
+        return cls(kind=_typed(d.get("kind", "none"), "a string",
+                               f"{where}.kind"),
                    sd=_typed(d.get("sd", 0.0), "a number", f"{where}.sd"),
                    half_width=_typed(d.get("half_width", 0.0), "a number",
                                      f"{where}.half_width"))
@@ -267,8 +276,10 @@ class OutcomeSpec:
         d = _object(d, ("scale", "kind", "intercept", "coefs", "noise"),
                     where)
         return cls(
-            scale=str(d.get("scale", "identity")),
-            kind=str(d.get("kind", "continuous")),
+            scale=_typed(d.get("scale", "identity"), "a string",
+                         f"{where}.scale"),
+            kind=_typed(d.get("kind", "continuous"), "a string",
+                        f"{where}.kind"),
             mean_model=LinearModel.from_dict(
                 {key: d[key] for key in ("intercept", "coefs") if key in d},
                 where),
@@ -532,7 +543,7 @@ class DgpConfig:
             return tuple(CovariateSpec.from_dict(c, f"{key}[{i}]")
                          for i, c in enumerate(items))
         return cls(
-            design=str(d["design"]),
+            design=_typed(d["design"], "a string", "design"),
             covariates=specs("covariates"),
             treatment=LinearModel.from_dict(d["treatment"], "treatment"),
             outcome=OutcomeSpec.from_dict(d["outcome"], "outcome"),
@@ -1043,11 +1054,11 @@ def run_experiment(dgp: DgpConfig, n: int, replications: int,
     for one stacked Newton solve of their propensity models, and then
     gives each replicate its own ``fit_plan_nuisance`` call, handed its
     entry, and its estimators. The outcome models, every other plan and
-    the ``estimate`` command fit one dataset at a time. A block of one,
-    a failed draw, a one-level treatment and a propensity fit that fails
-    in the stack are fit alone, by the same code as without blocks. The
-    stacked fit has ``fit_glm``'s bits, so the report does not depend on
-    the block size.
+    the ``estimate`` command fit one dataset at a time. A failed draw, a
+    one-level treatment and a propensity fit that fails in the stack are
+    fit alone, by the same code as without blocks. ``fit_glm`` fits one
+    model by the same stacked solve, and a slice's fit does not depend on
+    the other slices, so the report does not depend on the block size.
     """
     if replications < 2:
         raise ValueError("replications must be at least 2")

@@ -13,7 +13,7 @@ import io
 import numpy as np
 from scipy.special import expit, logit
 
-from eiftools import _numeric
+from eiftools import _numeric, glm
 from eiftools import nuisance as nu
 from eiftools.data import Dataset
 from eiftools.glm import (SEPARATION_NORM, Link, NonConvergenceError,
@@ -256,6 +256,73 @@ def fit_logit_two_logaddexp(X, z, b, wt, tol_abs, max_iterations=100):
     if np.max(np.abs(score)) <= tol_abs:
         return beta, max_iterations
     raise NonConvergenceError("no convergence", beta, score, max_iterations)
+
+
+def fit_logit_reference(X, z, tol_abs):
+    """The single-model logit Newton loop that ``fit_glm`` ran before it
+    fit through ``glm.fit_logit_stack``, kept as the bit-level reference
+    for the stacked solve.
+
+    Returns (coefficients, score sums, iterations), or raises the
+    ``GlmError`` of a failed fit. It takes ``expit``, the positive-definite
+    solve and the log-likelihood from the library, and reads the
+    iteration cap from ``eiftools.glm`` at call time, so a test that
+    lowers the cap lowers it here too.
+    """
+    expit, spd_solve = _numeric.expit, _numeric.spd_solve
+    _bernoulli_loglik = glm._bernoulli_loglik
+    DEFAULT_MAX_ITERATIONS = glm.DEFAULT_MAX_ITERATIONS
+    _halve_step = _halve_step_reference
+    beta = np.zeros(X.shape[1])
+    eta = X @ beta
+    loglik = float(_bernoulli_loglik(eta, z))
+    mu = expit(eta)
+    score = X.T @ (z - mu)
+    for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
+        if np.abs(score).max() <= tol_abs:
+            return beta, score, iteration
+        if iteration == DEFAULT_MAX_ITERATIONS:
+            raise NonConvergenceError(
+                f"logit fit did not converge in {iteration} iterations",
+                beta, score, iteration)
+        with np.errstate(over="ignore"):  # reported below
+            info = X.T @ (X * (mu * (1.0 - mu))[:, None])
+        if not np.isfinite(info).all():
+            raise SingularDesignError(
+                "logit-link information matrix is not finite")
+        try:
+            delta = spd_solve(info, score)
+        except np.linalg.LinAlgError:
+            raise SingularDesignError(
+                "logit-link information matrix is singular") from None
+        if not np.isfinite(delta).all():
+            raise SingularDesignError(
+                "logit-link Newton step is not finite"
+            )
+        beta, eta, loglik = _halve_step(X, z, beta, delta, loglik, 1.0, 40)
+        if np.abs(beta).max() > SEPARATION_NORM:
+            raise SeparationError(
+                "logit coefficients diverged beyond "
+                f"{SEPARATION_NORM:g}; data look separated"
+            )
+        mu = expit(eta)
+        score = X.T @ (z - mu)
+
+
+def _halve_step_reference(X, z, beta, delta, loglik: float, step: float,
+                          tries: int):
+    """Step-halving from ``step``: the first of ``tries`` candidates
+    ``beta + step * delta``, halving ``step`` each time, that does not
+    decrease the Bernoulli log-likelihood, else the last one; returned
+    with its linear predictor and log-likelihood."""
+    for _ in range(tries):
+        cand = beta + step * delta
+        eta_cand = X @ cand
+        loglik_cand = float(glm._bernoulli_loglik(eta_cand, z))
+        if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
+            break
+        step *= 0.5
+    return cand, eta_cand, loglik_cand
 
 
 def _one_column_fit(x, z, b, wt, logistic=False):

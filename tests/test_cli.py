@@ -999,8 +999,9 @@ def test_overflowing_truth_exits_2_with_json(capsys, fixture, argv, kind,
     assert error["message"].startswith(message)
 
 
-# Each fixture holds a JSON NaN or Infinity literal, which json.loads
-# reads: the config fails to build, rather than failing every record.
+# Each fixture holds a JSON NaN or Infinity literal, or an integer too
+# large for a float, which json.loads reads: the config fails to build,
+# rather than failing every record or ending in a traceback.
 @pytest.mark.parametrize("fixture, violations", [
     ("dgp_nonfinite_treatment.json",
      ["treatment model: coefficient on 'w' must be finite, got nan"]),
@@ -1009,6 +1010,9 @@ def test_overflowing_truth_exits_2_with_json(capsys, fixture, argv, kind,
       "y_bounds: hi must be finite, got inf"]),
     ("dgp_nonfinite_w1_model.json",
      ["w1_covariates[0] (w1): model: intercept must be finite, got nan"]),
+    ("dgp_nonfinite_integer.json",
+     ["treatment.intercept: expected a number, got an integer too large "
+      "for a float"]),
 ])
 @pytest.mark.parametrize("argv", [["truth"], ["truth", *MC_TRUTH],
                                   ["simulate", *MC_SIMULATE]],

@@ -730,12 +730,18 @@ def test_stacked_propensity_predictions_equal_fit_propensity():
     assert [alone[i] for i in (1, 2, 3)] == [
         "InsufficientDataError", "NuisanceError", "SeparationError"]
     assert sum(got is not None for got in predictions) == 4
-    # A lone member is left to fit_glm, also beside failed draws, and kNN
-    # learners do not stack.
+    # A lone member is a stack of one, also beside failed draws; no
+    # member gives no fit; and kNN learners do not stack.
+    x = learner.design_for(datasets[0].covariate_matrix(None))
+    alone = fit_propensity(learner, x, datasets[0].treatment).predict(x)
+    lone = stacked_propensity_predictions(learner, datasets[:1], None)
+    assert len(lone) == 1 and np.array_equal(lone[0], alone)
+    lone = stacked_propensity_predictions(
+        learner, [None, datasets[0], None], None)
+    assert lone[0] is None and lone[2] is None
+    assert np.array_equal(lone[1], alone)
     assert stacked_propensity_predictions(
-        learner, datasets[:1], None) == [None]
-    assert stacked_propensity_predictions(
-        learner, [None, datasets[0], None], None) == [None] * 3
+        learner, [None, datasets[1]], None) == [None, None]
     with pytest.raises(ValueError, match="not a GLM learner"):
         stacked_propensity_predictions(
             LearnerSpec("k_nearest_neighbors", k=3), datasets, None)
