@@ -159,25 +159,25 @@ def fit_logit_stack(X: np.ndarray, Z: np.ndarray
                     ) -> List[Union[GlmFit, GlmError]]:
     """Logit fits of a stack of models in one Newton solve.
 
-    ``X`` is a C-contiguous ``(R, n, p)`` stack of model matrices and ``Z``
-    a C-contiguous ``(R, n)`` stack of responses in [0, 1], all finite;
-    neither is checked (``fit_glm`` checks one model, then fits it as a
-    stack of one). Entry ``i`` is slice ``i``'s ``GlmFit``, or the
-    ``GlmError`` its fit fails with: a non-finite or singular information
-    matrix, a non-finite Newton step, separation, or the iteration cap.
+    ``X`` is an ``(R, n, p)`` stack of model matrices and ``Z`` an
+    ``(R, n)`` stack of responses in [0, 1], all finite and C-contiguous
+    (a stack of one may have any layout); neither is checked (``fit_glm``
+    checks one model, then fits it as a stack of one). Entry ``i`` is
+    slice ``i``'s ``GlmFit``, or the ``GlmError`` its fit fails with: a
+    non-finite or singular information matrix, a non-finite Newton step,
+    separation, or the iteration cap.
 
-    A slice's fit does not depend on the other slices: on C-contiguous
-    stacks numpy's ``matmul``, ``sum`` over the last axis, ``cholesky`` and
-    ``solve`` give each slice the bits of the 2-D call (the tests pin
-    this). A slice that rejects the full Newton step finishes its
-    step-halving alone, and a slice leaves the stack as soon as it
-    converges or fails.
+    A slice's fit does not depend on the other slices: numpy's ``matmul``,
+    ``sum`` over the last axis, ``cholesky`` and ``solve`` give each slice
+    of a C-contiguous stack, and a stack of one of any layout, the bits of
+    the 2-D call on that slice (the tests pin both). A slice that rejects
+    the full Newton step finishes its step-halving alone, and a slice
+    leaves the stack as soon as it converges or fails.
     """
     R, n, p = X.shape
     tol_abs = DEFAULT_SCORE_TOLERANCE * (1.0 + n)
     out: List[Union[GlmFit, GlmError, None]] = [None] * R
     live = list(range(R))  # each stacked slice's index in the input
-    settled = {}  # stacked index -> its slice's GlmFit or error
     # Coefficients, responses and linear predictors are columns, so that
     # each product is one (R, m, k) @ (R, k, 1) matmul. X @ 0 is +-0 in
     # every row, and neither expit nor the log-likelihood sees the sign.
@@ -189,6 +189,7 @@ def fit_logit_stack(X: np.ndarray, Z: np.ndarray
     score = Xt @ (Zc - mu)
     for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
         # The last step's separation, then convergence, then the cap.
+        settled = {}  # stacked index -> its slice's GlmFit or error
         for j, s in enumerate(np.abs(score).max(axis=(1, 2)).tolist()):
             if size[j] > SEPARATION_NORM:
                 settled[j] = SeparationError(
@@ -213,15 +214,16 @@ def fit_logit_stack(X: np.ndarray, Z: np.ndarray
         # nor inf - inf warns here: a non-finite slice fails below.
         with np.errstate(over="ignore", invalid="ignore"):
             info = Xt @ (X * (mu * (1.0 - mu)))
-            delta = _spd_solve_stack(info, score, settled)
+            delta, singular = _spd_solve_stack(info, score)
             finite = math.isfinite(info.sum() + delta.sum())
         if not finite:
-            for j in np.flatnonzero(~np.isfinite(info).all(axis=(1, 2))):
-                settled[j] = SingularDesignError(
-                    "logit-link information matrix is not finite")
-            for j in np.flatnonzero(~np.isfinite(delta).all(axis=(1, 2))):
-                settled.setdefault(j, SingularDesignError(
-                    "logit-link Newton step is not finite"))
+            # A non-finite, then a singular information matrix, then step.
+            bad_info = ~np.isfinite(info).all(axis=(1, 2))
+            settled = {j: SingularDesignError("logit-link " + (
+                "information matrix is not finite" if bad_info[j] else
+                "information matrix is singular" if j in singular else
+                "Newton step is not finite")) for j in np.flatnonzero(
+                    bad_info | ~np.isfinite(delta).all(axis=(1, 2)))}
             if len(settled) == len(live):
                 break
             live, X, Z, beta, loglik, delta = _drop(
@@ -247,12 +249,10 @@ def fit_logit_stack(X: np.ndarray, Z: np.ndarray
 
 def _drop(settled: dict, out: list, live: list, *stacks):
     """Record each slice of ``settled`` (stacked index -> result) in
-    ``out``, and return ``live`` and each stack without those slices;
-    ``settled`` is left empty."""
+    ``out``, and return ``live`` and each stack without those slices."""
     for j, result in settled.items():
         out[live[j]] = result
     keep = [j for j in range(len(live)) if j not in settled]
-    settled.clear()
     return ([live[j] for j in keep],) + tuple(a[keep] for a in stacks)
 
 
@@ -273,24 +273,22 @@ def _halve_step(X, z, beta, delta, loglik: float):
     return cand, eta_cand, loglik_cand
 
 
-def _spd_solve_stack(info: np.ndarray, score: np.ndarray,
-                     settled: dict) -> np.ndarray:
+def _spd_solve_stack(info: np.ndarray, score: np.ndarray):
     """``spd_solve(info[i], score[i])`` for each slice of a stack of
-    ``(p, 1)`` columns. When the stack's solve raises, each slice is
-    solved alone; one where that raises is NaN, and ``settled`` records
-    it as singular."""
+    ``(p, 1)`` columns, and the indices of the slices where it raises,
+    whose columns are NaN. When the stack's solve raises, each slice is
+    solved alone."""
     try:
-        return spd_solve(info, score)
+        return spd_solve(info, score), ()
     except np.linalg.LinAlgError:
         pass
-    delta = np.full(score.shape, np.nan)
+    delta, singular = np.full(score.shape, np.nan), []
     for j in range(info.shape[0]):
         try:
             delta[j] = spd_solve(info[j], score[j])
         except np.linalg.LinAlgError:
-            settled[j] = SingularDesignError(
-                "logit-link information matrix is singular")
-    return delta
+            singular.append(j)
+    return delta, singular
 
 
 def fit_glm(X, response, link: Link) -> GlmFit:

@@ -438,11 +438,12 @@ def _assert_same_fit(got, reference):
     assert got.iterations == iterations
 
 
-def _assert_stack_matches_reference(X, Z, failures):
-    """Each slice's fit, in the stack, as a stack of one and alone through
-    ``fit_glm``, is the reference Newton loop's; returns the set of
-    iteration counts of the slices that converged."""
-    fits = glm.fit_logit_stack(X, Z)
+def _assert_stack_matches_reference(X, Z, failures,
+                                    fit_stack=glm.fit_logit_stack):
+    """Each slice's fit, in the stack (by ``fit_stack``), as a stack of one
+    and alone through ``fit_glm``, is the reference Newton loop's; returns
+    the set of iteration counts of the slices that converged."""
+    fits = fit_stack(X, Z)
     assert len(fits) == X.shape[0]
     iterations = set()
     for i, fit in enumerate(fits):
@@ -465,12 +466,22 @@ def _assert_stack_matches_reference(X, Z, failures):
 
 
 def test_stacked_logit_fits_equal_fit_glm_bit_for_bit(monkeypatch):
-    halved = []
+    # Only the halvings inside a whole stack count, not those of the
+    # stacks of one that refit each slice.
+    halved, in_stack = [], []
     halve_step = glm._halve_step
 
     def counted(X, z, beta, delta, loglik):
-        halved.append(loglik)
+        if in_stack:
+            halved.append(loglik)
         return halve_step(X, z, beta, delta, loglik)
+
+    def whole_stack(X, Z):
+        in_stack.append(True)
+        try:
+            return glm.fit_logit_stack(X, Z)
+        finally:
+            in_stack.clear()
     monkeypatch.setattr(glm, "_halve_step", counted)
     rng = np.random.default_rng(2024)
     failures, mixed = [], 0
@@ -478,12 +489,40 @@ def test_stacked_logit_fits_equal_fit_glm_bit_for_bit(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         for _ in range(220):
             X, Z = _random_stack(rng)
-            mixed += len(_assert_stack_matches_reference(X, Z, failures)) > 1
+            mixed += len(_assert_stack_matches_reference(
+                X, Z, failures, whole_stack)) > 1
     # The stacks covered what they are meant to: slices converging at
     # different iterations, step-halving, and each failure of the solve.
     assert mixed > 100
     assert len(halved) > 50
     assert {"SeparationError", "SingularDesignError"} <= set(failures)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column_slice"])
+def test_fit_glm_has_the_reference_bits_on_any_layout(layout):
+    # fit_glm fits its X as a stack of one without copying it, so an
+    # F-ordered or column-sliced X must round as in the reference loop
+    # on the same array (which can differ from a C-ordered copy's bits).
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n, p = int(rng.integers(5, 301)), int(rng.integers(2, 7))
+        kind = rng.choice(["halving", "random"]) if n % 5 == 0 else "random"
+        x, z = _stack_slice(rng, n, 3 if kind == "halving" else p, kind)
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+        else:
+            x = np.repeat(x, 2, axis=1)[:, ::2]
+        assert not x.flags.c_contiguous
+        try:
+            reference = fit_logit_reference(
+                x, z, glm.DEFAULT_SCORE_TOLERANCE * (1 + n))
+        except glm.GlmError as exc:
+            reference = exc
+        try:
+            got = fit_glm(x, z, Link.LOGIT)
+        except glm.GlmError as exc:
+            got = exc
+        _assert_same_fit(got, reference)
 
 
 def test_stacked_logit_slices_fail_on_the_iteration_cap(monkeypatch):
