@@ -39,7 +39,7 @@ from .data import Dataset, LongDataset
 from .glm import (DEFAULT_MAX_ITERATIONS, DEFAULT_SCORE_TOLERANCE,
                   SEPARATION_NORM, GlmError, NonConvergenceError,
                   SeparationError, SingularDesignError)
-from .nuisance import NuisanceEstimates
+from .nuisance import OUTCOME_PROB_CLIP, NuisanceEstimates
 
 __all__ = [
     "TMLE_VARIANTS",
@@ -58,10 +58,6 @@ __all__ = [
 Z975 = 1.959964
 
 TMLE_VARIANTS = ("covariate_linear", "weighted_linear", "weighted_logistic")
-
-# Scaled initial predictions are clipped here before logit().
-_SCALED_PRED_CLIP = 1e-6
-
 
 @dataclass(frozen=True)
 class FluctuationFit:
@@ -395,8 +391,8 @@ def _solve_fluctuation(z: np.ndarray, b: np.ndarray, w: np.ndarray,
         if span == 0.0:
             return FluctuationFit(variant, 0.0, np.full(z.shape[0], lo), 0.0)
         z_sc = (z - lo) / span
-        b_sc = logit(np.clip((b - lo) / span, _SCALED_PRED_CLIP,
-                             1.0 - _SCALED_PRED_CLIP))
+        b_sc = logit(np.clip((b - lo) / span, OUTCOME_PROB_CLIP,
+                             1.0 - OUTCOME_PROB_CLIP))
         coef = _solve_logistic(z_sc, b_sc, w, tol)
         targeted_sc = expit(b_sc + coef)
         return FluctuationFit(variant, coef, lo + span * targeted_sc,

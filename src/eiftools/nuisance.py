@@ -47,8 +47,8 @@ __all__ = [
 
 DEFAULT_TRUNCATION = (0.01, 0.99)
 
-# Probability-scale outcome predictions are clipped here so that
-# logit(prediction) stays finite for the logistic targeting model.
+# Probability-scale outcome predictions, and the scaled predictions of the
+# logistic targeting step, are clipped here so that logit() stays finite.
 OUTCOME_PROB_CLIP = 1e-6
 
 GLM_KINDS = ("glm_main_terms", "glm_with_basis")

@@ -1019,13 +1019,13 @@ def test_overflowing_truth_exits_2_with_json(capsys, fixture, argv, kind,
                          ids=["truth", "truth-mc", "simulate"])
 def test_non_finite_config_exits_2_before_any_draw(monkeypatch, capsys,
                                                    fixture, violations, argv):
-    from eiftools import simulation
+    from eiftools import dgp
 
     def never(*args, **kwargs):
         raise AssertionError("a truth sum or a replicate ran")
 
-    monkeypatch.setattr(simulation, "_draw", never)
-    monkeypatch.setattr(simulation, "_analytic_truth", never)
+    monkeypatch.setattr(dgp, "_draw", never)
+    monkeypatch.setattr(dgp, "_analytic_truth", never)
     code = run_cli([argv[0], "--config", FIXTURES / fixture, *argv[1:]])
     assert code == 2
     error = _strict_json(capsys.readouterr().out)["error"]

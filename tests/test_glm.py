@@ -328,6 +328,14 @@ def test_halved_step_matches_two_logaddexp_oracle():
     _assert_iterates_match_oracle(design, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
 
 
+def test_a_step_that_no_halving_rescues_matches_the_oracle():
+    # On these separated rows every one of the 39 halved candidates of one
+    # rejected Newton step lowers the log-likelihood, so the last is taken;
+    # the fit then reports separation, as the oracle does.
+    design = _with_intercept([3.0, -1.0, 7.0, 3.0], [2.0, 7.0, 9.0, 0.0])
+    _assert_iterates_match_oracle(design, np.array([0.0, 0.0, 0.0, 1.0]))
+
+
 # The stacked solve rests on numpy giving each slice of a C-contiguous
 # stack the bits of the 2-D call. Row counts straddle 8 and 128 terms,
 # where numpy's float64 summation changes from a plain loop to unrolled

@@ -1,13 +1,17 @@
 """The README runs and reads as the code: its Python snippets run as
-written, and its DGP config tables list the keys that a config takes."""
+written, and its DGP config tables list the key tables that configs are
+read by, each key with its JSON type and default."""
 
-import copy
+import functools
+import json
 import pathlib
 import re
 
 import pytest
 
-from eiftools.simulation import DgpConfig, DgpValidationError
+from eiftools import dgp
+from eiftools.dgp import (CovariateSpec, DgpConfig, DgpValidationError,
+                          LinearModel, NoiseSpec, OutcomeSpec)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,70 +29,64 @@ def test_readme_python_snippets_run_in_order(capsys):
         "tmle_long_weighted_logistic"]
 
 
-def _documented_keys():
-    """Each README table of DGP config keys: its object, and the keys that
-    its first column lists."""
+def _documented_rows():
+    """Each README table of DGP config keys: its object, and one (key,
+    JSON type, default) row per key, as its first three columns list
+    them. A row of several keys lists one type and one default for all,
+    or one each, comma-separated."""
     tables = {}
     rows = None
     for line in README.read_text("utf-8").splitlines():
         header = re.fullmatch(
             r"\| (\w+) key \| JSON type \| default \| rule \|", line)
         if header:
-            rows = tables.setdefault(header.group(1), set())
+            rows = tables.setdefault(header.group(1), [])
         elif rows is not None and line.startswith("| `"):
-            rows.update(re.findall(r"`(\w+)`", line.split(" | ")[0]))
+            keys, kinds, defaults = line.split(" | ")[:3]
+            keys = re.findall(r"`(\w+)`", keys)
+            columns = [cell.split(", ") if len(keys) > 1 else [cell]
+                       for cell in (kinds, defaults)]
+            rows += zip(keys, *(cells * (len(keys) // len(cells))
+                                for cells in columns))
         elif not line.startswith("|"):
             rows = None
     return tables
 
 
-# Two small valid configs that between them use every documented key.
-POINT = {"design": "point",
-         "covariates": [{"name": "w", "dist": "bernoulli", "p": 0.5}],
-         "treatment": {"intercept": 0.1, "coefs": {"w": 0.5}},
-         "outcome": {"scale": "identity", "kind": "continuous",
-                     "intercept": 0.0, "coefs": {"w": 1.0, "a": 0.2},
-                     "noise": {"kind": "uniform", "sd": 0.0,
-                               "half_width": 0.5}},
-         "y_bounds": [-1.0, 2.0], "positivity_floor": 0.05}
-LONG = {"design": "longitudinal",
-        "covariates": [{"name": "w", "dist": "uniform", "low": 0.0,
-                        "high": 1.0}],
-        "treatment": {},
-        "w1_covariates": [
-            {"name": "v", "dist": "bernoulli",
-             "model": {"intercept": 0.1, "coefs": {"w": 0.3, "a0": 0.3}}},
-            {"name": "u", "dist": "normal", "mean": 0.0, "sd": 1.0}],
-        "a1": {"coefs": {"v": 0.2}},
-        "outcome": {"coefs": {"u": 1.0, "a1": 0.5}}}
+OBJECTS = {"config": DgpConfig, "covariate": CovariateSpec,
+           "model": LinearModel, "outcome": OutcomeSpec, "noise": NoiseSpec}
+# README's name for each JSON type of a key table.
+TYPE_NAMES = {"a number": "number", "a string": "string",
+              dgp._numbers: "object of numbers",
+              dgp._bounds: "[number, number]",
+              dgp._covariates: "list of covariates",
+              LinearModel.from_dict: "model", OutcomeSpec.from_dict: "outcome",
+              NoiseSpec.from_dict: "noise"}
 
 
-def _objects(config):
-    """The config's objects, keyed by the README table that documents
-    them; an object the config leaves out is an empty stand-in."""
-    covariates = config["covariates"] + config.get("w1_covariates", [])
-    outcome = config["outcome"]
-    return {"config": [config], "covariate": covariates,
-            "model": [config["treatment"], config.get("a1", {}),
-                      *(c["model"] for c in covariates if "model" in c)],
-            "outcome": [outcome], "noise": [outcome.get("noise", {})]}
+def _readme_default(default):
+    """A key table's default as README writes it: "required", "none", a
+    number, or a string or other JSON value in backticks."""
+    if default is dgp._REQUIRED:
+        return "required"
+    if default is None:
+        return "none"
+    if isinstance(default, float):
+        return f"{default:g}"
+    return f"`{default if isinstance(default, str) else json.dumps(default)}`"
 
 
 def test_readme_documents_each_config_key():
-    used = {}
-    for config in (POINT, LONG):
-        DgpConfig.from_dict(config)
-        for table, objects in _objects(config).items():
-            for obj in objects:
-                used.setdefault(table, set()).update(obj)
-    assert _documented_keys() == used
+    assert _documented_rows() == {
+        table: [(key, TYPE_NAMES[kind], _readme_default(default))
+                for key, kind, default in cls._KEYS]
+        for table, cls in OBJECTS.items()}
 
 
-@pytest.mark.parametrize("table", ["config", "covariate", "model",
-                                   "outcome", "noise"])
+@pytest.mark.parametrize("table", list(OBJECTS))
 def test_an_undocumented_key_is_rejected(table):
-    config = copy.deepcopy(LONG if table == "model" else POINT)
-    _objects(config)[table][-1]["bogus"] = 1
+    parse = (DgpConfig.from_dict if table == "config" else
+             functools.partial(OBJECTS[table].from_dict, where="x"))
     with pytest.raises(DgpValidationError,
                        match=r"^(\S+: )?unknown (config )?keys \['bogus'\]$"):
-        DgpConfig.from_dict(config)
+        parse({"bogus": 1})

@@ -463,6 +463,121 @@ def test_non_finite_numbers_are_violations(base, edits, expected):
     assert violations(DgpConfig.from_dict, d=edited(base, edits)) == expected
 
 
+NOISY = edited(POINT, {"outcome.noise": {}})
+BOUNDED = edited(POINT, {"y_bounds": [0, 2]})
+# Every key of the five config objects: a base config, the key's edit path
+# there, its path in messages, its JSON type, a value of another type, and
+# whether it may be null. A base leaves out each key that may be null.
+CONFIG_KEYS = [
+    (POINT, "design", "design", "a string", 5, False),
+    (POINT, "covariates", "covariates", "a list", {"name": "w"}, False),
+    (POINT, "treatment", "treatment", "an object", [0.2], False),
+    (POINT, "outcome", "outcome", "an object", "y", False),
+    (POINT, "w1_covariates", "w1_covariates", "a list", {}, False),
+    (POINT, "a1", "a1", "an object", [0.5], True),
+    (POINT, "y_bounds", "y_bounds", "a list", 1.0, True),
+    (BOUNDED, "y_bounds.0", "y_bounds", "a number", "0", False),
+    (BOUNDED, "y_bounds.1", "y_bounds", "a number", [2], False),
+    (POINT, "positivity_floor", "positivity_floor", "a number", "0.05",
+     False),
+    (POINT, "covariates.0.name", "covariates[0].name", "a string", 1, False),
+    (POINT, "covariates.0.dist", "covariates[0].dist", "a string",
+     ["bernoulli"], False),
+    (LONG, "w1_covariates.0.p", "w1_covariates[0].p", "a number", "0.5",
+     True),
+    (POINT, "covariates.0.low", "covariates[0].low", "a number", True, True),
+    (POINT, "covariates.0.high", "covariates[0].high", "a number", "1", True),
+    (POINT, "covariates.0.mean", "covariates[0].mean", "a number", [0.0],
+     True),
+    (POINT, "covariates.0.sd", "covariates[0].sd", "a number", {"v": 1},
+     True),
+    (POINT, "covariates.0.model", "covariates[0].model", "an object", 0.5,
+     True),
+    (POINT, "treatment.intercept", "treatment.intercept", "a number", "0.2",
+     False),
+    (POINT, "treatment.coefs", "treatment.coefs", "an object", ["w"], False),
+    (POINT, "treatment.coefs.w", "treatment.coefs.w", "a number", False,
+     False),
+    (LONG, "a1.intercept", "a1.intercept", "a number", [], False),
+    (LONG, "w1_covariates.0.model.coefs.a0",
+     "w1_covariates[0].model.coefs.a0", "a number", "0.3", False),
+    (POINT, "outcome.scale", "outcome.scale", "a string", 1, False),
+    (POINT, "outcome.kind", "outcome.kind", "a string", True, False),
+    (POINT, "outcome.intercept", "outcome.intercept", "a number", "1", False),
+    (POINT, "outcome.coefs", "outcome.coefs", "an object", 0.5, False),
+    (POINT, "outcome.coefs.a", "outcome.coefs.a", "a number", "0.2", False),
+    (POINT, "outcome.noise", "outcome.noise", "an object", "none", False),
+    (NOISY, "outcome.noise.kind", "outcome.noise.kind", "a string", 0, False),
+    (NOISY, "outcome.noise.sd", "outcome.noise.sd", "a number", "1", False),
+    (NOISY, "outcome.noise.half_width", "outcome.noise.half_width",
+     "a number", [0.5], False),
+]
+
+
+@pytest.mark.parametrize("base, path, where, kind, wrong, nullable",
+                         CONFIG_KEYS, ids=[row[1] for row in CONFIG_KEYS])
+def test_each_config_key_checks_its_json_type(base, path, where, kind, wrong,
+                                             nullable):
+    assert violations(DgpConfig.from_dict, d=edited(base, {path: wrong})) == [
+        f"{where}: expected {kind}, got {wrong!r}"]
+    if nullable:
+        assert DgpConfig.from_dict(edited(base, {path: None})) == \
+            DgpConfig.from_dict(base)
+    else:
+        assert violations(DgpConfig.from_dict,
+                          d=edited(base, {path: None})) == [
+            f"{where}: expected {kind}, got None"]
+
+
+@pytest.mark.parametrize("path, expected", [
+    ("design", "missing config keys ['design']"),
+    ("covariates", "missing config keys ['covariates']"),
+    ("treatment", "missing config keys ['treatment']"),
+    ("outcome", "missing config keys ['outcome']"),
+    ("covariates.0.name", "covariates[0]: need name and dist"),
+    ("covariates.0.dist", "covariates[0]: need name and dist"),
+])
+def test_a_required_key_left_out_is_named(path, expected):
+    assert violations(DgpConfig.from_dict,
+                      d=edited(POINT, {path: DROP})) == [expected]
+
+
+# Each optional key left out: the config, and what the built DGP reads.
+@pytest.mark.parametrize("config, read, expected", [
+    pytest.param(POINT, lambda d: d.w1_covariates, (), id="w1_covariates"),
+    pytest.param(POINT, lambda d: d.a1_model, None, id="a1"),
+    pytest.param(POINT, lambda d: d.y_bounds, None, id="y_bounds"),
+    pytest.param(POINT, lambda d: d.positivity_floor, 0.01,
+                 id="positivity_floor"),
+    pytest.param(LONG, lambda d: d.w1_covariates[0].p, None, id="p"),
+    pytest.param(POINT, lambda d: d.covariates[0].low, None, id="low"),
+    pytest.param(POINT, lambda d: d.covariates[0].high, None, id="high"),
+    pytest.param(POINT, lambda d: d.covariates[0].mean, None, id="mean"),
+    pytest.param(POINT, lambda d: d.covariates[0].sd, None, id="sd"),
+    pytest.param(POINT, lambda d: d.covariates[0].model, None, id="model"),
+    pytest.param(LONG, lambda d: d.a1_model.intercept, 0.0,
+                 id="model-intercept"),
+    pytest.param(edited(POINT, {"treatment.coefs": DROP}),
+                 lambda d: d.treatment.coefs, {}, id="model-coefs"),
+    pytest.param(POINT, lambda d: d.outcome.scale, "identity", id="scale"),
+    pytest.param(POINT, lambda d: d.outcome.kind, "continuous",
+                 id="outcome-kind"),
+    pytest.param(LONG, lambda d: d.outcome.mean_model.intercept, 0.0,
+                 id="outcome-intercept"),
+    pytest.param(edited(POINT, {"outcome.coefs": DROP}),
+                 lambda d: d.outcome.mean_model.coefs, {}, id="outcome-coefs"),
+    pytest.param(POINT, lambda d: d.outcome.noise,
+                 NoiseSpec(kind="none", sd=0.0, half_width=0.0), id="noise"),
+    pytest.param(NOISY, lambda d: d.outcome.noise.kind, "none",
+                 id="noise-kind"),
+    pytest.param(NOISY, lambda d: d.outcome.noise.sd, 0.0, id="noise-sd"),
+    pytest.param(NOISY, lambda d: d.outcome.noise.half_width, 0.0,
+                 id="noise-half-width"),
+])
+def test_an_optional_key_left_out_takes_its_default(config, read, expected):
+    assert read(DgpConfig.from_dict(config)) == expected
+
+
 def test_generate_is_deterministic_and_respects_draw_order():
     dgp = simple_point_dgp()
     a = generate(dgp, 500, seed=7)
