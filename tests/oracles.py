@@ -626,3 +626,107 @@ def emu_by_subsets(data, response, learner, bounds, assignment):
             raise nu.FoldDegeneracyError(f"fold {fold}: {exc}") from exc
         out[held] = model.predict(ds.covariates[held])
     return out
+
+
+# The DGP draws and Monte Carlo truth as they were before they drew into
+# reused buffers: every step allocates its own batch arrays. They are the
+# bit-level reference for ``eiftools.dgp``'s in-place draw path, and take
+# ``expit`` from the library.
+
+def _eta_reference(model, values):
+    out = model.intercept
+    for name, coef in model.coefs.items():
+        out = out + coef * values[name]
+    return out
+
+
+def _covariate_reference(c, rng, n, context=None):
+    if c.dist == "bernoulli":
+        if c.model is not None:
+            prob = _numeric.expit(np.broadcast_to(
+                np.asarray(_eta_reference(c.model, context), dtype=float),
+                (n,)))
+        else:
+            prob = np.full(n, float(c.p))
+        return (rng.random(n) < prob).astype(float)
+    if c.dist == "uniform":
+        return rng.uniform(float(c.low), float(c.high), n)
+    return rng.normal(float(c.mean), float(c.sd), n)
+
+
+def _noise_reference(noise, rng, n):
+    if noise.kind == "normal" and float(noise.sd) > 0:
+        return rng.normal(0.0, float(noise.sd), n)
+    if noise.kind == "uniform" and float(noise.half_width) > 0:
+        return rng.uniform(-float(noise.half_width),
+                           float(noise.half_width), n)
+    return np.zeros(n)
+
+
+def draw_reference(dgp, rng, n, observed):
+    """Every variable of ``n`` draws, keyed by name, and the outcome."""
+    values = {}
+    for c in dgp.covariates:
+        values[c.name] = _covariate_reference(c, rng, n)
+
+    def treatment(model):
+        if not observed:
+            return 0.0
+        p_untreated = _numeric.expit(np.broadcast_to(
+            np.asarray(_eta_reference(model, values), dtype=float), (n,)))
+        return (rng.random(n) >= p_untreated).astype(float)
+
+    if dgp.design == "point":
+        values["a"] = treatment(dgp.treatment)
+    else:
+        values["a0"] = treatment(dgp.treatment)
+        for c in dgp.w1_covariates:
+            values[c.name] = _covariate_reference(c, rng, n, context=values)
+        values["a1"] = treatment(dgp.a1_model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _eta_reference(dgp.outcome.mean_model, values)
+        mean = _numeric.expit(eta) if dgp.outcome.scale == "logit" else eta
+        mean = np.broadcast_to(np.asarray(mean, dtype=float), (n,))
+        if dgp.outcome.kind == "binary":
+            y = (rng.random(n) < mean).astype(float)
+        else:
+            y = mean + _noise_reference(dgp.outcome.noise, rng, n)
+    if not (np.isfinite(mean).all() and np.isfinite(y).all()):
+        raise ValueError("the outcome overflows: a drawn outcome mean or "
+                         "value is not finite")
+    return values, y
+
+
+def generate_reference(dgp, n, seed):
+    """``eiftools.dgp.generate`` on ``draw_reference``."""
+    from eiftools.data import LongDataset
+    values, y = draw_reference(dgp, np.random.default_rng(seed), n,
+                               observed=True)
+    w0_cols = {name: values[name] for name in dgp.w0_names}
+    if dgp.design == "point":
+        return Dataset.from_columns(w0_cols, values["a"], y,
+                                    y_bounds=dgp.implied_y_bounds())
+    w1_cols = {name: values[name] for name in dgp.w1_names}
+    return LongDataset.from_columns(w0_cols, values["a0"], w1_cols,
+                                    values["a1"], y,
+                                    y_bounds=dgp.implied_y_bounds())
+
+
+def monte_carlo_truth_reference(dgp, draws, seed):
+    """(value, Monte Carlo standard error) of ``draws`` counterfactual
+    outcomes, in batches of 200 000 on one stream, by raw sums of y and
+    y squared."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < draws:
+        n = min(200_000, draws - done)
+        y = draw_reference(dgp, rng, n, observed=False)[1]
+        with np.errstate(over="ignore"):
+            total += float(y.sum())
+            total_sq += float((y * y).sum())
+        done += n
+    mean = total / draws
+    var = max(total_sq / draws - mean * mean, 0.0)
+    return mean, float(np.sqrt(var / draws))
