@@ -9,13 +9,15 @@ Newton step.
 import numpy as np
 
 
-def expit(x):
-    """``1 / (1 + exp(-x))`` in one fresh float64 array (``x`` is not written).
+def expit(x, out=None):
+    """``1 / (1 + exp(-x))`` in ``out``, a float64 array that may be ``x``
+    itself, or else in one fresh float64 array (``x`` is not written).
 
     Below about -709.8, ``exp(-x)`` overflows to inf and the result is
     exactly 0. A 0-d input gives a numpy scalar.
     """
-    out = np.negative(x, out=np.empty(np.shape(x)), dtype=float)
+    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out,
+                      dtype=float)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
