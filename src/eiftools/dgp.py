@@ -714,25 +714,41 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
     batch is drawn by ``_draw`` into the same buffers, one per covariate
     and at least two, which are allocated once per call: 3.2 MB for a
     DGP with two covariates.
+
+    The value is the plain sum over the draws. A binary outcome's
+    variance is ``mean (1 - mean)``. A continuous outcome's sums are
+    taken about the first batch's mean, so that its variance does not
+    cancel when the mean is large against the spread.
     """
     rng = np.random.default_rng(seed)
     batch = min(draws, 200_000)
     buffers = [np.empty(batch) for _ in range(
         max(2, len(dgp.covariates) + len(dgp.w1_covariates)))]
-    total = 0.0
-    total_sq = 0.0
+    binary = dgp.outcome.kind == "binary"
+    total = shifted = shifted_sq = 0.0
     done = 0
     while done < draws:
         n = min(batch, draws - done)
         y = _draw(dgp, rng, [b[:n] for b in buffers], observed=False)[1]
-        with np.errstate(over="ignore"):  # true_value checks the result
+        # true_value checks the result.
+        with np.errstate(over="ignore", invalid="ignore"):
             total += float(y.sum())
-            total_sq += float(np.square(y, out=y).sum())
+            if not binary:
+                if not done:
+                    shift = total / n
+                y -= shift
+                shifted += float(y.sum())
+                shifted_sq += float(np.square(y, out=y).sum())
         done += n
     mean = total / draws
-    var = max(total_sq / draws - mean * mean, 0.0)
+    if binary:
+        var = mean - mean * mean
+    else:
+        shifted /= draws
+        var = shifted_sq / draws - shifted * shifted
     return TruthResult(value=mean, method="monte_carlo",
-                       mc_se=float(np.sqrt(var / draws)), mc_draws=draws)
+                       mc_se=float(np.sqrt(max(var, 0.0) / draws)),
+                       mc_draws=draws)
 
 
 def true_value(dgp: DgpConfig, method: str = "analytic",

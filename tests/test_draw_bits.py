@@ -4,6 +4,7 @@ the benchmark inputs that builds, and inline configs for what no fixture
 covers."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -112,10 +113,21 @@ def test_monte_carlo_truth_matches_the_reference_bits(config, draws, seed):
 
     got, want = _outcome(truth), _outcome(
         lambda: monte_carlo_truth_reference(dgp, draws, seed))
-    if isinstance(want[0], float):
+    if not isinstance(want[0], float):
+        assert got == want
+    elif dgp.outcome.kind == "binary":
         assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
     else:
-        assert got == want
+        # A continuous outcome's variance is summed about the first batch's
+        # mean, where the reference takes the mean of y squared less the
+        # squared mean. The two agree to within the reference's rounding
+        # of the mean of y squared.
+        assert got[0].hex() == want[0].hex()
+        assert math.isfinite(got[1]) == math.isfinite(want[1])
+        got_var, want_var = (se * se * draws for se in (got[1], want[1]))
+        if math.isfinite(want_var):
+            assert abs(got_var - want_var) <= 1e-13 * (want_var
+                                                       + want[0] * want[0])
 
 
 def _columns(data):

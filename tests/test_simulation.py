@@ -661,6 +661,19 @@ def test_monte_carlo_truth_cross_checks_analytic():
         assert abs(mc.value - exact) <= 4.0 * mc.mc_se, name
 
 
+@pytest.mark.parametrize("intercept", [1e8, 1e9])
+def test_monte_carlo_se_does_not_cancel_at_a_large_mean(intercept):
+    # N(intercept, 1) outcomes: raw sums of y and y squared cancel to an
+    # SE of 0.0 at 1e8, and ten times too large at 1e9.
+    dgp = simple_point_dgp(kind="continuous",
+                           mean_model=LinearModel(intercept, {}),
+                           noise=NoiseSpec(kind="normal", sd=1.0))
+    draws = 450_001
+    mc = true_value(dgp, method="monte_carlo", mc_draws=draws, mc_seed=4)
+    assert mc.mc_se == pytest.approx(np.sqrt(1.0 / draws), rel=0.02)
+    assert abs(mc.value - intercept) <= 4.0 * mc.mc_se
+
+
 def test_replicate_seed_streams_are_stable_and_distinct():
     dgp = simple_point_dgp()
     a = generate(dgp, 100, replicate_seed(42, 3))
@@ -1227,6 +1240,17 @@ def test_overflowing_truth_is_an_input_error(monkeypatch, fixture, method,
                        estimator_names=("gcomp",), plan=EstimationPlan(),
                        seed=1, truth_method=method, mc_draws=2000)
     assert drawn == []
+
+
+def test_truth_whose_sums_overflow_both_ways_is_an_input_error():
+    # Outcomes span about +-0.8e308, so partial sums overflow to +inf and
+    # -inf, and the value is NaN.
+    config = json.loads((FIXTURES / "dgp_overflow_coef.json").read_text())
+    config["outcome"].update(intercept=-0.8e308, coefs={"w": 1.6e308})
+    with pytest.raises(ValueError, match=r"^the true value overflows: the "
+                       r"monte_carlo value is not finite$"):
+        true_value(DgpConfig.from_dict(config), "monte_carlo",
+                   mc_draws=2000, mc_seed=1)
 
 
 def test_overflowing_draw_is_an_input_error():
