@@ -7,8 +7,10 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
+import numpy.random
 import pytest
 from scipy.special import expit
 
@@ -672,6 +674,22 @@ def test_monte_carlo_se_does_not_cancel_at_a_large_mean(intercept):
     mc = true_value(dgp, method="monte_carlo", mc_draws=draws, mc_seed=4)
     assert mc.mc_se == pytest.approx(np.sqrt(1.0 / draws), rel=0.02)
     assert abs(mc.value - intercept) <= 4.0 * mc.mc_se
+
+
+def test_monte_carlo_truth_works_in_two_batch_buffers():
+    # numpy.random is imported above, so its first import's allocations
+    # are not counted. The 10^6-draw truth of the two-covariate benchmark
+    # DGP draws every batch into two 200 000-draw float64 buffers.
+    path = FIXTURES.parents[1] / "bench" / "inputs"
+    dgp = DgpConfig.from_dict(json.loads(
+        (path / "dgp_adversarial_long.json").read_text()))
+    tracemalloc.start()
+    try:
+        true_value(dgp, method="monte_carlo", mc_draws=10**6, mc_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 200_000 * 8 + 500_000
 
 
 def test_replicate_seed_streams_are_stable_and_distinct():
