@@ -131,11 +131,11 @@ class LinearModel(_ConfigObject):
             in_place: bool = False):
         """``intercept + coef * value`` over the terms, added in term order.
 
-        ``in_place`` takes the array values as scratch: the sum builds up
-        in the first array term's buffer, each later array term is scaled
-        in its own buffer before it is added, and no array is allocated.
-        Each step is the IEEE operation of ``acc + coef * value``, so the
-        bits do not depend on ``in_place``.
+        The sum builds up in the first array term's buffer: a fresh
+        ``coef * value``, or with ``in_place`` the value's own buffer,
+        where each array value is scaled before it is added, so that no
+        array is allocated. Each step is the IEEE operation of
+        ``acc + coef * value``, so the bits do not depend on ``in_place``.
         """
         acc = self.intercept
         for name, coef in self.coefs.items():
@@ -144,13 +144,11 @@ class LinearModel(_ConfigObject):
                 term *= coef
             else:
                 term = coef * term
-            if in_place and isinstance(acc, np.ndarray):
+            if isinstance(acc, np.ndarray) or not isinstance(term, np.ndarray):
                 acc += term
-            elif in_place and isinstance(term, np.ndarray):
+            else:
                 term += acc
                 acc = term
-            else:
-                acc = acc + term
         return acc
 
     def eta_interval(self, intervals: Mapping[str, Tuple[float, float]]
