@@ -212,9 +212,9 @@ class CovariateSpec(_ConfigObject):
         return _normal(rng, out, float(self.mean), float(self.sd))
 
 
-# numpy's uniform and normal draws, into a buffer: ``low + (high - low) * u``
-# and ``mean + sd * z``, with the operands swapped, which leaves the bits
-# as they are.
+# numpy's uniform and normal draws, into a buffer, with numpy's error for a
+# uniform width that is not finite. numpy computes ``low + (high - low) * u``
+# and ``mean + sd * z``; swapping the operands leaves the bits as they are.
 
 def _uniform(rng: np.random.Generator, out: np.ndarray, low: float,
              high: float) -> np.ndarray:
@@ -601,7 +601,8 @@ def _draw(dgp: DgpConfig, rng: np.random.Generator,
     else:
         values["a0"] = treatment(dgp.treatment)
         for c in dgp.w1_covariates:
-            values[c.name] = c.draw(rng, n, values, next(buffers))
+            values[c.name] = c.draw(rng, n, context=values,
+                                    out=next(buffers))
         values["a1"] = treatment(dgp.a1_model)
     binary = dgp.outcome.kind == "binary"
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -713,10 +714,10 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
     and at least two, which are allocated once per call: 3.2 MB for a
     DGP with two covariates.
 
-    The value is the plain sum over the draws. A binary outcome's
-    variance is ``mean (1 - mean)``. A continuous outcome's sums are
-    taken about the first batch's mean, so that its variance does not
-    cancel when the mean is large against the spread.
+    The value is the plain sum over the draws, over ``draws``. A binary
+    outcome's variance is the mean less its square. A continuous
+    outcome's sums are taken about the first batch's mean, so that its
+    variance does not cancel when the mean is large against the spread.
     """
     rng = np.random.default_rng(seed)
     batch = min(draws, 200_000)
