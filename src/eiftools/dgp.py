@@ -714,8 +714,8 @@ def _monte_carlo_truth(dgp: DgpConfig, draws: int,
     and at least two, which are allocated once per call: 3.2 MB for a
     DGP with two covariates.
 
-    The value is the plain sum over the draws, over ``draws``. A binary
-    outcome's variance is the mean less its square. A continuous
+    The value is the plain sum of the draws divided by ``draws``. A
+    binary outcome's variance is the mean less its square. A continuous
     outcome's sums are taken about the first batch's mean, so that its
     variance does not cancel when the mean is large against the spread.
     """
