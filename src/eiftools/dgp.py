@@ -35,6 +35,10 @@ __all__ = ["LinearModel", "CovariateSpec", "NoiseSpec", "OutcomeSpec",
 
 # Reserved names usable in coefficient maps besides covariate names.
 _TREATMENT_KEYS = {"point": ("a",), "longitudinal": ("a0", "a1")}
+# The keys that each covariate distribution and each noise kind reads.
+_DIST_KEYS = {"bernoulli": ("p", "model"), "uniform": ("low", "high"),
+              "normal": ("mean", "sd")}
+_NOISE_KEYS = {"none": (), "normal": ("sd",), "uniform": ("half_width",)}
 
 
 class DgpValidationError(Exception):
@@ -212,17 +216,14 @@ class CovariateSpec(_ConfigObject):
         return _normal(rng, out, float(self.mean), float(self.sd))
 
 
-# numpy's uniform and normal draws, into a buffer, with numpy's error for a
-# uniform width that is not finite. numpy computes ``low + (high - low) * u``
+# numpy's uniform and normal draws, into a buffer; DgpConfig checks that
+# every uniform width is finite. numpy computes ``low + (high - low) * u``
 # and ``mean + sd * z``; swapping the operands leaves the bits as they are.
 
 def _uniform(rng: np.random.Generator, out: np.ndarray, low: float,
              high: float) -> np.ndarray:
-    width = high - low
-    if not math.isfinite(width):
-        raise OverflowError("high - low range exceeds valid bounds")
     rng.random(out=out)
-    out *= width
+    out *= high - low
     out += low
     return out
 
@@ -412,7 +413,7 @@ class DgpConfig:
                 numbers += [(where, what, value) for what, value in
                             (("mean", c.mean), ("sd", c.sd))
                             if value is not None]
-                if c.dist not in ("bernoulli", "uniform", "normal"):
+                if c.dist not in _DIST_KEYS:
                     problems.append(
                         f"{where}: unknown distribution {c.dist!r}")
                 elif c.dist == "bernoulli":
@@ -421,9 +422,11 @@ class DgpConfig:
                                         "one of p or model")
                     if c.p is not None and not 0.0 <= c.p <= 1.0:
                         problems.append(f"{where}: p={c.p} outside [0, 1]")
-                elif c.model is not None:
-                    problems.append(
-                        f"{where}: model is only valid for bernoulli")
+                if c.dist in _DIST_KEYS:
+                    problems += [f"{where}: {key} is only valid for {dist}"
+                                 for dist, keys in _DIST_KEYS.items()
+                                 if dist != c.dist for key in keys
+                                 if getattr(c, key) is not None]
                 if c.dist == "uniform":
                     if c.low is None or c.high is None:
                         problems.append(f"{where}: uniform needs low and high")
@@ -469,7 +472,7 @@ class DgpConfig:
         if outcome.kind not in ("binary", "continuous"):
             problems.append(f"outcome kind must be binary or continuous, "
                             f"got {outcome.kind!r}")
-        if noise.kind not in ("none", "normal", "uniform"):
+        if noise.kind not in _NOISE_KEYS:
             problems.append(
                 f"outcome.noise: unknown noise kind {noise.kind!r}")
         elif noise.kind == "normal" and not noise.sd >= 0:
@@ -477,6 +480,15 @@ class DgpConfig:
         elif noise.kind == "uniform" and not noise.half_width >= 0:
             problems.append(
                 "outcome.noise: uniform noise needs half_width >= 0")
+        elif noise.kind == "uniform" and not math.isfinite(
+                2 * noise.half_width):
+            problems.append("outcome.noise: uniform noise needs a finite "
+                            "width 2 * half_width")
+        if noise.kind in _NOISE_KEYS:
+            problems += [f"outcome.noise: {key} must be 0 for noise kind "
+                         f"{noise.kind!r}" for key in ("sd", "half_width")
+                         if key not in _NOISE_KEYS[noise.kind]
+                         and getattr(noise, key) != 0.0]
         binary = outcome.kind == "binary"
         if binary and noise.kind != "none":
             problems.append("binary outcomes cannot carry additive noise")

@@ -1,29 +1,32 @@
-"""Point-treatment estimators of the untreated mean E(Y^0).
+"""Point-treatment estimators of the untreated mean E(Y^0), and what
+the estimators of both designs share.
 
-All estimators target psi = E(E(Y | A=0, W)) and share one influence
-function:
+The influence function of both designs is written once, in
+:func:`_pseudo_outcome`: a pseudo-outcome over the clever weights W_k
+and regressions Q_k, last period first,
 
-    phi_i = I(A_i=0)/g_i * (Y_i - mu_i) + mu_i - psi,
+    sum_k W_k (Q_{k+1} - Q_k) + Q_1   (Q_{K+1} = Y),
 
-where mu_i estimates E(Y | A=0, W_i) and g_i estimates P(A=0 | W_i).
+minus psi. Here it is H (Y - mu) + mu - psi for psi = E(E(Y | A=0, W)),
+with H = I(A=0)/g, mu estimating E(Y | A=0, W) and g P(A=0 | W). The
+point estimators are its one-period case, and :func:`_result` assembles
+every estimate of both designs from it. ``gcomp`` averages mu and
+``one_step`` the pseudo-outcome. ``tmle`` first fluctuates mu to mu* so
+that sum(H (Y - mu*)) is zero, then averages mu*; of its three
+fluctuations, the weighted logistic one keeps mu* and psi inside the
+outcome bounds. Each targeting step of both designs runs through
+:func:`_targeting_step`, which names the step in a failure's message.
 
-``gcomp`` averages mu_i. ``one_step`` adds the empirical mean of the
-influence function. ``tmle`` first replaces mu with a targeted version
-mu* chosen by a one-parameter maximum-likelihood fluctuation so that the
-inverse-probability score sum(H_i * (Y_i - mu*_i)) is zero, then averages
-mu*. Three fluctuations are implemented; the weighted logistic one keeps
-mu* and psi inside the outcome bounds.
-
-The clever weights are derived once per (data, nuisances) pair, for both
-designs, and shared by every estimator of that pair: H = I(A=0)/g, 1/g
-and sum(H) here, and R, H, their inverse probabilities and their sums
-for :mod:`eiftools.longitudinal`. The estimators trust what the
-``Dataset`` and ``NuisanceEstimates`` constructors checked. The public
-functions keep their checks: :func:`eif_values` checks the lengths and
-that g lies strictly in (0, 1), :func:`fluctuate` that its inputs are
-finite with weights nonnegative and not all zero, and
-:func:`wald_inference` that there are two or more values with a finite
-variance.
+The clever weights are derived once per (data, nuisances) pair and
+shared by every estimator of that pair. The estimators trust what the
+``Dataset`` and ``NuisanceEstimates`` constructors checked, so the point
+targeting step skips :func:`fluctuate`'s input checks unless sum(H)
+overflows; the two-period steps keep them, since their offsets come
+from fits and may overflow. The public functions keep their checks:
+:func:`eif_values` checks the lengths and that g lies strictly in
+(0, 1), :func:`fluctuate` that its inputs are finite with weights
+nonnegative and not all zero, and :func:`wald_inference` that there are
+two or more values with a finite variance.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def eif_values(data: Dataset, outcome_pred, propensity_pred,
     if not (0.0 < g.min() and g.max() < 1.0):
         raise ValueError("propensity predictions must lie strictly in (0, 1)")
     h = (data.treatment == 0.0).astype(float) / g
-    return h * (data.outcome - mu) + mu - float(psi)
+    return _pseudo_outcome((h,), data.outcome, (mu,)) - float(psi)
 
 
 def wald_inference(eif: np.ndarray, psi_hat: float
@@ -175,16 +178,34 @@ def _clever_weights(data: Union[Dataset, LongDataset], nuisance
     return memo[1]
 
 
-def _result(estimator: str, phi: np.ndarray, psi: float, nuisance,
-            extra: Dict[str, object], result: type = EstimateResult,
-            **fields) -> EstimateResult:
-    """The estimate ``psi`` of ``estimator``, of either design, as a
-    ``result`` with the remaining ``fields``: Wald inference on its
-    influence-function values ``phi``, and diagnostics that every
-    estimate reports (``mean_eif``; ``n_truncated`` and ``cross_fitted``
-    of ``nuisance``) followed by ``extra``. Raises ValueError when ``psi``
-    or ``phi`` overflowed: each estimator computes them with numpy's
-    overflow and invalid-value warnings off, so this check reports it."""
+def _pseudo_outcome(weights, outcome, predictions) -> np.ndarray:
+    """sum_k W_k (Q_{k+1} - Q_k) + Q_1 with Q_{K+1} = ``outcome``, for the
+    weight values W_K..W_1 and the regressions Q_K..Q_1, last period
+    first: (H,) and (mu,), or (R, H) and (mu, e)."""
+    total = weights[0] * (outcome - predictions[0])
+    for k in range(1, len(weights)):
+        total += weights[k] * (predictions[k - 1] - predictions[k])
+    total += predictions[-1]
+    return total
+
+
+def _result(estimator: str, data: Union[Dataset, LongDataset], nuisance,
+            predictions, psi: Optional[float], extra: Dict[str, object],
+            result: type = EstimateResult, **fields) -> EstimateResult:
+    """The estimate of ``estimator``, of either design, as a ``result``
+    with the remaining ``fields``: ``psi``, or None for the one-step mean
+    of the pseudo-outcome at ``predictions`` (see :func:`_pseudo_outcome`),
+    with Wald inference on its influence function, and diagnostics that
+    every estimate reports (``mean_eif``; ``n_truncated`` and
+    ``cross_fitted`` of ``nuisance``; a point design's learners) followed
+    by ``extra``. Raises ValueError when psi or the influence function
+    overflowed: each estimator computes them with numpy's overflow and
+    invalid-value warnings off, so this check reports it."""
+    weights = [w.values for w in _clever_weights(data, nuisance)]
+    pseudo = _pseudo_outcome(weights, data.outcome, predictions)
+    if psi is None:
+        psi = float(pseudo.sum() / data.n_obs)
+    phi = pseudo - psi
     # A finite sum has finite terms, so one sum serves this check and
     # mean_eif; a finite phi whose sum overflows fails wald_inference's
     # variance check, as before.
@@ -198,32 +219,13 @@ def _result(estimator: str, phi: np.ndarray, psi: float, nuisance,
         "mean_eif": total / phi.shape[0],
         "n_truncated": nuisance.n_truncated,
         "cross_fitted": nuisance.fold_assignment is not None,
-        **extra,
     }
+    if isinstance(nuisance, NuisanceEstimates):
+        diagnostics["outcome_learner"] = nuisance.outcome_learner
+        diagnostics["propensity_learner"] = nuisance.propensity_learner
+    diagnostics.update(extra)
     return result(estimator=estimator, psi_hat=psi, se=se, ci95=ci, eif=phi,
                   diagnostics=diagnostics, **fields)
-
-
-def _point_result(estimator: str, pseudo_outcome: np.ndarray,
-                  nuisance: NuisanceEstimates, psi: float,
-                  extra: Optional[Dict[str, object]] = None,
-                  fluctuation: Optional[FluctuationFit] = None
-                  ) -> EstimateResult:
-    """:func:`_result` with the influence function
-    ``pseudo_outcome - psi``, where ``pseudo_outcome`` is
-    H (Y - mu) + mu at the mu the estimate evaluates it at."""
-    return _result(estimator, pseudo_outcome - psi, psi, nuisance,
-                   {"outcome_learner": nuisance.outcome_learner,
-                    "propensity_learner": nuisance.propensity_learner,
-                    **(extra or {})},
-                   fluctuation=fluctuation)
-
-
-def _pseudo_outcome(data: Dataset, nuisance: NuisanceEstimates,
-                    mu: np.ndarray) -> np.ndarray:
-    """H (Y - mu) + mu, the influence function at ``mu`` plus psi."""
-    (h,) = _clever_weights(data, nuisance)
-    return h.values * (data.outcome - mu) + mu
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _result
@@ -236,14 +238,11 @@ def gcomp(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     diagnostics.
     """
     mu = nuisance.outcome_pred
-    pseudo = _pseudo_outcome(data, nuisance, mu)
-    psi = float(mu.sum() / data.n_obs)
-    return _point_result(
-        "gcomp", pseudo, nuisance, psi,
-        extra={"inference_caveat":
-               "plug-in estimator; influence-function interval is not "
-               "theoretically valid with data-adaptive nuisance learners"},
-    )
+    return _result(
+        "gcomp", data, nuisance, (mu,), float(mu.sum() / data.n_obs),
+        {"inference_caveat":
+         "plug-in estimator; influence-function interval is not "
+         "theoretically valid with data-adaptive nuisance learners"})
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _result
@@ -254,9 +253,8 @@ def one_step(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
     The influence function for inference is evaluated at the plug-in
     nuisances and this psi_hat, where its mean is zero by construction.
     """
-    pseudo = _pseudo_outcome(data, nuisance, nuisance.outcome_pred)
-    psi = float(pseudo.sum() / data.n_obs)
-    return _point_result("one_step", pseudo, nuisance, psi)
+    return _result("one_step", data, nuisance, (nuisance.outcome_pred,),
+                   None, {})
 
 
 def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
@@ -411,11 +409,18 @@ def _solve_fluctuation(z: np.ndarray, b: np.ndarray, w: np.ndarray,
                           float((w * (z - targeted)).sum()))
 
 
-def _labelled_fluctuation(label: str, solve, *args) -> FluctuationFit:
-    """``solve(*args)``, :func:`fluctuate` or its unchecked kernel, with
-    ``label`` prefixed to a failure's message."""
+def _targeting_step(label: str, response, offset, weight: _CleverWeight,
+                    variant: str, bounds, checked: bool) -> FluctuationFit:
+    """The fluctuation of ``offset`` toward ``response`` with the clever
+    weight ``weight``, ``label`` prefixed to a failure's message. A
+    ``checked`` step, whose inputs the constructors checked, skips
+    :func:`fluctuate`'s checks unless the weight's sum overflows (a
+    weight is finite when its sum is)."""
+    args = (response, offset, weight.values, weight.inverse, variant, bounds)
     try:
-        return solve(*args)
+        if checked and math.isfinite(weight.total):
+            return _solve_fluctuation(*args, weight.total)
+        return fluctuate(*args)
     except (GlmError, ValueError) as exc:
         exc.args = (f"{label}: {exc.args[0]}",) + exc.args[1:]
         raise
@@ -455,25 +460,20 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
         Targeting-model failure, annotated with the variant.
     """
     (h,) = _clever_weights(data, nuisance)
-    label = f"targeting step ({variant})"
-    args = (data.outcome, nuisance.outcome_pred, h.values, h.inverse,
-            variant, _scaling_bounds(variant, data, y_bounds))
-    # The constructors checked y and mu, and H is finite when its sum is,
-    # so only a weight sum that overflows is left to fluctuate's checks.
-    fluct = (_labelled_fluctuation(label, _solve_fluctuation, *args, h.total)
-             if math.isfinite(h.total)
-             else _labelled_fluctuation(label, fluctuate, *args))
-    psi = float(fluct.targeted_pred.sum() / data.n_obs)
-    return _point_result(
-        f"tmle_{variant}", _pseudo_outcome(data, nuisance, fluct.targeted_pred),
-        nuisance, psi,
-        extra={
+    # The Dataset and NuisanceEstimates constructors checked y and mu.
+    fluct = _targeting_step(f"targeting step ({variant})", data.outcome,
+                            nuisance.outcome_pred, h, variant,
+                            _scaling_bounds(variant, data, y_bounds), True)
+    mu_star = fluct.targeted_pred
+    return _result(
+        f"tmle_{variant}", data, nuisance, (mu_star,),
+        float(mu_star.sum() / data.n_obs),
+        {
             "variant": variant,
             "fluctuation_coefficient": fluct.coefficient,
             "score_residual": fluct.score_residual,
             "score_scale": float(1.0 + h.total),
-            "targeted_pred_min": float(fluct.targeted_pred.min()),
-            "targeted_pred_max": float(fluct.targeted_pred.max()),
+            "targeted_pred_min": float(mu_star.min()),
+            "targeted_pred_max": float(mu_star.max()),
         },
-        fluctuation=fluct,
-    )
+        fluctuation=fluct)

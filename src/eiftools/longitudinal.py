@@ -4,7 +4,8 @@ The estimand is identified by the nested regression
 
     theta = E( E( E(Y | W0, A0=0, W1, A1=0) | W0, A0=0 ) ),
 
-and the influence function is
+and its influence function is the pseudo-outcome of
+:func:`eiftools.estimators._pseudo_outcome` minus theta,
 
     phi_i = R_i (Y_i - mu_i) + H_i (mu_i - e_i) + e_i - theta,
     R_i = I(A0_i=0, A1_i=0) / (g0_i * g1_i),   H_i = I(A0_i=0) / g0_i,
@@ -12,13 +13,16 @@ and the influence function is
 with mu = E(Y | W0, A0=0, W1, A1=0), e = E(mu | W0, A0=0),
 g0 = P(A0=0 | W0), g1 = P(A1=0 | W0, A0=0, W1).
 
-Estimation runs in six steps. :func:`fit_sequential_nuisances` fits g0
-and g1, then mu. :func:`tmle_long` takes those fits, fluctuates mu so
-the R-weighted score over Y is zero (giving mu*), regresses mu* on W0
-among the A0=0 rows (giving e), fluctuates e so the H-weighted score
-over mu* is zero (giving e*) and reports theta_hat = mean(e*). Both
-fluctuations go through :func:`eiftools.estimators.fluctuate`, the point
-design's targeting kernel.
+:func:`fit_sequential_nuisances` fits g0 and g1, then mu.
+:func:`tmle_long` fluctuates mu so the R-weighted score over Y is zero
+(mu*), regresses mu* on W0 among the A0=0 rows (e), fluctuates e so the
+H-weighted score over mu* is zero (e*) and reports mean(e*). Both steps
+run through :func:`eiftools.estimators._targeting_step` with
+:func:`~eiftools.estimators.fluctuate`'s input checks, since their
+offsets come from fits. :func:`one_step_long` is the mean of the
+pseudo-outcome at mu_hat and its regression e on W0:
+mean(R (Y - mu_hat) + H (mu_hat - e) + e). With no W1 and A1 = 0, g1 is
+exactly 1 and both reduce to the point estimators bit for bit.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .data import LongDataset
-from .estimators import (EstimateResult, _clever_weights,
-                         _labelled_fluctuation, _result, _scaling_bounds,
-                         fluctuate)
+from .estimators import (EstimateResult, _clever_weights, _pseudo_outcome,
+                         _result, _scaling_bounds, _targeting_step)
 from .glm import Link
 from .nuisance import (DEFAULT_TRUNCATION, LearnerSpec, _held_out_predictions,
                        _validate_truncation, fit_outcome, fit_propensity,
@@ -87,16 +90,10 @@ class SequentialNuisances:
 
 def eif_long(data: LongDataset, nuisances: SequentialNuisances,
              mu: np.ndarray, emu: np.ndarray, theta: float) -> np.ndarray:
-    """Influence-function values for every observation, at the
-    outcome-side nuisances ``mu`` (of Y) and ``emu`` (of mu on W0) and
-    the propensities of ``nuisances``.
-
-    :func:`tmle_long` evaluates it at its targeted mu* and e*, and
-    :func:`one_step_long` at mu_hat and its regression of mu_hat on W0.
-    """
-    r, h = _clever_weights(data, nuisances)
-    return (r.values * (data.outcome - mu) + h.values * (mu - emu) + emu
-            - float(theta))
+    """Influence-function values at the outcome-side nuisances ``mu`` (of
+    Y) and ``emu`` (of mu on W0), and the propensities of ``nuisances``."""
+    weights = [w.values for w in _clever_weights(data, nuisances)]
+    return _pseudo_outcome(weights, data.outcome, (mu, emu)) - float(theta)
 
 
 def fit_sequential_nuisances(
@@ -177,24 +174,18 @@ class LongEstimateResult(EstimateResult):
 def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
                   emu_learner: LearnerSpec = _DEFAULT_LEARNER
                   ) -> LongEstimateResult:
-    """One-step analogue: plug-in plus the mean influence function.
-
-    Uses the untargeted mu_hat and a regression of mu_hat on W0; like the
-    point-treatment one-step, the estimate is not constrained to the
-    outcome bounds.
-    """
-    r, h = _clever_weights(data, nuisances)
+    """One-step analogue: mean(R (Y - mu_hat) + H (mu_hat - e) + e), the
+    plug-in mean(e) plus the mean influence function, with e the
+    regression of the untargeted mu_hat on W0. Like the point one-step,
+    it is not constrained to the outcome bounds."""
+    _clever_weights(data, nuisances)  # checks the sizes before any fit
     mu = nuisances.mu_hat
     emu = _fit_emu(data, mu, emu_learner, "weighted_linear", None,
                    nuisances.fold_assignment)
-    n = data.n_obs
-    plug_in = float(emu.sum() / n)
-    theta = plug_in + float(
-        (r.values * (data.outcome - mu) + h.values * (mu - emu)).sum() / n)
     return _result(
-        "one_step_long", eif_long(data, nuisances, mu, emu, theta), theta,
-        nuisances,
-        {"plug_in": plug_in, "g1_degenerate": nuisances.g1_degenerate},
+        "one_step_long", data, nuisances, (mu, emu), None,
+        {"plug_in": float(emu.sum() / data.n_obs),
+         "g1_degenerate": nuisances.g1_degenerate},
         result=LongEstimateResult, nuisances=nuisances, mu_star=mu,
         emu_hat=emu, emu_star=emu)
 
@@ -241,23 +232,18 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
     bounds = _scaling_bounds(variant, data, y_bounds)
     r, h = _clever_weights(data, nuisances)
 
-    # Unlike the point design's, these offsets come from fits and may
-    # overflow, so both steps keep fluctuate's input checks.
-    step3 = _labelled_fluctuation(
-        "step 3 (fluctuate mu)", fluctuate, data.outcome, nuisances.mu_hat,
-        r.values, r.inverse, variant, bounds)
+    # Offsets from fits may overflow, so both steps keep fluctuate's checks.
+    step3 = _targeting_step("step 3 (fluctuate mu)", data.outcome,
+                            nuisances.mu_hat, r, variant, bounds, False)
     mu_star = step3.targeted_pred
     emu_hat = _fit_emu(data, mu_star, emu_learner, variant, bounds,
                        nuisances.fold_assignment)
-    step5 = _labelled_fluctuation(
-        "step 5 (fluctuate the W0 regression)", fluctuate, mu_star, emu_hat,
-        h.values, h.inverse, variant, bounds)
+    step5 = _targeting_step("step 5 (fluctuate the W0 regression)", mu_star,
+                            emu_hat, h, variant, bounds, False)
     emu_star = step5.targeted_pred
-    theta = float(emu_star.sum() / data.n_obs)
     return _result(
-        f"tmle_long_{variant}",
-        eif_long(data, nuisances, mu_star, emu_star, theta), theta,
-        nuisances,
+        f"tmle_long_{variant}", data, nuisances, (mu_star, emu_star),
+        float(emu_star.sum() / data.n_obs),
         {
             "variant": variant,
             "step3_coefficient": step3.coefficient,

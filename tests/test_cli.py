@@ -16,6 +16,8 @@ import pytest
 
 from eiftools.cli import main
 
+from helpers import random_point_dataset
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 POINT_NAMES = ("gcomp", "one_step", "tmle_covariate_linear",
@@ -715,19 +717,39 @@ def test_emit_data_round_trips_longitudinal(tmp_path):
     assert names == list(LONG_NAMES)
 
 
-def _long_estimates(tmp_path, columns, y, argv):
-    """``estimate`` on the two-period CSV ``columns`` with outcome ``y``:
-    (psi_hat, se) per estimator."""
+def _estimates(tmp_path, columns, y, argv):
+    """``estimate`` with ``argv`` on the CSV of ``columns`` and the outcome
+    ``y``: (psi_hat, se, ci95) per estimator."""
     path = tmp_path / "moved.csv"
     columns = dict(columns, y=y)
     path.write_text(",".join(columns) + "\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n"
         for row in zip(*columns.values())), encoding="utf-8")
     out = tmp_path / "est.json"
-    assert run_cli(["estimate", "--data", path, "--design", "longitudinal",
-                    *argv, "--out", out]) == 0
-    return {e["estimator"]: (e["psi_hat"], e["se"])
+    assert run_cli(["estimate", "--data", path, *argv, "--out", out]) == 0
+    return {e["estimator"]: (e["psi_hat"], e["se"], e["ci95"])
             for e in read_json(out)["estimates"]}
+
+
+def _assert_affine_equivariant(tmp_path, columns, y, bounds, argv):
+    """y -> c + s*y, with --y-bounds mapped (its ends swap when s < 0),
+    maps every estimate to c + s*psi, its standard error to |s|*se and
+    its CI ends alike (they swap when s < 0). Returns the estimates at
+    s = 1, c = 0."""
+    lo, hi = bounds
+    base = _estimates(tmp_path, columns, y, [f"--y-bounds={lo!r},{hi!r}",
+                                             *argv])
+    for c, s in ((5.0, 1.0), (2.5, -3.7), (-1.0, 1e6), (0.0, -1e6)):
+        lo_s, hi_s = sorted((c + s * lo, c + s * hi))
+        moved = _estimates(tmp_path, columns, c + s * y,
+                           [f"--y-bounds={lo_s!r},{hi_s!r}", *argv])
+        assert moved.keys() == base.keys()
+        for name, (psi, se, ci) in base.items():
+            assert moved[name][0] == pytest.approx(c + s * psi, rel=1e-10)
+            assert moved[name][1] == pytest.approx(abs(s) * se, rel=1e-10)
+            assert moved[name][2] == pytest.approx(
+                sorted(c + s * end for end in ci), rel=1e-10)
+    return base
 
 
 @pytest.mark.parametrize("learner", ["glm_main_terms",
@@ -736,9 +758,7 @@ def _long_estimates(tmp_path, columns, y, argv):
 @pytest.mark.parametrize("folds", [[], ["--folds", "2"]])
 def test_long_estimates_are_affine_equivariant(tmp_path, learner, folds):
     # The two-period counterpart of the point design's location-scale
-    # test, through the command line: y -> c + s*y, with --y-bounds
-    # mapped (its ends swap when s < 0), maps every estimate to
-    # c + s*psi and its standard error to |s|*se.
+    # test, through the command line.
     draw = tmp_path / "draw.csv"
     assert run_cli(["simulate", "--config", FIXTURES / "dgp_long.json",
                     "--n", "400", "--replications", "2", "--seed", "3",
@@ -749,16 +769,28 @@ def test_long_estimates_are_affine_equivariant(tmp_path, learner, folds):
     columns = {name: np.array([float(row[name]) for row in rows])
                for name in rows[0]}
     y = columns.pop("y")
-    argv = ["--outcome-learner", learner, *folds]
-    base = _long_estimates(tmp_path, columns, y, ["--y-bounds=0,1", *argv])
+    base = _assert_affine_equivariant(
+        tmp_path, columns, y, (0.0, 1.0),
+        ["--design", "longitudinal", "--outcome-learner", learner, *folds])
     assert sorted(base) == sorted(LONG_NAMES)
-    for c, s in ((5.0, 1.0), (2.5, -3.7), (-1.0, 1e6), (0.0, -1e6)):
-        lo, hi = sorted((c, c + s))
-        moved = _long_estimates(tmp_path, columns, c + s * y,
-                                [f"--y-bounds={lo!r},{hi!r}", *argv])
-        for name, (psi, se) in base.items():
-            assert moved[name][0] == pytest.approx(c + s * psi, rel=1e-10)
-            assert moved[name][1] == pytest.approx(abs(s) * se, rel=1e-10)
+
+
+@pytest.mark.parametrize("learner", ["glm_main_terms",
+                                     "glm_main_terms:link=logit",
+                                     "k_nearest_neighbors:k=5"])
+@pytest.mark.parametrize("folds", [[], ["--folds", "2"]])
+def test_point_estimates_are_affine_equivariant(tmp_path, learner, folds):
+    # The point design on a continuous outcome, through the command line.
+    data = random_point_dataset(np.random.default_rng(31), n=400)
+    columns = {name: data.covariate_column(name)
+               for name in data.covariate_names}
+    columns["a"] = data.treatment
+    y = data.outcome
+    bounds = (float(np.floor(y.min())) - 1.0, float(np.ceil(y.max())) + 1.0)
+    base = _assert_affine_equivariant(
+        tmp_path, columns, y, bounds,
+        ["--outcome-learner", learner, *folds])
+    assert sorted(base) == sorted(POINT_NAMES)
 
 
 def test_negative_y_bounds_need_the_equals_form(tmp_path, capsys):
@@ -980,6 +1012,13 @@ MC_SIMULATE = ["--truth-method", "monte_carlo", "--mc-draws", "2000",
      "covariates[0] (w): uniform needs a finite width"),
     ("dgp_overflow_width.json", ["simulate", *MC_SIMULATE],
      "DgpValidationError", "covariates[0] (w): uniform needs a finite width"),
+    ("dgp_overflow_noise_width.json", ["truth", *MC_TRUTH],
+     "DgpValidationError", "outcome.noise: uniform noise needs a finite "
+     "width"),
+    ("dgp_overflow_noise_width.json", ["simulate", "--n", "50",
+                                       "--replications", "2", "--seed", "1"],
+     "DgpValidationError", "outcome.noise: uniform noise needs a finite "
+     "width"),
     ("dgp_overflow_coef.json", ["simulate", *MC_SIMULATE], "UsageError",
      "the true value overflows: the monte_carlo value"),
     # The truth overflows before any replicate's kNN outcome fit runs

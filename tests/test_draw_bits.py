@@ -35,8 +35,7 @@ def _point(covariates, treatment, outcome, **extra):
 # uniform noise on a finite continuous outcome, an outcome that reads no
 # covariate, a scalar treatment term before, between and after the array
 # terms, an outcome whose first array term is not the first covariate,
-# signed zeros, and uniform noise too wide for float64 (numpy's
-# OverflowError).
+# and signed zeros.
 INLINE = {
     "normal_covariate": _point(
         [{"name": "w", "dist": "normal", "mean": 0.5, "sd": 2.0},
@@ -74,11 +73,6 @@ INLINE = {
          {"name": "v", "dist": "bernoulli", "p": 0.0}],
         {"intercept": 0.0, "coefs": {}},
         {"intercept": -0.0, "coefs": {"w": -1.0, "v": 1.0}}),
-    "wide_uniform_noise": _point(
-        [{"name": "w", "dist": "bernoulli", "p": 0.5}],
-        {"intercept": 0.2, "coefs": {"w": 0.3}},
-        {"intercept": 1.0, "coefs": {"w": 0.5},
-         "noise": {"kind": "uniform", "half_width": 1e308}}),
 }
 
 DGP_FILES = (sorted((ROOT / "tests" / "fixtures").glob("dgp_*.json"))

@@ -8,11 +8,12 @@ import pytest
 import eiftools.estimators as est
 import eiftools.longitudinal as lng
 from eiftools.data import Dataset, LongDataset
-from eiftools.estimators import tmle
+from eiftools.estimators import eif_values, one_step, tmle
 from eiftools.glm import GlmError
 from eiftools.nuisance import (
     FoldDegeneracyError,
     LearnerSpec,
+    crossfit,
     fit_nuisance,
     fold_partition,
 )
@@ -24,7 +25,7 @@ from eiftools.longitudinal import (
     tmle_long,
 )
 from helpers import (count_predicted_rows, random_long_dataset,
-                     saturated_long_dataset)
+                     random_point_dataset, saturated_long_dataset)
 from oracles import stratum_long_value
 
 SATURATED_STAGE2 = LearnerSpec("glm_with_basis", degree=1, interactions=True)
@@ -119,6 +120,48 @@ def test_reduction_to_point_treatment():
         assert long_fit.psi_hat == pytest.approx(point_fit.psi_hat,
                                                  abs=1e-10)
         assert long_fit.se == pytest.approx(point_fit.se, abs=1e-10)
+
+
+def _one_period_pair(seed):
+    """A point Dataset and the LongDataset of the same rows with no W1
+    and A1 = 0, on which g1 is exactly 1."""
+    point = random_point_dataset(np.random.default_rng(seed), n=120)
+    columns = {name: point.covariates[:, j]
+               for j, name in enumerate(point.covariate_names)}
+    return point, LongDataset.from_columns(
+        columns, point.treatment, {}, np.zeros(point.n_obs), point.outcome)
+
+
+# The point TMLE is step 3 of tmle_long with g1 = 1, and the point
+# influence function is eif_long with e = mu: both bit for bit.
+@pytest.mark.parametrize("n_folds", [None, 2])
+@pytest.mark.parametrize("learner", ["glm_main_terms",
+                                     "k_nearest_neighbors:k=5"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_period_case_is_the_point_design_bit_for_bit(seed, learner,
+                                                         n_folds):
+    point, data = _one_period_pair(seed)
+    spec, glm = LearnerSpec.parse(learner), LearnerSpec("glm_main_terms")
+    nuis = fit_sequential_nuisances(data, mu_learner=spec, n_folds=n_folds,
+                                    seed=4)
+    point_nuis = (fit_nuisance(point, spec, glm) if n_folds is None
+                  else crossfit(point, spec, glm, n_folds, 4))
+    assert nuis.g1_degenerate
+    for variant in est.TMLE_VARIANTS:
+        long_fit = tmle_long(data, nuis, variant=variant)
+        point_fit = tmle(point, point_nuis, variant)
+        diagnostics = long_fit.diagnostics
+        assert np.array_equal(long_fit.mu_star,
+                              point_fit.fluctuation.targeted_pred)
+        assert diagnostics["step3_coefficient"] == \
+            point_fit.diagnostics["fluctuation_coefficient"]
+        assert diagnostics["step3_score_residual"] == \
+            point_fit.diagnostics["score_residual"]
+    psi = one_step(point, point_nuis).psi_hat
+    assert np.array_equal(
+        eif_long(data, nuis, nuis.mu_hat, nuis.mu_hat, psi),
+        eif_values(point, point_nuis.outcome_pred,
+                   point_nuis.propensity_pred, psi))
 
 
 def test_score_equation_certificates_and_mean_eif_identity():

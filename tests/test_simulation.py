@@ -233,6 +233,20 @@ VALIDATION_RULES = [
                         "w1_covariates.0.high": 1.0},
                  ["w1_covariates[0] (v): model is only valid for bernoulli"],
                  id="model-on-uniform"),
+    pytest.param(POINT, {"covariates.0.dist": "uniform",
+                         "covariates.0.low": 0.0, "covariates.0.high": 1.0,
+                         "covariates.0.sd": 1.0},
+                 ["covariates[0] (w): p is only valid for bernoulli",
+                  "covariates[0] (w): sd is only valid for normal"],
+                 id="uniform-ignored-keys"),
+    pytest.param(POINT, {"covariates.0.mean": 0.5, "covariates.0.low": 0.0},
+                 ["covariates[0] (w): low is only valid for uniform",
+                  "covariates[0] (w): mean is only valid for normal"],
+                 id="bernoulli-ignored-keys"),
+    pytest.param(POINT, {"covariates.0": dict(NORMAL_W, high=1.0),
+                         "treatment.coefs": {}},
+                 ["covariates[0] (w): high is only valid for uniform"],
+                 id="normal-ignored-keys"),
     pytest.param(POINT, {"covariates.0.p": DROP,
                          "covariates.0.dist": "uniform",
                          "covariates.0.high": 1.0},
@@ -303,6 +317,24 @@ VALIDATION_RULES = [
                                            "half_width": -1.0}},
                  ["outcome.noise: uniform noise needs half_width >= 0"],
                  id="noise-half-width"),
+    # Uniform noise whose width 2 * half_width overflows float64, so no
+    # draw of it is finite.
+    pytest.param(POINT, {"outcome.noise": {"kind": "uniform",
+                                           "half_width": 1e308}},
+                 ["outcome.noise: uniform noise needs a finite width "
+                  "2 * half_width"], id="noise-width"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "normal", "sd": 1.0,
+                                           "half_width": 0.5}},
+                 ["outcome.noise: half_width must be 0 for noise kind "
+                  "'normal'"], id="noise-ignored-half-width"),
+    pytest.param(POINT, {"outcome.noise": {"kind": "uniform", "sd": 1.0,
+                                           "half_width": 0.5}},
+                 ["outcome.noise: sd must be 0 for noise kind 'uniform'"],
+                 id="noise-ignored-sd"),
+    pytest.param(POINT, {"outcome.noise": {"sd": -1.0, "half_width": 0.5}},
+                 ["outcome.noise: sd must be 0 for noise kind 'none'",
+                  "outcome.noise: half_width must be 0 for noise kind "
+                  "'none'"], id="noise-none-ignored"),
     pytest.param(POINT, {"outcome.kind": "binary", "outcome.intercept": 0.2,
                          "outcome.noise": {"kind": "uniform",
                                            "half_width": 0.1}},
