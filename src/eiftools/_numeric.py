@@ -16,10 +16,16 @@ def expit(x, out=None):
     Below about -709.8, ``exp(-x)`` overflows to inf and the result is
     exactly 0. A 0-d input gives a numpy scalar.
     """
+    with np.errstate(over="ignore"):
+        return _expit(x, out)
+
+
+def _expit(x, out=None):
+    """:func:`expit` for a caller that holds numpy's overflow warnings
+    off, as a solver that takes many steps does once for all of them."""
     out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out,
                       dtype=float)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+    np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
     return out if out.ndim else out[()]

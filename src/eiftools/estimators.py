@@ -37,7 +37,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ._numeric import expit, logit, softplus
+from ._numeric import _expit, logit, softplus
 from .data import Dataset, LongDataset
 from .glm import (DEFAULT_MAX_ITERATIONS, DEFAULT_SCORE_TOLERANCE,
                   SEPARATION_NORM, GlmError, NonConvergenceError,
@@ -122,13 +122,21 @@ def wald_inference(eif: np.ndarray, psi_hat: float
     ValueError when that variance overflows, so no interval is infinite.
     """
     phi = np.asarray(eif, dtype=float)
-    n = phi.shape[0]
-    if n < 2:
+    if phi.shape[0] < 2:
         raise ValueError("influence-function inference needs n >= 2")
+    with np.errstate(over="ignore", invalid="ignore"):  # see _wald
+        return _wald(phi, float(phi.sum()), psi_hat)
+
+
+def _wald(phi: np.ndarray, total: float, psi_hat: float
+          ) -> Tuple[float, Tuple[float, float]]:
+    """:func:`wald_inference` on two or more values ``phi`` whose sum is
+    ``total``, with numpy's overflow and invalid-value warnings off: the
+    standard error is checked to be finite here."""
+    n = phi.shape[0]
     # The arithmetic of np.var(phi, ddof=1), without its per-call cost.
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        dev = phi - phi.sum() / n
-        se = math.sqrt((dev * dev).sum() / (n - 1) / n)
+    dev = phi - total / n
+    se = math.sqrt((dev * dev).sum() / (n - 1) / n)
     if not math.isfinite(se):
         raise ValueError("the influence-function variance overflows: the "
                          "standard error is not finite")
@@ -206,15 +214,15 @@ def _result(estimator: str, data: Union[Dataset, LongDataset], nuisance,
     if psi is None:
         psi = float(pseudo.sum() / data.n_obs)
     phi = pseudo - psi
-    # A finite sum has finite terms, so one sum serves this check and
-    # mean_eif; a finite phi whose sum overflows fails wald_inference's
-    # variance check, as before.
+    # A finite sum has finite terms, so one sum serves this check, the
+    # Wald interval and mean_eif; a finite phi whose sum overflows fails
+    # the interval's variance check, as before.
     total = float(phi.sum())
     if not (math.isfinite(psi)
             and (math.isfinite(total) or np.isfinite(phi).all())):
         raise ValueError(f"the estimate overflows: the {estimator} value or "
                          "its influence-function values are not finite")
-    se, ci = wald_inference(phi, psi)
+    se, ci = _wald(phi, total, psi)
     diagnostics: Dict[str, object] = {
         "mean_eif": total / phi.shape[0],
         "n_truncated": nuisance.n_truncated,
@@ -293,49 +301,56 @@ def _solve_linear(z, b, w, x, tol: float) -> float:
         np.array([c]), np.array([score]), 4)
 
 
-def _solve_logistic(z, b, w, tol: float) -> float:
+def _solve_logistic(z, b, w, tol: float
+                    ) -> Tuple[float, np.ndarray, float]:
     """Weighted logistic intercept with offset ``b``, by the Newton
     iteration of :func:`eiftools.glm.fit_glm`'s logit solver, weighted
     and for one parameter: start at 0, take the step score/information,
     halve it until the weighted Bernoulli log-likelihood of the
-    positive-weight rows does not drop."""
-    active = slice(None) if w.min() > 0 else w > 0
-    z_active, w_active = z[active], w[active]
+    positive-weight rows does not drop. Returns the intercept,
+    expit(b + intercept) and the score there. Numpy's overflow warnings
+    are off for the whole solve; the positive-weight rows and the
+    log-likelihood at the offset are taken at the first step only."""
 
     def weighted_loglik(eta):  # z*eta - log(1 + exp(eta)) per row
         return float((w_active * (z_active * eta - softplus(eta))).sum())
 
-    coef, eta = 0.0, b
-    loglik = weighted_loglik(b[active])
-    for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
-        mu = expit(eta)
-        score = float((w * (z - mu)).sum())
-        if abs(score) <= tol:
-            return coef
-        if iteration == DEFAULT_MAX_ITERATIONS:
-            raise NonConvergenceError(
-                f"logit fit did not converge in {iteration} iterations",
-                np.array([coef]), np.array([score]), iteration)
-        info = float((w * mu * (1.0 - mu)).sum())
-        if not info > 0.0:
-            raise SingularDesignError(
-                "logit-link information matrix is singular")
-        delta = score / info
-        if not np.isfinite(delta):
-            raise SingularDesignError("logit-link Newton step is not finite")
-        step = 1.0
-        for _ in range(40):
-            cand = coef + step * delta
-            eta = b + cand
-            loglik_cand = weighted_loglik(eta[active])
-            if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
-                break
-            step *= 0.5
-        coef, loglik = cand, loglik_cand
-        if abs(coef) > SEPARATION_NORM:
-            raise SeparationError(
-                "logit coefficients diverged beyond "
-                f"{SEPARATION_NORM:g}; data look separated")
+    coef, eta, loglik = 0.0, b, None
+    with np.errstate(over="ignore"):
+        for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
+            mu = _expit(eta)
+            score = float((w * (z - mu)).sum())
+            if abs(score) <= tol:
+                return coef, mu, score
+            if iteration == DEFAULT_MAX_ITERATIONS:
+                raise NonConvergenceError(
+                    f"logit fit did not converge in {iteration} iterations",
+                    np.array([coef]), np.array([score]), iteration)
+            info = float((w * mu * (1.0 - mu)).sum())
+            if not info > 0.0:
+                raise SingularDesignError(
+                    "logit-link information matrix is singular")
+            delta = score / info
+            if not math.isfinite(delta):
+                raise SingularDesignError(
+                    "logit-link Newton step is not finite")
+            if loglik is None:
+                active = slice(None) if w.min() > 0 else w > 0
+                z_active, w_active, b_active = z[active], w[active], b[active]
+                loglik = weighted_loglik(b_active)
+            step = 1.0
+            for _ in range(40):
+                cand = coef + step * delta
+                loglik_cand = weighted_loglik(b_active + cand)
+                if loglik_cand >= loglik - 1e-12 * (1.0 + abs(loglik)):
+                    break
+                step *= 0.5
+            coef, loglik = cand, loglik_cand
+            if abs(coef) > SEPARATION_NORM:
+                raise SeparationError(
+                    "logit coefficients diverged beyond "
+                    f"{SEPARATION_NORM:g}; data look separated")
+            eta = b + coef
 
 
 def fluctuate(response, offset, weights, regime_covariate, variant: str,
@@ -391,10 +406,8 @@ def _solve_fluctuation(z: np.ndarray, b: np.ndarray, w: np.ndarray,
         z_sc = (z - lo) / span
         b_sc = logit(np.clip((b - lo) / span, OUTCOME_PROB_CLIP,
                              1.0 - OUTCOME_PROB_CLIP))
-        coef = _solve_logistic(z_sc, b_sc, w, tol)
-        targeted_sc = expit(b_sc + coef)
-        return FluctuationFit(variant, coef, lo + span * targeted_sc,
-                              float((w * (z_sc - targeted_sc)).sum()))
+        coef, targeted_sc, score = _solve_logistic(z_sc, b_sc, w, tol)
+        return FluctuationFit(variant, coef, lo + span * targeted_sc, score)
     if variant == "weighted_linear":
         coef = _solve_linear(z, b, w, 1.0, tol)
         targeted = b + coef

@@ -182,18 +182,21 @@ class LearnerSpec:
             x = matrix
         else:
             basis = self.kind == "glm_with_basis"
-            cols = [np.ones(matrix.shape[0])]
+            n, m = matrix.shape
+            degree = self.degree if basis else 1
+            pairs = ([(i, j) for i in range(m) for j in range(i + 1, m)]
+                     if basis and self.interactions else [])
+            # Filled in place, in np.column_stack's layout: covariate j's
+            # powers 1 to degree are columns 1 + j * degree onwards.
+            x = np.empty((n, 1 + m * degree + len(pairs)))
+            x[:, 0] = 1.0
+            x[:, 1:1 + m * degree:degree] = matrix
             with np.errstate(over="ignore"):  # reported below
-                for j in range(matrix.shape[1]):
-                    cols.append(matrix[:, j])
-                    if basis:
-                        cols += [matrix[:, j] ** d
-                                 for d in range(2, self.degree + 1)]
-                if basis and self.interactions:
-                    cols += [matrix[:, i] * matrix[:, j]
-                             for i in range(matrix.shape[1])
-                             for j in range(i + 1, matrix.shape[1])]
-            x = np.column_stack(cols)
+                for j in range(m):
+                    for d in range(2, degree + 1):
+                        x[:, j * degree + d] = matrix[:, j] ** d
+                for k, (i, j) in enumerate(pairs, 1 + m * degree):
+                    x[:, k] = matrix[:, i] * matrix[:, j]
         if not np.isfinite(x).all():
             raise NuisanceError(
                 f"{self.describe()}: model matrix contains non-finite "

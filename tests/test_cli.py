@@ -793,6 +793,56 @@ def test_point_estimates_are_affine_equivariant(tmp_path, learner, folds):
     assert sorted(base) == sorted(POINT_NAMES)
 
 
+def _design_columns(tmp_path, design):
+    """The columns and outcome of a 400-row dataset of ``design`` whose
+    covariates are continuous, so that no two rows tie in distance."""
+    if design == "point":
+        data = random_point_dataset(np.random.default_rng(41), n=400)
+        columns = {name: data.covariate_column(name)
+                   for name in data.covariate_names}
+        columns["a"] = data.treatment
+        return columns, data.outcome
+    draw = tmp_path / "draw.csv"
+    assert run_cli(["simulate", "--config",
+                    FIXTURES / "dgp_adversarial_long.json", "--n", "400",
+                    "--replications", "2", "--seed", "5",
+                    "--truth-method", "monte_carlo", "--mc-draws", "2000",
+                    "--estimators", "one_step_long",
+                    "--emit-data", draw]) == 0
+    with open(draw, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = {name: np.array([float(row[name]) for row in rows])
+               for name in rows[0]}
+    return columns, columns.pop("y")
+
+
+@pytest.mark.parametrize("learner", ["glm_main_terms",
+                                     "glm_main_terms:link=logit",
+                                     "glm_with_basis:degree=2",
+                                     "k_nearest_neighbors:k=5"])
+@pytest.mark.parametrize("design", ["point", "longitudinal"])
+def test_estimates_do_not_depend_on_row_order(tmp_path, design, learner):
+    # Without folds, an estimate is a function of the set of rows: a
+    # permutation of the CSV's rows moves each estimate, standard error
+    # and CI end only by rounding. kNN breaks distance ties by row index,
+    # so the covariates here are continuous and tie-free.
+    columns, y = _design_columns(tmp_path, design)
+    argv = ["--design", design, "--outcome-learner", learner,
+            "--propensity-learner", learner]
+    base = _estimates(tmp_path, columns, y, argv)
+    order = np.random.default_rng(7).permutation(y.shape[0])
+    moved = _estimates(tmp_path, {name: col[order]
+                                  for name, col in columns.items()},
+                       y[order], argv)
+    assert sorted(base) == sorted(POINT_NAMES if design == "point"
+                                  else LONG_NAMES)
+    assert moved.keys() == base.keys()
+    for name, (psi, se, ci) in base.items():
+        assert moved[name][0] == pytest.approx(psi, rel=1e-10)
+        assert moved[name][1] == pytest.approx(se, rel=1e-10)
+        assert moved[name][2] == pytest.approx(ci, rel=1e-10)
+
+
 def test_negative_y_bounds_need_the_equals_form(tmp_path, capsys):
     # argparse reads "-1,2" after a space as a flag, so a lower bound
     # below zero is written --y-bounds=-1,2, as the flag's help says.

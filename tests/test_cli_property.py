@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from eiftools import dgp
 from eiftools.cli import main
-from eiftools.dgp import CovariateSpec, DgpConfig
+from eiftools.dgp import CovariateSpec, DgpConfig, DgpValidationError
 
 POINT_NAMES = ("gcomp", "one_step", "tmle_covariate_linear",
                "tmle_weighted_linear", "tmle_weighted_logistic")
@@ -168,65 +168,159 @@ def test_estimate_exits_with_strict_json_and_no_warning(case, to_file):
     assert ("error" in payload) == (code != 0)
 
 
-# Valid values stay modest: numbers that overflow float64 sums are out of
-# this test's scope. A string key takes a name that it accepts (the any
-# values hold a wrong one); coefficients name covariates, treatments or
-# neither.
-NUMBERS = st.one_of(st.integers(-10, 10), st.floats(-10, 10),
-                    st.floats(0, 1))
-TERMS = ("w", "v", "a", "a0", "a1", "ghost")
-STRINGS = {"design": ("point", "longitudinal"), "name": ("w", "v", "u"),
-           "dist": ("bernoulli", "uniform", "normal"),
-           "scale": ("identity", "logit"),
-           "kind": ("continuous", "binary", "none", "normal", "uniform")}
+# A valid config keeps every rule with modest numbers: a covariate sets
+# its own distribution's keys (dgp._DIST_KEYS) and lies in [-1, 1] unless
+# it is normal; noise sets its own kind's keys (dgp._NOISE_KEYS); a
+# treatment model's terms are bounded covariates and treatments, so its
+# linear predictor stays within +-3 and each propensity within [0.047,
+# 0.953]; a binary outcome's identity-scale mean stays within [0.15, 0.85].
+UNIT = st.floats(-1, 1)
 ANY_JSON = st.sampled_from((True, 3, -0.5, "x", [], {}, [0.0, 1.0],
                             {"w": 1.0}))
+COVARIATE_VALUES = {"p": st.floats(0, 1), "low": st.floats(-1, 0),
+                    "high": st.floats(0.5, 1), "mean": UNIT,
+                    "sd": st.floats(0, 1)}
 
 
-def _json_values(key, kind, faults):
-    """The valid JSON values of a key of a key table."""
-    if kind == "a number":
-        return NUMBERS
-    if kind == "a string":
-        return st.sampled_from(STRINGS[key])
-    if hasattr(kind, "__self__"):  # the from_dict of a config object
-        return _config_objects(kind.__self__, faults)
-    return {dgp._numbers: st.dictionaries(st.sampled_from(TERMS), NUMBERS,
-                                          max_size=3),
-            dgp._bounds: st.lists(NUMBERS, min_size=2, max_size=2),
-            dgp._covariates: st.lists(_config_objects(CovariateSpec, faults),
-                                      min_size=1, max_size=2)}[kind]
+def _valid_model(terms, coefs=st.floats(-0.5, 0.5), intercept=UNIT):
+    return st.fixed_dictionaries(
+        {"intercept": intercept},
+        optional={"coefs": st.fixed_dictionaries(
+            {}, optional={term: coefs for term in terms})})
 
 
 @st.composite
-def _config_objects(draw, cls, faults):
-    """A JSON object by the key table of ``cls``. Each key is valid (an
-    optional key is absent half the time), or in about ``faults`` percent
-    of keys absent, null or any JSON value; one object in 20 of a faulty
-    config gets an unknown key too."""
+def _valid_covariate(draw, name, model_terms=None):
+    """A covariate with its distribution's keys; a bernoulli one takes p,
+    or a model on ``model_terms`` when it is given (W1)."""
+    dist = draw(st.sampled_from(sorted(dgp._DIST_KEYS)))
+    keys = dgp._DIST_KEYS[dist]
+    if dist == "bernoulli":
+        keys = ("model",) if model_terms and draw(st.booleans()) else ("p",)
+    obj = {"name": name, "dist": dist}
+    for key in keys:
+        obj[key] = draw(_valid_model(model_terms, UNIT) if key == "model"
+                        else COVARIATE_VALUES[key])
+    return obj
+
+
+@st.composite
+def _valid_configs(draw):
+    """A DGP config JSON that passes ``DgpConfig.from_dict``."""
+    design = draw(st.sampled_from(("point", "longitudinal")))
+    names = draw(st.permutations(("w", "v", "u")))
+    w0 = [draw(_valid_covariate(name))
+          for name in names[:draw(st.integers(1, 2))]]
+    config = {"design": design, "covariates": w0}
+    treatments = ("a",)
+    w1 = []
+    if design == "longitudinal":
+        treatments = ("a0", "a1")
+        w0_terms = tuple(c["name"] for c in w0) + ("a0",)
+        w1 = [draw(_valid_covariate(names[2], w0_terms))
+              for _ in range(draw(st.integers(0, 1)))]
+        if w1 or draw(st.booleans()):
+            config["w1_covariates"] = w1
+    bounded = [c["name"] for c in w0 + w1 if c["dist"] != "normal"]
+    config["treatment"] = draw(_valid_model(
+        [name for name in bounded if any(c["name"] == name for c in w0)]))
+    if design == "longitudinal":
+        config["a1"] = draw(_valid_model(bounded + ["a0"]))
+    kind = draw(st.sampled_from(("continuous", "binary")))
+    scale = draw(st.sampled_from(("identity", "logit")))
+    terms = [c["name"] for c in w0 + w1] + list(treatments)
+    if kind == "binary" and scale == "identity":
+        model = _valid_model(bounded + list(treatments),
+                             st.floats(-0.05, 0.05), st.floats(0.4, 0.6))
+    else:
+        model = _valid_model(terms, UNIT)
+    outcome = dict(draw(model), kind=kind, scale=scale)
+    noise = {"kind": "none"}
+    if kind == "continuous":
+        noise["kind"] = draw(st.sampled_from(sorted(dgp._NOISE_KEYS)))
+        for key in dgp._NOISE_KEYS[noise["kind"]]:
+            noise[key] = draw(st.floats(0, 1))
+    if noise["kind"] != "none" or draw(st.booleans()):
+        outcome["noise"] = noise
+    config["outcome"] = outcome
+    # The outcome lies within +-(|intercept| + sum |coef| + 1 + half_width)
+    # unless a normal covariate or normal noise enters it.
+    coefs = outcome.get("coefs", {})
+    if kind == "binary":
+        if draw(st.booleans()):
+            config["y_bounds"] = [0.0, 1.0]
+    elif (noise["kind"] != "normal" and draw(st.booleans())
+          and all(term in bounded + list(treatments) for term in coefs)):
+        width = (abs(outcome["intercept"]) + sum(map(abs, coefs.values()))
+                 + 1.0 + noise.get("half_width", 0.0))
+        config["y_bounds"] = [-width - 1.0, width + 1.0]
+    if draw(st.booleans()):
+        config["positivity_floor"] = draw(st.floats(0.001, 0.04))
+    return config
+
+
+@st.composite
+def _config_objects(draw, cls, faults, valid):
+    """The JSON object ``valid`` read by the key table of ``cls``: in about
+    ``faults`` percent of keys the value is absent, null or any JSON value
+    instead; one object in 20 of a faulty config gets an unknown key
+    too."""
     obj = {}
     for key, kind, default in cls._KEYS:
         choice = "valid"
         if draw(st.integers(0, 99)) < faults:
             choice = draw(st.sampled_from(("absent", "null", "any")))
-        elif default is not dgp._REQUIRED and draw(st.booleans()):
-            choice = "absent"
         if choice == "null":
             obj[key] = None
         elif choice == "any":
             obj[key] = draw(ANY_JSON)
-        elif choice == "valid":
-            obj[key] = draw(_json_values(key, kind, faults))
+        elif choice == "valid" and key in valid:
+            value = valid[key]
+            if hasattr(kind, "__self__"):  # the from_dict of a config object
+                value = draw(_config_objects(kind.__self__, faults, value))
+            elif kind is dgp._covariates:
+                value = [draw(_config_objects(CovariateSpec, faults, c))
+                         for c in value]
+            obj[key] = value
     if faults and draw(st.integers(0, 19)) == 19:
         obj["bogus"] = 1
     return obj
 
 
+# Each fault level with equal weight: about two configs in five build.
+CONFIGS = st.tuples(st.sampled_from((0, 3, 10, 30)), _valid_configs()).flatmap(
+    lambda case: _config_objects(DgpConfig, *case))
+
+
+def test_most_fuzzed_configs_build():
+    # The truth fuzz below must reach the truth computation, not only the
+    # validation: at least a third of its configs build.
+    built = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(config=CONFIGS)
+    def draw(config):
+        try:
+            DgpConfig.from_dict(config)
+        except DgpValidationError:
+            built.append(False)
+        else:
+            built.append(True)
+    draw()
+    assert len(built) >= 300
+    assert sum(built) >= len(built) / 3
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=_valid_configs())
+def test_every_fault_free_config_builds(config):
+    DgpConfig.from_dict(config)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(config=st.sampled_from((0, 3, 10, 30)).flatmap(
-    lambda faults: _config_objects(DgpConfig, faults)),
-    monte_carlo=st.booleans())
+@given(config=CONFIGS, monte_carlo=st.booleans())
 @example(config=json.loads((FIXTURES / "dgp_binary.json").read_text()),
          monte_carlo=False)
 @example(config=json.loads((FIXTURES / "dgp_long.json").read_text()),

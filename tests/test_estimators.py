@@ -473,3 +473,18 @@ def test_one_nuisances_object_follows_the_dataset_it_is_given(design):
     for data in (first, second, first, second):
         for run in estimators:
             _assert_bit_equal(run(data, nuis), run(data, replace(nuis)))
+
+
+@pytest.mark.parametrize("design", sorted(_DESIGNS))
+@pytest.mark.parametrize("seed", [34, 35, 36])
+def test_each_estimate_reports_the_wald_interval_of_its_eif(design, seed):
+    # The assembly hands the shared Wald core the influence-function sum
+    # it already took; the interval is wald_inference's, to the bit.
+    estimators, draw, fit = _DESIGNS[design]
+    data = draw(seed)
+    nuis = fit(data)
+    for run in estimators:
+        result = run(data, nuis)
+        se, ci = wald_inference(result.eif, result.psi_hat)
+        assert ([float.hex(v) for v in (result.se, *result.ci95)]
+                == [float.hex(v) for v in (se, *ci)])

@@ -136,6 +136,63 @@ def test_basis_design_column_names():
     np.testing.assert_array_equal(knn, matrix)
 
 
+def _column_stack_design(spec, matrix):
+    """The GLM model matrix as a list of columns for np.column_stack: the
+    intercept, each covariate and its powers, then pairwise products."""
+    basis = spec.kind == "glm_with_basis"
+    cols = [np.ones(matrix.shape[0])]
+    with np.errstate(over="ignore", under="ignore"):
+        for j in range(matrix.shape[1]):
+            cols.append(matrix[:, j])
+            if basis:
+                cols += [matrix[:, j] ** d for d in range(2, spec.degree + 1)]
+        if basis and spec.interactions:
+            cols += [matrix[:, i] * matrix[:, j]
+                     for i in range(matrix.shape[1])
+                     for j in range(i + 1, matrix.shape[1])]
+    return np.column_stack(cols)
+
+
+def _sliced(matrix):
+    """``matrix`` as a strided view into a larger array."""
+    n, m = matrix.shape
+    big = np.full((2 * n + 1, 2 * m + 1), np.nan)
+    big[1::2, 1::2] = matrix
+    return big[1::2, 1::2]
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray,
+                                    _sliced])
+@pytest.mark.parametrize("n_cov", [0, 1, 2, 3, 4])
+def test_design_equals_the_column_stack_bit_for_bit(layout, n_cov):
+    # The model matrix is filled in place; each entry, its sign included,
+    # is the one the list-and-column_stack construction gives, and the
+    # matrix is C-ordered float64 like that one. Cubes and products of
+    # tiny values underflow to signed zeros.
+    rng = np.random.default_rng(n_cov)
+    values = np.concatenate([rng.normal(scale=3.0, size=9 * n_cov),
+                             [-0.0, 0.0, -1e-200, 1e-200, 5e-324, -2.5,
+                              1e80, -1e80, 7.0] * n_cov])
+    matrix = layout(rng.permutation(values).reshape(-1, n_cov)
+                    if n_cov else np.empty((18, 0)))
+    specs = [LearnerSpec("glm_main_terms"),
+             LearnerSpec("glm_main_terms", link=Link.LOGIT)]
+    specs += [LearnerSpec("glm_with_basis", degree=degree,
+                          interactions=interactions)
+              for degree in (1, 2, 3, 4) for interactions in (False, True)]
+    for spec in specs:
+        expected = _column_stack_design(spec, matrix)
+        if not np.isfinite(expected).all():  # 1e80 ** 4 overflows
+            with pytest.raises(NuisanceError):
+                spec.design_for(matrix)
+            continue
+        x = spec.design_for(matrix)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.shape == expected.shape
+        assert np.array_equal(x, expected)
+        assert np.array_equal(np.signbit(x), np.signbit(expected))
+
+
 @st.composite
 def learners_and_rows(draw):
     kind = draw(st.sampled_from(["glm_main_terms", "glm_with_basis",

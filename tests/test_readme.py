@@ -1,19 +1,27 @@
-"""The README runs and reads as the code: its Python snippets run as
-written, and its DGP config tables list the key tables that configs are
-read by, each key with its JSON type and default."""
+"""The README runs and reads as the code: its Python snippets and its
+``eiftools`` commands run as written, each command's output holds the
+JSON keys that README names, and its DGP config tables list the key
+tables that configs are read by, each key with its JSON type and
+default."""
 
+import contextlib
 import functools
+import io
 import json
 import pathlib
 import re
+import shlex
 
+import numpy as np
 import pytest
 
-from eiftools import dgp
+from eiftools import cli, dgp
 from eiftools.dgp import (CovariateSpec, DgpConfig, DgpValidationError,
                           LinearModel, NoiseSpec, OutcomeSpec)
+from helpers import random_point_dataset
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_python_snippets_run_in_order(capsys):
@@ -27,6 +35,72 @@ def test_readme_python_snippets_run_in_order(capsys):
     assert [line.split()[0] for line in printed] == [
         "gcomp", "one_step", "tmle_weighted_logistic",
         "tmle_long_weighted_logistic"]
+
+
+def _readme_commands():
+    """Each ``eiftools`` command of README's ``sh`` blocks, as argv."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text("utf-8"),
+                        flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("eiftools ")]
+
+
+# The JSON keys that README names for each command's output.
+README_KEYS = {
+    "estimate": ("estimates", "estimator", "psi_hat", "se", "ci95",
+                 "diagnostics"),
+    "simulate": ("truth", "estimators", "mean_bias", "empirical_se",
+                 "mean_se", "coverage", "mean_ci_width",
+                 "prop_out_of_bounds", "n_success", "n_failed"),
+    "truth": ("truth", "method", "value"),
+}
+MONTE_CARLO_KEYS = ("mc_draws", "mc_se")
+
+
+def _keys(payload):
+    """Every object key of a JSON value, at any depth."""
+    if isinstance(payload, dict):
+        return set(payload).union(*map(_keys, payload.values()))
+    if isinstance(payload, list):
+        return set().union(*map(_keys, payload))
+    return set()
+
+
+def test_readme_commands_run_and_report_the_keys_it_names(tmp_path,
+                                                          monkeypatch):
+    # The estimate example reads observations.csv, which README leaves to
+    # the reader: here, 400 rows of two normal covariates.
+    data = random_point_dataset(np.random.default_rng(3), n=400)
+    columns = {name: data.covariate_column(name)
+               for name in data.covariate_names}
+    columns.update(a=data.treatment, y=data.outcome)
+    (tmp_path / "observations.csv").write_text(
+        ",".join(columns) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n"
+            for row in zip(*columns.values())), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert sorted({argv[0] for argv in commands}) == sorted(README_KEYS)
+    text = README.read_text("utf-8")
+    for argv in commands:
+        # Paths into the repository, such as tests/fixtures/, stay valid.
+        argv = [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0, argv
+        out = (argv[argv.index("--out") + 1] if "--out" in argv else None)
+        payload = json.loads(pathlib.Path(out).read_text("utf-8") if out
+                             else stdout.getvalue())
+        keys = README_KEYS[argv[0]]
+        if "monte_carlo" in argv:
+            keys += MONTE_CARLO_KEYS
+        for key in keys:
+            assert f"`{key}`" in text
+        assert set(keys) <= _keys(payload), argv
+        if argv[0] == "simulate" and out:
+            assert (tmp_path / "report.csv").read_text("utf-8").startswith(
+                "replicate,estimator,psi_hat,se,")
 
 
 def _documented_rows():
