@@ -223,17 +223,18 @@ def _valid_configs(draw):
             config["w1_covariates"] = w1
     bounded = [c["name"] for c in w0 + w1 if c["dist"] != "normal"]
     config["treatment"] = draw(_valid_model(
-        [name for name in bounded if any(c["name"] == name for c in w0)]))
+        [c["name"] for c in w0 if c["dist"] != "normal"]))
     if design == "longitudinal":
         config["a1"] = draw(_valid_model(bounded + ["a0"]))
+    bounded += treatments
     kind = draw(st.sampled_from(("continuous", "binary")))
     scale = draw(st.sampled_from(("identity", "logit")))
-    terms = [c["name"] for c in w0 + w1] + list(treatments)
     if kind == "binary" and scale == "identity":
-        model = _valid_model(bounded + list(treatments),
-                             st.floats(-0.05, 0.05), st.floats(0.4, 0.6))
+        model = _valid_model(bounded, st.floats(-0.05, 0.05),
+                             st.floats(0.4, 0.6))
     else:
-        model = _valid_model(terms, UNIT)
+        model = _valid_model([c["name"] for c in w0 + w1] + list(treatments),
+                             UNIT)
     outcome = dict(draw(model), kind=kind, scale=scale)
     noise = {"kind": "none"}
     if kind == "continuous":
@@ -250,7 +251,7 @@ def _valid_configs(draw):
         if draw(st.booleans()):
             config["y_bounds"] = [0.0, 1.0]
     elif (noise["kind"] != "normal" and draw(st.booleans())
-          and all(term in bounded + list(treatments) for term in coefs)):
+          and all(term in bounded for term in coefs)):
         width = (abs(outcome["intercept"]) + sum(map(abs, coefs.values()))
                  + 1.0 + noise.get("half_width", 0.0))
         config["y_bounds"] = [-width - 1.0, width + 1.0]
@@ -266,7 +267,7 @@ def _config_objects(draw, cls, faults, valid):
     instead; one object in 20 of a faulty config gets an unknown key
     too."""
     obj = {}
-    for key, kind, default in cls._KEYS:
+    for key, kind, _ in cls._KEYS:
         choice = "valid"
         if draw(st.integers(0, 99)) < faults:
             choice = draw(st.sampled_from(("absent", "null", "any")))
@@ -288,7 +289,8 @@ def _config_objects(draw, cls, faults, valid):
 
 
 # Each fault level with equal weight: about two configs in five build.
-CONFIGS = st.tuples(st.sampled_from((0, 3, 10, 30)), _valid_configs()).flatmap(
+CONFIGS = st.tuples(st.sampled_from((0, 3, 10, 30)),
+                    _valid_configs()).flatmap(
     lambda case: _config_objects(DgpConfig, *case))
 
 

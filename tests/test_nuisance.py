@@ -141,7 +141,7 @@ def _column_stack_design(spec, matrix):
     intercept, each covariate and its powers, then pairwise products."""
     basis = spec.kind == "glm_with_basis"
     cols = [np.ones(matrix.shape[0])]
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore"):
         for j in range(matrix.shape[1]):
             cols.append(matrix[:, j])
             if basis:
