@@ -205,19 +205,32 @@ class CovariateSpec(_ConfigObject):
              context: Optional[Mapping[str, np.ndarray]] = None,
              out: Optional[np.ndarray] = None) -> np.ndarray:
         """``n`` draws, in ``out`` when it is given; a ``model`` reads
-        ``context``."""
+        ``context``. A model's logit that overflows to +-inf is a
+        probability of 1 or 0; one that is NaN (inf - inf) raises
+        ValueError."""
         out = np.empty(n) if out is None else out
+        if self.dist == "bernoulli" and self.model is None:
+            return np.less(rng.random(out=out), float(self.p), out=out)
         if self.dist == "bernoulli":
-            prob = (float(self.p) if self.model is None
-                    else expit(self.model.eta(context)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                prob = expit(self.model.eta(context))
+            if np.isnan(prob).any():
+                raise ValueError(f"covariate {self.name!r} overflows: a "
+                                 "drawn logit of its model is not a number")
             return np.less(rng.random(out=out), prob, out=out)
         if self.dist == "uniform":
             return _uniform(rng, out, float(self.low), float(self.high))
         return _normal(rng, out, float(self.mean), float(self.sd))
 
 
+# numpy's standard normal draws stay below this in magnitude: its
+# ziggurat's tail draws are r + 53 ln(2) / r at most, with r about 3.654.
+_NORMAL_REACH = 14.0
+
+
 # numpy's uniform and normal draws, into a buffer; DgpConfig checks that
-# every uniform width is finite. numpy computes ``low + (high - low) * u``
+# every uniform width and normal reach |mean| + _NORMAL_REACH * sd is
+# finite. numpy computes ``low + (high - low) * u``
 # and ``mean + sd * z``; swapping the operands leaves the bits as they are.
 
 def _uniform(rng: np.random.Generator, out: np.ndarray, low: float,
@@ -439,6 +452,11 @@ class DgpConfig:
                     problems.append(f"{where}: normal needs mean and sd")
                 elif c.dist == "normal" and not c.sd >= 0:
                     problems.append(f"{where}: normal needs sd >= 0")
+                elif (c.dist == "normal" and math.isfinite(c.mean)
+                      and math.isfinite(c.sd) and not math.isfinite(
+                          abs(float(c.mean)) + _NORMAL_REACH * float(c.sd))):
+                    problems.append(f"{where}: normal needs a finite reach "
+                                    f"|mean| + {_NORMAL_REACH:g} * sd")
                 if c.model is not None and key == "covariates":
                     problems.append(
                         f"{where}: conditional bernoulli models are only "

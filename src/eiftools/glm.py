@@ -186,7 +186,8 @@ def fit_logit_stack(X: np.ndarray, Z: np.ndarray
     size = [0.0] * R  # each slice's largest |coefficient|
     loglik = _bernoulli_loglik(np.zeros((R, n)), Z)
     mu = np.full((R, n, 1), 0.5)  # expit(+-0)
-    score = Xt @ (Zc - mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # as info below
+        score = Xt @ (Zc - mu)
     for iteration in range(DEFAULT_MAX_ITERATIONS + 1):
         # The last step's separation, then convergence, then the cap.
         settled = {}  # stacked index -> its slice's GlmFit or error
@@ -241,7 +242,8 @@ def fit_logit_stack(X: np.ndarray, Z: np.ndarray
         # Every step is finite, so max over Python floats is numpy's max.
         size = [max(map(abs, b)) for b in beta[..., 0].tolist()]
         mu = expit(eta)
-        score = Xt @ (Zc - mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = Xt @ (Zc - mu)
     for j, result in settled.items():
         out[live[j]] = result
     return out

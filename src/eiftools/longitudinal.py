@@ -147,11 +147,11 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
              assignment: Optional[np.ndarray]) -> np.ndarray:
     """Regress a targeted pseudo-outcome on W0 among the A0 = 0 rows.
 
-    The pseudo-outcome is continuous; the logistic variant fits it on the
-    rescaled [0, 1] scale so the later fluctuation gets predictions
-    already inside the bounds.
+    The pseudo-outcome is continuous; the logistic variant fits a GLM
+    learner on the rescaled [0, 1] scale so the later fluctuation gets
+    predictions already inside the bounds.
     """
-    if variant == "weighted_logistic":
+    if variant == "weighted_logistic" and learner.link is not None:
         learner = replace(learner, link=Link.LOGIT)
     return _held_out_predictions(fit_outcome, learner, data.w0,
                                  (data.a0, response, bounds), assignment)

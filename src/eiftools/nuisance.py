@@ -54,11 +54,12 @@ OUTCOME_PROB_CLIP = 1e-6
 GLM_KINDS = ("glm_main_terms", "glm_with_basis")
 LEARNER_KINDS = GLM_KINDS + ("k_nearest_neighbors",)
 
-# The learner kinds that each option of ``LearnerSpec.parse`` applies to.
-_OPTION_KINDS = {"degree": ("glm_with_basis",),
-                 "interactions": ("glm_with_basis",),
-                 "k": ("k_nearest_neighbors",),
-                 "link": GLM_KINDS}
+# Each ``LearnerSpec`` option: the learner kinds that take it, and its
+# default on those kinds. Any other kind holds it as None.
+_OPTIONS = {"degree": (("glm_with_basis",), 1),
+            "interactions": (("glm_with_basis",), False),
+            "k": (("k_nearest_neighbors",), None),
+            "link": (GLM_KINDS, Link.IDENTITY)}
 
 
 class NuisanceError(Exception):
@@ -75,28 +76,29 @@ class FoldDegeneracyError(NuisanceError):
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Configuration of one nuisance learner.
+    """Configuration of one nuisance learner. It holds only the options
+    its kind takes; setting any other raises ValueError.
 
     Parameters
     ----------
     kind : str
         ``glm_main_terms``, ``glm_with_basis``, or ``k_nearest_neighbors``.
-    link : Link
-        Scale of a GLM outcome model. ``identity`` regresses the raw
-        outcome; ``logit`` regresses the outcome rescaled into [0, 1].
-        Ignored by kNN; propensity models always use ``logit``.
-    degree : int
-        Polynomial degree for ``glm_with_basis``.
-    interactions : bool
-        Add pairwise products for ``glm_with_basis``.
-    k : int, optional
-        Neighbor count for ``k_nearest_neighbors``.
+    link : Link, optional
+        Scale of a GLM outcome model (default ``identity``). ``identity``
+        regresses the raw outcome; ``logit`` regresses the outcome
+        rescaled into [0, 1]. Propensity models always use ``logit``.
+    degree : int, optional
+        Polynomial degree for ``glm_with_basis`` (default 1).
+    interactions : bool, optional
+        Add pairwise products for ``glm_with_basis`` (default False).
+    k : int
+        Neighbor count for ``k_nearest_neighbors``; required.
     """
 
     kind: str
-    link: Link = Link.IDENTITY
-    degree: int = 1
-    interactions: bool = False
+    link: Optional[Link] = None
+    degree: Optional[int] = None
+    interactions: Optional[bool] = None
     k: Optional[int] = None
 
     def __post_init__(self):
@@ -104,11 +106,19 @@ class LearnerSpec:
             raise ValueError(
                 f"unknown learner kind {self.kind!r}; expected one of {LEARNER_KINDS}"
             )
-        object.__setattr__(self, "link", Link(self.link))
+        for key, (kinds, default) in _OPTIONS.items():
+            if self.kind not in kinds:
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{self.kind} takes no {key!r} option")
+            elif getattr(self, key) is None:
+                object.__setattr__(self, key, default)
+        if self.kind in GLM_KINDS:
+            object.__setattr__(self, "link", Link(self.link))
         if self.kind == "glm_with_basis":
             if int(self.degree) < 1:
                 raise ValueError("glm_with_basis needs degree >= 1")
             object.__setattr__(self, "degree", int(self.degree))
+            object.__setattr__(self, "interactions", bool(self.interactions))
         if self.kind == "k_nearest_neighbors":
             if self.k is None or int(self.k) < 1:
                 raise ValueError("k_nearest_neighbors needs k >= 1")
@@ -116,14 +126,12 @@ class LearnerSpec:
 
     @classmethod
     def parse(cls, text: str) -> "LearnerSpec":
-        """Parse a CLI-style learner string.
+        """Parse a CLI-style learner string into the spec it names.
 
         Examples: ``glm_main_terms``, ``glm_main_terms:link=logit``,
         ``glm_with_basis:degree=2,interactions=true``,
-        ``k_nearest_neighbors:k=25``. An option is accepted only for the
-        kinds that use it (``k`` for kNN, ``degree`` and ``interactions``
-        for ``glm_with_basis``, ``link`` for the GLMs), so every accepted
-        string round-trips through ``describe``.
+        ``k_nearest_neighbors:k=25``. The constructor rejects an option
+        that the kind does not take.
         """
         head, _, tail = text.strip().partition(":")
         kwargs: Dict[str, object] = {}
@@ -149,22 +157,14 @@ class LearnerSpec:
                     kwargs[key] = Link(value)
                 else:
                     raise ValueError(f"unknown learner option {key!r}")
-        spec = cls(kind=head, **kwargs)
-        for key in kwargs:
-            if spec.kind not in _OPTION_KINDS[key]:
-                raise ValueError(f"{spec.kind} takes no {key!r} option")
-        return spec
+        return cls(kind=head, **kwargs)
 
     def describe(self) -> str:
-        """Canonical string form; ``parse(describe())`` round-trips."""
-        parts = []
-        if self.kind == "glm_with_basis":
-            parts.append(f"degree={self.degree}")
-            parts.append(f"interactions={'true' if self.interactions else 'false'}")
-        if self.kind == "k_nearest_neighbors":
-            parts.append(f"k={self.k}")
-        if self.kind in GLM_KINDS and self.link is not Link.IDENTITY:
-            parts.append(f"link={self.link.value}")
+        """Canonical string form, naming every option the spec holds but
+        the identity link; ``parse(describe())`` round-trips."""
+        values = {key: getattr(self, key) for key in _OPTIONS}
+        parts = [f"{key}={getattr(v, 'value', str(v).lower())}"
+                 for key, v in values.items() if v not in (None, Link.IDENTITY)]
         if parts:
             return f"{self.kind}:{','.join(parts)}"
         return self.kind

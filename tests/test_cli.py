@@ -843,6 +843,84 @@ def test_estimates_do_not_depend_on_row_order(tmp_path, design, learner):
         assert moved[name][2] == pytest.approx(ci, rel=1e-10)
 
 
+def _covariates_in_each_period(design):
+    """The CSV columns and outcome of a 400-row dataset of ``design`` with
+    three continuous covariates in the first period and two in the
+    second."""
+    rng = np.random.default_rng(43)
+    n = 400
+    w = rng.normal(size=(n, 5))
+
+    def treated(eta):
+        return (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    a0 = treated(-0.4 + 0.5 * w[:, 0] - 0.3 * w[:, 1] + 0.2 * w[:, 2])
+    y = (1.0 + 0.7 * w[:, 0] - 0.5 * w[:, 1] + 0.3 * w[:, 0] * w[:, 2]
+         + rng.normal(scale=0.5, size=n))
+    w0 = {"u": w[:, 0], "v": w[:, 1], "t": w[:, 2]}
+    if design == "point":
+        return dict(w0, a=a0), y - 0.4 * a0
+    a1 = np.maximum(a0, treated(-0.6 + 0.4 * w[:, 3] + 0.3 * w[:, 4]))
+    columns = {f"w0_{name}": col for name, col in w0.items()}
+    columns.update(a0=a0, w1_s=w[:, 3], w1_r=w[:, 4], a1=a1)
+    return columns, y + 0.4 * w[:, 3] - 0.2 * w[:, 4] - 0.4 * a1
+
+
+GLM_LEARNERS = ["glm_main_terms", "glm_main_terms:link=logit",
+                "glm_with_basis:degree=2,interactions=true"]
+
+
+@pytest.mark.parametrize("learner", GLM_LEARNERS)
+@pytest.mark.parametrize("design", ["point", "longitudinal"])
+def test_glm_estimates_do_not_depend_on_covariate_order_or_scale(
+        tmp_path, design, learner):
+    # A GLM's model matrix spans the same space after its covariates are
+    # reordered within a period, or each is mapped to c + s*w (s != 0): an
+    # intercept, each covariate and its square, and the pairwise products.
+    # So every fit, and every estimate, moves only by rounding. The affine
+    # map needs a looser bound: a logit fit stops once its score is within
+    # 1e-8 * (1 + n), and the mapped basis can stop one Newton step later
+    # (the two-period basis learner's g1 does, moving by 2e-8 relative and
+    # an se by 1.3e-10).
+    columns, y = _covariates_in_each_period(design)
+    argv = ["--design", design, "--outcome-learner", learner,
+            "--propensity-learner", learner]
+    base = _estimates(tmp_path, columns, y, argv)
+    assert sorted(base) == sorted(POINT_NAMES if design == "point"
+                                  else LONG_NAMES)
+    items = list(columns.items())
+    reordered = dict(items[:4][::-1] + items[4:][::-1])
+    covariates = [name for name in columns if name not in ("a", "a0", "a1")]
+    maps = zip(covariates, [(2.0, -1.5), (-3.0, 0.25), (0.5, 4.0),
+                            (1.0, -0.7), (-0.5, 2.0)])
+    mapped = dict(columns, **{name: c + s * columns[name]
+                              for name, (c, s) in maps})
+    for moved_columns, rel in ((reordered, 1e-10), (mapped, 1e-8)):
+        moved = _estimates(tmp_path, moved_columns, y, argv)
+        assert moved.keys() == base.keys()
+        for name, (psi, se, ci) in base.items():
+            assert moved[name][0] == pytest.approx(psi, rel=rel)
+            assert moved[name][1] == pytest.approx(se, rel=rel)
+            assert moved[name][2] == pytest.approx(ci, rel=rel)
+
+
+@pytest.mark.parametrize("learner", GLM_LEARNERS)
+@pytest.mark.parametrize("design", ["point", "longitudinal"])
+def test_duplicated_rows_leave_glm_estimates_unchanged(tmp_path, design,
+                                                      learner):
+    # Without folds, a GLM fit on every row twice solves the same score
+    # equations, and each estimate is a mean over rows: psi stays put.
+    columns, y = _covariates_in_each_period(design)
+    argv = ["--design", design, "--outcome-learner", learner,
+            "--propensity-learner", learner]
+    base = _estimates(tmp_path, columns, y, argv)
+    twice = _estimates(tmp_path, {name: np.concatenate([col, col])
+                                  for name, col in columns.items()},
+                       np.concatenate([y, y]), argv)
+    assert twice.keys() == base.keys()
+    for name, (psi, _, _) in base.items():
+        assert twice[name][0] == pytest.approx(psi, rel=1e-10)
+
+
 def test_negative_y_bounds_need_the_equals_form(tmp_path, capsys):
     # argparse reads "-1,2" after a space as a flag, so a lower bound
     # below zero is written --y-bounds=-1,2, as the flag's help says.
@@ -1031,6 +1109,30 @@ def test_console_script_runs():
     assert payload["truth"]["value"] == pytest.approx(0.4, abs=1e-12)
 
 
+# scipy is a test dependency only: each run exits 0, with nothing on
+# stderr, when every scipy import fails and a RuntimeWarning is an error.
+# CI's "Runtime without scipy" step runs a longer list.
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--data", FIXTURES / "saturated_4row.csv"],
+    ["simulate", "--config", FIXTURES / "dgp_binary.json", "--n", "200",
+     "--replications", "3", "--folds", "2", "--outcome-learner",
+     "k_nearest_neighbors:k=5", "--seed", "1"],
+    ["simulate", "--config", FIXTURES / "dgp_long.json", "--n", "200",
+     "--replications", "3", "--folds", "2", "--seed", "1"],
+    ["truth", "--config", FIXTURES / "dgp_binary.json"],
+    ["truth", "--config", FIXTURES / "dgp_long.json"],
+], ids=["estimate", "simulate-point-knn", "simulate-long", "truth-point",
+        "truth-long"])
+def test_runs_without_scipy(argv):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         "import sys; sys.modules['scipy'] = None; from eiftools import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", *map(str, argv)],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "error" not in json.loads(proc.stdout)
+
+
 def _strict_json(text):
     """``text`` parsed as JSON proper: NaN and Infinity are rejected."""
     def reject(constant):
@@ -1062,6 +1164,8 @@ MC_SIMULATE = ["--truth-method", "monte_carlo", "--mc-draws", "2000",
      "covariates[0] (w): uniform needs a finite width"),
     ("dgp_overflow_width.json", ["simulate", *MC_SIMULATE],
      "DgpValidationError", "covariates[0] (w): uniform needs a finite width"),
+    ("dgp_overflow_normal_reach.json", ["simulate", *MC_SIMULATE],
+     "DgpValidationError", "covariates[1] (v): normal needs a finite reach"),
     ("dgp_overflow_noise_width.json", ["truth", *MC_TRUTH],
      "DgpValidationError", "outcome.noise: uniform noise needs a finite "
      "width"),

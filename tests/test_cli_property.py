@@ -338,3 +338,84 @@ def test_truth_on_any_config_structure_exits_with_strict_json(config,
         code, stdout = _run_main(argv)
     assert code in (0, 2)
     assert ("error" in _strict_json(stdout)) == (code != 0)
+
+
+# Magnitudes that scale each number of a valid config, apart from p and
+# positivity_floor, up to the float64 maximum.
+SCALES = st.sampled_from((1.0, 1.0, 1e3, 1e100, 1e200, 1e300, 1.7e308))
+
+
+@st.composite
+def _scaled(draw, value, key=None):
+    """``value`` with each of its numbers scaled by a drawn magnitude."""
+    if isinstance(value, dict):
+        return {k: draw(_scaled(v, k)) for k, v in value.items()}
+    if isinstance(value, list):
+        return [draw(_scaled(v, key)) for v in value]
+    if isinstance(value, float) and key not in ("p", "positivity_floor"):
+        return value * draw(SCALES)
+    return value
+
+
+SCALED_CONFIGS = _valid_configs().flatmap(_scaled)
+
+# Three configs that once exited 1 under -W error::RuntimeWarning. A normal
+# covariate that no model reads overflowed its draws (its reach |mean| +
+# 14 * sd is now a config error), a huge normal mean overflowed the
+# score of the stacked logit propensity fit, outside its error state, and
+# a second-period covariate's logit overflowed to +-inf (a probability of
+# 1 or 0).
+NORMAL_REACH = json.loads(
+    (FIXTURES / "dgp_overflow_normal_reach.json").read_text())
+HUGE_NORMAL_MEAN = {
+    "design": "point",
+    "covariates": [{"name": "w", "dist": "normal", "mean": 9.8e307,
+                    "sd": 0.5}],
+    "treatment": {"intercept": 0.0},
+    "outcome": {"intercept": 0.0, "kind": "continuous",
+                "scale": "identity"}}
+HUGE_W1_LOGIT = {
+    "design": "longitudinal",
+    "covariates": [{"name": "w", "dist": "normal", "mean": 0.0, "sd": 1.0}],
+    "w1_covariates": [{"name": "u", "dist": "bernoulli",
+                       "model": {"intercept": 0.0, "coefs": {"w": 1.7e308}}}],
+    "treatment": {"intercept": 0.0}, "a1": {"intercept": 0.0},
+    "outcome": {"intercept": 0.0, "kind": "continuous",
+                "scale": "identity"}}
+
+
+def _run_on_config(config, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "dgp.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, stdout = _run_main([argv[0], "--config", str(path), *argv[1:]])
+    assert code in (0, 2, 3)
+    assert ("error" in _strict_json(stdout)) == (code != 0)
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=SCALED_CONFIGS, monte_carlo=st.booleans())
+@example(config=NORMAL_REACH, monte_carlo=True)
+@example(config=HUGE_W1_LOGIT, monte_carlo=True)
+def test_truth_on_any_magnitude_exits_with_strict_json(config, monte_carlo):
+    _run_on_config(config, ["truth"] + (["--method", "monte_carlo",
+                                         "--mc-draws", "50"]
+                                        if monte_carlo else []))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=SCALED_CONFIGS, folds=st.booleans(),
+       learner=st.sampled_from(("glm_main_terms", "k_nearest_neighbors:k=3")))
+@example(config=NORMAL_REACH, folds=False, learner="glm_main_terms")
+@example(config=HUGE_NORMAL_MEAN, folds=False, learner="glm_main_terms")
+@example(config=HUGE_W1_LOGIT, folds=False, learner="glm_main_terms")
+def test_simulate_on_any_magnitude_exits_with_strict_json(config, folds,
+                                                          learner):
+    _run_on_config(config, [
+        "simulate", "--n", "30", "--replications", "2", "--seed", "1",
+        "--truth-method", "monte_carlo", "--mc-draws", "50",
+        "--outcome-learner", learner, "--propensity-learner", learner,
+        *(["--folds", "2"] if folds else [])])

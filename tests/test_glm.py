@@ -140,6 +140,16 @@ def test_logit_newton_step_that_overflows_is_singular():
         fit_glm(design, np.array([0.0, 0.0, 1.0, 0.0]), Link.LOGIT)
 
 
+def test_logit_score_overflow_is_a_non_finite_information_matrix():
+    # A covariate near 1e308, as a normal one of mean 9.8e307 and sd 0.5
+    # draws it: the first score's matmul overflows. Once a RuntimeWarning.
+    w = 9.8e307 + np.random.default_rng(3).normal(scale=0.5, size=30)
+    z = (np.arange(30) % 3 == 0).astype(float)
+    with pytest.raises(SingularDesignError, match=r"^logit-link "
+                       r"information matrix is not finite$"):
+        fit_glm(_with_intercept(w), z, Link.LOGIT)
+
+
 def _huge_identity_problem():
     # Outcomes near the float64 maximum, as a point DGP with an outcome
     # coefficient of 1e308 draws them: the score sums stay finite, but

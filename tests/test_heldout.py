@@ -244,7 +244,9 @@ def test_sequential_nuisances_match_subset_fold_loop(problem):
         return
     oracle_learner = emu_learner
     if variant == "weighted_logistic":
-        oracle_learner = LearnerSpec(emu_learner.kind, Link.LOGIT,
+        knn = emu_learner.kind == "k_nearest_neighbors"
+        oracle_learner = LearnerSpec(emu_learner.kind,
+                                     None if knn else Link.LOGIT,
                                      emu_learner.degree,
                                      emu_learner.interactions, emu_learner.k)
     want, got = _same_failure(

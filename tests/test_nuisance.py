@@ -121,6 +121,68 @@ def test_learner_spec_parse_accepts_exactly_what_round_trips(case):
     assert LearnerSpec.parse(canonical).describe() == canonical
 
 
+# The options each learner kind takes, and valid values of each option.
+_TAKES = {"glm_main_terms": {"link"},
+          "glm_with_basis": {"link", "degree", "interactions"},
+          "k_nearest_neighbors": {"k"}}
+_VALID = {"link": st.sampled_from([Link.IDENTITY, Link.LOGIT, "logit"]),
+          "degree": st.integers(1, 4), "interactions": st.booleans(),
+          "k": st.integers(1, 30)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_TAKES)),
+       options=st.sets(st.sampled_from(sorted(_VALID))).flatmap(
+           lambda keys: st.fixed_dictionaries(
+               {key: _VALID[key] for key in keys})))
+def test_learner_spec_holds_only_the_options_its_kind_takes(kind, options):
+    # The constructor accepts a spec exactly when its kind takes every
+    # option that is set (and kNN is given its k); parse applies the same
+    # rule, so every spec round-trips through describe.
+    untaken = set(options) - _TAKES[kind]
+    try:
+        spec = LearnerSpec(kind, **options)
+    except ValueError as err:
+        assert untaken or (kind == "k_nearest_neighbors"
+                           and "k" not in options)
+        if untaken:
+            assert str(err) in {f"{kind} takes no {key!r} option"
+                                for key in untaken}
+        return
+    assert not untaken and (kind != "k_nearest_neighbors" or "k" in options)
+    for key in ("link", "degree", "interactions", "k"):
+        assert (getattr(spec, key) is None) == (key not in _TAKES[kind])
+    assert LearnerSpec.parse(spec.describe()) == spec
+    assert LearnerSpec.parse(spec.describe()).describe() == spec.describe()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="glm_main_terms", degree=3, interactions=True, k=4),
+     "glm_main_terms takes no 'degree' option"),
+    (dict(kind="k_nearest_neighbors", k=5, link="logit"),
+     "k_nearest_neighbors takes no 'link' option"),
+])
+def test_learner_spec_rejects_options_its_kind_does_not_take(kwargs,
+                                                             message):
+    text = kwargs["kind"] + ":" + ",".join(
+        f"{key}={str(value).lower()}" for key, value in kwargs.items()
+        if key != "kind")
+    for build in (lambda: LearnerSpec(**kwargs),
+                  lambda: LearnerSpec.parse(text)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+def test_learner_spec_fills_in_the_defaults_of_its_kind():
+    assert LearnerSpec("glm_with_basis") == LearnerSpec(
+        "glm_with_basis", Link.IDENTITY, 1, False)
+    assert LearnerSpec("glm_with_basis").describe() == (
+        "glm_with_basis:degree=1,interactions=false")
+    assert LearnerSpec("glm_main_terms", link="logit").link is Link.LOGIT
+    knn = LearnerSpec("k_nearest_neighbors", k=5)
+    assert (knn.link, knn.degree, knn.interactions) == (None, None, None)
+
+
 def test_basis_design_column_names():
     # Columns in order: intercept, u, u^2, u^3, v, v^2, v^3, u:v.
     spec = LearnerSpec("glm_with_basis", degree=3, interactions=True)

@@ -1,7 +1,9 @@
 """The README runs and reads as the code: its Python snippets and its
 ``eiftools`` commands run as written, each command's output holds the
-JSON keys that README names, and its DGP config tables list the key
+JSON keys that README names, its DGP config tables list the key
 tables that configs are read by, each key with its JSON type and
+default, and its learner option table lists the option table of
+``LearnerSpec``, each option with the kinds that take it and its
 default."""
 
 import contextlib
@@ -15,7 +17,7 @@ import shlex
 import numpy as np
 import pytest
 
-from eiftools import cli, dgp
+from eiftools import cli, dgp, nuisance
 from eiftools.dgp import (CovariateSpec, DgpConfig, DgpValidationError,
                           LinearModel, NoiseSpec, OutcomeSpec)
 from helpers import random_point_dataset
@@ -164,3 +166,35 @@ def test_an_undocumented_key_is_rejected(table):
     with pytest.raises(DgpValidationError,
                        match=r"^(\S+: )?unknown (config )?keys \['bogus'\]$"):
         parse({"bogus": 1})
+
+
+def _documented_options():
+    """README's learner option table: one (option, kinds, default) row per
+    option, as its first three columns list them."""
+    rows, table = [], False
+    for line in README.read_text("utf-8").splitlines():
+        if line == "| learner option | kinds | default | rule |":
+            table = True
+        elif table and line.startswith("| `"):
+            option, kinds, default = line.split(" | ")[:3]
+            rows.append((option.strip("| `"),
+                         tuple(re.findall(r"`(\w+)`", kinds)), default))
+        elif not line.startswith("|"):
+            table = False
+    return rows
+
+
+def _readme_option_default(default):
+    """An option's default as README writes it: "required", a number, or
+    a flag or link in backticks."""
+    if default is None:
+        return "required"
+    if isinstance(default, bool):
+        return f"`{str(default).lower()}`"
+    return f"`{default.value}`" if hasattr(default, "value") else str(default)
+
+
+def test_readme_documents_each_learner_option():
+    assert _documented_options() == [
+        (option, kinds, _readme_option_default(default))
+        for option, (kinds, default) in nuisance._OPTIONS.items()]

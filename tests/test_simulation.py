@@ -272,6 +272,15 @@ VALIDATION_RULES = [
                          "covariates.0.dist": "normal",
                          "covariates.0.mean": 0.0, "covariates.0.sd": -1.0},
                  ["covariates[0] (w): normal needs sd >= 0"], id="normal-sd"),
+    pytest.param(POINT, {"covariates.0": dict(NORMAL_W, sd=1e308),
+                         "treatment.coefs": {}},
+                 ["covariates[0] (w): normal needs a finite reach "
+                  "|mean| + 14 * sd"], id="normal-reach"),
+    pytest.param(POINT, {"covariates.0": dict(NORMAL_W, mean=-1e308,
+                                              sd=0.6e307),
+                         "treatment.coefs": {}},
+                 ["covariates[0] (w): normal needs a finite reach "
+                  "|mean| + 14 * sd"], id="normal-reach-mean"),
     pytest.param(POINT, {"covariates.0.p": DROP,
                          "covariates.0.model": {"intercept": 0.1}},
                  ["covariates[0] (w): conditional bernoulli models are only "
@@ -1259,6 +1268,24 @@ def test_uniform_covariate_width_must_be_finite(low, high):
         "covariates[0] (w): uniform needs a finite width high - low"]
 
 
+def _normal_reach_config(mean, sd):
+    config = json.loads(
+        (FIXTURES / "dgp_overflow_normal_reach.json").read_text())
+    config["covariates"][1].update(mean=mean, sd=sd)
+    return config
+
+
+@pytest.mark.parametrize("mean, sd", [(1.7e308, 1e-300),
+                                      (0.0, 2**-4 * 1e308)])
+def test_normal_covariate_of_finite_reach_draws_finite_values(mean, sd):
+    # numpy's standard normal draws stay within 14 (dgp._NORMAL_REACH), so
+    # a finite |mean| + 14 * sd keeps every draw finite, without an
+    # overflow warning.
+    data = generate(DgpConfig.from_dict(_normal_reach_config(mean, sd)),
+                    200_000, 5)
+    assert np.isfinite(data.covariates).all()
+
+
 # (fixture, truth method, message): each truth that overflows float64 is
 # an input error, with no overflow warning on the way.
 OVERFLOWING_TRUTHS = [
@@ -1309,6 +1336,37 @@ def test_overflowing_draw_is_an_input_error():
     with pytest.raises(ValueError, match=r"^the outcome overflows: a drawn "
                        r"outcome mean or value is not finite$"):
         generate(load_fixture("dgp_overflow_exact.json"), 30, 1)
+
+
+def _w1_model_config(coefs):
+    """A two-period config whose second-period covariate u has the logit
+    model ``coefs`` over two standard normal covariates."""
+    normal = {"dist": "normal", "mean": 0.0, "sd": 1.0}
+    return DgpConfig.from_dict({
+        "design": "longitudinal",
+        "covariates": [dict(normal, name="w"), dict(normal, name="v")],
+        "w1_covariates": [{"name": "u", "dist": "bernoulli",
+                           "model": {"coefs": coefs}}],
+        "treatment": {"intercept": 0.0}, "a1": {"intercept": 0.0},
+        "outcome": {"intercept": 0.0, "coefs": {"u": 1.0}}})
+
+
+def test_overflowing_w1_logit_is_a_probability_of_one_or_zero():
+    # 1.7e308 * w overflows to +-inf once |w| > 1.06: u is then 1 exactly
+    # when w > 0, with no overflow warning.
+    data = generate(_w1_model_config({"w": 1.7e308}), 400, 1)
+    w, u = data.w0[:, 0], data.w1[:, 0]
+    far = np.abs(w) > 1.1
+    assert far.any()
+    np.testing.assert_array_equal(u[far], (w[far] > 0).astype(float))
+
+
+def test_w1_logit_that_is_not_a_number_is_an_input_error():
+    # Where w and v are both large with opposite signs, the logit is
+    # +inf - inf. Once a RuntimeWarning, and u drawn as 0.
+    with pytest.raises(ValueError, match=r"^covariate 'u' overflows: a "
+                       r"drawn logit of its model is not a number$"):
+        generate(_w1_model_config({"w": 1.7e308, "v": -1.7e308}), 400, 1)
 
 
 # (fixture, simulate flags, a failure the report must hold). At n=12 the
