@@ -18,15 +18,16 @@ outcome bounds. Each targeting step of both designs runs through
 :func:`_targeting_step`, which names the step in a failure's message.
 
 The clever weights are derived once per (data, nuisances) pair and
-shared by every estimator of that pair. The estimators trust what the
-``Dataset`` and ``NuisanceEstimates`` constructors checked, so the point
-targeting step skips :func:`fluctuate`'s input checks unless sum(H)
-overflows; the two-period steps keep them, since their offsets come
-from fits and may overflow. The public functions keep their checks:
-:func:`eif_values` checks the lengths and that g lies strictly in
-(0, 1), :func:`fluctuate` that its inputs are finite with weights
-nonnegative and not all zero, and :func:`wald_inference` that there are
-two or more values with a finite variance.
+shared by every estimator of that pair. Every targeting step of both
+designs skips :func:`fluctuate`'s input checks unless its weight's sum
+overflows: the outcome, the offsets and the two-period mu* were checked
+where they were made (by the dataset, the nuisance containers, the
+longitudinal step that fits e, and the certificate of the step that
+made mu*). The public functions keep their checks: :func:`eif_values`
+checks the lengths and that g lies strictly in (0, 1), :func:`fluctuate`
+that its inputs are finite with weights nonnegative, not all zero and
+of finite sum, and :func:`wald_inference` that there are two or more
+values with a finite variance.
 """
 
 from __future__ import annotations
@@ -275,9 +276,11 @@ def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
     return float(lo), float(hi)
 
 
-def _solve_linear(z, b, w, x, tol: float) -> float:
+def _solve_linear(z, b, w, x, tol: float) -> Tuple[float, np.ndarray, float]:
     """Root c of sum(w (z - b - c x)) = 0 in closed form, with up to
     three refinement rounds if rounding leaves the score above ``tol``.
+    Returns c, the predictions b + c x and the score there; a certified
+    score is finite, and so are its terms and the predictions.
 
     Raises ValueError when the slope sum(w x) or the sum of the score's
     term magnitudes overflows: the score then has no finite rounding
@@ -287,11 +290,12 @@ def _solve_linear(z, b, w, x, tol: float) -> float:
     c, score = 0.0, float((w * (z - b)).sum())
     for _ in range(4):
         c += score / wx
-        score = float((w * (z - (b + c * x))).sum())
+        pred = b + c * x
+        score = float((w * (z - pred)).sum())
         if abs(score) <= tol:
-            return c
+            return c, pred, score
     with np.errstate(over="ignore", invalid="ignore"):  # checked here
-        magnitude = float(np.abs(w * (z - (b + c * x))).sum())
+        magnitude = float(np.abs(w * (z - pred)).sum())
     if not (math.isfinite(wx) and math.isfinite(magnitude)):
         raise ValueError("the weighted least-squares score overflows: the "
                          "slope or the sum of its terms' magnitudes is not "
@@ -359,12 +363,14 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
 
     Each variant zeroes sum(weights * (response - targeted)). ``weights``
     carry the regime indicator, so off-regime rows are inert;
-    ``regime_covariate`` is the same inverse probability without it.
+    ``regime_covariate`` is the same inverse probability without it, one
+    positive, finite value per row (read by ``covariate_linear`` only).
     ``weighted_linear``: targeted = offset + gamma (a weighted mean).
     ``covariate_linear``: targeted = offset + delta * regime_covariate,
-    delta the no-intercept least-squares slope on ``weights``; every row
-    is predicted under the regime, since predicting with ``weights``
-    would shrink the correction and forfeit double robustness.
+    delta solving the score equation, so the certified score is that of
+    the returned predictions; every row is predicted under the regime,
+    since predicting with ``weights`` would shrink the correction and
+    forfeit double robustness.
     ``weighted_logistic``: a logit-scale intercept on the response
     rescaled by ``bounds = (lo, hi)`` (None for the other variants),
     offset logit(rescaled offset clipped into (1e-6, 1 - 1e-6));
@@ -373,19 +379,30 @@ def fluctuate(response, offset, weights, regime_covariate, variant: str,
     it is its own targeted prediction (coefficient and residual 0).
 
     The score is certified to ``1e-8 * (1 + sum(weights))``
-    (``1e-8 * (1 + n)`` for ``covariate_linear``). Raises ValueError on
-    bad inputs and the :mod:`eiftools.glm` errors on solver failure.
+    (``1e-8 * (1 + n)`` for ``covariate_linear``), so the weights' sum
+    must be finite. Raises ValueError on bad inputs and the
+    :mod:`eiftools.glm` errors on solver failure.
     """
     z, b, w = (np.asarray(v, dtype=float) for v in (response, offset, weights))
-    # ``w.size`` keeps empty weights on this message rather than numpy's
-    # zero-size reduction error.
+    with np.errstate(over="ignore"):  # a sum that overflows fails below
+        w_total = float(w.sum())
+    # A finite sum has finite terms; ``w.size`` keeps empty weights on
+    # this message rather than numpy's zero-size reduction error.
     if not (np.isfinite(z).all() and np.isfinite(b).all()
-            and np.isfinite(w).all() and w.size
+            and math.isfinite(w_total) and w.size
             and 0.0 <= w.min() and w.max() > 0.0):
         raise ValueError("fluctuation inputs must be finite, with weights "
                          "nonnegative and not all zero")
+    if variant == "covariate_linear":
+        # A positive covariate keeps the slope sum(w x) positive.
+        regime_covariate = np.asarray(regime_covariate, dtype=float)
+        if not (regime_covariate.shape == z.shape
+                and (regime_covariate > 0.0).all()
+                and np.isfinite(regime_covariate).all()):
+            raise ValueError("the regime covariate must be a positive, "
+                             "finite vector with one value per row")
     return _solve_fluctuation(z, b, w, regime_covariate, variant, bounds,
-                              float(w.sum()))
+                              w_total)
 
 
 def _solve_fluctuation(z: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -404,34 +421,31 @@ def _solve_fluctuation(z: np.ndarray, b: np.ndarray, w: np.ndarray,
         if span == 0.0:
             return FluctuationFit(variant, 0.0, np.full(z.shape[0], lo), 0.0)
         z_sc = (z - lo) / span
-        b_sc = logit(np.clip((b - lo) / span, OUTCOME_PROB_CLIP,
-                             1.0 - OUTCOME_PROB_CLIP))
+        # np.clip's wrapper costs more than the two ufuncs it stands for.
+        b_sc = logit(np.minimum(np.maximum((b - lo) / span, OUTCOME_PROB_CLIP),
+                                1.0 - OUTCOME_PROB_CLIP))
         coef, targeted_sc, score = _solve_logistic(z_sc, b_sc, w, tol)
         return FluctuationFit(variant, coef, lo + span * targeted_sc, score)
     if variant == "weighted_linear":
-        coef = _solve_linear(z, b, w, 1.0, tol)
-        targeted = b + coef
+        x = 1.0
     elif variant == "covariate_linear":
-        coef = _solve_linear(z, b, w, w,
-                             DEFAULT_SCORE_TOLERANCE * (1.0 + z.shape[0]))
-        targeted = b + coef * np.asarray(regime_covariate, dtype=float)
+        x, tol = regime_covariate, DEFAULT_SCORE_TOLERANCE * (1.0 + z.shape[0])
     else:
         raise ValueError(f"unknown TMLE variant {variant!r}; "
                          f"expected one of {TMLE_VARIANTS}")
-    return FluctuationFit(variant, coef, targeted,
-                          float((w * (z - targeted)).sum()))
+    return FluctuationFit(variant, *_solve_linear(z, b, w, x, tol))
 
 
 def _targeting_step(label: str, response, offset, weight: _CleverWeight,
-                    variant: str, bounds, checked: bool) -> FluctuationFit:
+                    variant: str, bounds) -> FluctuationFit:
     """The fluctuation of ``offset`` toward ``response`` with the clever
-    weight ``weight``, ``label`` prefixed to a failure's message. A
-    ``checked`` step, whose inputs the constructors checked, skips
-    :func:`fluctuate`'s checks unless the weight's sum overflows (a
-    weight is finite when its sum is)."""
+    weight ``weight``, ``label`` prefixed to a failure's message. Each
+    input was checked where it was made, and a weight is finite when its
+    sum is; a weight whose sum overflows goes to :func:`fluctuate`,
+    which raises its input error."""
     args = (response, offset, weight.values, weight.inverse, variant, bounds)
     try:
-        if checked and math.isfinite(weight.total):
+        if math.isfinite(weight.total):
             return _solve_fluctuation(*args, weight.total)
         return fluctuate(*args)
     except (GlmError, ValueError) as exc:
@@ -473,10 +487,9 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
         Targeting-model failure, annotated with the variant.
     """
     (h,) = _clever_weights(data, nuisance)
-    # The Dataset and NuisanceEstimates constructors checked y and mu.
     fluct = _targeting_step(f"targeting step ({variant})", data.outcome,
                             nuisance.outcome_pred, h, variant,
-                            _scaling_bounds(variant, data, y_bounds), True)
+                            _scaling_bounds(variant, data, y_bounds))
     mu_star = fluct.targeted_pred
     return _result(
         f"tmle_{variant}", data, nuisance, (mu_star,),

@@ -17,9 +17,9 @@ g0 = P(A0=0 | W0), g1 = P(A1=0 | W0, A0=0, W1).
 :func:`tmle_long` fluctuates mu so the R-weighted score over Y is zero
 (mu*), regresses mu* on W0 among the A0=0 rows (e), fluctuates e so the
 H-weighted score over mu* is zero (e*) and reports mean(e*). Both steps
-run through :func:`eiftools.estimators._targeting_step` with
-:func:`~eiftools.estimators.fluctuate`'s input checks, since their
-offsets come from fits. :func:`one_step_long` is the mean of the
+take the point TMLE's path, :func:`eiftools.estimators._targeting_step`:
+``SequentialNuisances`` checks the offset mu_hat and :func:`_fit_emu`
+the offset e. :func:`one_step_long` is the mean of the
 pseudo-outcome at mu_hat and its regression e on W0:
 mean(R (Y - mu_hat) + H (mu_hat - e) + e). With no W1 and A1 = 0, g1 is
 exactly 1 and both reduce to the point estimators bit for bit.
@@ -62,7 +62,8 @@ class SequentialNuisances:
     dataset, so its arrays must not be changed in place. ``g1`` is
     exactly 1 when the second treatment is identically 0 in the fitting
     stratum (the point-treatment reduction), in which case the truncation
-    bounds are deliberately not applied to it.
+    bounds are deliberately not applied to it. Like ``NuisanceEstimates``,
+    the constructor rejects a non-finite ``mu_hat``.
     """
 
     g0: np.ndarray
@@ -73,12 +74,14 @@ class SequentialNuisances:
     g1_degenerate: bool = False
 
     def __post_init__(self):
-        # Shapes only: the vectors come from the fits.
+        # g0 and g1 are checked through their clever weights' sums.
         shape = self.g0.shape
         if len(shape) != 1 or self.g1.shape != shape \
                 or self.mu_hat.shape != shape:
             raise ValueError("g0, g1 and mu_hat must be 1-d arrays of equal "
                              "length")
+        if not np.isfinite(self.mu_hat).all():
+            raise ValueError("outcome predictions contain non-finite values")
         if self.fold_assignment is not None \
                 and self.fold_assignment.shape != shape:
             raise ValueError("fold_assignment length mismatch")
@@ -149,12 +152,16 @@ def _fit_emu(data: LongDataset, response: np.ndarray, learner: LearnerSpec,
 
     The pseudo-outcome is continuous; the logistic variant fits a GLM
     learner on the rescaled [0, 1] scale so the later fluctuation gets
-    predictions already inside the bounds.
+    predictions already inside the bounds. A non-finite prediction is
+    the ValueError of ``NuisanceEstimates``.
     """
     if variant == "weighted_logistic" and learner.link is not None:
         learner = replace(learner, link=Link.LOGIT)
-    return _held_out_predictions(fit_outcome, learner, data.w0,
-                                 (data.a0, response, bounds), assignment)
+    emu = _held_out_predictions(fit_outcome, learner, data.w0,
+                                (data.a0, response, bounds), assignment)
+    if not np.isfinite(emu).all():
+        raise ValueError("outcome predictions contain non-finite values")
+    return emu
 
 
 @dataclass
@@ -231,15 +238,13 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
     """
     bounds = _scaling_bounds(variant, data, y_bounds)
     r, h = _clever_weights(data, nuisances)
-
-    # Offsets from fits may overflow, so both steps keep fluctuate's checks.
     step3 = _targeting_step("step 3 (fluctuate mu)", data.outcome,
-                            nuisances.mu_hat, r, variant, bounds, False)
+                            nuisances.mu_hat, r, variant, bounds)
     mu_star = step3.targeted_pred
     emu_hat = _fit_emu(data, mu_star, emu_learner, variant, bounds,
                        nuisances.fold_assignment)
     step5 = _targeting_step("step 5 (fluctuate the W0 regression)", mu_star,
-                            emu_hat, h, variant, bounds, False)
+                            emu_hat, h, variant, bounds)
     emu_star = step5.targeted_pred
     return _result(
         f"tmle_long_{variant}", data, nuisances, (mu_star, emu_star),

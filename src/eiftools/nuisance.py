@@ -130,8 +130,8 @@ class LearnerSpec:
 
         Examples: ``glm_main_terms``, ``glm_main_terms:link=logit``,
         ``glm_with_basis:degree=2,interactions=true``,
-        ``k_nearest_neighbors:k=25``. The constructor rejects an option
-        that the kind does not take.
+        ``k_nearest_neighbors:k=25``. An option given twice is an error,
+        and the constructor rejects an option that the kind does not take.
         """
         head, _, tail = text.strip().partition(":")
         kwargs: Dict[str, object] = {}
@@ -142,6 +142,8 @@ class LearnerSpec:
                 value = value.strip()
                 if not sep or not key or not value:
                     raise ValueError(f"malformed learner option {item!r}")
+                if key in kwargs:
+                    raise ValueError(f"learner option {key!r} given twice")
                 if key in ("degree", "k"):
                     try:
                         kwargs[key] = int(value)

@@ -405,6 +405,36 @@ def fluctuate_long_fit_glm(response, offset_pred, weights, regime_covariate,
             float(np.sum(weights * (resp_sc - targeted_sc))))
 
 
+def linear_fluctuation_reference(response, offset, weights,
+                                 regime_covariate, variant):
+    """A linear targeting fluctuation in the arithmetic ``fluctuate`` used
+    before each linear solve returned its own predictions and score: the
+    closed-form root c of sum(w (z - b - c x)) = 0, refined up to three
+    times against the tolerance, with x = 1 for ``weighted_linear`` and
+    x = the weights themselves for ``covariate_linear``; then the
+    predictions b + c (b + c * regime_covariate) and the residual
+    recomputed at them. Returns (coefficient, predictions, residual);
+    raises NonConvergenceError if the score stays above the tolerance."""
+    z, b, w = (np.asarray(v, dtype=float)
+               for v in (response, offset, weights))
+    if variant == "weighted_linear":
+        x, shift = 1.0, 1.0
+        tol = 1e-8 * (1.0 + float(w.sum()))
+    else:
+        x, shift = w, np.asarray(regime_covariate, dtype=float)
+        tol = 1e-8 * (1.0 + z.shape[0])
+    wx = float((w * x).sum())
+    c, score = 0.0, float((w * (z - b)).sum())
+    for _ in range(4):
+        c += score / wx
+        score = float((w * (z - (b + c * x))).sum())
+        if abs(score) <= tol:
+            targeted = b + c * shift
+            return c, targeted, float((w * (z - targeted)).sum())
+    raise NonConvergenceError("reference did not converge", np.array([c]),
+                              np.array([score]), 4)
+
+
 # The nuisance fits as they were written before the fit-on-train /
 # predict-on-held driver: every fit receives a ``Dataset`` copy of its
 # training rows, each caller keeps its own fold loop and its own

@@ -219,6 +219,19 @@ def test_estimate_estimator_failure_exits_3(tmp_path, monkeypatch):
             "type": error, "message": message}}
 
 
+@pytest.mark.parametrize("learner, key", [
+    ("k_nearest_neighbors:k=5,k=6", "k"),
+    ("glm_with_basis:degree=2,degree=3", "degree"),
+])
+def test_learner_option_given_twice_exits_2(tmp_path, learner, key):
+    out = tmp_path / "est.json"
+    assert run_cli(["estimate", "--data", FIXTURES / "saturated_4row.csv",
+                    "--outcome-learner", learner, "--out", out]) == 2
+    assert read_json(out) == {"schema_version": 1, "error": {
+        "type": "UsageError",
+        "message": f"--outcome-learner: learner option '{key}' given twice"}}
+
+
 def test_estimate_determinism(tmp_path):
     rng = np.random.default_rng(31)
     n = 60

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 import eiftools.estimators as est
 import eiftools.longitudinal as lng
-from eiftools.data import Dataset
+from eiftools.data import Dataset, LongDataset
 from eiftools.estimators import (
     TMLE_VARIANTS,
     Z975,
@@ -23,7 +23,8 @@ from eiftools.estimators import (
     wald_inference,
 )
 from eiftools.glm import GlmError, NonConvergenceError, SingularDesignError
-from eiftools.nuisance import LearnerSpec, NuisanceEstimates, fit_nuisance
+from eiftools.nuisance import (LearnerSpec, NuisanceEstimates, crossfit,
+                               fit_nuisance)
 from helpers import random_long_dataset, random_point_dataset
 from oracles import (
     eif_by_hand,
@@ -380,6 +381,73 @@ def test_clever_weights_that_overflow_fail_fluctuate_input_check(variant):
     with pytest.raises(ValueError, match=rf"^targeting step \({variant}\): "
                        "fluctuation inputs must be finite"):
         tmle(SATURATED, nuis, variant)
+
+
+@pytest.mark.parametrize("variant", TMLE_VARIANTS)
+def test_two_period_weight_sum_that_overflows_fails_the_input_check(variant):
+    # R = 1/(g0 g1) is 1e308 on each of the two A0 = A1 = 0 rows: finite,
+    # but its sum is not, so no tolerance 1e-8 (1 + sum(R)) is finite.
+    data = LongDataset.from_columns(
+        {"w0": [0.0, 1.0, 0.0, 1.0]}, [0.0, 0.0, 1.0, 0.0],
+        {"w1": [0.0, 0.0, 1.0, 1.0]}, [0.0, 0.0, 1.0, 1.0],
+        [0.2, 0.7, 0.5, 0.9])
+    nuis = lng.SequentialNuisances(g0=np.full(4, 1e-154),
+                                   g1=np.full(4, 1e-154),
+                                   mu_hat=np.full(4, 0.5))
+    with pytest.raises(ValueError, match=r"^step 3 \(fluctuate mu\): "
+                       "fluctuation inputs must be finite"):
+        lng.tmle_long(data, nuis, variant)
+
+
+def test_covariate_predictions_that_overflow_fail_their_own_step():
+    # The solve converges exactly (z = 2 c on the regime rows, where the
+    # regime covariate is 2), but the off-regime row's prediction
+    # 1.7e308 + 16 c overflows. That prediction's score term is not
+    # finite, so the step that made it fails, not the estimate or the
+    # next step.
+    z = 2.0 ** 1020
+    point = Dataset.from_columns({"w": [0.0, 1.0, 0.0, 1.0]},
+                                 [0.0, 1.0, 0.0, 0.0], [z, 0.0, z, z])
+    nuis = NuisanceEstimates(np.array([0.0, 1.7e308, 0.0, 0.0]),
+                             np.array([0.5, 0.0625, 0.5, 0.5]),
+                             truncation_bounds=(0.01, 0.99))
+    overflow = "the weighted least-squares score overflows"
+    with pytest.raises(ValueError, match=r"^targeting step "
+                       rf"\(covariate_linear\): {overflow}"):
+        tmle(point, nuis, "covariate_linear")
+    for a0 in (0.0, 1.0):  # the off-regime row inside or outside A0 = 0
+        data = LongDataset.from_columns(
+            {"w0": [0.0, 1.0, 0.0, 1.0, 0.0]}, [0.0, 0.0, a0, 0.0, 1.0],
+            {"w1": [0.0, 1.0, 0.0, 1.0, 1.0]}, [0.0, 0.0, 1.0, 0.0, 1.0],
+            [z, z, 4.0, z, 1.0])
+        long_nuis = lng.SequentialNuisances(
+            g0=np.array([0.5, 0.5, 0.0625, 0.5, 0.5]), g1=np.ones(5),
+            mu_hat=np.array([0.0, 0.0, 1.7e308, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^step 3 \(fluctuate mu\): "
+                           + overflow):
+            lng.tmle_long(data, long_nuis, "covariate_linear")
+
+
+@pytest.mark.parametrize("n_folds", [None, 2])
+def test_every_targeting_step_skips_fluctuate_checks(monkeypatch, n_folds):
+    # The inputs of every step are checked where they are made, so no
+    # step of either design calls fluctuate when its weight sum is finite.
+    def no_checks(*args):
+        raise AssertionError("a targeting step ran fluctuate's checks")
+
+    monkeypatch.setattr(est, "fluctuate", no_checks)
+    rng = np.random.default_rng(31)
+    point = random_point_dataset(rng, n=120)
+    learner = LearnerSpec("glm_main_terms")
+    nuis = (fit_nuisance(point, learner, learner) if n_folds is None
+            else crossfit(point, learner, learner, n_folds, 1))
+    long_data = random_long_dataset(rng, n=120)
+    long_nuis = lng.fit_sequential_nuisances(long_data, n_folds=n_folds,
+                                             seed=1)
+    for variant in TMLE_VARIANTS:
+        assert tmle(point, nuis, variant).fluctuation.variant == variant
+        assert lng.tmle_long(long_data, long_nuis,
+                             variant).fluctuation.variant == variant
 
 
 def test_result_json_shape():

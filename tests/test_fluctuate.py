@@ -19,11 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import eiftools.estimators as est
 from eiftools.data import Dataset
 from eiftools.estimators import TMLE_VARIANTS, fluctuate, tmle
+from eiftools.glm import NonConvergenceError
 from eiftools.nuisance import NuisanceEstimates
 from oracles import (bisect_root, fluctuate_long_fit_glm,
-                     fluctuate_point_fit_glm)
+                     fluctuate_point_fit_glm, linear_fluctuation_reference)
 
 RTOL = 1e-12
 
@@ -146,7 +148,9 @@ OUTSIDE = "response values fall outside the scaling bounds"
 
 
 # (response, offset, weights): each fails the input check of every
-# variant; the empty case must not become numpy's zero-size error.
+# variant; the empty case must not become numpy's zero-size error. The
+# last weights are finite, but their sum is not, so the tolerance
+# 1e-8 (1 + sum(weights)) would be infinite and certify any score.
 BAD_CASES = [
     ([], [], []),
     ([0.5, NAN], [0.5, 0.5], [1.0, 1.0]),
@@ -155,6 +159,7 @@ BAD_CASES = [
     ([0.5, 0.5], [0.5, 0.5], [1.0, NAN]),
     ([0.5, 0.5], [0.5, 0.5], [1.0, -1.0]),
     ([0.5, 0.5], [0.5, 0.5], [0.0, 0.0]),
+    ([1.0, 0.0, 0.5], [0.9, 0.1, 0.5], [1e308, 1e308, 0.0]),
 ]
 
 
@@ -169,3 +174,108 @@ def test_input_errors(variant, response, offset, weights, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         fluctuate(np.array(response), np.array(offset), np.array(weights),
                   np.ones(len(weights)), variant, bounds)
+
+
+REGIME = "the regime covariate must be a positive, finite vector with one " \
+         "value per row"
+
+
+@pytest.mark.parametrize("regime_covariate", [
+    None, [1.0, INF, 1.0], [1.0, NAN, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0],
+    [[1.0, 1.0, 1.0]]])
+def test_covariate_fluctuation_needs_a_regime_covariate(regime_covariate):
+    with pytest.raises(ValueError, match="^" + re.escape(REGIME) + "$"):
+        fluctuate(np.array([1.0, 0.0, 0.0]), np.full(3, 0.5), np.ones(3),
+                  regime_covariate, "covariate_linear", None)
+
+
+def test_covariate_fluctuation_certifies_the_covariate_it_predicts_with():
+    # The slope is taken on the regime covariate, so the residual of the
+    # returned predictions is certified, not that of the weights' fit.
+    response = np.array([1.0, 0.0, 0.0])
+    fit = fluctuate(response, np.full(3, 0.5), np.ones(3), np.full(3, 2.0),
+                    "covariate_linear", None)
+    np.testing.assert_array_equal(fit.targeted_pred,
+                                  0.5 + 2.0 * fit.coefficient)
+    assert fit.score_residual == float((response - fit.targeted_pred).sum())
+    assert abs(fit.score_residual) <= 1e-8 * (1 + 3)
+
+
+@st.composite
+def linear_problems(draw):
+    """A linear targeting problem posed as the estimators pose it: the
+    weights are the regime covariate 1/g on the regime rows and +0 off
+    them. Some draws fit exactly, with residual 0: the response equals
+    the offset on the regime rows, or is +0 against an offset of -0 (the
+    predictions -0 + 0 x are +0). Some give the off-regime rows offsets
+    of +-1e300."""
+    variant = draw(st.sampled_from(("covariate_linear", "weighted_linear")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    floor = draw(st.sampled_from([1e-3, 0.02, 0.2]))
+    inverse = 1.0 / np.exp(rng.uniform(np.log(floor), np.log(0.999), n))
+    indicator = (rng.random(n) >= draw(st.sampled_from([0.0, 0.3, 0.8])))
+    indicator[0] = True
+    weights = indicator * inverse
+    offset = rng.normal(scale=2.0, size=n)
+    response = rng.normal(size=n)
+    fit = draw(st.sampled_from(["none", "exact", "signed_zero"]))
+    if fit == "exact":
+        response[indicator] = offset[indicator]
+    elif fit == "signed_zero":
+        response[:], offset[:] = 0.0, -0.0
+    if draw(st.booleans()):
+        off = ~indicator
+        offset[off] = 1e300 * np.where(rng.random(off.sum()) < 0.5, -1, 1)
+    return variant, response, offset, weights, inverse
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=linear_problems())
+def test_linear_fluctuation_keeps_the_bits_of_the_reference(problem):
+    # The solve now takes its slope on the regime covariate and returns
+    # the score it computed; on the estimators' weights, which equal the
+    # covariate on the regime rows and are zero elsewhere, every
+    # coefficient, prediction and residual keeps its bits (float.hex
+    # tells the signs of zeros apart).
+    variant, response, offset, weights, regime = problem
+    args = (response, offset, weights, regime, variant)
+    try:
+        want = linear_fluctuation_reference(*args)
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            fluctuate(*args, None)
+        return
+    fit = fluctuate(*args, None)
+    assert _hex(fit.coefficient) == _hex(want[0])
+    assert _hex(fit.targeted_pred) == _hex(want[1])
+    assert _hex(fit.score_residual) == _hex(want[2])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_logistic_offset_clip_keeps_the_bits_of_np_clip(seed):
+    # The rescaled offset is clipped into (1e-6, 1 - 1e-6) by two ufuncs;
+    # every offset below, at, near and above the bounds must give the
+    # fit that np.clip's offset gives, bit for bit.
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.0, 1.0) if seed % 2 else (-2.0, 3.0)
+    span = hi - lo
+    edges = lo + span * np.array([-1.0, 0.0, 5e-7, 1e-6, 2e-6, 1 - 1e-6,
+                                  1 - 5e-7, 1.0, 2.0])
+    offset = np.concatenate([edges, lo + span * rng.random(31)])
+    response = lo + span * (rng.random(offset.shape[0]) < 0.4)
+    weights = rng.random(offset.shape[0]) * (rng.random(offset.shape[0]) < 0.7)
+    weights[0] = 1.0
+    tol = 1e-8 * (1.0 + float(weights.sum()))
+    want = est._solve_logistic((response - lo) / span, est.logit(np.clip(
+        (offset - lo) / span, 1e-6, 1.0 - 1e-6)), weights, tol)
+    fit = fluctuate(response, offset, weights, None, "weighted_logistic",
+                    (lo, hi))
+    assert _hex(fit.coefficient) == _hex(want[0])
+    assert _hex(fit.targeted_pred) == _hex(lo + span * want[1])
+    assert _hex(fit.score_residual) == _hex(want[2])

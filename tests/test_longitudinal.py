@@ -13,6 +13,7 @@ from eiftools.glm import GlmError
 from eiftools.nuisance import (
     FoldDegeneracyError,
     LearnerSpec,
+    NuisanceEstimates,
     crossfit,
     fit_nuisance,
     fold_partition,
@@ -367,3 +368,32 @@ def test_nuisance_vectors_of_unequal_length_are_rejected():
             one_step_long(data, replace(nuis, **change))
         with pytest.raises(ValueError, match=message):
             tmle_long(data, replace(nuis, **change))
+
+
+NON_FINITE = "^outcome predictions contain non-finite values$"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_outcome_predictions_are_rejected_where_made(
+        monkeypatch, bad):
+    # mu_hat and e, the offsets of the two targeting steps, are checked
+    # by the container and by the step that fits e, with the message of
+    # NuisanceEstimates, so neither step checks them again.
+    mu_hat = np.array([0.5, bad, 0.5, 0.5])
+    with pytest.raises(ValueError, match=NON_FINITE):
+        SequentialNuisances(g0=np.full(4, 0.5), g1=np.full(4, 0.5),
+                            mu_hat=mu_hat)
+    with pytest.raises(ValueError, match=NON_FINITE):
+        NuisanceEstimates(mu_hat, np.full(4, 0.5))
+
+    class Stub:
+        def predict(self, x):
+            return np.full(x.shape[0], bad)
+
+    data = random_long_dataset(np.random.default_rng(15), n=80)
+    nuis = fit_sequential_nuisances(data)
+    monkeypatch.setattr(lng, "fit_outcome", lambda *args: Stub())
+    for fit in (lambda: one_step_long(data, nuis),
+                lambda: tmle_long(data, nuis, "weighted_linear")):
+        with pytest.raises(ValueError, match=NON_FINITE):
+            fit()

@@ -56,6 +56,8 @@ def test_learner_spec_rejects_malformed_text():
         "glm_main_terms:degree=2",
         "k_nearest_neighbors:k=3,link=logit",
         "k_nearest_neighbors:k=3,degree=4,link=logit",
+        "k_nearest_neighbors:k=5,k=6",
+        "glm_with_basis:degree=2,degree=3",
     ):
         with pytest.raises(ValueError):
             LearnerSpec.parse(bad)
@@ -83,7 +85,8 @@ def _accepts(kind, options):
              "link": lambda v: v in ("identity", "logit")}
     chosen = {}
     for key, value in options:
-        if not uses.get(key, False) or not valid[key](value):
+        if (not uses.get(key, False) or not valid[key](value)
+                or key in chosen):
             return False
         chosen[key] = value
     if kind == "k_nearest_neighbors":
