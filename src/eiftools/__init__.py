@@ -12,7 +12,7 @@ Estimation runs in two stages. ``fit_nuisance``/``crossfit`` (point) and
 ``fit_sequential_nuisances`` (two periods) fit the initial nuisances, each
 model through ``fit_outcome`` or ``fit_propensity``; every estimator
 (``gcomp``, ``one_step``, ``tmle``, ``one_step_long``, ``tmle_long``) then
-takes the data and those fitted nuisances.
+takes only the data, those fitted nuisances and, for a TMLE, a variant.
 """
 
 from .data import Dataset, LongDataset

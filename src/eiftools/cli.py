@@ -369,7 +369,7 @@ def cmd_estimate(args) -> int:
     # A GlmError, NuisanceError or MemoryError from here on exits 3 (see
     # main).
     nuis = fit_plan_nuisance(data, plan, args.seed)
-    estimates = [run_estimator(name, data, nuis, plan).to_json_dict()
+    estimates = [run_estimator(name, data, nuis).to_json_dict()
                  for name in names]
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -463,8 +463,8 @@ def _add_plan_flags(p: argparse.ArgumentParser):
     p.add_argument("--truncate", default=None, metavar="LO,HI",
                    help="propensity truncation bounds (default 0.01,0.99)")
     p.add_argument("--y-bounds", default=None, metavar="LO,HI",
-                   help="outcome bounds for logistic targeting "
-                        "(default: observed range); a negative LO needs "
+                   help="outcome bounds of the data (default: the DGP's, "
+                        "else the observed range); a negative LO needs "
                         "the = form, --y-bounds=-1,2")
     p.add_argument("--outcome-covariates", default=None, metavar="COLS",
                    help="comma list restricting the outcome model's covariates")

@@ -14,7 +14,8 @@ every estimate of both designs from it. ``gcomp`` averages mu and
 ``one_step`` the pseudo-outcome. ``tmle`` first fluctuates mu to mu* so
 that sum(H (Y - mu*)) is zero, then averages mu*; of its three
 fluctuations, the weighted logistic one keeps mu* and psi inside the
-outcome bounds. Each targeting step of both designs runs through
+data's declared, else observed, outcome bounds; no estimator takes bounds
+of its own. Each targeting step of both designs runs through
 :func:`_targeting_step`, which names the step in a failure's message.
 
 The clever weights are derived once per (data, nuisances) pair and
@@ -266,14 +267,10 @@ def one_step(data: Dataset, nuisance: NuisanceEstimates) -> EstimateResult:
                    None, {})
 
 
-def _scaling_bounds(variant: str, data, y_bounds: Optional[Tuple[float, float]]
-                    ) -> Optional[Tuple[float, float]]:
-    """Bounds of ``weighted_logistic`` targeting: ``y_bounds``, else the
-    data's outcome range. None for the other variants."""
-    if variant != "weighted_logistic":
-        return None
-    lo, hi = y_bounds if y_bounds is not None else data.outcome_bounds()
-    return float(lo), float(hi)
+def _scaling_bounds(variant: str, data) -> Optional[Tuple[float, float]]:
+    """Bounds of ``weighted_logistic`` targeting: the data's declared,
+    else observed, outcome range. None for the other variants."""
+    return data.outcome_bounds() if variant == "weighted_logistic" else None
 
 
 def _solve_linear(z, b, w, x, tol: float) -> Tuple[float, np.ndarray, float]:
@@ -282,11 +279,15 @@ def _solve_linear(z, b, w, x, tol: float) -> Tuple[float, np.ndarray, float]:
     Returns c, the predictions b + c x and the score there; a certified
     score is finite, and so are its terms and the predictions.
 
-    Raises ValueError when the slope sum(w x) or the sum of the score's
-    term magnitudes overflows: the score then has no finite rounding
-    bound, so no coefficient can be certified (NonConvergenceError
-    otherwise)."""
+    Raises ValueError when the slope sum(w x) is not positive (positive
+    weights and covariate whose products underflow to 0), and when the
+    slope or the sum of the score's term magnitudes overflows: the score
+    then has no finite rounding bound, so no coefficient can be certified
+    (NonConvergenceError otherwise)."""
     wx = float((w * x).sum())
+    if not wx > 0.0:
+        raise ValueError(f"the weighted least-squares slope sum(w x) = {wx!r} "
+                         "is not positive")
     c, score = 0.0, float((w * (z - b)).sum())
     for _ in range(4):
         c += score / wx
@@ -454,8 +455,8 @@ def _targeting_step(label: str, response, offset, weight: _CleverWeight,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _result
-def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
-         y_bounds: Optional[Tuple[float, float]] = None) -> EstimateResult:
+def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str
+         ) -> EstimateResult:
     """Targeted maximum likelihood estimator of the untreated mean.
 
     Parameters
@@ -469,11 +470,9 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
         ``weighted_linear``: intercept-only linear fluctuation with
         offset mu, weighted by H.
         ``weighted_logistic``: intercept-only logistic fluctuation on the
-        [0, 1]-rescaled outcome, weighted by H; keeps the targeted
-        predictions and psi_hat inside the outcome bounds.
-    y_bounds : (float, float), optional
-        Scaling bounds for ``weighted_logistic``; default is the
-        dataset's declared or observed outcome range.
+        outcome rescaled by the data's declared (else observed) outcome
+        range, weighted by H; keeps the targeted predictions and psi_hat
+        inside those bounds.
 
     Returns
     -------
@@ -489,7 +488,7 @@ def tmle(data: Dataset, nuisance: NuisanceEstimates, variant: str,
     (h,) = _clever_weights(data, nuisance)
     fluct = _targeting_step(f"targeting step ({variant})", data.outcome,
                             nuisance.outcome_pred, h, variant,
-                            _scaling_bounds(variant, data, y_bounds))
+                            _scaling_bounds(variant, data))
     mu_star = fluct.targeted_pred
     return _result(
         f"tmle_{variant}", data, nuisance, (mu_star,),

@@ -338,14 +338,16 @@ def predict(fit: GlmFit, X) -> np.ndarray:
     """Response-scale predictions ``g^{-1}(X @ coefficients)``.
 
     ``X`` has the columns of the matrix ``fit`` was fit on. Logit-link
-    outputs are clipped to stay strictly inside (0, 1).
+    outputs, an overflowing predictor's too, are clipped to stay strictly
+    inside (0, 1); callers reject a non-finite identity-link prediction.
     """
     X = np.asarray(X, dtype=float)
     p = fit.coefficients.shape[0]
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"model matrix has shape {X.shape}, expected "
                          f"(n, {p}) as in the fit")
-    eta = X @ fit.coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = X @ fit.coefficients
     if fit.link is Link.IDENTITY:
         return eta
     return np.clip(expit(eta), _PROB_EPS, 1.0 - _PROB_EPS)

@@ -13,11 +13,12 @@ and its influence function is the pseudo-outcome of
 with mu = E(Y | W0, A0=0, W1, A1=0), e = E(mu | W0, A0=0),
 g0 = P(A0=0 | W0), g1 = P(A1=0 | W0, A0=0, W1).
 
-:func:`fit_sequential_nuisances` fits g0 and g1, then mu.
-:func:`tmle_long` fluctuates mu so the R-weighted score over Y is zero
-(mu*), regresses mu* on W0 among the A0=0 rows (e), fluctuates e so the
-H-weighted score over mu* is zero (e*) and reports mean(e*). Both steps
-take the point TMLE's path, :func:`eiftools.estimators._targeting_step`:
+:func:`fit_sequential_nuisances` fits g0 and g1, then mu with an outcome
+learner that the nuisances record. :func:`tmle_long` fluctuates mu so
+the R-weighted score over Y is zero (mu*), regresses mu* on W0 among the
+A0=0 rows with that learner (e), fluctuates e so the H-weighted score
+over mu* is zero (e*) and reports mean(e*). Both steps take the point
+TMLE's path, :func:`eiftools.estimators._targeting_step`:
 ``SequentialNuisances`` checks the offset mu_hat and :func:`_fit_emu`
 the offset e. :func:`one_step_long` is the mean of the
 pseudo-outcome at mu_hat and its regression e on W0:
@@ -62,7 +63,8 @@ class SequentialNuisances:
     dataset, so its arrays must not be changed in place. ``g1`` is
     exactly 1 when the second treatment is identically 0 in the fitting
     stratum (the point-treatment reduction), in which case the truncation
-    bounds are deliberately not applied to it. Like ``NuisanceEstimates``,
+    bounds are deliberately not applied to it. ``outcome_learner`` fit
+    mu_hat, and the estimators fit e with it. Like ``NuisanceEstimates``,
     the constructor rejects a non-finite ``mu_hat``.
     """
 
@@ -72,6 +74,7 @@ class SequentialNuisances:
     fold_assignment: Optional[np.ndarray] = None
     n_truncated: int = 0
     g1_degenerate: bool = False
+    outcome_learner: LearnerSpec = _DEFAULT_LEARNER
 
     def __post_init__(self):
         # g0 and g1 are checked through their clever weights' sums.
@@ -101,38 +104,39 @@ def eif_long(data: LongDataset, nuisances: SequentialNuisances,
 
 def fit_sequential_nuisances(
         data: LongDataset,
-        g0_learner: LearnerSpec = _DEFAULT_LEARNER,
-        g1_learner: LearnerSpec = _DEFAULT_LEARNER,
-        mu_learner: LearnerSpec = _DEFAULT_LEARNER,
+        outcome_learner: LearnerSpec = _DEFAULT_LEARNER,
+        propensity_learner: LearnerSpec = _DEFAULT_LEARNER,
         truncation: Tuple[float, float] = DEFAULT_TRUNCATION,
         n_folds: Optional[int] = None,
-        seed: Optional[int] = None) -> SequentialNuisances:
+        seed: int = 0) -> SequentialNuisances:
     """Fit g0, g1 and mu; optionally cross-fit with one shared partition.
 
-    g0 is fit on all rows from W0. g1 is fit on the A0 = 0 rows from
-    (W0, W1); when those rows contain no A1 = 1 at all, g1 is the constant
-    1 (exact, untruncated), which collapses the estimand to the
-    point-treatment one. mu is fit on the A0 = A1 = 0 rows from (W0, W1).
-    Predictions are produced for every observation; with ``n_folds``,
-    each from models fit without its fold. A0 is constant on the rows of
-    g1 and mu, so it is not one of their covariates.
+    ``propensity_learner`` fits g0 on all rows from W0 and g1 on the
+    A0 = 0 rows from (W0, W1); when those rows contain no A1 = 1 at all,
+    g1 is the constant 1 (exact, untruncated), which collapses the
+    estimand to the point-treatment one. ``outcome_learner`` fits mu on
+    the A0 = A1 = 0 rows from (W0, W1). Predictions are produced for every
+    observation; with ``n_folds``, each from models fit without its fold.
+    A0 is constant on the rows of g1 and mu, so it is not one of their
+    covariates.
     """
     lo, hi = _validate_truncation(truncation)
     assignment = None if n_folds is None else fold_partition(
-        data.n_obs, n_folds, 0 if seed is None else seed)
+        data.n_obs, n_folds, seed)
     history = np.hstack([data.w0, data.w1])
     stage2_rows = data.a0 == 0.0
     g1_degenerate = not (data.a1[stage2_rows] == 1.0).any()
-    raw = [_held_out_predictions(fit_propensity, g0_learner, data.w0,
+    raw = [_held_out_predictions(fit_propensity, propensity_learner, data.w0,
                                  (data.a0,), assignment)]
     if not g1_degenerate:
-        raw.append(_held_out_predictions(fit_propensity, g1_learner, history,
-                                         (data.a1,), assignment, stage2_rows))
+        raw.append(_held_out_predictions(fit_propensity, propensity_learner,
+                                         history, (data.a1,), assignment,
+                                         stage2_rows))
     # The stratum is A0 = A1 = 0, not A0 = 0 with fit_outcome's own A1 = 0
     # filter: a logit-link fit rescales by the outcome range of its rows.
     mu_hat = _held_out_predictions(
-        fit_outcome, mu_learner, history, (data.a1, data.outcome,
-                                           data.y_bounds),
+        fit_outcome, outcome_learner, history, (data.a1, data.outcome,
+                                                data.y_bounds),
         assignment, stage2_rows & (data.a1 == 0.0))
     g0 = np.clip(raw[0], lo, hi)
     g1 = np.ones(data.n_obs) if g1_degenerate else np.clip(raw[1], lo, hi)
@@ -142,6 +146,7 @@ def fit_sequential_nuisances(
         n_truncated=sum(int(np.count_nonzero((r < lo) | (r > hi)))
                         for r in raw),
         g1_degenerate=g1_degenerate,
+        outcome_learner=outcome_learner,
     )
 
 
@@ -178,8 +183,7 @@ class LongEstimateResult(EstimateResult):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _result
-def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
-                  emu_learner: LearnerSpec = _DEFAULT_LEARNER
+def one_step_long(data: LongDataset, nuisances: SequentialNuisances
                   ) -> LongEstimateResult:
     """One-step analogue: mean(R (Y - mu_hat) + H (mu_hat - e) + e), the
     plug-in mean(e) plus the mean influence function, with e the
@@ -187,8 +191,8 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
     it is not constrained to the outcome bounds."""
     _clever_weights(data, nuisances)  # checks the sizes before any fit
     mu = nuisances.mu_hat
-    emu = _fit_emu(data, mu, emu_learner, "weighted_linear", None,
-                   nuisances.fold_assignment)
+    emu = _fit_emu(data, mu, nuisances.outcome_learner, "weighted_linear",
+                   None, nuisances.fold_assignment)
     return _result(
         "one_step_long", data, nuisances, (mu, emu), None,
         {"plug_in": float(emu.sum() / data.n_obs),
@@ -199,18 +203,15 @@ def one_step_long(data: LongDataset, nuisances: SequentialNuisances,
 
 @np.errstate(over="ignore", invalid="ignore")  # see _result
 def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
-              variant: str = "weighted_linear",
-              emu_learner: LearnerSpec = _DEFAULT_LEARNER,
-              y_bounds: Optional[Tuple[float, float]] = None
-              ) -> LongEstimateResult:
+              variant: str = "weighted_linear") -> LongEstimateResult:
     """Two-time-point TMLE of theta = E(Y^{0,0}) from fitted nuisances.
 
     ``nuisances`` holds the initial fits g0, g1 and mu_hat, as from
     :func:`fit_sequential_nuisances`. The remaining steps: (3) fluctuate
-    mu_hat with weights R = I(A0=A1=0)/(g0 g1), zeroing
-    sum(R (Y - mu*)); (4) regress mu* on W0 among A0 = 0 rows with
-    ``emu_learner``; (5) fluctuate that regression with weights
-    H = I(A0=0)/g0, zeroing sum(H (mu* - e*)); (6) theta_hat = mean(e*).
+    mu_hat with weights R = I(A0=A1=0)/(g0 g1), zeroing sum(R (Y - mu*));
+    (4) regress mu* on W0 among A0 = 0 rows with their outcome learner;
+    (5) fluctuate that regression with weights H = I(A0=0)/g0, zeroing
+    sum(H (mu* - e*)); (6) theta_hat = mean(e*).
     Inference comes from the influence function evaluated at
     (mu*, e*, theta_hat). With cross-fitted ``nuisances``, step 4 is
     cross-fit on the same partition.
@@ -220,10 +221,7 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
     variant : str
         Targeting-model shape for both fluctuations: ``weighted_linear``
         (default), ``covariate_linear``, or ``weighted_logistic`` (keeps
-        every targeted quantity inside the outcome bounds).
-    y_bounds : (float, float), optional
-        Scaling bounds for ``weighted_logistic``; default is the
-        dataset's declared or observed outcome range.
+        every targeted quantity inside the data's outcome bounds).
 
     Raises
     ------
@@ -236,13 +234,13 @@ def tmle_long(data: LongDataset, nuisances: SequentialNuisances,
         Model failure, annotated with the step that raised it (as is a
         ``ValueError`` from a targeting step).
     """
-    bounds = _scaling_bounds(variant, data, y_bounds)
+    bounds = _scaling_bounds(variant, data)
     r, h = _clever_weights(data, nuisances)
     step3 = _targeting_step("step 3 (fluctuate mu)", data.outcome,
                             nuisances.mu_hat, r, variant, bounds)
     mu_star = step3.targeted_pred
-    emu_hat = _fit_emu(data, mu_star, emu_learner, variant, bounds,
-                       nuisances.fold_assignment)
+    emu_hat = _fit_emu(data, mu_star, nuisances.outcome_learner, variant,
+                       bounds, nuisances.fold_assignment)
     step5 = _targeting_step("step 5 (fluctuate the W0 regression)", mu_star,
                             emu_hat, h, variant, bounds)
     emu_star = step5.targeted_pred

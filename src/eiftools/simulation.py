@@ -10,13 +10,15 @@ replicates are fit in one stacked solve, each with the same bytes out.
 
 ``fit_plan_nuisance`` and ``run_estimator`` are the one path from a
 dataset of either design to its estimates, for ``run_experiment`` and
-the ``estimate`` command alike; they choose by the data's type.
+the ``estimate`` command alike; they choose by the data's type. Each
+replicate's draw carries the plan's ``y_bounds``, as ``estimate``'s CSV
+does, so both commands analyse one draw alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -215,12 +217,8 @@ def fit_plan_nuisance(data: Union[Dataset, LongDataset],
                          "without folds")
     if long_design:
         return long_est.fit_sequential_nuisances(
-            data, g0_learner=plan.propensity_learner,
-            g1_learner=plan.propensity_learner,
-            mu_learner=plan.outcome_learner,
-            truncation=plan.truncation,
-            n_folds=plan.n_folds,
-            seed=fold_seed)
+            data, plan.outcome_learner, plan.propensity_learner,
+            plan.truncation, plan.n_folds, fold_seed)
     if plan.n_folds is not None:
         return crossfit(data, plan.outcome_learner, plan.propensity_learner,
                         plan.n_folds, fold_seed, plan.truncation,
@@ -233,8 +231,8 @@ def fit_plan_nuisance(data: Union[Dataset, LongDataset],
                         raw_propensity=raw_propensity)
 
 
-def run_estimator(name: str, data: Union[Dataset, LongDataset], nuis,
-                  plan: EstimationPlan) -> est.EstimateResult:
+def run_estimator(name: str, data: Union[Dataset, LongDataset], nuis
+                  ) -> est.EstimateResult:
     """Run one estimator of the data's design by its name, on nuisances
     from :func:`fit_plan_nuisance`."""
     long_design = isinstance(data, LongDataset)
@@ -244,13 +242,10 @@ def run_estimator(name: str, data: Union[Dataset, LongDataset], nuis,
     if name == "one_step":
         return est.one_step(data, nuis)
     if name == "one_step_long":
-        return long_est.one_step_long(data, nuis,
-                                      emu_learner=plan.outcome_learner)
+        return long_est.one_step_long(data, nuis)
     if long_design:
-        return long_est.tmle_long(data, nuis, name[len("tmle_long_"):],
-                                  emu_learner=plan.outcome_learner,
-                                  y_bounds=plan.y_bounds)
-    return est.tmle(data, nuis, name[len("tmle_"):], y_bounds=plan.y_bounds)
+        return long_est.tmle_long(data, nuis, name[len("tmle_long_"):])
+    return est.tmle(data, nuis, name[len("tmle_"):])
 
 
 # Failures of one replicate's draw, nuisance fit or estimator; each is
@@ -316,13 +311,16 @@ def _replicate_records(r: int, data, raw_propensity: Optional[np.ndarray],
         fold_seed = int(np.random.SeedSequence(
             seed, spawn_key=(r, 1)).generate_state(1)[0])
     try:
+        if plan.y_bounds is not None:
+            # the bounds that ``estimate`` gives the draw's CSV
+            data = replace(data, y_bounds=plan.y_bounds)
         nuis = fit_plan_nuisance(data, plan, fold_seed, raw_propensity)
     except _REPLICATE_FAILURES as exc:
         return failed(exc)
     records = []
     for name in estimator_names:
         try:
-            res = run_estimator(name, data, nuis, plan)
+            res = run_estimator(name, data, nuis)
         except _REPLICATE_FAILURES as exc:
             records.append(ReplicateRecord(replicate=r, estimator=name,
                                            error=_failure(exc)))

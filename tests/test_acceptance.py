@@ -60,15 +60,14 @@ def test_criterion_1_targeting_and_mean_eif_certificates():
             continue
         nuis = fit_nuisance(data, MAIN_TERMS, MAIN_TERMS)
         for variant in VARIANTS:
-            fit = tmle(data, nuis, variant,
-                       y_bounds=(0.0, 1.0) if binary else None)
+            fit = tmle(data, nuis, variant)
             d = fit.diagnostics
             scale = d["score_scale"]
             assert abs(d["score_residual"]) <= SCORE_REL_TOL * scale
             # the logistic targeting score lives on the rescaled outcome,
             # so its certificate transfers to the EIF through the span
             if variant == "weighted_logistic":
-                lo, hi = (0.0, 1.0) if binary else data.outcome_bounds()
+                lo, hi = data.outcome_bounds()
                 span = hi - lo
             else:
                 span = 1.0
@@ -81,8 +80,7 @@ def test_criterion_1_targeting_and_mean_eif_certificates():
         data = random_long_dataset(rng, n=int(rng.integers(40, 201)))
         nuis = fit_sequential_nuisances(data)
         for variant in VARIANTS:
-            fit = tmle_long(data, nuis, variant=variant,
-                            y_bounds=(0.0, 1.0))
+            fit = tmle_long(data, nuis, variant=variant)
             d = fit.diagnostics
             assert abs(d["step3_score_residual"]) <= \
                 SCORE_REL_TOL * (1.0 + d["step3_weight_sum"])
@@ -151,8 +149,7 @@ def test_criterion_3_saturated_learners_match_stratum_oracles():
                                      data.outcome)
         nuis = fit_nuisance(data, MAIN_TERMS, MAIN_TERMS)
         estimates = [gcomp(data, nuis).psi_hat, one_step(data, nuis).psi_hat]
-        estimates += [tmle(data, nuis, v, y_bounds=(0.0, 1.0)).psi_hat
-                      for v in VARIANTS]
+        estimates += [tmle(data, nuis, v).psi_hat for v in VARIANTS]
         for value in estimates:
             assert value == pytest.approx(oracle, abs=SATURATED_TOL)
         checked += 1
@@ -163,8 +160,7 @@ def test_criterion_3_saturated_learners_match_stratum_oracles():
         data = saturated_long_dataset(rng, n=int(rng.integers(50, 81)))
         oracle = stratum_long_value(data.w0, data.a0, data.w1, data.a1,
                                     data.outcome)
-        nuis = fit_sequential_nuisances(data, g1_learner=saturated,
-                                        mu_learner=saturated)
+        nuis = fit_sequential_nuisances(data, saturated, saturated)
         for variant in ("weighted_linear", "covariate_linear"):
             fit = tmle_long(data, nuis, variant=variant)
             assert fit.psi_hat == pytest.approx(oracle, abs=SATURATED_TOL)
@@ -189,8 +185,7 @@ def test_criterion_4_fluctuation_coefficients_match_bisection():
             continue
         nuis = fit_nuisance(data, MAIN_TERMS, MAIN_TERMS,
                             outcome_covariates=())
-        fit = tmle(data, nuis, variant,
-                   y_bounds=(0.0, 1.0) if binary else None)
+        fit = tmle(data, nuis, variant)
         h = (data.treatment == 0.0) / nuis.propensity_pred
         root = fluctuation_root(
             variant, data.outcome, nuis.outcome_pred, h,

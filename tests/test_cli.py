@@ -19,6 +19,7 @@ from eiftools.cli import main
 from helpers import random_point_dataset
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+BENCH_INPUTS = pathlib.Path(__file__).parent.parent / "bench" / "inputs"
 
 POINT_NAMES = ("gcomp", "one_step", "tmle_covariate_linear",
                "tmle_weighted_linear", "tmle_weighted_logistic")
@@ -183,6 +184,32 @@ def test_estimate_overflowing_covariate_exits_3(tmp_path, learner, error):
     assert payload["type"] == error
     if error == "NuisanceError":
         assert payload["message"].startswith(learner)
+
+
+def test_overflowing_held_out_prediction_raises_no_warning(tmp_path):
+    # w1 = 1e308 on the first A0 = 1 row: the g1 model never fits that
+    # row, but its prediction there overflows the linear predictor. A
+    # logit prediction of +-inf is 0 or 1 before the clip, so every
+    # estimate stands, with no RuntimeWarning (an error under the test
+    # settings).
+    rng = np.random.default_rng(0)
+    w0 = rng.random(80)
+    a0 = rng.random(80) < 0.4
+    w1 = rng.random(80)
+    a1 = (rng.random(80) < 0.3) & (a0 == 0)
+    a1[a0 == 1] = rng.random(int(a0.sum())) < 0.5
+    y = rng.random(80)
+    w1[np.flatnonzero(a0)[0]] = 1e308
+    path = tmp_path / "long.csv"
+    path.write_text("w0_w0,a0,w1_w1,a1,y\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in zip(w0, a0, w1, a1, y)), encoding="utf-8")
+    out = tmp_path / "est.json"
+    assert run_cli(["estimate", "--design", "longitudinal", "--folds", "2",
+                    "--data", path, "--out", out]) == 0
+    estimates = read_json(out)["estimates"]
+    assert [e["estimator"] for e in estimates] == list(LONG_NAMES)
+    assert all(np.isfinite(e["psi_hat"]) for e in estimates)
 
 
 def test_estimate_estimator_failure_exits_3(tmp_path, monkeypatch):
@@ -676,20 +703,24 @@ def test_emit_data_round_trips_into_estimate(tmp_path):
         assert 0.0 <= row["psi_hat"] <= 1.0
 
 
-def test_y_bounds_rescale_the_outcome_model_only_in_estimate(tmp_path):
-    # The README's account of --y-bounds: simulate passes it to the
-    # targeting and the out-of-bounds score, while a logit outcome model
-    # rescales by the DGP's bounds; estimate declares the data's bounds.
+# A continuous point DGP that declares its outcome bounds.
+_BOUNDED_DGP = {
+    "design": "point",
+    "covariates": [{"name": "w", "dist": "uniform", "low": 0.0,
+                    "high": 1.0}],
+    "treatment": {"intercept": 0.3, "coefs": {"w": -0.6}},
+    "outcome": {"scale": "identity", "kind": "continuous",
+                "intercept": 2.5, "coefs": {"w": 1.0, "a": 0.5},
+                "noise": {"kind": "uniform", "half_width": 0.5}},
+    "y_bounds": [1, 5]}
+
+
+def test_y_bounds_rescale_the_outcome_model_in_both_commands(tmp_path):
+    # The README's account of --y-bounds: both commands declare it as the
+    # bounds of the analysed data, so a logit outcome model rescales by
+    # the flag's bounds, not the DGP's [1, 5], in simulate too.
     config = tmp_path / "dgp.json"
-    config.write_text(json.dumps({
-        "design": "point",
-        "covariates": [{"name": "w", "dist": "uniform", "low": 0.0,
-                        "high": 1.0}],
-        "treatment": {"intercept": 0.3, "coefs": {"w": -0.6}},
-        "outcome": {"scale": "identity", "kind": "continuous",
-                    "intercept": 2.5, "coefs": {"w": 1.0, "a": 0.5},
-                    "noise": {"kind": "uniform", "half_width": 0.5}},
-        "y_bounds": [1, 5]}), encoding="utf-8")
+    config.write_text(json.dumps(_BOUNDED_DGP), encoding="utf-8")
     logit = ["--outcome-learner", "glm_main_terms:link=logit",
              "--estimators", "gcomp"]
     data_csv = tmp_path / "draw.csv"
@@ -706,7 +737,82 @@ def test_y_bounds_rescale_the_outcome_model_only_in_estimate(tmp_path):
         assert run_cli(["estimate", "--data", data_csv, "--y-bounds", bounds,
                         *logit, "--out", out]) == 0
         estimated[bounds] = read_json(out)["estimates"][0]["psi_hat"]
-    assert simulated == estimated["1,5"] != estimated["0,10"]
+    assert simulated == estimated["0,10"] != estimated["1,5"]
+
+
+def _replicate_0_matches_estimate(tmp_path, config, flags, y_bounds,
+                                  implied):
+    """Run simulate with ``flags`` and ``y_bounds`` (None: no flag), then
+    estimate with the same flags on replicate 0's emitted draw, given
+    ``y_bounds`` or else the DGP's ``implied`` bounds, and replicate 0's
+    fold seed. Asserts that each estimator's psi_hat, se and interval
+    agree bit for bit, or that both commands fail with the same error
+    type (a ValueError is estimate's UsageError)."""
+    seed = 5
+    bounds = y_bounds or implied
+    sim_bounds = [f"--y-bounds={y_bounds}"] if y_bounds else []
+    est_bounds = [f"--y-bounds={bounds}"] if bounds else []
+    out, draw = tmp_path / "r.json", tmp_path / "draw.csv"
+    assert run_cli(["simulate", "--config", config, "--n", "150",
+                    "--replications", "2", "--seed", seed,
+                    "--truth-method", "monte_carlo", "--mc-draws", "1000",
+                    *flags, *sim_bounds, "--out", out,
+                    "--emit-data", draw]) == 0
+    design = read_json(out)["design"]
+    with open(tmp_path / "r.csv", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["replicate"] == "0"]
+    fold_seed = int(np.random.SeedSequence(
+        seed, spawn_key=(0, 1)).generate_state(1)[0])
+
+    def estimate(names):
+        est_out = tmp_path / "est.json"
+        code = run_cli(["estimate", "--data", draw, "--design", design,
+                        "--seed", fold_seed, *flags, *est_bounds,
+                        "--estimators", ",".join(names), "--out", est_out])
+        return code, read_json(est_out)
+
+    names = [row["estimator"] for row in rows]
+    code, payload = estimate(names)
+    for row in rows:
+        if code != 0:  # one estimator's failure fails the whole command
+            _, payload = estimate([row["estimator"]])
+        if "error" in payload:
+            want = row["error"].partition(":")[0]
+            got = payload["error"]["type"]
+            assert (want, got) in ((got, got), ("ValueError", "UsageError"))
+            continue
+        (e,) = [e for e in payload["estimates"]
+                if e["estimator"] == row["estimator"]]
+        assert row["error"] == ""
+        assert [e["psi_hat"], e["se"], *e["ci95"]] == [
+            float(row[k]) for k in ("psi_hat", "se", "ci_lo", "ci_hi")]
+
+
+# simulate's replicate 0 is estimate on its draw: the fold seed, the
+# block-stacked propensity solve against a single fit, and the outcome
+# bounds of both commands.
+@pytest.mark.parametrize("config, implied", [
+    (BENCH_INPUTS / "dgp_binary.json", "0,1"),
+    (FIXTURES / "dgp_adversarial_point.json", "0,1"),
+    (FIXTURES / "dgp_long.json", "0,1"),
+    (BENCH_INPUTS / "dgp_adversarial_long.json", "0,1"),
+    (None, "1,5"),
+])
+@pytest.mark.parametrize("learner", ["glm_main_terms",
+                                     "glm_main_terms:link=logit",
+                                     "k_nearest_neighbors:k=5"])
+def test_simulate_replicate_0_is_estimate_on_its_draw(tmp_path, config,
+                                                      implied, learner):
+    if config is None:
+        config = tmp_path / "dgp.json"
+        config.write_text(json.dumps(_BOUNDED_DGP), encoding="utf-8")
+    learners = ["--outcome-learner", learner, "--propensity-learner",
+                learner]
+    for folds in ([], ["--folds", "2"]):
+        for y_bounds in (None, "-1,30"):
+            _replicate_0_matches_estimate(tmp_path, config,
+                                          [*learners, *folds], y_bounds,
+                                          implied)
 
 
 def test_emit_data_round_trips_longitudinal(tmp_path):

@@ -101,10 +101,10 @@ def test_point_tmle_matches_fit_glm_fluctuation(problem):
     if not np.any(untreated):
         untreated[0] = 1.0  # a point dataset needs an untreated row
     data = Dataset.from_columns({"w": np.zeros(y.shape[0])}, 1.0 - untreated,
-                                y)
+                                y, y_bounds=bounds)
     nuisance = NuisanceEstimates(mu, g, truncation_bounds=(5e-4, 0.9995))
     _check(variant,
-           lambda: tmle(data, nuisance, variant, y_bounds=bounds).fluctuation,
+           lambda: tmle(data, nuisance, variant).fluctuation,
            lambda: fluctuate_point_fit_glm(y, mu, g, data.treatment, variant,
                                            bounds),
            untreated / g, bounds)
@@ -174,6 +174,17 @@ def test_input_errors(variant, response, offset, weights, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         fluctuate(np.array(response), np.array(offset), np.array(weights),
                   np.ones(len(weights)), variant, bounds)
+
+
+def test_underflowing_slope_is_an_input_error():
+    # Positive weights and covariate whose products underflow to 0: the
+    # closed-form root would divide by a zero slope.
+    tiny = np.full(2, 1e-200)
+    with pytest.raises(ValueError, match=re.escape(
+            "the weighted least-squares slope sum(w x) = 0.0 is not "
+            "positive")):
+        fluctuate(np.array([1.0, 0.0]), np.full(2, 0.5), tiny, tiny,
+                  "covariate_linear", None)
 
 
 REGIME = "the regime covariate must be a positive, finite vector with one " \

@@ -203,9 +203,9 @@ def long_problems(draw):
     data = LongDataset.from_columns(
         dict(zip(w0_names, w0.T)), a0, dict(zip(w1_names, w1.T)), a1, y,
         y_bounds=_declared_bounds(draw, y))
-    learners = [LearnerSpec.parse(draw(st.sampled_from(PROPENSITY_LEARNERS))),
-                LearnerSpec.parse(draw(st.sampled_from(PROPENSITY_LEARNERS))),
-                LearnerSpec.parse(draw(st.sampled_from(OUTCOME_LEARNERS)))]
+    # g0 and g1 share one propensity learner, as in the point fits.
+    learners = (LearnerSpec.parse(draw(st.sampled_from(OUTCOME_LEARNERS))),
+                LearnerSpec.parse(draw(st.sampled_from(PROPENSITY_LEARNERS))))
     emu = LearnerSpec.parse(draw(st.sampled_from(OUTCOME_LEARNERS)))
     variant = draw(st.sampled_from(["weighted_linear", "weighted_logistic"]))
     return (data, learners, emu, variant,
@@ -218,11 +218,13 @@ def long_problems(draw):
 @given(problem=long_problems())
 def test_sequential_nuisances_match_subset_fold_loop(problem):
     data, learners, emu_learner, variant, truncation, n_folds, seed = problem
+    outcome, propensity = learners
     want, got = _same_failure(
-        lambda: sequential_nuisances_by_subsets(data, *learners, truncation,
-                                                n_folds, seed),
-        lambda: lng.fit_sequential_nuisances(data, *learners, truncation,
-                                             n_folds=n_folds, seed=seed),
+        lambda: sequential_nuisances_by_subsets(data, propensity, propensity,
+                                                outcome, truncation, n_folds,
+                                                seed),
+        lambda: lng.fit_sequential_nuisances(data, outcome, propensity,
+                                             truncation, n_folds, seed),
         n_folds is not None)
     if want is None:
         return
@@ -232,6 +234,7 @@ def test_sequential_nuisances_match_subset_fold_loop(problem):
     assert np.array_equal(got.mu_hat, mu_hat)
     assert got.n_truncated == n_truncated
     assert got.g1_degenerate == g1_degenerate
+    assert got.outcome_learner == outcome
     if assignment is None:
         assert got.fold_assignment is None
     else:

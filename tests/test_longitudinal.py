@@ -79,8 +79,8 @@ def test_saturated_long_matches_nested_stratum_oracle():
         data = saturated_long_dataset(rng, n=int(rng.integers(50, 81)))
         oracle = stratum_long_value(data.w0, data.a0, data.w1, data.a1,
                                     data.outcome)
-        nuis = fit_sequential_nuisances(data, g1_learner=SATURATED_STAGE2,
-                                        mu_learner=SATURATED_STAGE2)
+        nuis = fit_sequential_nuisances(data, SATURATED_STAGE2,
+                                        SATURATED_STAGE2)
         for variant in ("weighted_linear", "covariate_linear"):
             fit = tmle_long(data, nuis, variant=variant)
             assert fit.psi_hat == pytest.approx(oracle, abs=1e-10), variant
@@ -89,8 +89,7 @@ def test_saturated_long_matches_nested_stratum_oracle():
 def test_saturated_fluctuations_have_zero_coefficients():
     rng = np.random.default_rng(159)
     data = saturated_long_dataset(rng, n=60)
-    nuis = fit_sequential_nuisances(data, g1_learner=SATURATED_STAGE2,
-                                    mu_learner=SATURATED_STAGE2)
+    nuis = fit_sequential_nuisances(data, SATURATED_STAGE2, SATURATED_STAGE2)
     fit = tmle_long(data, nuis, variant="weighted_linear")
     assert abs(fit.diagnostics["step3_coefficient"]) < 1e-10
     assert abs(fit.diagnostics["step5_coefficient"]) < 1e-10
@@ -143,8 +142,7 @@ def test_one_period_case_is_the_point_design_bit_for_bit(seed, learner,
                                                          n_folds):
     point, data = _one_period_pair(seed)
     spec, glm = LearnerSpec.parse(learner), LearnerSpec("glm_main_terms")
-    nuis = fit_sequential_nuisances(data, mu_learner=spec, n_folds=n_folds,
-                                    seed=4)
+    nuis = fit_sequential_nuisances(data, spec, n_folds=n_folds, seed=4)
     point_nuis = (fit_nuisance(point, spec, glm) if n_folds is None
                   else crossfit(point, spec, glm, n_folds, 4))
     assert nuis.g1_degenerate
@@ -172,7 +170,7 @@ def test_score_equation_certificates_and_mean_eif_identity():
         n = data.n_obs
         nuis = fit_sequential_nuisances(data)
         for variant in est.TMLE_VARIANTS:
-            fit = tmle_long(data, nuis, variant=variant, y_bounds=(0.0, 1.0))
+            fit = tmle_long(data, nuis, variant=variant)
             d = fit.diagnostics
             assert abs(d["step3_score_residual"]) <= \
                 1e-8 * (1.0 + d["step3_weight_sum"])
@@ -214,7 +212,7 @@ def test_logistic_variant_keeps_everything_in_bounds():
     for _ in range(15):
         data = random_long_dataset(rng)
         fit = tmle_long(data, fit_sequential_nuisances(data),
-                        variant="weighted_logistic", y_bounds=(0.0, 1.0))
+                        variant="weighted_logistic")
         d = fit.diagnostics
         assert 0.0 <= fit.psi_hat <= 1.0
         assert d["mu_star_min"] >= 0.0 and d["mu_star_max"] <= 1.0
@@ -264,8 +262,7 @@ def test_each_model_predicts_each_row_once(monkeypatch, n_folds):
     data = random_long_dataset(np.random.default_rng(8), n=120)
     knn = LearnerSpec("k_nearest_neighbors", k=3)
     glm = LearnerSpec("glm_main_terms")
-    nuis = fit_sequential_nuisances(data, glm, glm, knn, n_folds=n_folds,
-                                    seed=4)
+    nuis = fit_sequential_nuisances(data, knn, glm, n_folds=n_folds, seed=4)
     assert not nuis.g1_degenerate
     # g0 and g1 are GLMs, mu is kNN
     assert rows == {"_GlmPredictor": 240, "_KnnPredictor": 120}

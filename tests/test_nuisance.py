@@ -310,8 +310,7 @@ def test_each_model_matrix_is_built_once_per_call(monkeypatch):
 
     calls.clear()
     data = random_long_dataset(np.random.default_rng(8), n=120)
-    nuis = lng.fit_sequential_nuisances(data, glm, glm, logit, n_folds=4,
-                                        seed=2)
+    nuis = lng.fit_sequential_nuisances(data, logit, glm, n_folds=4, seed=2)
     assert not nuis.g1_degenerate
     assert calls == [glm.describe(), glm.describe(), logit.describe()]
 

@@ -939,13 +939,13 @@ def test_run_estimator_serves_only_the_datas_design():
         data = generate(load_fixture(config), 300, 1)
         nuis = fit_plan_nuisance(data, plan)
         for name in names:
-            assert run_estimator(name, data, nuis, plan).estimator == name
+            assert run_estimator(name, data, nuis).estimator == name
         with pytest.raises(ValueError) as want:
             check_estimators(design, [foreign])
         assert str(want.value).startswith(
             f"unknown estimators for the {design} design: ['{foreign}']")
         with pytest.raises(ValueError) as got:
-            run_estimator(foreign, data, nuis, plan)
+            run_estimator(foreign, data, nuis)
         assert str(got.value) == str(want.value)
 
 
@@ -959,7 +959,7 @@ def test_every_estimate_reports_its_own_eif_mean_and_nuisance_facts(n_folds):
         nuis = fit_plan_nuisance(data, plan, fold_seed=4)
         assert nuis.n_truncated > 0
         for name in names:
-            res = run_estimator(name, data, nuis, plan)
+            res = run_estimator(name, data, nuis)
             d = res.diagnostics
             assert d["mean_eif"] == float(np.mean(res.eif)), name
             assert d["n_truncated"] == nuis.n_truncated, name
@@ -1068,6 +1068,19 @@ def test_plan_y_bounds_must_contain_the_dgps_outcome_bounds(tmp_path):
     run_experiment(unbounded, n=100, replications=2,
                    estimator_names=("gcomp",),
                    plan=EstimationPlan(y_bounds=(0.2, 0.5)), seed=1)
+
+
+def test_a_draw_outside_the_plan_y_bounds_fails_every_estimator():
+    # Each draw carries the plan's bounds, as estimate's CSV does, so an
+    # outcome outside them (possible only on a DGP without bounds) is the
+    # dataset's error, for every estimator of the replicate.
+    unbounded = simple_point_dgp(kind="continuous")
+    report = run_experiment(unbounded, n=100, replications=2,
+                            estimator_names=POINT_ESTIMATORS,
+                            plan=EstimationPlan(y_bounds=(0.2, 0.5)), seed=1)
+    assert len(report.replicates) == 2 * len(POINT_ESTIMATORS)
+    assert {rec.error for rec in report.replicates} == {
+        "ValueError: outcome values fall outside the declared bounds"}
 
 
 def _normal_noise_config(tmp_path):
